@@ -7,8 +7,8 @@ triples, two abelian 3-planes and a maximal torus, and builds the
 machinery that turns the composite admissibility constraints into a bundle
 of a unit 2-sphere and two ellipsoids over the abelian group factor: the
 adjoint 15x15 rotation, the ellipsoid matrices, their characteristic
-cubics and root-sign classification, and a numerical solver for points
-where sphere and both ellipsoids meet.
+cubics and root-sign classification, and a closed-form solver (conic
+pencil, line pairs) for the points where sphere and both ellipsoids meet.
 
 Convention pin
 --------------
@@ -534,43 +534,6 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
-def _tangent_frame(mu: np.ndarray):
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(mu))] = 1.0
-    e1 = np.cross(mu, axis)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(mu, e1)
-    return e1, e2
-
-
-def _newton_on_sphere(q: QuadricTriple, start: np.ndarray, level: float,
-                      max_iter: int):
-    """Newton refinement of the two ellipsoid equations on the unit sphere.
-
-    Orthographic chart at the current point; returns the refined point or
-    None when the 2x2 tangent system is singular or iteration stalls.
-    """
-    mu = start / np.linalg.norm(start)
-    for _ in range(max_iter):
-        e1, e2 = _tangent_frame(mu)
-        grad_a = 2.0 * (q.a @ mu)
-        grad_b = 2.0 * (q.b @ mu)
-        jac = np.array([[grad_a @ e1, grad_a @ e2],
-                        [grad_b @ e1, grad_b @ e2]])
-        f = np.array([mu @ q.a @ mu - level, mu @ q.b @ mu - level])
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        mu = mu + step[0] * e1 + step[1] * e2
-        mu /= np.linalg.norm(mu)
-        if np.linalg.norm(step) < 1e-12:
-            break
-    return mu
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Solutions of the sphere-plus-two-ellipsoids system, with the verdict."""
@@ -591,17 +554,22 @@ class FeasibilityResult:
 MATRIX_LEVEL = 4.0 / 15.0
 
 
-def moduli_feasibility(q: QuadricTriple, level: float = 1.0, n_grid: int = 2048,
-                       residual_tol: float = 1e-10, dedup_tol: float = 1e-8,
-                       max_iter: int = 50, max_starts: int = 48) -> FeasibilityResult:
-    """Solve mu mu^T = 1, mu A mu^T = level, mu B mu^T = level numerically.
+def moduli_feasibility(q: QuadricTriple, level: float = 1.0,
+                       residual_tol: float = 1e-10,
+                       dedup_tol: float = 1e-8) -> FeasibilityResult:
+    """Solve mu mu^T = 1, mu A mu^T = level, mu B mu^T = level in closed form.
 
-    Dense Fibonacci-grid sampling of the sphere brackets the zero sets of
-    both ellipsoid residuals; the best bracket points seed Newton
-    refinement in an orthographic tangent chart.  Distinct converged points
-    (pairwise distance above ``dedup_tol``) with all residuals below
-    ``residual_tol`` are returned.  Solutions come in antipodal pairs; both
-    members are reported since they generate different kernels.
+    Solutions are the real common points of the conics C_A = A - level I and
+    C_B = B - level I in the projective plane, each an antipodal pair on the
+    sphere, at most 4 pairs (Bezout): a real degenerate member of the pencil
+    C_A + t C_B splits into two lines, and each line meets a conic at the
+    roots of a 2x2 quadratic form.  Points get two Newton steps on the
+    square 3x3 system and are kept, both antipodes, when their residuals are
+    at most ``residual_tol`` (points within ``dedup_tol`` count once).
+    No solution exists, and none is sought, when ``level`` is outside the
+    eigenvalue range of A or of B, or above lambda_max(A + B) / 2.  A
+    degenerate pencil (A = B, or a null direction shared by C_A and C_B),
+    whose solutions can form a curve, raises ValueError.
 
     The default ``level`` is the quoted unit normalization; pass
     ``MATRIX_LEVEL`` to solve the system equivalent to the matrix-level
@@ -610,29 +578,61 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0, n_grid: int = 2048,
     """
     if level <= 0.0:
         raise ValueError("level must be positive")
-    classification = char_cubic_roots(q).classification
-    pts = fibonacci_sphere(n_grid)
-    ga = np.einsum("pi,ij,pj->p", pts, q.a, pts) - level
-    gb = np.einsum("pi,ij,pj->p", pts, q.b, pts) - level
-    # Each surface must actually meet the sphere; a one-sided residual on a
-    # dense grid (beyond small slack for near-tangency) rules that out.
-    slack = 1e-3
-    if ga.min() > slack or ga.max() < -slack or gb.min() > slack or gb.max() < -slack:
-        return FeasibilityResult(solutions=[], classification=classification)
-    score = np.maximum(np.abs(ga), np.abs(gb))
-    order = np.argsort(score)[:max_starts]
+    roots = char_cubic_roots(q)
+    eig_a, eig_b = -roots.roots_sphere_a.real, -roots.roots_sphere_b.real
     solutions: list[np.ndarray] = []
-    for idx in order:
-        mu = _newton_on_sphere(q, pts[idx], level, max_iter)
-        if mu is None:
-            continue
-        res = max(abs(mu @ q.a @ mu - level), abs(mu @ q.b @ mu - level))
-        if res > residual_tol:
-            continue
-        if any(np.linalg.norm(mu - s) <= dedup_tol for s in solutions):
-            continue
-        solutions.append(mu)
-    return FeasibilityResult(solutions=solutions, classification=classification)
+    if (not (eig_a.min() <= level <= eig_a.max() and eig_b.min() <= level <= eig_b.max())
+            or np.linalg.eigvalsh(q.a + q.b)[-1] < 2.0 * level):
+        return FeasibilityResult(solutions=solutions, classification=roots.classification)
+    forms = np.stack([np.eye(3), q.a, q.b])
+    mus = _conic_intersection(q.a - level * forms[0], q.b - level * forms[0])
+    for _ in range(2):
+        grad = np.einsum("kij,pj->pki", forms, mus)
+        f = np.einsum("pki,pi->pk", grad, mus) - [1.0, level, level]
+        ok = np.linalg.det(grad) != 0.0  # exactly singular at structured tangencies
+        mus[ok] -= 0.5 * np.linalg.solve(grad[ok], f[ok, :, None])[..., 0]
+    mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+    res = np.abs(np.einsum("pi,kij,pj->pk", mus, forms[1:], mus) - level).max(axis=1)
+    for mu in mus[res <= residual_tol]:
+        if all(np.linalg.norm(mu - s) > dedup_tol for s in solutions):
+            solutions += [mu, -mu]
+    return FeasibilityResult(solutions=solutions, classification=roots.classification)
+
+
+def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Unit candidates (m, 3), m <= 4, for the real common points of two conics."""
+    ca, cb = ca / np.linalg.norm(ca), cb / np.linalg.norm(cb)
+    wedge = np.outer(ca, cb)
+    # Roots t = alpha / beta of det(ca + t cb), t = inf too, from ca v = t (-cb) v.
+    ab = scipy.linalg.eigvals(ca, -cb, homogeneous_eigvals=True)
+    size = np.abs(ab).max(axis=0)
+    if np.linalg.norm(wedge - wedge.T) <= 1e-12 or size.min() <= 1e-12:
+        raise ValueError("degenerate pencil: C_A and C_B proportional or det(C_A + t C_B) == 0")
+    xy = np.stack([ab[1].real, ab[0].real], axis=1)[np.abs(ab[0].imag) <= 1e-8 * size]
+    xy /= np.linalg.norm(xy, axis=1, keepdims=True)
+    w, v = np.linalg.eigh(xy[:, 0, None, None] * ca + xy[:, 1, None, None] * cb)
+    # Split the indefinite member (a real line pair) with the best-separated lines.
+    null = np.argmin(np.abs(w), axis=1)
+    score = np.where((null == 1) & (w[:, 0] < 0.0) & (w[:, 2] > 0.0),
+                     np.minimum(-w[:, 0], w[:, 2]), -np.inf)
+    k = int(np.argmax(score))
+    if score[k] == -np.inf:  # no real line pair: complex contact (or 4-fold, unresolved)
+        return np.zeros((0, 3))
+    # On the member x ca + y cb, cb = 0 implies ca = 0 when x != 0, and vice versa.
+    other = cb if abs(xy[k, 0]) >= abs(xy[k, 1]) else ca
+    lo, hi = np.sqrt(-w[k, 0]), np.sqrt(w[k, 2])
+    v0, v1, v2 = v[k].T
+    points = []
+    for sign in (1.0, -1.0):
+        # The line hi (v2 . mu) = sign lo (v0 . mu), spanned by v1 and e.
+        e = (lo * v2 + sign * hi * v0) / np.hypot(lo, hi)
+        p, c, r = v1 @ other @ v1, v1 @ other @ e, e @ other @ e
+        disc = c * c - p * r
+        if disc >= -1e-10 * (p * p + c * c + r * r):  # tangent up to roundoff: keep
+            s = -(c + np.copysign(np.sqrt(max(disc, 0.0)), c))
+            points += [u * v1 + t * e for u, t in ((s, p), (r, s)) if u or t]
+    pts = np.array(points).reshape(-1, 3)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 _ALGEBRA_CHOICES = ("lu_local", "full_su4", "k_twisted")
@@ -688,7 +688,7 @@ class ScanRecord:
 
 
 def moduli_record(record_index: int, a_params, a_prime_params,
-                  solve: bool = True, n_grid: int = 2048) -> ScanRecord:
+                  solve: bool = True) -> ScanRecord:
     """Evaluate one moduli point: build the abelian factor and analyze its bundle."""
     lb = build_lambda_basis()
     factor = _exp_span(a_params, lb.a_generators) @ _exp_span(
@@ -697,7 +697,7 @@ def moduli_record(record_index: int, a_params, a_prime_params,
     q = ellipsoid_matrices(o)
     roots = char_cubic_roots(q)
     if solve:
-        feas = moduli_feasibility(q, n_grid=n_grid)
+        feas = moduli_feasibility(q)
     else:
         feas = FeasibilityResult(solutions=[], classification=roots.classification)
     return ScanRecord(
@@ -711,7 +711,7 @@ def moduli_record(record_index: int, a_params, a_prime_params,
 
 
 def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
-                zero_params: bool = False, n_grid: int = 2048) -> list:
+                zero_params: bool = False) -> list:
     """Random scan of the moduli bundle.
 
     Each record draws the two abelian parameter triples uniformly from
@@ -734,7 +734,7 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
             rng = np.random.default_rng(children[idx])
             a = rng.uniform(lo, hi, 3)
             ap = rng.uniform(lo, hi, 3)
-        records.append(moduli_record(idx, a, ap, n_grid=n_grid))
+        records.append(moduli_record(idx, a, ap))
     return records
 
 

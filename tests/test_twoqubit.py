@@ -8,6 +8,7 @@ from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import make_composite_kernel, verify_composite_master
 from swphase.twoqubit import (
     KERNEL_COEFF,
+    MATRIX_LEVEL,
     SCAN_CSV_COLUMNS,
     SIGMA,
     QuadricTriple,
@@ -44,6 +45,45 @@ def _random_abelian_factor(seed):
     lb = build_lambda_basis()
     return _exp_span(rng.uniform(-np.pi, np.pi, 3), lb.a_generators) @ _exp_span(
         rng.uniform(-np.pi, np.pi, 3), lb.a_prime_generators)
+
+
+def _largest_eigenvalue(m):
+    """Closed-form largest eigenvalue of symmetric 3x3 matrices (..., 3, 3)."""
+    mean = np.trace(m, axis1=-2, axis2=-1) / 3.0
+    a, b, c = (m[..., k, k] - mean for k in range(3))
+    d, e, f = m[..., 0, 1], m[..., 1, 2], m[..., 0, 2]
+    scale = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    det = a * (b * c - e * e) - d * (d * c - e * f) + f * (d * e - b * f)
+    half_det = det / (2.0 * np.where(scale > 0.0, scale, 1.0) ** 3)
+    return mean + 2.0 * scale * np.cos(np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0)
+
+
+def _brickman_margins(qa, qb, level):
+    """min over t of lambda_max(cos t A + sin t B) - level (cos t + sin t), per pair.
+
+    Brickman (1961): the joint range of two quadratic forms on the unit
+    sphere of R^3 is convex, so mu mu = 1, mu A mu = mu B mu = level has a
+    solution iff this margin is >= 0.  The best of 720 angles (closed-form
+    eigenvalue) is refined by six rounds of 41 angles (eigvalsh), each
+    round 20 times narrower, and the margin is the least eigvalsh value.
+    """
+    def margin(angles, largest):
+        c, s = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
+        pencil = c * qa[:, None] + s * qb[:, None]
+        return largest(pencil) - level * (c + s)[..., 0, 0]
+
+    step = np.pi / 360.0
+    coarse = np.broadcast_to(np.arange(720) * step, (len(qa), 720))
+    best_angle = coarse[0, np.argmin(margin(coarse, _largest_eigenvalue), axis=1)]
+    best = np.full(len(qa), np.inf)
+    for _ in range(6):
+        angles = best_angle[:, None] + np.linspace(-step, step, 41)
+        values = margin(angles, lambda m: np.linalg.eigvalsh(m)[..., -1])
+        k = np.argmin(values, axis=1)
+        best = np.minimum(best, values[np.arange(len(qa)), k])
+        best_angle = angles[np.arange(len(qa)), k]
+        step /= 20.0
+    return best
 
 
 class TestLambdaBasis:
@@ -400,6 +440,62 @@ class TestModuliFeasibility:
                 report = verify_composite_master(ker.mat, DIMS22)
                 assert report.admissible(1e-10)
         assert found > 0
+
+    def test_record_79_keeps_both_antipodal_pairs(self):
+        # a sphere search drops one member of a pair on this record
+        rec = moduli_scan(200, seed=3)[79]
+        factor = kak_element(np.zeros(6), rec.a_params, rec.a_prime_params,
+                             np.zeros(3)).factor_a
+        sols = moduli_feasibility(rec.quadrics, level=MATRIX_LEVEL).solutions
+        assert len(sols) == 4
+        for mu in sols:
+            assert sum(np.linalg.norm(mu + s) <= 1e-8 for s in sols) == 1
+            assert abs(mu @ rec.quadrics.a @ mu - MATRIX_LEVEL) <= 1e-10
+            assert abs(mu @ rec.quadrics.b @ mu - MATRIX_LEVEL) <= 1e-10
+            ker = kernel_from_moduli(factor, mu)
+            assert verify_composite_master(ker.mat, DIMS22).admissible(1e-10)
+
+    def test_identity_fibre_matrix_level(self):
+        # A = diag(4/3, 0, 0), B = diag(0, 4/3, 0): mu_1^2 = mu_2^2 = 1/5
+        q = ellipsoid_matrices(np.eye(15))
+        sols = moduli_feasibility(q, level=MATRIX_LEVEL).solutions
+        assert len(sols) == 8
+        for mu in sols:
+            np.testing.assert_allclose(np.abs(mu), np.sqrt([0.2, 0.2, 0.6]), atol=1e-12)
+            assert abs(mu @ q.a @ mu - MATRIX_LEVEL) <= 1e-10
+            assert abs(mu @ q.b @ mu - MATRIX_LEVEL) <= 1e-10
+
+    def test_degenerate_pencil_raises(self):
+        rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+        a = rot @ np.diag([1.0, 0.5, 0.1]) @ rot.T
+        # A = B: every point of one level set on the sphere solves the system
+        with pytest.raises(ValueError, match="degenerate pencil"):
+            moduli_feasibility(QuadricTriple(a=a, b=a), level=MATRIX_LEVEL)
+        # an eigenvector shared at eigenvalue MATRIX_LEVEL: a common null direction
+        for a_diag, b_diag in (([1.0, 0.1], [0.05, 1.2]), ([0.9, 0.2], [0.1, 0.7])):
+            a, b = (rot @ np.diag(d + [MATRIX_LEVEL]) @ rot.T for d in (a_diag, b_diag))
+            with pytest.raises(ValueError, match="degenerate pencil"):
+                moduli_feasibility(QuadricTriple(a=a, b=b), level=MATRIX_LEVEL)
+
+    def test_agrees_with_brickman_certificate(self):
+        qs = [ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 9000)))
+              for seed in range(2000)]
+        qa, qb = np.array([q.a for q in qs]), np.array([q.b for q in qs])
+        margins = np.concatenate([_brickman_margins(qa[k:k + 200], qb[k:k + 200], MATRIX_LEVEL)
+                                  for k in range(0, len(qs), 200)])
+        decided = 0
+        for q, margin in zip(qs, margins):
+            sols = moduli_feasibility(q, level=MATRIX_LEVEL).solutions
+            assert len(sols) % 2 == 0 and len(sols) <= 8
+            for mu in sols:
+                assert any(np.linalg.norm(mu + s) <= 1e-8 for s in sols)
+                assert abs(np.linalg.norm(mu) - 1.0) <= 1e-10
+                assert abs(mu @ q.a @ mu - MATRIX_LEVEL) <= 1e-10
+                assert abs(mu @ q.b @ mu - MATRIX_LEVEL) <= 1e-10
+            if abs(margin) > 1e-9:
+                decided += 1
+                assert (len(sols) > 0) == (margin >= 0.0), margin
+        assert decided > 1900
 
     def test_bundle_matrix_bridge_identity(self):
         # for every unit mu (solution or not):
