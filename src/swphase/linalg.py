@@ -152,29 +152,41 @@ def is_hermitian(x, tol: float = DEFAULT_TOL) -> bool:
 
 
 def mat_exp(x) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a square matrix or of a stack (..., n, n).
 
-    Anti-Hermitian and Hermitian inputs go through an eigendecomposition so
-    that the result is unitary (resp. positive definite) to machine
-    precision; everything else falls back to scaling-and-squaring.
+    Each matrix takes its own path.  Anti-Hermitian and Hermitian inputs go
+    through an eigendecomposition so that the result is unitary (resp.
+    positive definite) to machine precision; everything else falls back to
+    scaling-and-squaring.  Each path runs once over its part of the stack.
 
     Raises
     ------
     ArithmeticError
         If the fallback fails to produce finite entries.
     """
-    m = as_complex_matrix(x)
-    scale = 1.0 + np.linalg.norm(m)
-    if np.linalg.norm(m + m.conj().T) <= DEFAULT_TOL * scale:
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    mh = m.conj().swapaxes(-1, -2)
+    tol = DEFAULT_TOL * (1.0 + np.linalg.norm(m, axis=(-2, -1)))
+    anti = np.linalg.norm(m + mh, axis=(-2, -1)) <= tol
+    herm = ~anti
+    if herm.any():
+        herm &= np.linalg.norm(m - mh, axis=(-2, -1)) <= tol
+    rest = ~(anti | herm)
+    out = np.empty_like(m)
+    if anti.any():
         # exp(i H) with H Hermitian: exactly unitary up to eigh roundoff
-        w, v = np.linalg.eigh(-1j * m)
-        return (v * np.exp(1j * w)) @ v.conj().T
-    if np.linalg.norm(m - m.conj().T) <= DEFAULT_TOL * scale:
-        w, v = np.linalg.eigh(m)
-        return (v * np.exp(w)) @ v.conj().T
-    out = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError("matrix exponential did not converge")
+        w, v = np.linalg.eigh(-1j * m[anti])
+        out[anti] = (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if herm.any():
+        w, v = np.linalg.eigh(m[herm])
+        out[herm] = (v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if rest.any():
+        fallback = scipy.linalg.expm(m[rest])
+        if not np.all(np.isfinite(fallback)):
+            raise ArithmeticError("matrix exponential did not converge")
+        out[rest] = fallback
     return out
 
 
@@ -241,14 +253,16 @@ def matrix_from_json(obj) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`, with schema validation."""
     try:
         dim = int(obj["dim"])
-        entries = obj["entries"]
+        entries = list(obj["entries"])
     except (KeyError, TypeError) as exc:
-        raise ValueError("matrix object needs 'dim' and 'entries' fields") from exc
+        raise ValueError("matrix object needs 'dim' and a list of 'entries'") from exc
     if dim < 1 or len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
     flat = np.empty(dim * dim, dtype=complex)
     for k, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise ValueError("entries must be [re, im] pairs")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
+        try:
+            re, im = pair
+            flat[k] = complex(float(re), float(im))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {k} is not a [re, im] pair of numbers: {pair!r}") from exc
     return flat.reshape(dim, dim)

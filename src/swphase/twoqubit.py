@@ -10,6 +10,17 @@ adjoint 15x15 rotation, the ellipsoid matrices, their characteristic
 cubics and root-sign classification, and a closed-form solver (conic
 pencil, line pairs) for the points where sphere and both ellipsoids meet.
 
+Batch axes
+----------
+The abelian factor, the adjoint map and the ellipsoid matrices take a
+leading batch axis: parameters (..., 3) give factors (..., 4, 4), adjoint
+matrices (..., 15, 15) and a :class:`QuadricTriple` of stacks (..., 3, 3).
+Every check runs on every matrix of a stack and its error names the first
+failing stack index.  :func:`moduli_scan` runs these stages once per chunk
+of ``SCAN_CHUNK`` records; only the ragged per-record work (pencil roots,
+the solver) runs record by record, and :func:`moduli_record` is the
+batch-of-one case of the same pipeline.
+
 Convention pin
 --------------
 A single tag governs the Fano parametrizations: "HS2" means basis elements
@@ -24,7 +35,7 @@ literature for the alternative normalization are reported side by side by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -46,6 +57,7 @@ __all__ = [
     "TwoQubitBlockReport",
     "twoqubit_constraint_values",
     "KakElement",
+    "abelian_factor",
     "kak_element",
     "adjoint_matrix",
     "QuadricTriple",
@@ -59,6 +71,7 @@ __all__ = [
     "moduli_feasibility",
     "isotropy_dim",
     "ScanRecord",
+    "SCAN_CHUNK",
     "moduli_record",
     "moduli_scan",
     "SCAN_CSV_COLUMNS",
@@ -330,15 +343,37 @@ class KakElement:
 
 
 def _exp_span(params, generators) -> np.ndarray:
-    return mat_exp(np.einsum("i,iab->ab", np.asarray(params, dtype=float), generators))
+    """exp(sum_i params[..., i] generators[i]), batched over params (..., k)."""
+    return mat_exp(np.einsum("...i,iab->...ab", np.asarray(params, dtype=float), generators))
+
+
+_A_GENERATORS = build_lambda_basis().a_generators
+_A_PRIME_GENERATORS = build_lambda_basis().a_prime_generators
+
+
+def abelian_factor(a_params, a_prime_params) -> np.ndarray:
+    """The abelian factor exp(a) exp(a') of :func:`kak_element`, batched.
+
+    Parameters of shape (..., 3) give factors of shape (..., 4, 4); each
+    of the two exponentials runs once over the whole stack.  The order is
+    exactly exp(a) exp(a'): the two do not commute with each other even
+    though each 3-plane is abelian.
+    """
+    return _exp_span(a_params, _A_GENERATORS) @ _exp_span(a_prime_params, _A_PRIME_GENERATORS)
+
+
+def _check_each(bad, message: str) -> None:
+    """Raise ValueError(message) if the check failed for any matrix of a stack."""
+    if bad.any():
+        where = "" if np.ndim(bad) == 0 else f" at stack index {np.argwhere(bad)[0].tolist()}"
+        raise ValueError(message + where)
 
 
 def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     """Build the factored group element from real coordinates.
 
     ``k_params`` has length 6, the others length 3.  The A factor is
-    exp(a) exp(a') exactly in that order; the two exponentials do not
-    commute with each other even though each 3-plane is abelian.
+    :func:`abelian_factor`.
     """
     lb = build_lambda_basis()
     k_params = np.asarray(k_params, dtype=float)
@@ -349,8 +384,7 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
             or a_prime_params.shape != (3,) or t_params.shape != (3,):
         raise ValueError("expected parameter shapes (6,), (3,), (3,), (3,)")
     factor_k = _exp_span(k_params, lb.k_generators)
-    factor_a = _exp_span(a_params, lb.a_generators) @ _exp_span(
-        a_prime_params, lb.a_prime_generators)
+    factor_a = abelian_factor(a_params, a_prime_params)
     factor_t = _exp_span(t_params, lb.k_prime_generators)
     return KakElement(k_params, a_params, a_prime_params, t_params,
                       factor_k, factor_a, factor_t)
@@ -362,45 +396,75 @@ def adjoint_matrix(a) -> np.ndarray:
     Entries O[m, n] = -tr(a l_n a^dagger l_m), i.e. column n holds the
     coordinates of a l_n a^dagger, so coefficient vectors transform as
     x -> O x and adjoint(a1 a2) = adjoint(a1) adjoint(a2).  O is orthogonal.
+    A stack of unitaries (..., 4, 4) gives a stack (..., 15, 15).
     """
-    am = as_complex_matrix(a)
-    if am.shape[0] != 4:
-        raise ValueError("expected a 4x4 unitary")
-    if np.linalg.norm(am @ am.conj().T - np.eye(4)) > DEFAULT_TOL:
-        raise ValueError("input is not unitary")
-    rotated = am @ _LAMBDA @ am.conj().T
-    o = -np.einsum("nab,mba->mn", rotated, _LAMBDA)
-    if np.max(np.abs(o.imag)) > 1e-12:
-        raise ValueError("adjoint matrix came out non-real")
+    am = np.asarray(a, dtype=complex)
+    if am.ndim < 2 or am.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 unitary or a stack of them, got shape {am.shape}")
+    ah = am.conj().swapaxes(-1, -2)
+    _check_each(np.linalg.norm(am @ ah - np.eye(4), axis=(-2, -1)) > DEFAULT_TOL,
+                "input is not unitary")
+    rotated = am[..., None, :, :] @ _LAMBDA @ ah[..., None, :, :]
+    o = -np.einsum("...nab,mba->...mn", rotated, _LAMBDA)
+    _check_each(np.abs(o.imag).max(axis=(-2, -1)) > 1e-12, "adjoint matrix came out non-real")
     o = o.real
-    if np.linalg.norm(o @ o.T - np.eye(15)) > 1e-11:
-        raise ValueError("adjoint matrix is not orthogonal")
+    _check_each(np.linalg.norm(o @ o.swapaxes(-1, -2) - np.eye(15), axis=(-2, -1)) > 1e-11,
+                "adjoint matrix is not orthogonal")
     return o
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadricTriple:
     """Ellipsoid matrices of the moduli bundle over torus coordinates.
 
     ``a`` and ``b`` are symmetric positive-semidefinite 3x3 matrices with
     eigenvalues <= 4/3; together with the unit sphere they define the
-    admissibility locus in the coordinates named by ``mu_labels``.
+    admissibility locus in the coordinates named by ``mu_labels``.  They
+    may also be stacks (..., 3, 3) of equal shape, one pair per record;
+    indexing the triple gives the pair of one record.  ``eig_a`` and
+    ``eig_b`` hold the ascending eigenvalues, computed once by the
+    positive-semidefinite check.  ``roots`` is :func:`char_cubic_roots`
+    of a single pair, computed on first use and kept.
     """
 
     a: np.ndarray
     b: np.ndarray
     mu_labels: tuple = ("mu3", "mu6", "mu15")
+    eig_a: np.ndarray = field(init=False, repr=False, compare=False)
+    eig_b: np.ndarray = field(init=False, repr=False, compare=False)
+    _roots: RootReport | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name, m in (("a", self.a), ("b", self.b)):
             arr = np.asarray(m, dtype=float)
-            if arr.shape != (3, 3):
-                raise ValueError(f"{name} must be 3x3")
-            if np.linalg.norm(arr - arr.T) > 1e-13:
-                raise ValueError(f"{name} is not symmetric")
-            if np.linalg.eigvalsh(arr)[0] < -1e-10:
-                raise ValueError(f"{name} is not positive semidefinite")
+            if arr.ndim < 2 or arr.shape[-2:] != (3, 3):
+                raise ValueError(f"{name} must be 3x3 or a stack of 3x3 matrices")
+            _check_each(np.linalg.norm(arr - arr.swapaxes(-1, -2), axis=(-2, -1)) > 1e-13,
+                        f"{name} is not symmetric")
+            eig = np.linalg.eigvalsh(arr)
+            _check_each(eig[..., 0] < -1e-10, f"{name} is not positive semidefinite")
             object.__setattr__(self, name, arr)
+            object.__setattr__(self, f"eig_{name}", eig)
+        if self.a.shape != self.b.shape:
+            raise ValueError(f"a and b stacks differ in shape: {self.a.shape} vs {self.b.shape}")
+
+    def __getitem__(self, index) -> QuadricTriple:
+        """The pair of one record of a stack (or a sub-stack), checked with it."""
+        if self.a.ndim == 2:
+            raise TypeError("a single quadric pair has no records to index")
+        part = object.__new__(QuadricTriple)
+        for name in ("a", "b", "eig_a", "eig_b"):
+            object.__setattr__(part, name, getattr(self, name)[index])
+        object.__setattr__(part, "mu_labels", self.mu_labels)
+        object.__setattr__(part, "_roots", None)
+        return part
+
+    @property
+    def roots(self) -> RootReport:
+        """:func:`char_cubic_roots` at its default tolerances, computed on first use."""
+        if self._roots is None:
+            object.__setattr__(self, "_roots", char_cubic_roots(self))
+        return self._roots
 
 
 def ellipsoid_matrices(o) -> QuadricTriple:
@@ -410,18 +474,18 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     3, 6, 15, in that order) to the A-local coordinates (numbers 1..3),
     A := (4/3) S^T S; B likewise over the B-local rows (numbers 4..6).
     Entry [alpha, beta] is (4/3) times the A-local overlap of the rotated
-    torus directions alpha and beta.
+    torus directions alpha and beta.  A stack (..., 15, 15) gives a triple
+    of stacks (..., 3, 3).
     """
     om = np.asarray(o, dtype=float)
-    if om.shape != (15, 15):
-        raise ValueError("expected a 15x15 adjoint matrix")
-    sub_a = om[np.ix_(_A_COLS, _TORUS_ROWS)]
-    sub_b = om[np.ix_(_B_COLS, _TORUS_ROWS)]
-    qa = (4.0 / 3.0) * (sub_a.T @ sub_a)
-    qb = (4.0 / 3.0) * (sub_b.T @ sub_b)
-    qa = (qa + qa.T) / 2.0
-    qb = (qb + qb.T) / 2.0
-    return QuadricTriple(a=qa, b=qb)
+    if om.ndim < 2 or om.shape[-2:] != (15, 15):
+        raise ValueError(f"expected a 15x15 adjoint matrix or a stack of them, got shape {om.shape}")
+    quadrics = []
+    for rows in (_A_COLS, _B_COLS):
+        sub = om[(...,) + np.ix_(rows, _TORUS_ROWS)]
+        q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
+        quadrics.append((q + q.swapaxes(-1, -2)) / 2.0)
+    return QuadricTriple(a=quadrics[0], b=quadrics[1])
 
 
 @dataclass(frozen=True)
@@ -466,15 +530,21 @@ def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9,
     through the symmetric-definite pencil when A is positive definite
     (smallest eigenvalue above ``cond_floor``); otherwise the record is
     degenerate and a direct polynomial fallback reports the finite roots.
+    The eigenvalues come from ``q`` (computed once, over the whole stack
+    when ``q`` was indexed from one); ``q`` must be a single pair.
     """
-    eig_a = np.linalg.eigvalsh(q.a)
-    eig_b = np.linalg.eigvalsh(q.b)
-    rank_a = int(np.sum(eig_a > cond_floor))
-    rank_b = int(np.sum(eig_b > cond_floor))
+    if q.a.ndim != 2:
+        raise ValueError("char_cubic_roots takes one quadric pair; index the stack first")
+    eig_a, eig_b = q.eig_a, q.eig_b
+    rank_a = int(np.count_nonzero(eig_a > cond_floor))
+    rank_b = int(np.count_nonzero(eig_b > cond_floor))
     degenerate = rank_a < 3 or rank_b < 3
     if eig_a[0] > cond_floor:
-        gen = scipy.linalg.eigh(q.b, q.a, eigvals_only=True)
-        roots_ab = (-np.asarray(gen)).astype(complex)
+        # The LAPACK routine scipy.linalg.eigh(q.b, q.a, eigvals_only=True) calls.
+        gen, _, info = scipy.linalg.lapack.dsygvd(q.b, q.a, jobz="N")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dsygvd info {info})")
+        roots_ab = (-gen).astype(complex)
         ab_degenerate = False
     else:
         roots_ab = _det_poly_roots(q.a, q.b)
@@ -482,8 +552,9 @@ def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9,
     if degenerate:
         classification = "degenerate"
     else:
-        all_roots = np.concatenate([-eig_a, -eig_b, roots_ab.real])
-        classification = "no_overlap" if np.any(all_roots > tol_root) else "overlap"
+        # The largest root of each cubic; the eigenvalues are ascending.
+        top = max(-eig_a[0], -eig_b[0], roots_ab.real.max(initial=-np.inf))
+        classification = "no_overlap" if top > tol_root else "overlap"
     return RootReport(
         roots_sphere_a=(-eig_a).astype(complex),
         roots_sphere_b=(-eig_b).astype(complex),
@@ -578,12 +649,10 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0,
     """
     if level <= 0.0:
         raise ValueError("level must be positive")
-    roots = char_cubic_roots(q)
-    eig_a, eig_b = -roots.roots_sphere_a.real, -roots.roots_sphere_b.real
+    classification = q.roots.classification
     solutions: list[np.ndarray] = []
-    if (not (eig_a.min() <= level <= eig_a.max() and eig_b.min() <= level <= eig_b.max())
-            or np.linalg.eigvalsh(q.a + q.b)[-1] < 2.0 * level):
-        return FeasibilityResult(solutions=solutions, classification=roots.classification)
+    if not _level_reachable(q, level):
+        return FeasibilityResult(solutions=solutions, classification=classification)
     forms = np.stack([np.eye(3), q.a, q.b])
     mus = _conic_intersection(q.a - level * forms[0], q.b - level * forms[0])
     for _ in range(2):
@@ -596,7 +665,20 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0,
     for mu in mus[res <= residual_tol]:
         if all(np.linalg.norm(mu - s) > dedup_tol for s in solutions):
             solutions += [mu, -mu]
-    return FeasibilityResult(solutions=solutions, classification=roots.classification)
+    return FeasibilityResult(solutions=solutions, classification=classification)
+
+
+def _level_reachable(q: QuadricTriple, level: float) -> np.ndarray:
+    """The early exit of :func:`moduli_feasibility`, per pair of a stack.
+
+    False where mu A mu = mu B mu = level provably has no solution on the
+    unit sphere: level outside the eigenvalue range of A or of B, or above
+    lambda_max(A + B) / 2.
+    """
+    top = np.linalg.eigvalsh(q.a + q.b)[..., -1]
+    return ((q.eig_a[..., 0] <= level) & (level <= q.eig_a[..., -1])
+            & (q.eig_b[..., 0] <= level) & (level <= q.eig_b[..., -1])
+            & (top >= 2.0 * level))
 
 
 def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -687,27 +769,41 @@ class ScanRecord:
         return self.feasibility.n_solutions
 
 
+# Records per batched pass of moduli_scan.  The stacks of one pass take a
+# few MB, so peak memory does not grow with the chunk count.
+SCAN_CHUNK = 256
+
+
+def _moduli_records(first_index: int, a_params: np.ndarray, a_prime_params: np.ndarray,
+                    solve: bool) -> list:
+    """Records for stacked parameter rows (m, 3), numbered from ``first_index``.
+
+    The abelian factor, adjoint map, ellipsoid matrices, their eigenvalues
+    and the early-exit test of :func:`moduli_feasibility` (at its default
+    level) run once over the stack; pencil roots and the solver run per
+    record, the solver only where the early exit does not settle it.
+    """
+    q = ellipsoid_matrices(adjoint_matrix(abelian_factor(a_params, a_prime_params)))
+    reachable = _level_reachable(q, 1.0) if solve else np.zeros(len(a_params), dtype=bool)
+    records = []
+    for k, reach in enumerate(reachable):
+        qk = q[k]
+        roots = qk.roots
+        feas = (moduli_feasibility(qk) if reach
+                else FeasibilityResult(solutions=[], classification=roots.classification))
+        records.append(ScanRecord(first_index + k, a_params[k], a_prime_params[k],
+                                  qk, roots, feas))
+    return records
+
+
 def moduli_record(record_index: int, a_params, a_prime_params,
                   solve: bool = True) -> ScanRecord:
-    """Evaluate one moduli point: build the abelian factor and analyze its bundle."""
-    lb = build_lambda_basis()
-    factor = _exp_span(a_params, lb.a_generators) @ _exp_span(
-        a_prime_params, lb.a_prime_generators)
-    o = adjoint_matrix(factor)
-    q = ellipsoid_matrices(o)
-    roots = char_cubic_roots(q)
-    if solve:
-        feas = moduli_feasibility(q)
-    else:
-        feas = FeasibilityResult(solutions=[], classification=roots.classification)
-    return ScanRecord(
-        record_index=record_index,
-        a_params=np.asarray(a_params, dtype=float),
-        a_prime_params=np.asarray(a_prime_params, dtype=float),
-        quadrics=q,
-        roots=roots,
-        feasibility=feas,
-    )
+    """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`."""
+    a = np.asarray(a_params, dtype=float)
+    ap = np.asarray(a_prime_params, dtype=float)
+    if a.shape != (3,) or ap.shape != (3,):
+        raise ValueError("expected parameter shapes (3,), (3,)")
+    return _moduli_records(record_index, a[None], ap[None], solve)[0]
 
 
 def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
@@ -716,8 +812,10 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
 
     Each record draws the two abelian parameter triples uniformly from
     ``ranges`` using a child seed spawned from (seed, record index), so the
-    scan is reproducible and records are independent (safe to fan out).
-    ``zero_params`` pins every draw to the origin instead.
+    scan is reproducible and a record does not depend on ``n``.
+    ``zero_params`` pins every draw to the origin instead.  Records are
+    evaluated ``SCAN_CHUNK`` at a time, each stage once over the chunk, and
+    equal :func:`moduli_record` of the same parameters bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -726,15 +824,14 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
         raise ValueError("ranges must satisfy lo < hi")
     children = np.random.SeedSequence(seed).spawn(n)
     records = []
-    for idx in range(n):
+    for start in range(0, n, SCAN_CHUNK):
+        chunk = children[start:start + SCAN_CHUNK]
         if zero_params:
-            a = np.zeros(3)
-            ap = np.zeros(3)
+            draws = np.zeros((len(chunk), 2, 3))
         else:
-            rng = np.random.default_rng(children[idx])
-            a = rng.uniform(lo, hi, 3)
-            ap = rng.uniform(lo, hi, 3)
-        records.append(moduli_record(idx, a, ap))
+            draws = np.array([[rng.uniform(lo, hi, 3), rng.uniform(lo, hi, 3)]
+                              for rng in map(np.random.default_rng, chunk)])
+        records += _moduli_records(start, draws[:, 0], draws[:, 1], solve=True)
     return records
 
 
@@ -753,8 +850,7 @@ def _fmt_root(r: complex) -> str:
 
 
 def scan_record_row(rec: ScanRecord) -> list:
-    eig_a = np.sort(np.linalg.eigvalsh(rec.quadrics.a))[::-1]
-    eig_b = np.sort(np.linalg.eigvalsh(rec.quadrics.b))[::-1]
+    eig_a, eig_b = rec.quadrics.eig_a[::-1], rec.quadrics.eig_b[::-1]
     roots_ab = ";".join(_fmt_root(r) for r in rec.roots.roots_ab)
     sols = ";".join(" ".join(repr(float(c)) for c in s)
                     for s in rec.feasibility.solutions)
@@ -783,8 +879,7 @@ def scan_to_json(records) -> list:
     """JSON mirror of the CSV dataset (same fields, structured values)."""
     out = []
     for rec in records:
-        eig_a = np.sort(np.linalg.eigvalsh(rec.quadrics.a))[::-1]
-        eig_b = np.sort(np.linalg.eigvalsh(rec.quadrics.b))[::-1]
+        eig_a, eig_b = rec.quadrics.eig_a[::-1], rec.quadrics.eig_b[::-1]
         out.append({
             "record_index": rec.record_index,
             "a_params": [float(v) for v in rec.a_params],
@@ -849,8 +944,7 @@ def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
 
     dims = BipartiteDims(2, 2)
     lb = build_lambda_basis()
-    factor_a = _exp_span(a_params, lb.a_generators) @ _exp_span(
-        a_prime_params, lb.a_prime_generators)
+    factor_a = abelian_factor(a_params, a_prime_params)
     base = kernel_from_moduli(factor_a, mu)
     base_rep = verify_composite_master(base.mat, dims)
     rng = np.random.default_rng(seed)

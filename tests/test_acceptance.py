@@ -35,6 +35,7 @@ from swphase.composite import (
 from swphase.twoqubit import (
     KERNEL_COEFF,
     QuadricTriple,
+    abelian_factor,
     adjoint_matrix,
     build_lambda_basis,
     char_cubic_roots,
@@ -45,6 +46,7 @@ from swphase.twoqubit import (
     fibonacci_sphere,
     isotropy_dim,
     kernel_from_moduli,
+    moduli_record,
     solid_overlap_oracle,
     twoqubit_constraint_values,
 )
@@ -63,44 +65,18 @@ def _report(number, name, ok, detail):
 # shared heavy draws for criteria 8 and 9
 
 
-def _batched_exp(gens, params):
-    g = np.einsum("rk,kab->rab", params, gens)
-    w, v = np.linalg.eigh(-1j * g)
-    return (v * np.exp(1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
-def _batched_quadrics(n_draws, seed):
-    """Stacked ellipsoid matrices for random abelian factors."""
-    lb = build_lambda_basis()
-    lam = lb.lambdas
-    rng = np.random.default_rng(seed)
-    a_params = rng.uniform(-np.pi, np.pi, (n_draws, 3))
-    ap_params = rng.uniform(-np.pi, np.pi, (n_draws, 3))
-    qa = np.empty((n_draws, 3, 3))
-    qb = np.empty((n_draws, 3, 3))
-    factors = np.empty((n_draws, 4, 4), dtype=complex)
-    a_cols = (0, 1, 2)
-    b_cols = (3, 4, 5)
-    torus = (2, 5, 14)
-    for lo in range(0, n_draws, 1000):
-        hi = min(lo + 1000, n_draws)
-        f = _batched_exp(lb.a_generators, a_params[lo:hi]) @ _batched_exp(
-            lb.a_prime_generators, ap_params[lo:hi])
-        factors[lo:hi] = f
-        rotated = np.einsum("rab,nbc,rdc->rnad", f, lam, f.conj())
-        o = -np.einsum("rnab,mba->rmn", rotated, lam).real
-        sub_a = o[:, a_cols][:, :, torus]
-        sub_b = o[:, b_cols][:, :, torus]
-        qa[lo:hi] = (4.0 / 3.0) * np.einsum("rij,rik->rjk", sub_a, sub_a)
-        qb[lo:hi] = (4.0 / 3.0) * np.einsum("rij,rik->rjk", sub_b, sub_b)
-    qa = (qa + qa.transpose(0, 2, 1)) / 2.0
-    qb = (qb + qb.transpose(0, 2, 1)) / 2.0
-    return factors, qa, qb
-
-
 @pytest.fixture(scope="module")
 def quadric_batch():
-    return _batched_quadrics(10_000, seed=606)
+    """Parameters and ellipsoid matrices of 10^4 random abelian factors."""
+    n_draws = 10_000
+    rng = np.random.default_rng(606)
+    a_params = rng.uniform(-np.pi, np.pi, (n_draws, 3))
+    ap_params = rng.uniform(-np.pi, np.pi, (n_draws, 3))
+    quadrics = [ellipsoid_matrices(adjoint_matrix(abelian_factor(
+        a_params[lo:lo + 1000], ap_params[lo:lo + 1000]))) for lo in range(0, n_draws, 1000)]
+    qa = np.concatenate([q.a for q in quadrics])
+    qb = np.concatenate([q.b for q in quadrics])
+    return a_params, ap_params, qa, qb
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +221,16 @@ def test_criterion_07_lambda_basis_algebra():
 
 
 def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
-    worst_orth = 0.0
-    worst_hom = 0.0
     rng = np.random.default_rng(17)
     lb = build_lambda_basis()
-    for seed in range(100):
-        el1 = _batched_exp(lb.a_generators, rng.uniform(-np.pi, np.pi, (1, 3)))[0]
-        el2 = _batched_exp(lb.a_prime_generators,
-                           rng.uniform(-np.pi, np.pi, (1, 3)))[0]
-        o1 = adjoint_matrix(el1)
-        o2 = adjoint_matrix(el2)
-        worst_orth = max(worst_orth, np.linalg.norm(o1 @ o1.T - np.eye(15)))
-        worst_hom = max(worst_hom,
-                        np.linalg.norm(adjoint_matrix(el1 @ el2) - o1 @ o2))
-    factors, qa, qb = quadric_batch
+    params = rng.uniform(-np.pi, np.pi, (100, 2, 3))
+    el1 = mat_exp(np.einsum("rk,kab->rab", params[:, 0], lb.a_generators))
+    el2 = mat_exp(np.einsum("rk,kab->rab", params[:, 1], lb.a_prime_generators))
+    o1 = adjoint_matrix(el1)
+    o2 = adjoint_matrix(el2)
+    worst_orth = np.linalg.norm(o1 @ o1.transpose(0, 2, 1) - np.eye(15), axis=(1, 2)).max()
+    worst_hom = np.linalg.norm(adjoint_matrix(el1 @ el2) - o1 @ o2, axis=(1, 2)).max()
+    _, _, qa, qb = quadric_batch
     eig_a = np.linalg.eigvalsh(qa)
     eig_b = np.linalg.eigvalsh(qb)
     psd_ok = (eig_a[:, 0].min() > -1e-12 and eig_b[:, 0].min() > -1e-12
@@ -275,14 +247,14 @@ def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
 
 
 def test_criterion_09_root_criterion(quadric_batch):
-    factors, qa, qb = quadric_batch
+    a_params, ap_params, qa, qb = quadric_batch
     n_draws = qa.shape[0]
 
-    # spot-check the batched construction against the library path
+    # spot-check the batch path against the batch-of-one path
     for idx in range(0, n_draws, n_draws // 50):
-        q_lib = ellipsoid_matrices(adjoint_matrix(factors[idx]))
-        assert np.linalg.norm(q_lib.a - qa[idx]) < 1e-12
-        assert np.linalg.norm(q_lib.b - qb[idx]) < 1e-12
+        q_one = moduli_record(idx, a_params[idx], ap_params[idx], solve=False).quadrics
+        assert np.linalg.norm(q_one.a - qa[idx]) < 1e-12
+        assert np.linalg.norm(q_one.b - qb[idx]) < 1e-12
 
     pts = fibonacci_sphere(100_000)
     mono = np.stack([

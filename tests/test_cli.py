@@ -83,6 +83,16 @@ class TestKernelVerify:
         code, _, err = run(["kernel", "verify", str(path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("entries", [[1, 2, 3, 4], [[1, 0], [0, 0], 5, [1, 0]],
+                                         [[[1], 0]] * 4, 7])
+    def test_malformed_entries_exit_2(self, tmp_path, capsys, entries):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        code, out, err = run(["kernel", "verify", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read matrix:") and err.count("\n") == 1
+
     def test_dim_override_mismatch_exit_2(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "k.json", np.eye(2) / 2)
         code, _, _ = run(["kernel", "verify", path, "--n", "4"], capsys)

@@ -159,6 +159,21 @@ class TestMatExp:
             series = series + term
         np.testing.assert_allclose(got, series, atol=1e-12)
 
+    def test_mixed_stack_equals_single_calls(self):
+        rng = np.random.default_rng(9)
+        h = random_hermitian(3, 1)
+        generic = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        stack = np.stack([1j * h, h, generic, 0.5j * h]).reshape(2, 2, 3, 3)
+        got = mat_exp(stack)
+        assert got.shape == (2, 2, 3, 3)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(got[idx], mat_exp(stack[idx]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            mat_exp(np.zeros(shape))
+
 
 class TestHaarUnitary:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -6,12 +6,15 @@ import pytest
 from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import make_composite_kernel, verify_composite_master
+from swphase import twoqubit
 from swphase.twoqubit import (
     KERNEL_COEFF,
     MATRIX_LEVEL,
+    SCAN_CHUNK,
     SCAN_CSV_COLUMNS,
     SIGMA,
     QuadricTriple,
+    abelian_factor,
     adjoint_matrix,
     build_lambda_basis,
     char_cubic_roots,
@@ -39,12 +42,8 @@ DIMS22 = BipartiteDims(2, 2)
 
 
 def _random_abelian_factor(seed):
-    from swphase.twoqubit import _exp_span
-
     rng = np.random.default_rng(seed)
-    lb = build_lambda_basis()
-    return _exp_span(rng.uniform(-np.pi, np.pi, 3), lb.a_generators) @ _exp_span(
-        rng.uniform(-np.pi, np.pi, 3), lb.a_prime_generators)
+    return abelian_factor(rng.uniform(-np.pi, np.pi, 3), rng.uniform(-np.pi, np.pi, 3))
 
 
 def _largest_eigenvalue(m):
@@ -581,6 +580,121 @@ class TestModuliScan:
                 continue
             verdict = solid_overlap_oracle(rec.quadrics, points=pts)
             assert verdict == rec.classification
+
+
+def _scan_draws(n, seed, lo=-np.pi, hi=np.pi):
+    """The documented draws of moduli_scan: record i uses child i of SeedSequence(seed)."""
+    for child in np.random.SeedSequence(seed).spawn(n):
+        rng = np.random.default_rng(child)
+        yield rng.uniform(lo, hi, 3), rng.uniform(lo, hi, 3)
+
+
+def _assert_same_record(got, want):
+    assert got.record_index == want.record_index
+    pairs = [(got.a_params, want.a_params), (got.a_prime_params, want.a_prime_params)]
+    pairs += [(getattr(got.quadrics, k), getattr(want.quadrics, k))
+              for k in ("a", "b", "eig_a", "eig_b")]
+    pairs += [(getattr(got.roots, k), getattr(want.roots, k))
+              for k in ("roots_sphere_a", "roots_sphere_b", "roots_ab")]
+    pairs += [(np.array(got.feasibility.solutions), np.array(want.feasibility.solutions))]
+    for x, y in pairs:
+        assert np.array_equal(x, y)
+    for rec in (got, want):
+        assert rec.feasibility.classification == rec.classification
+    assert ((got.roots.rank_a, got.roots.rank_b, got.roots.ab_degenerate, got.classification)
+            == (want.roots.rank_a, want.roots.rank_b, want.roots.ab_degenerate,
+                want.classification))
+
+
+class TestBatchParity:
+    """moduli_scan runs each stage once per chunk; records equal the batch-of-one path."""
+
+    @pytest.mark.parametrize("n, seed, kwargs", [
+        (40, 0, {}),
+        (40, 3, {}),
+        (25, 20210, {}),
+        (5, 1, {"zero_params": True}),
+        (30, 11, {"ranges": (-1.0, 2.0)}),
+        (SCAN_CHUNK + 1, 7, {}),
+    ])
+    def test_scan_equals_records(self, n, seed, kwargs):
+        records = moduli_scan(n, seed, **kwargs)
+        assert len(records) == n
+        lo, hi = kwargs.get("ranges", (-np.pi, np.pi))
+        for i, (rec, (a, ap)) in enumerate(zip(records, _scan_draws(n, seed, lo, hi))):
+            if kwargs.get("zero_params"):
+                a, ap = np.zeros(3), np.zeros(3)
+            assert np.array_equal(rec.a_params, a) and np.array_equal(rec.a_prime_params, ap)
+            _assert_same_record(rec, moduli_record(i, a, ap))
+
+    def test_chunk_boundary_does_not_move_records(self):
+        long = moduli_scan(SCAN_CHUNK + 3, seed=4)
+        for got, want in zip(moduli_scan(4, seed=4), long):
+            _assert_same_record(got, want)
+
+    def test_batched_stages_equal_single_calls(self):
+        rng = np.random.default_rng(12)
+        a, ap = rng.uniform(-np.pi, np.pi, (2, 6, 3))
+        factors = abelian_factor(a, ap)
+        adj = adjoint_matrix(factors)
+        quads = ellipsoid_matrices(adj)
+        assert factors.shape == (6, 4, 4) and adj.shape == (6, 15, 15)
+        assert quads.a.shape == quads.b.shape == (6, 3, 3) and quads.eig_a.shape == (6, 3)
+        for k in range(6):
+            assert np.array_equal(factors[k], abelian_factor(a[k], ap[k]))
+            assert np.array_equal(adj[k], adjoint_matrix(factors[k]))
+            single = ellipsoid_matrices(adj[k])
+            for name in ("a", "b", "eig_a", "eig_b"):
+                assert np.array_equal(getattr(quads[k], name), getattr(single, name))
+        with pytest.raises(ValueError, match="one quadric pair"):
+            char_cubic_roots(quads)
+        with pytest.raises(TypeError):
+            single[0]
+
+    def test_roots_computed_once_per_record(self, monkeypatch):
+        calls = []
+        original = twoqubit.char_cubic_roots
+        monkeypatch.setattr(twoqubit, "char_cubic_roots",
+                            lambda q, *args, **kw: calls.append(q) or original(q, *args, **kw))
+        rec = moduli_record(0, [0.3, -1.2, 2.0], [0.7, 0.1, -0.4])
+        assert len(calls) == 1
+        assert rec.quadrics.roots is rec.roots
+        feas = moduli_feasibility(rec.quadrics, level=MATRIX_LEVEL)
+        assert len(calls) == 1 and feas.classification == rec.classification
+        moduli_scan(30, seed=2)
+        assert len(calls) == 31
+
+    def test_non_unitary_factor_in_stack_raises(self):
+        stack = abelian_factor(*np.random.default_rng(1).uniform(-np.pi, np.pi, (2, 5, 3)))
+        stack[3] = stack[3] * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match=r"not unitary at stack index \[3\]"):
+            adjoint_matrix(stack)
+        adjoint_matrix(np.delete(stack, 3, axis=0))
+
+    def test_non_symmetric_quadric_in_stack_raises(self):
+        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
+            *np.random.default_rng(2).uniform(-np.pi, np.pi, (2, 5, 3)))))
+        a = quads.a.copy()
+        a[2, 0, 1] += 1e-12
+        with pytest.raises(ValueError, match=r"a is not symmetric at stack index \[2\]"):
+            QuadricTriple(a=a, b=quads.b)
+        with pytest.raises(ValueError, match=r"b is not symmetric at stack index \[2\]"):
+            QuadricTriple(a=quads.b, b=a)
+        QuadricTriple(a=np.delete(a, 2, axis=0), b=np.delete(quads.b, 2, axis=0))
+
+    def test_non_psd_quadric_in_stack_raises(self):
+        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
+            *np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 5, 3)))))
+        b = quads.b.copy()
+        b[4] -= (np.linalg.eigvalsh(b[4])[0] + 1e-6) * np.eye(3)
+        with pytest.raises(ValueError, match=r"b is not positive semidefinite at stack index \[4\]"):
+            QuadricTriple(a=quads.a, b=b)
+        QuadricTriple(a=np.delete(quads.a, 4, axis=0), b=np.delete(b, 4, axis=0))
+
+    def test_stack_shapes_must_match(self):
+        q = ellipsoid_matrices(np.eye(15))
+        with pytest.raises(ValueError, match="differ in shape"):
+            QuadricTriple(a=np.stack([q.a, q.a]), b=q.b)
 
 
 class TestTorusFactorDependence:
