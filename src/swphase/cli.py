@@ -2,7 +2,10 @@
 
 Subcommands: ``kernel gen``, ``kernel verify``, ``composite verify``,
 ``wigner eval``, ``reconstruct``, ``moduli scan``.  Exit codes: 0 success,
-1 well-formed input with a negative verdict, 2 usage or I/O error.  The
+1 well-formed input with a negative verdict, 2 usage or I/O error (also for
+non-finite input, or a report that would hold a non-finite number: JSON
+output is strict).  The matrix readers take a bare matrix object or a
+report holding one under ``"matrix"``, as ``kernel gen`` writes.  The
 default seed is a fixed constant so documented invocations reproduce
 byte-for-byte.
 """
@@ -24,6 +27,10 @@ DEFAULT_TOL = 1e-10
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Largest --n of kernel gen: at 1024 a run peaks near 0.6 GB and writes
+# 80 MB of JSON; larger sizes are refused before anything is allocated.
+_MAX_KERNEL_N = 1024
 
 
 def _parse_dims(text: str) -> linalg.BipartiteDims:
@@ -68,13 +75,20 @@ def _emit(text: str, out_path):
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """Strict JSON: NaN or inf raise ValueError, which main turns into exit 2."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _load_matrix_file(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return linalg.matrix_from_json(obj)
+    """A matrix object, bare or under the "matrix" key of a report."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if isinstance(obj, dict) and "matrix" in obj:
+            obj = obj["matrix"]
+        return linalg.matrix_from_json(obj)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"cannot read matrix: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,60 +156,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_kernel_gen(args) -> int:
+    if args.n > _MAX_KERNEL_N:
+        raise ValueError(f"--n {args.n} is above the limit {_MAX_KERNEL_N}")
     if args.composite:
         dims = args.dims
         if dims is None:
-            print("error: --composite requires --dims AxB", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--composite requires --dims AxB")
         if dims.total != args.n:
-            print(f"error: --dims {dims.n_a}x{dims.n_b} does not match --n {args.n}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--dims {dims.n_a}x{dims.n_b} does not match --n {args.n}")
         if dims.n_a < 2 or dims.n_b < 2:
-            print("error: composite kernels need subsystem dimensions >= 2",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("composite kernels need subsystem dimensions >= 2")
         comp = composite.make_composite_kernel(dims, args.seed)
-        report = composite.verify_composite_master(comp.mat, dims)
-        payload = report.as_dict()
-        payload.update({
-            "n": args.n,
-            "seed": args.seed,
-            "spectrum": [float(v) for v in comp.kernel.spectrum],
-            "matrix": linalg.matrix_to_json(comp.mat),
-        })
-        payload.update(kernel.verify_master(comp.mat, args.n).as_dict())
-        _emit(_dump_json(payload), args.out)
-        return EXIT_OK
-    if args.n < 2:
-        print(f"error: no kernel spectrum exists at n={args.n}", file=sys.stderr)
-        return EXIT_USAGE
-    spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
-    u = linalg.haar_unitary(args.n, args.seed)
-    ker = kernel.kernel_from_spectrum(spec, u)
-    report = kernel.verify_master(ker.mat, args.n)
+        mat, spectrum = comp.mat, comp.kernel.spectrum
+        report = composite.verify_composite_master(mat, dims)
+    else:
+        if args.n < 2:
+            raise ValueError(f"no kernel spectrum exists at n={args.n}")
+        spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
+        mat = kernel.kernel_from_spectrum(spec, linalg.haar_unitary(args.n, args.seed)).mat
+        spectrum = spec.pi
+        report = kernel.verify_master(mat, args.n)
     payload = report.as_dict()
     payload.update({
         "n": args.n,
         "seed": args.seed,
-        "spectrum": [float(v) for v in spec.pi],
-        "matrix": linalg.matrix_to_json(ker.mat),
+        "spectrum": [float(v) for v in spectrum],
+        "matrix": linalg.matrix_to_json(mat),
     })
     _emit(_dump_json(payload), args.out)
     return EXIT_OK
 
 
 def _cmd_kernel_verify(args) -> int:
-    try:
-        mat = _load_matrix_file(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    mat = _load_matrix_file(args.input)
     n = mat.shape[0] if args.n is None else args.n
     if n != mat.shape[0]:
-        print(f"error: --n {args.n} does not match file dimension {mat.shape[0]}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--n {args.n} does not match file dimension {mat.shape[0]}")
     report = kernel.verify_master(mat, n, args.tol)
     payload = report.as_dict()
     payload["n"] = n
@@ -206,28 +202,16 @@ def _cmd_kernel_verify(args) -> int:
 
 
 def _cmd_composite_verify(args) -> int:
-    try:
-        mat = _load_matrix_file(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args.dims.check(mat.shape[0])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    mat = _load_matrix_file(args.input)
+    args.dims.check(mat.shape[0])
     report = composite.verify_composite_master(mat, args.dims, args.tol)
     _emit(_dump_json(report.as_dict()), args.out)
     return EXIT_OK if report.admissible(args.tol) else EXIT_FAIL
 
 
 def _cmd_wigner_eval(args) -> int:
-    try:
-        state_mat = _load_matrix_file(args.state)
-        kernel_mat = _load_matrix_file(args.kernel)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    state_mat = _load_matrix_file(args.state)
+    kernel_mat = _load_matrix_file(args.kernel)
     try:
         rho = linalg.DensityMatrix(state_mat)
         ker = kernel.SWKernel(kernel_mat, kernel_mat.shape[0])
@@ -241,8 +225,7 @@ def _cmd_wigner_eval(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     if args.n < 2:
-        print(f"error: no kernel spectrum exists at n={args.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no kernel spectrum exists at n={args.n}")
     spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
     rho = linalg.random_density(args.n, args.seed + 1)
     exact = kernel.reconstruct_exact(rho, spec)
@@ -274,8 +257,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_moduli_scan(args) -> int:
     if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--n must be >= 1")
     records = twoqubit.moduli_scan(args.n, args.seed, ranges=args.ranges,
                                    zero_params=args.zero_params)
     if args.format == "csv":
@@ -296,21 +278,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "kernel":
-            if args.kernel_command == "gen":
-                return _cmd_kernel_gen(args)
-            return _cmd_kernel_verify(args)
-        if args.command == "composite":
-            return _cmd_composite_verify(args)
-        if args.command == "wigner":
-            return _cmd_wigner_eval(args)
-        if args.command == "reconstruct":
-            return _cmd_reconstruct(args)
-        if args.command == "moduli":
-            return _cmd_moduli_scan(args)
-    except OSError as exc:
+        # Overflow in a report shows as the strict-JSON error, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args)
+    except (OSError, ValueError) as exc:  # bad input, a usage error or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _dispatch(args) -> int:
+    if args.command == "kernel":
+        if args.kernel_command == "gen":
+            return _cmd_kernel_gen(args)
+        return _cmd_kernel_verify(args)
+    if args.command == "composite":
+        return _cmd_composite_verify(args)
+    if args.command == "wigner":
+        return _cmd_wigner_eval(args)
+    if args.command == "reconstruct":
+        return _cmd_reconstruct(args)
+    if args.command == "moduli":
+        return _cmd_moduli_scan(args)
     raise AssertionError("unreachable")
 
 

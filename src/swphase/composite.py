@@ -23,9 +23,9 @@ from .linalg import (
     BipartiteDims,
     DensityMatrix,
     as_complex_matrix,
-    hermiticity_defect,
     kron,
     partial_trace,
+    _check_hermitian,
 )
 from .kernel import PURITY_TOL, MasterReport, SWKernel, hyperplane_frame, verify_master
 
@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 ADMISSIBLE_TOL = 1e-10
+
+# Draws make_composite_kernel tries before giving up; a random Hermitian
+# draw has a vanishing block with probability zero.
+_MAX_REDRAWS = 100
 
 
 class CompositeAdmissibilityError(ValueError):
@@ -109,8 +113,7 @@ def fano_blocks(x, dims: BipartiteDims) -> FanoBlocks:
     """Project a Hermitian matrix onto identity / A-local / B-local / correlation blocks."""
     m = as_complex_matrix(x)
     dims.check(m.shape[0])
-    if hermiticity_defect(m) > 1e-10:
-        raise ValueError("input is not Hermitian")
+    _check_hermitian(m)
     fa = traceless_orthonormal_basis(dims.n_a)
     fb = traceless_orthonormal_basis(dims.n_b)
     t = m.reshape(dims.n_a, dims.n_b, dims.n_a, dims.n_b)
@@ -200,31 +203,31 @@ class CompositeReport:
         }
 
 
+def _subsystem_purity_residuals(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Signed residuals tr((Tr_B m)^2) - n_a and tr((Tr_A m)^2) - n_b."""
+    ra = partial_trace(m, dims, keep="A")
+    rb = partial_trace(m, dims, keep="B")
+    return np.array([np.trace(ra @ ra).real - dims.n_a, np.trace(rb @ rb).real - dims.n_b])
+
+
 def verify_composite_master(x, dims: BipartiteDims,
                             tol: float = ADMISSIBLE_TOL) -> CompositeReport:
     """Report all four admissibility residuals for a candidate matrix."""
     m = as_complex_matrix(x)
     dims.check(m.shape[0])
     full = verify_master(m, dims.total, tol)
-    ra = partial_trace(m, dims, keep="A")
-    rb = partial_trace(m, dims, keep="B")
-    res_a = abs(np.trace(ra @ ra).real - dims.n_a)
-    res_b = abs(np.trace(rb @ rb).real - dims.n_b)
+    res_a, res_b = np.abs(_subsystem_purity_residuals(m, dims))
     return CompositeReport(dims, full, float(res_a), float(res_b))
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:
     """Partial-trace a composite kernel down to a subsystem kernel.
 
-    The reduced matrix keeps unit trace, and composite admissibility makes
-    its purity equal the subsystem dimension, so the result is a valid
-    kernel for the subsystem.
+    The reduced matrix keeps unit trace, and composite admissibility, which
+    :class:`CompositeKernel` verified on construction, makes its purity
+    equal the subsystem dimension, so the result is a valid kernel for the
+    subsystem.
     """
-    report = verify_composite_master(delta.mat, delta.dims)
-    if max(report.purity_a_residual, report.purity_b_residual) > ADMISSIBLE_TOL:
-        raise CompositeAdmissibilityError(
-            report.purity_a_residual, report.purity_b_residual
-        )
     reduced = partial_trace(delta.mat, delta.dims, keep=keep)
     n = delta.dims.n_a if keep == "A" else delta.dims.n_b
     return SWKernel((reduced + reduced.conj().T) / 2.0, n)
@@ -247,7 +250,7 @@ def subsystem_wigner(rho_ab: DensityMatrix, delta: CompositeKernel,
     return float(w.real)
 
 
-def make_composite_kernel(dims: BipartiteDims, seed, max_redraws: int = 100) -> CompositeKernel:
+def make_composite_kernel(dims: BipartiteDims, seed) -> CompositeKernel:
     """Random composite-admissible kernel by block rescaling.
 
     Draws a random Hermitian matrix, splits it into Fano blocks and rescales
@@ -260,7 +263,7 @@ def make_composite_kernel(dims: BipartiteDims, seed, max_redraws: int = 100) -> 
     rng = np.random.default_rng(seed)
     ta, tb, tc = block_norm_targets(dims)
     n = dims.total
-    for _ in range(max_redraws):
+    for _ in range(_MAX_REDRAWS):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (g + g.conj().T) / 2.0
         blocks = fano_blocks(h, dims)
@@ -279,7 +282,7 @@ def make_composite_kernel(dims: BipartiteDims, seed, max_redraws: int = 100) -> 
         mat = fano_blocks_compose(scaled)
         mat = (mat + mat.conj().T) / 2.0
         return CompositeKernel(SWKernel(mat, n), dims)
-    raise RuntimeError(f"no nondegenerate draw in {max_redraws} attempts")
+    raise RuntimeError(f"no nondegenerate draw in {_MAX_REDRAWS} attempts")
 
 
 def dual_dim(dims: BipartiteDims) -> int:
@@ -290,13 +293,7 @@ def dual_dim(dims: BipartiteDims) -> int:
 def constraint_functions(x, dims: BipartiteDims) -> np.ndarray:
     """The three purity constraints (full, A-reduced, B-reduced), as residual values."""
     m = as_complex_matrix(x)
-    ra = partial_trace(m, dims, keep="A")
-    rb = partial_trace(m, dims, keep="B")
-    return np.array([
-        np.trace(m @ m).real - dims.total,
-        np.trace(ra @ ra).real - dims.n_a,
-        np.trace(rb @ rb).real - dims.n_b,
-    ])
+    return np.array([np.trace(m @ m).real - dims.total, *_subsystem_purity_residuals(m, dims)])
 
 
 def constraint_jacobian(x, dims: BipartiteDims, step: float = 1e-6) -> np.ndarray:

@@ -14,7 +14,7 @@ closed form via the Haar second moment and by Monte Carlo).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .linalg import (
     DensityMatrix,
     as_complex_matrix,
     hermiticity_defect,
-    _haar_from_rng,
+    _check_unitary,
 )
 
 __all__ = [
@@ -45,6 +45,11 @@ __all__ = [
 # Purity-type quantities pass through an eigensolver once; algebraic
 # identities keep the tighter default.
 PURITY_TOL = 1e-10
+
+# Orbit samples per batched pass of the Monte-Carlo estimators.  The chunk
+# fixes how the Gaussian stream is split into samples, so it is part of
+# their output, not a tuning knob.
+_MC_CHUNK = 50_000
 
 
 def hyperplane_frame(n: int) -> np.ndarray:
@@ -174,8 +179,7 @@ def kernel_from_spectrum(spec: KernelSpectrum, u) -> SWKernel:
     n = spec.n
     if um.shape[0] != n:
         raise ValueError(f"unitary is {um.shape[0]}x{um.shape[0]}, spectrum has n = {n}")
-    if np.linalg.norm(um @ um.conj().T - np.eye(n)) > DEFAULT_TOL:
-        raise ValueError("u is not unitary")
+    _check_unitary(um)
     mat = (um * spec.pi) @ um.conj().T
     mat = (mat + mat.conj().T) / 2.0
     return SWKernel(mat, n)
@@ -191,10 +195,33 @@ def wigner_value(rho: DensityMatrix, delta: SWKernel) -> float:
     return float(w.real)
 
 
-def _spectrum_values(spec) -> np.ndarray:
-    if isinstance(spec, KernelSpectrum):
-        return spec.pi
-    return np.asarray(spec, dtype=float)
+def _spectrum_values(spec, n: int) -> np.ndarray:
+    """Eigenvalues of a KernelSpectrum or a raw array, checked against dimension n."""
+    pi = spec.pi if isinstance(spec, KernelSpectrum) else np.asarray(spec, dtype=float)
+    if pi.size != n:
+        raise ValueError(f"dimension mismatch: state {n}, spectrum {pi.size}")
+    return pi
+
+
+def _orbit_chunks(n: int, spec, samples: int, seed):
+    """Orbit points U D U^dagger for Haar U, in stacks of at most ``_MC_CHUNK``.
+
+    U is the raw Q factor of a complex Ginibre draw from the stream that
+    :func:`linalg.haar_unitaries` uses.  The 1/sqrt(2) scale and the phase
+    fixes that make Q itself Haar (phases of diag(R), det = 1) multiply Q on
+    the right by a diagonal unitary, which cancels in U D U^dagger, so they
+    are skipped.  Each draw is freed before its orbit product is formed.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    pi = _spectrum_values(spec, n)
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _MC_CHUNK):
+        shape = (min(_MC_CHUNK, samples - start), n, n)
+        u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        uh = u.conj().swapaxes(-1, -2)
+        u *= pi
+        yield u @ uh
 
 
 def haar_second_moment_coefficients(n: int, tr_delta: float, tr_delta_sq: float):
@@ -223,16 +250,13 @@ def reconstruct_exact(rho: DensityMatrix, spec) -> np.ndarray:
     perturbed moment values it returns the analytically predicted deviation,
     so ``spec`` may be a KernelSpectrum or a raw eigenvalue array.
     """
-    pi = _spectrum_values(spec)
     n = rho.dim
-    if pi.size != n:
-        raise ValueError(f"dimension mismatch: state {n}, spectrum {pi.size}")
+    pi = _spectrum_values(spec, n)
     alpha, beta = haar_second_moment_coefficients(n, pi.sum(), (pi**2).sum())
     return n * (alpha * rho.mat + beta * np.trace(rho.mat) * np.eye(n))
 
 
-def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed,
-                   chunk: int = 50_000) -> np.ndarray:
+def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     """Monte-Carlo orbit-integral reconstruction.
 
     Returns (N / samples) * sum_k (U_k D U_k†) tr(rho U_k D U_k†) over Haar
@@ -240,45 +264,23 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed,
     Deterministic given ``seed``; chunking only bounds memory, the sample
     stream and summation order are fixed.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    pi = _spectrum_values(spec)
     n = rho.dim
-    if pi.size != n:
-        raise ValueError(f"dimension mismatch: state {n}, spectrum {pi.size}")
-    rng = np.random.default_rng(seed)
     acc = np.zeros((n, n), dtype=complex)
-    remaining = samples
-    while remaining > 0:
-        b = min(chunk, remaining)
-        u = _haar_from_rng(n, rng, size=b)
-        orbit = (u * pi) @ u.conj().transpose(0, 2, 1)
+    for orbit in _orbit_chunks(n, spec, samples, seed):
         w = np.einsum("kij,ji->k", orbit, rho.mat).real
         acc += np.einsum("k,kij->ij", w, orbit)
-        remaining -= b
     return n * acc / samples
 
 
-def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed,
-                        chunk: int = 50_000) -> float:
+def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed) -> float:
     """Monte-Carlo estimate of the phase-space integral of the Wigner function.
 
     Estimates (N / samples) * sum_k tr(rho U_k D U_k†), which converges to
     tr(rho) = 1: the finite-norm axiom under the total-measure-N convention.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    pi = _spectrum_values(spec)
     n = rho.dim
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    remaining = samples
-    while remaining > 0:
-        b = min(chunk, remaining)
-        u = _haar_from_rng(n, rng, size=b)
-        orbit = (u * pi) @ u.conj().transpose(0, 2, 1)
-        total += np.einsum("kij,ji->k", orbit, rho.mat).real.sum()
-        remaining -= b
+    total = sum(np.einsum("kij,ji->k", orbit, rho.mat).real.sum()
+                for orbit in _orbit_chunks(n, spec, samples, seed))
     return n * total / samples
 
 
@@ -297,12 +299,7 @@ class MasterReport:
                 and self.purity_residual <= tol)
 
     def as_dict(self) -> dict:
-        return {
-            "hermitian": self.hermitian,
-            "hermiticity_defect": self.hermiticity_defect,
-            "trace_residual": self.trace_residual,
-            "purity_residual": self.purity_residual,
-        }
+        return asdict(self)
 
 
 def verify_master(x, n: int, tol: float = PURITY_TOL) -> MasterReport:
@@ -329,8 +326,7 @@ def covariance_check(delta: SWKernel, rho: DensityMatrix, u) -> float:
     the kernel along the orbit is the same as countermoving the state.
     """
     um = as_complex_matrix(u)
-    if np.linalg.norm(um @ um.conj().T - np.eye(um.shape[0])) > DEFAULT_TOL:
-        raise ValueError("u is not unitary")
+    _check_unitary(um)
     lhs = np.trace(rho.mat @ (um @ delta.mat @ um.conj().T))
     rhs = np.trace((um.conj().T @ rho.mat @ um) @ delta.mat)
     return float(abs(lhs - rhs))

@@ -13,6 +13,7 @@ deterministic given a seed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,26 @@ def hermiticity_defect(x) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
+def _check_each(bad, message: str) -> None:
+    """Raise ValueError(message) if the check failed for any matrix of a stack."""
+    if bad.any():
+        where = "" if np.ndim(bad) == 0 else f" at stack index {np.argwhere(bad)[0].tolist()}"
+        raise ValueError(message + where)
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    """Reject a matrix or stack (..., n, n) with |u u^dagger - I|_F > DEFAULT_TOL."""
+    gram = u @ u.conj().swapaxes(-1, -2)
+    _check_each(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)) > DEFAULT_TOL,
+                "input is not unitary")
+
+
+def _check_hermitian(x: np.ndarray) -> None:
+    """Reject a matrix or stack (..., n, n) with Hermiticity defect above 1e-10."""
+    defect = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
+    _check_each(defect > 1e-10, "input is not Hermitian")
+
+
 def is_hermitian(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Frobenius Hermiticity defect is within ``tol``."""
     if tol <= 0:
@@ -250,7 +271,10 @@ def matrix_to_json(x) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`, with schema validation."""
+    """Inverse of :func:`matrix_to_json`, with schema validation.
+
+    Exact for finite entries; NaN or infinite parts raise ValueError.
+    """
     try:
         dim = int(obj["dim"])
         entries = list(obj["entries"])
@@ -262,7 +286,10 @@ def matrix_from_json(obj) -> np.ndarray:
     for k, pair in enumerate(entries):
         try:
             re, im = pair
-            flat[k] = complex(float(re), float(im))
+            z = complex(float(re), float(im))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"entry {k} is not a [re, im] pair of numbers: {pair!r}") from exc
+        if not cmath.isfinite(z):
+            raise ValueError(f"entry {k} is not finite: {pair!r}")
+        flat[k] = z
     return flat.reshape(dim, dim)

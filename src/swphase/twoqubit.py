@@ -40,8 +40,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect, mat_exp
-from .kernel import SWKernel
+from .linalg import (
+    DEFAULT_TOL,
+    BipartiteDims,
+    as_complex_matrix,
+    haar_unitary,
+    mat_exp,
+    _check_each,
+    _check_hermitian,
+    _check_unitary,
+)
+from .kernel import SWKernel, kernel_from_spectrum, solve_kernel_spectrum
+from .composite import (
+    make_composite_kernel,
+    verify_composite_master,
+    _subsystem_purity_residuals,
+)
 
 __all__ = [
     "STATE_COEFF",
@@ -203,8 +217,7 @@ def fano_decompose(x, coeff: float = STATE_COEFF, basis_norm: str = "HS2") -> Fa
     m = as_complex_matrix(x)
     if m.shape[0] != 4:
         raise ValueError("Fano decomposition is for 4x4 matrices")
-    if hermiticity_defect(m) > 1e-10:
-        raise ValueError("input is not Hermitian")
+    _check_hermitian(m)
     s = _basis_scale(basis_norm)
     raw = np.einsum("mab,ba->m", SIGMA, m).real / 4.0
     coords = raw * (s / coeff)
@@ -290,27 +303,18 @@ def twoqubit_constraint_values(delta) -> TwoQubitBlockReport:
     it is reported, not adopted.
     """
     m = as_complex_matrix(delta)
-    if m.shape[0] != 4:
-        raise ValueError("expected a 4x4 matrix")
-    if hermiticity_defect(m) > 1e-10:
-        raise ValueError("input is not Hermitian")
+    # fano_decompose also rejects input that is not 4x4 or not Hermitian.
+    form = fano_decompose(m, coeff=KERNEL_COEFF, basis_norm="HS2")
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"kernel trace {tr} != 1")
-    form = fano_decompose(m, coeff=KERNEL_COEFF, basis_norm="HS2")
     measured = (
         float(form.xi_a @ form.xi_a),
         float(form.xi_b @ form.xi_b),
         float(np.sum(form.corr**2)),
     )
-    t = m.reshape(2, 2, 2, 2)
-    red_a = np.einsum("ikjk->ij", t)
-    red_b = np.einsum("kikj->ij", t)
-    residuals = (
-        float(abs(np.trace(m @ m).real - 4.0)),
-        float(abs(np.trace(red_a @ red_a).real - 2.0)),
-        float(abs(np.trace(red_b @ red_b).real - 2.0)),
-    )
+    res_a, res_b = np.abs(_subsystem_purity_residuals(m, BipartiteDims(2, 2)))
+    residuals = (float(abs(np.trace(m @ m).real - 4.0)), float(res_a), float(res_b))
     return TwoQubitBlockReport(
         measured=measured,
         targets_pinned=(0.2, 0.2, 0.6),
@@ -362,13 +366,6 @@ def abelian_factor(a_params, a_prime_params) -> np.ndarray:
     return _exp_span(a_params, _A_GENERATORS) @ _exp_span(a_prime_params, _A_PRIME_GENERATORS)
 
 
-def _check_each(bad, message: str) -> None:
-    """Raise ValueError(message) if the check failed for any matrix of a stack."""
-    if bad.any():
-        where = "" if np.ndim(bad) == 0 else f" at stack index {np.argwhere(bad)[0].tolist()}"
-        raise ValueError(message + where)
-
-
 def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     """Build the factored group element from real coordinates.
 
@@ -401,9 +398,8 @@ def adjoint_matrix(a) -> np.ndarray:
     am = np.asarray(a, dtype=complex)
     if am.ndim < 2 or am.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 unitary or a stack of them, got shape {am.shape}")
+    _check_unitary(am)
     ah = am.conj().swapaxes(-1, -2)
-    _check_each(np.linalg.norm(am @ ah - np.eye(4), axis=(-2, -1)) > DEFAULT_TOL,
-                "input is not unitary")
     rotated = am[..., None, :, :] @ _LAMBDA @ ah[..., None, :, :]
     o = -np.einsum("...nab,mba->...mn", rotated, _LAMBDA)
     _check_each(np.abs(o.imag).max(axis=(-2, -1)) > 1e-12, "adjoint matrix came out non-real")
@@ -522,13 +518,17 @@ def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     return np.roots(trimmed)
 
 
-def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9,
-                     cond_floor: float = 1e-8) -> RootReport:
+# Eigenvalue floor below which a quadric counts as rank-deficient and the
+# pencil det(t A + B) goes through the polynomial fallback.
+_COND_FLOOR = 1e-8
+
+
+def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9) -> RootReport:
     """Roots of the three characteristic cubics and the overlap classification.
 
     det(t I + A) has roots -eig(A), likewise for B.  det(t A + B) is solved
     through the symmetric-definite pencil when A is positive definite
-    (smallest eigenvalue above ``cond_floor``); otherwise the record is
+    (smallest eigenvalue above ``_COND_FLOOR``); otherwise the record is
     degenerate and a direct polynomial fallback reports the finite roots.
     The eigenvalues come from ``q`` (computed once, over the whole stack
     when ``q`` was indexed from one); ``q`` must be a single pair.
@@ -536,10 +536,10 @@ def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9,
     if q.a.ndim != 2:
         raise ValueError("char_cubic_roots takes one quadric pair; index the stack first")
     eig_a, eig_b = q.eig_a, q.eig_b
-    rank_a = int(np.count_nonzero(eig_a > cond_floor))
-    rank_b = int(np.count_nonzero(eig_b > cond_floor))
+    rank_a = int(np.count_nonzero(eig_a > _COND_FLOOR))
+    rank_b = int(np.count_nonzero(eig_b > _COND_FLOOR))
     degenerate = rank_a < 3 or rank_b < 3
-    if eig_a[0] > cond_floor:
+    if eig_a[0] > _COND_FLOOR:
         # The LAPACK routine scipy.linalg.eigh(q.b, q.a, eigvals_only=True) calls.
         gen, _, info = scipy.linalg.lapack.dsygvd(q.b, q.a, jobz="N")
         if info != 0:
@@ -583,8 +583,7 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     um = as_complex_matrix(u)
     if um.shape[0] != 4:
         raise ValueError("expected a 4x4 unitary")
-    if np.linalg.norm(um @ um.conj().T - np.eye(4)) > DEFAULT_TOL:
-        raise ValueError("u is not unitary")
+    _check_unitary(um)
     core = np.eye(4, dtype=complex) + np.sqrt(15.0) * (
         mu[0] * SIGMA[_TORUS_ROWS[0]]
         + mu[1] * SIGMA[_TORUS_ROWS[1]]
@@ -624,10 +623,13 @@ class FeasibilityResult:
 # forces mu A mu^T + mu B mu^T <= 4/3 < 2 on the sphere).
 MATRIX_LEVEL = 4.0 / 15.0
 
+# A polished point is a solution when both ellipsoid residuals are at most
+# _RESIDUAL_TOL; points closer than _DEDUP_TOL count once.
+_RESIDUAL_TOL = 1e-10
+_DEDUP_TOL = 1e-8
 
-def moduli_feasibility(q: QuadricTriple, level: float = 1.0,
-                       residual_tol: float = 1e-10,
-                       dedup_tol: float = 1e-8) -> FeasibilityResult:
+
+def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResult:
     """Solve mu mu^T = 1, mu A mu^T = level, mu B mu^T = level in closed form.
 
     Solutions are the real common points of the conics C_A = A - level I and
@@ -636,7 +638,7 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0,
     C_A + t C_B splits into two lines, and each line meets a conic at the
     roots of a 2x2 quadratic form.  Points get two Newton steps on the
     square 3x3 system and are kept, both antipodes, when their residuals are
-    at most ``residual_tol`` (points within ``dedup_tol`` count once).
+    at most ``_RESIDUAL_TOL`` (points within ``_DEDUP_TOL`` count once).
     No solution exists, and none is sought, when ``level`` is outside the
     eigenvalue range of A or of B, or above lambda_max(A + B) / 2.  A
     degenerate pencil (A = B, or a null direction shared by C_A and C_B),
@@ -662,8 +664,8 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0,
         mus[ok] -= 0.5 * np.linalg.solve(grad[ok], f[ok, :, None])[..., 0]
     mus /= np.linalg.norm(mus, axis=1, keepdims=True)
     res = np.abs(np.einsum("pi,kij,pj->pk", mus, forms[1:], mus) - level).max(axis=1)
-    for mu in mus[res <= residual_tol]:
-        if all(np.linalg.norm(mu - s) > dedup_tol for s in solutions):
+    for mu in mus[res <= _RESIDUAL_TOL]:
+        if all(np.linalg.norm(mu - s) > _DEDUP_TOL for s in solutions):
             solutions += [mu, -mu]
     return FeasibilityResult(solutions=solutions, classification=classification)
 
@@ -731,8 +733,7 @@ def isotropy_dim(delta, algebra: str = "lu_local") -> int:
     m = as_complex_matrix(delta)
     if m.shape[0] != 4:
         raise ValueError("expected a 4x4 matrix")
-    if hermiticity_defect(m) > 1e-10:
-        raise ValueError("input is not Hermitian")
+    _check_hermitian(m)
     lb = build_lambda_basis()
     if algebra == "lu_local":
         gens = lb.local_generators
@@ -939,39 +940,26 @@ def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
     factors commute with the diagonal seed); the K dependence is a measured
     number, reported rather than assumed to vanish.
     """
-    from .composite import verify_composite_master
-    from .linalg import BipartiteDims
-
     dims = BipartiteDims(2, 2)
     lb = build_lambda_basis()
     factor_a = abelian_factor(a_params, a_prime_params)
-    base = kernel_from_moduli(factor_a, mu)
-    base_rep = verify_composite_master(base.mat, dims)
+
+    def purity_residuals(u):
+        return np.abs(_subsystem_purity_residuals(kernel_from_moduli(u, mu).mat, dims))
+
+    base = purity_residuals(factor_a)
     rng = np.random.default_rng(seed)
-    max_t_shift = 0.0
-    max_k_shift = 0.0
+    max_t_shift = max_k_shift = 0.0
     for _ in range(n_draws):
         t = _exp_span(rng.uniform(-np.pi, np.pi, 3), lb.k_prime_generators)
-        rep = verify_composite_master(
-            kernel_from_moduli(factor_a @ t, mu).mat, dims)
-        max_t_shift = max(
-            max_t_shift,
-            abs(rep.purity_a_residual - base_rep.purity_a_residual),
-            abs(rep.purity_b_residual - base_rep.purity_b_residual),
-        )
+        max_t_shift = max(max_t_shift, *np.abs(purity_residuals(factor_a @ t) - base))
         k = _exp_span(rng.uniform(-np.pi, np.pi, 6), lb.k_generators)
-        rep = verify_composite_master(
-            kernel_from_moduli(k @ factor_a, mu).mat, dims)
-        max_k_shift = max(
-            max_k_shift,
-            abs(rep.purity_a_residual - base_rep.purity_a_residual),
-            abs(rep.purity_b_residual - base_rep.purity_b_residual),
-        )
+        max_k_shift = max(max_k_shift, *np.abs(purity_residuals(k @ factor_a) - base))
     return {
-        "base_purity_a_residual": base_rep.purity_a_residual,
-        "base_purity_b_residual": base_rep.purity_b_residual,
-        "max_torus_shift": max_t_shift,
-        "max_k_shift": max_k_shift,
+        "base_purity_a_residual": float(base[0]),
+        "base_purity_b_residual": float(base[1]),
+        "max_torus_shift": float(max_t_shift),
+        "max_k_shift": float(max_k_shift),
         "n_draws": n_draws,
     }
 
@@ -1018,10 +1006,6 @@ def convention_report(seed=0) -> dict:
     matrix-level residuals.  Discrepancies between conventions are part of
     the report by construction.
     """
-    from .composite import make_composite_kernel, verify_composite_master
-    from .kernel import kernel_from_spectrum, solve_kernel_spectrum
-    from .linalg import BipartiteDims, haar_unitary
-
     spec = solve_kernel_spectrum(4, "random", seed=seed)
     elem = kernel_from_spectrum(spec, haar_unitary(4, seed))
     s_value = elementary_constraint_value(

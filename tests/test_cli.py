@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swphase
+from swphase import cli, composite, kernel, linalg
 from swphase.cli import main
 from swphase.linalg import matrix_to_json
 
@@ -44,6 +50,28 @@ class TestKernelGen:
         assert payload["eq8_b"] < 1e-10
         assert payload["admissible"] is True
         assert payload["matrix"]["dim"] == 4
+        # The full-system residuals appear once, under eq6.
+        assert set(payload) == {"dims", "eq6", "eq8_a", "eq8_b", "admissible",
+                                "n", "seed", "spectrum", "matrix"}
+        assert set(payload["eq6"]) == {"hermitian", "hermiticity_defect",
+                                       "trace_residual", "purity_residual"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1000000"],
+        ["--n", str(cli._MAX_KERNEL_N + 1)],
+        ["--n", "1000000", "--composite", "--dims", "1000x1000"],
+    ])
+    def test_huge_n_exit_2_before_allocating(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be drawn for a rejected --n")
+
+        for module, name in ((linalg, "haar_unitary"), (kernel, "solve_kernel_spectrum"),
+                             (composite, "make_composite_kernel")):
+            monkeypatch.setattr(module, name, forbidden)
+        code, out, err = run(["kernel", "gen", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --n") and err.count("\n") == 1
 
     def test_composite_needs_matching_dims(self, capsys):
         code, _, err = run(
@@ -60,10 +88,9 @@ class TestKernelGen:
 
 class TestKernelVerify:
     def test_valid_kernel_exit_0(self, tmp_path, capsys):
-        _, gen_out, _ = run(["kernel", "gen", "--n", "4", "--seed", "2"], capsys)
-        mat_obj = json.loads(gen_out)["matrix"]
+        # The report kernel gen writes is valid input to kernel verify as is.
         path = tmp_path / "kernel.json"
-        path.write_text(json.dumps(mat_obj))
+        run(["kernel", "gen", "--n", "4", "--seed", "2", "--out", str(path)], capsys)
         code, out, _ = run(["kernel", "verify", str(path)], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -97,6 +124,87 @@ class TestKernelVerify:
         path = write_matrix(tmp_path / "k.json", np.eye(2) / 2)
         code, _, _ = run(["kernel", "verify", path, "--n", "4"], capsys)
         assert code == 2
+
+
+class TestReportEnvelope:
+    """Every matrix reader accepts the report that kernel gen writes."""
+
+    def test_composite_gen_pipes_into_composite_verify(self, tmp_path, capsys):
+        path = tmp_path / "comp.json"
+        run(["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2", "--seed", "3",
+             "--out", str(path)], capsys)
+        code, out, _ = run(["composite", "verify", str(path), "--dims", "2x2"], capsys)
+        assert code == 0
+        assert json.loads(out)["admissible"] is True
+
+    def test_gen_pipes_into_wigner_eval(self, tmp_path, capsys):
+        path = tmp_path / "kernel.json"
+        run(["kernel", "gen", "--n", "2", "--seed", "4", "--out", str(path)], capsys)
+        state = write_matrix(tmp_path / "state.json", np.diag([1.0, 0.0]))
+        code, out, _ = run(["wigner", "eval", state, str(path)], capsys)
+        assert code == 0
+        mat = linalg.matrix_from_json(json.loads(path.read_text())["matrix"])
+        assert abs(json.loads(out)["w"] - mat[0, 0].real) < 1e-12
+
+    def test_envelope_without_matrix_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"n": 2, "matrix": {"dim": 2}}))
+        code, out, err = run(["kernel", "verify", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read matrix:")
+
+
+def _nan_matrix(path):
+    entries = [[0.0, 0.0]] * 16
+    entries[5] = [float("nan"), 0.0]
+    path.write_text(json.dumps({"dim": 4, "entries": entries}))  # writes the NaN token
+    return str(path)
+
+
+def _overflowing_matrix(path):
+    # Finite entries whose residuals overflow to inf.
+    return write_matrix(path, np.diag([1e308, 1e308, 0.0, 0.0]))
+
+
+class TestStrictJson:
+    """Non-finite input or results give exit 2 and one error line, never NaN."""
+
+    VERIFY = [["kernel", "verify"], ["composite", "verify", "--dims", "2x2"]]
+
+    @pytest.mark.parametrize("command", VERIFY)
+    def test_nan_entry_exit_2(self, tmp_path, capsys, command):
+        path = _nan_matrix(tmp_path / "nan.json")
+        code, out, err = run([*command[:2], path, *command[2:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read matrix:") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command", VERIFY)
+    def test_overflowing_report_exit_2(self, tmp_path, capsys, command):
+        path = _overflowing_matrix(tmp_path / "big.json")
+        code, out, err = run([*command[:2], path, *command[2:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_overflowing_report_one_stderr_line_in_a_process(self, tmp_path):
+        # Outside pytest's warning capture: numpy overflow warnings must not
+        # add lines to the error either.
+        path = _overflowing_matrix(tmp_path / "big.json")
+        src = str(Path(swphase.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "swphase", "kernel", "verify", path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_dump_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                cli._dump_json({"x": bad})
 
 
 class TestCompositeVerify:

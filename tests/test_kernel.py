@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from swphase.linalg import haar_unitary, random_density
+from swphase.linalg import _haar_from_rng, haar_unitary, random_density
 from swphase.kernel import (
+    _MC_CHUNK,
+    _orbit_chunks,
     KernelSpectrum,
     covariance_check,
     haar_second_moment_coefficients,
@@ -178,6 +180,29 @@ class TestReconstructMC:
         spec = solve_kernel_spectrum(4, "random", seed=5)
         est = phase_space_norm_mc(rho, spec, 50_000, seed=6)
         assert abs(est - 1.0) < 0.03
+
+
+class TestOrbitChunks:
+    """The Monte-Carlo estimators' one orbit sampler."""
+
+    @pytest.mark.parametrize("n, samples", [(2, 500), (4, 500), (32, 60), (4, _MC_CHUNK + 7)])
+    def test_equals_haar_orbit(self, n, samples):
+        spec = solve_kernel_spectrum(n, "random", seed=n)
+        chunks = list(_orbit_chunks(n, spec, samples, seed=17))
+        sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]
+        assert [len(c) for c in chunks] == sizes
+        rng = np.random.default_rng(17)
+        u = np.concatenate([_haar_from_rng(n, rng, size=b) for b in sizes])
+        want = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
+        assert np.abs(np.concatenate(chunks) - want).max() < 1e-13
+
+    @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
+    def test_input_errors_shared(self, estimator):
+        rho = random_density(4, 0)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: state 4, spectrum 3$"):
+            estimator(rho, solve_kernel_spectrum(3), 10, seed=0)
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            estimator(rho, solve_kernel_spectrum(4), 0, seed=0)
 
 
 class TestVerifyMaster:

@@ -27,6 +27,52 @@ def _rand_complex(n, seed):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _unitarity_sites():
+    from swphase.kernel import covariance_check, kernel_from_spectrum, solve_kernel_spectrum
+    from swphase.twoqubit import adjoint_matrix, kernel_from_moduli
+
+    rho, spec = random_density(4, 0), solve_kernel_spectrum(4)
+    return {
+        "adjoint_matrix": adjoint_matrix,
+        "kernel_from_moduli": lambda u: kernel_from_moduli(u, [0.0, 0.0, 1.0]),
+        "kernel_from_spectrum": lambda u: kernel_from_spectrum(spec, u),
+        "covariance_check": lambda u: covariance_check(
+            kernel_from_spectrum(spec, np.eye(4)), rho, u),
+    }
+
+
+def _hermiticity_sites():
+    from swphase.composite import fano_blocks
+    from swphase.twoqubit import fano_decompose, isotropy_dim, twoqubit_constraint_values
+
+    return {
+        "fano_decompose": fano_decompose,
+        "twoqubit_constraint_values": twoqubit_constraint_values,
+        "isotropy_dim": isotropy_dim,
+        "fano_blocks": lambda x: fano_blocks(x, BipartiteDims(2, 2)),
+    }
+
+
+class TestSharedChecks:
+    """Every site of the unitarity and the 1e-10 Hermiticity check uses the shared one."""
+
+    @pytest.mark.parametrize("site", list(_unitarity_sites()))
+    def test_unitarity_sites(self, site):
+        check = _unitarity_sites()[site]
+        u = haar_unitary(4, 3)
+        check(u * np.exp(0.4j))  # unitary up to roundoff: accepted
+        with pytest.raises(ValueError, match=r"^input is not unitary$"):
+            check(u * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("site", list(_hermiticity_sites()))
+    def test_hermiticity_sites(self, site):
+        check = _hermiticity_sites()[site]
+        h = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        check(h + 1e-12j * np.triu(np.ones((4, 4)), 1))  # defect below 1e-10: accepted
+        with pytest.raises(ValueError, match=r"^input is not Hermitian$"):
+            check(h + 1e-9j * np.triu(np.ones((4, 4)), 1))
+
+
 class TestKron:
     def test_identity_case(self):
         np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -237,3 +283,11 @@ class TestSerialization:
             matrix_from_json({"entries": []})
         with pytest.raises(ValueError):
             matrix_from_json({"dim": 2, "entries": [[1, 0, 0]] * 4})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "nan", 1e400])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_rejected(self, bad, part):
+        entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        entries[2][part] = bad
+        with pytest.raises(ValueError, match="entry 2 is not finite"):
+            matrix_from_json({"dim": 2, "entries": entries})
