@@ -28,8 +28,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest --n of kernel gen: at 1024 a run peaks near 0.6 GB and writes
-# 80 MB of JSON; larger sizes are refused before anything is allocated.
+# Largest --n of kernel gen and reconstruct: at 1024 a kernel gen run peaks
+# near 0.6 GB and writes 80 MB of JSON; larger sizes are refused before
+# anything is allocated.
 _MAX_KERNEL_N = 1024
 
 
@@ -91,7 +92,19 @@ def _load_matrix_file(path: str) -> np.ndarray:
         raise ValueError(f"cannot read matrix: {exc}") from None
 
 
+# The parser of main, built on the first call of build_parser.
+_PARSER = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call.
+
+    It is built on first use, not at import; parse_args gives each call a
+    fresh Namespace, so calls of main do not see each other's options.
+    """
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="swphase",
         description="Stratonovich-Weyl kernels, composite admissibility and "
@@ -152,12 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="uniform parameter box lo,hi")
     p_scan.add_argument("--out", default=None)
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
+    _PARSER = parser
     return parser
 
 
+def _check_n_limit(n: int) -> None:
+    if n > _MAX_KERNEL_N:
+        raise ValueError(f"--n {n} is above the limit {_MAX_KERNEL_N}")
+
+
 def _cmd_kernel_gen(args) -> int:
-    if args.n > _MAX_KERNEL_N:
-        raise ValueError(f"--n {args.n} is above the limit {_MAX_KERNEL_N}")
+    _check_n_limit(args.n)
     if args.composite:
         dims = args.dims
         if dims is None:
@@ -224,6 +242,7 @@ def _cmd_wigner_eval(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    _check_n_limit(args.n)
     if args.n < 2:
         raise ValueError(f"no kernel spectrum exists at n={args.n}")
     spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
@@ -275,8 +294,7 @@ def _cmd_moduli_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Overflow in a report shows as the strict-JSON error, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -846,24 +846,19 @@ SCAN_CSV_COLUMNS = (
 
 def _fmt_root(r: complex) -> str:
     if abs(r.imag) < 1e-12:
-        return repr(float(r.real))
-    return repr(complex(r))
+        return repr(r.real)
+    return repr(r)
 
 
 def scan_record_row(rec: ScanRecord) -> list:
-    eig_a, eig_b = rec.quadrics.eig_a[::-1], rec.quadrics.eig_b[::-1]
-    roots_ab = ";".join(_fmt_root(r) for r in rec.roots.roots_ab)
-    sols = ";".join(" ".join(repr(float(c)) for c in s)
-                    for s in rec.feasibility.solutions)
-    return (
-        [rec.record_index]
-        + [repr(float(v)) for v in rec.a_params]
-        + [repr(float(v)) for v in rec.a_prime_params]
-        + [rec.roots.rank_a, rec.roots.rank_b]
-        + [repr(float(v)) for v in eig_a]
-        + [repr(float(v)) for v in eig_b]
-        + [roots_ab, rec.classification, rec.n_solutions, sols]
-    )
+    """One CSV row; each array goes to Python floats once, whose repr round-trips."""
+    q, roots = rec.quadrics, rec.roots
+    params = rec.a_params.tolist() + rec.a_prime_params.tolist()
+    eigs = q.eig_a[::-1].tolist() + q.eig_b[::-1].tolist()
+    roots_ab = ";".join(map(_fmt_root, roots.roots_ab.tolist()))
+    sols = ";".join(" ".join(map(repr, s.tolist())) for s in rec.feasibility.solutions)
+    return [rec.record_index, *map(repr, params), roots.rank_a, roots.rank_b,
+            *map(repr, eigs), roots_ab, rec.classification, rec.n_solutions, sols]
 
 
 def scan_to_csv(records, stream):
@@ -880,19 +875,19 @@ def scan_to_json(records) -> list:
     """JSON mirror of the CSV dataset (same fields, structured values)."""
     out = []
     for rec in records:
-        eig_a, eig_b = rec.quadrics.eig_a[::-1], rec.quadrics.eig_b[::-1]
+        q, roots = rec.quadrics, rec.roots
         out.append({
             "record_index": rec.record_index,
-            "a_params": [float(v) for v in rec.a_params],
-            "ap_params": [float(v) for v in rec.a_prime_params],
-            "rank_A": rec.roots.rank_a,
-            "rank_B": rec.roots.rank_b,
-            "eig_A": [float(v) for v in eig_a],
-            "eig_B": [float(v) for v in eig_b],
-            "roots_AB": [[float(r.real), float(r.imag)] for r in rec.roots.roots_ab],
+            "a_params": rec.a_params.tolist(),
+            "ap_params": rec.a_prime_params.tolist(),
+            "rank_A": roots.rank_a,
+            "rank_B": roots.rank_b,
+            "eig_A": q.eig_a[::-1].tolist(),
+            "eig_B": q.eig_b[::-1].tolist(),
+            "roots_AB": [[r.real, r.imag] for r in roots.roots_ab.tolist()],
             "classification": rec.classification,
             "n_solutions": rec.n_solutions,
-            "solutions": [[float(c) for c in s] for s in rec.feasibility.solutions],
+            "solutions": [s.tolist() for s in rec.feasibility.solutions],
         })
     return out
 

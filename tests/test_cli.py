@@ -24,6 +24,36 @@ def write_matrix(path, mat):
     return str(path)
 
 
+def run_fresh(argv) -> subprocess.CompletedProcess:
+    """Run `python -m swphase argv` in a fresh interpreter on the tested sources."""
+    src = str(Path(swphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "swphase", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # A usage error first, then a flag that the next call must not inherit.
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli", "scan"])
+        assert exc.value.code == 2
+        outs = [capsys.readouterr().out]
+        calls = [["moduli", "scan", "--n", "3", "--zero-params"],
+                 ["moduli", "scan", "--n", "3", "--seed", "5"],
+                 ["reconstruct", "--n", "4", "--samples", "100", "--format", "csv"]]
+        for argv in calls:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert "degenerate" not in outs[2]
+        fresh = [run_fresh(argv).stdout for argv in [["moduli", "scan"], *calls]]
+        assert outs == fresh
+
+
 class TestKernelGen:
     def test_n2_spectrum(self, capsys):
         code, out, _ = run(["kernel", "gen", "--n", "2", "--seed", "7"], capsys)
@@ -192,11 +222,7 @@ class TestStrictJson:
         # Outside pytest's warning capture: numpy overflow warnings must not
         # add lines to the error either.
         path = _overflowing_matrix(tmp_path / "big.json")
-        src = str(Path(swphase.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "swphase", "kernel", "verify", path],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_fresh(["kernel", "verify", path])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -297,6 +323,19 @@ class TestReconstruct:
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", "--n", "4", "--samples", "10,-3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", ["100000", str(cli._MAX_KERNEL_N + 1)])
+    def test_huge_n_exit_2_before_allocating(self, capsys, monkeypatch, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be drawn for a rejected --n")
+
+        for module, name in ((kernel, "solve_kernel_spectrum"), (linalg, "random_density"),
+                             (kernel, "reconstruct_mc")):
+            monkeypatch.setattr(module, name, forbidden)
+        code, out, err = run(["reconstruct", "--n", n, "--samples", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n {n} is above the limit {cli._MAX_KERNEL_N}\n"
 
 
 class TestModuliScan:

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from swphase.twoqubit import (
     moduli_feasibility,
     moduli_record,
     moduli_scan,
+    scan_record_row,
     scan_to_csv,
     scan_to_json,
     solid_overlap_oracle,
@@ -580,6 +583,64 @@ class TestModuliScan:
                 continue
             verdict = solid_overlap_oracle(rec.quadrics, points=pts)
             assert verdict == rec.classification
+
+
+def _reference_row(rec):
+    """A CSV row formatted one numpy scalar at a time with repr(float(v))."""
+    def fmt_root(r):
+        return repr(float(r.real)) if abs(r.imag) < 1e-12 else repr(complex(r))
+
+    eig_a, eig_b = rec.quadrics.eig_a[::-1], rec.quadrics.eig_b[::-1]
+    return ([rec.record_index]
+            + [repr(float(v)) for v in rec.a_params]
+            + [repr(float(v)) for v in rec.a_prime_params]
+            + [rec.roots.rank_a, rec.roots.rank_b]
+            + [repr(float(v)) for v in eig_a]
+            + [repr(float(v)) for v in eig_b]
+            + [";".join(fmt_root(r) for r in rec.roots.roots_ab), rec.classification,
+               rec.n_solutions,
+               ";".join(" ".join(repr(float(c)) for c in s) for s in rec.feasibility.solutions)])
+
+
+def _reference_json(rec):
+    """The JSON record built with float(v) on each numpy scalar."""
+    return {
+        "record_index": rec.record_index,
+        "a_params": [float(v) for v in rec.a_params],
+        "ap_params": [float(v) for v in rec.a_prime_params],
+        "rank_A": rec.roots.rank_a,
+        "rank_B": rec.roots.rank_b,
+        "eig_A": [float(v) for v in rec.quadrics.eig_a[::-1]],
+        "eig_B": [float(v) for v in rec.quadrics.eig_b[::-1]],
+        "roots_AB": [[float(r.real), float(r.imag)] for r in rec.roots.roots_ab],
+        "classification": rec.classification,
+        "n_solutions": rec.n_solutions,
+        "solutions": [[float(c) for c in s] for s in rec.feasibility.solutions],
+    }
+
+
+def _record_with_solutions():
+    a, ap = list(_scan_draws(80, 3))[79]
+    rec = moduli_record(79, a, ap)
+    feas = moduli_feasibility(rec.quadrics, level=MATRIX_LEVEL)
+    assert feas.n_solutions == 4
+    return dataclasses.replace(rec, feasibility=feas)
+
+
+class TestScanFormatting:
+    """Rows and JSON records keep the bytes of per-scalar formatting."""
+
+    @pytest.mark.parametrize("records", [
+        lambda: moduli_scan(300, 11, ranges=(-1, 2)),
+        lambda: moduli_scan(5, 0, zero_params=True),
+        lambda: [_record_with_solutions()],
+    ], ids=["ranges", "zero_params", "solutions"])
+    def test_same_bytes_as_per_scalar_formatting(self, records):
+        records = records()
+        rows = [scan_record_row(rec) for rec in records]
+        assert rows == [_reference_row(rec) for rec in records]
+        want = json.dumps([_reference_json(rec) for rec in records], indent=2, sort_keys=True)
+        assert json.dumps(scan_to_json(records), indent=2, sort_keys=True) == want
 
 
 def _scan_draws(n, seed, lo=-np.pi, hi=np.pi):
