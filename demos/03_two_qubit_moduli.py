@@ -3,9 +3,9 @@
 The torus coordinates of a two-qubit kernel live on a unit 2-sphere; the
 composite admissibility conditions carve out the intersection with two
 ellipsoids whose matrices come from the adjoint action of the abelian
-group factor.  This demo builds the whole chain, classifies random bundle
-fibres by the characteristic-root criterion, surveys the geometry, and
-solves the ellipsoid system at both normalizations.
+group factor.  This demo builds the whole chain, computes the
+characteristic roots, surveys the geometry, and solves the ellipsoid system
+at both normalizations, labelling each fibre by the solver's outcome.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from swphase.twoqubit import (
     kernel_from_moduli,
     moduli_feasibility,
     moduli_scan,
-    solid_overlap_oracle,
     torus_factor_dependence,
 )
 
@@ -69,8 +68,8 @@ print(f"  max eig(A + B) = {np.linalg.eigvalsh(q.a + q.b)[-1]:.4f}")
 report = char_cubic_roots(q)
 print(f"\ncharacteristic roots (sphere vs A): {np.round(report.roots_sphere_a.real, 4)}")
 print(f"characteristic roots (A vs B)     : {np.round(report.roots_ab.real, 4)}")
-print(f"classification: {report.classification}  "
-      f"(oracle says {solid_overlap_oracle(q, n_points=20_000)})")
+print(f"solver label at the matrix level 4/15: "
+      f"{moduli_feasibility(q, level=MATRIX_LEVEL).classification}")
 
 print()
 print("=" * 72)
@@ -133,11 +132,16 @@ worst_root = max(max(r.roots.roots_sphere_a.real.max(),
                      r.roots.roots_ab.real.max()) for r in nondeg)
 print(f"\n300 records: {n_deg} degenerate, {len(nondeg)} nondegenerate")
 print(f"largest characteristic root over all nondegenerate records: "
-      f"{worst_root:.2e} (never positive: every pair of these concentric")
-print("solids overlaps, as the root criterion asserts)")
+      f"{worst_root:.2e}")
+print("(never positive: A and B are positive semidefinite, so no root of")
+print("det(tI + A), det(tI + B) or det(tA + B) can be; the roots carry no verdict)")
 print(f"fibres where BOTH ellipsoid surfaces also cross the unit sphere: "
       f"{crossings} of {len(nondeg)} (the unit-level system is tight)")
 counts = {}
 for r in records:
     counts[r.n_solutions] = counts.get(r.n_solutions, 0) + 1
 print(f"unit-level solution counts: {dict(sorted(counts.items()))}")
+labels = {}
+for r in records:
+    labels[r.classification] = labels.get(r.classification, 0) + 1
+print(f"unit-level solver labels: {dict(sorted(labels.items()))}")

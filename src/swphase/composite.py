@@ -296,25 +296,22 @@ def constraint_functions(x, dims: BipartiteDims) -> np.ndarray:
     return np.array([np.trace(m @ m).real - dims.total, *_subsystem_purity_residuals(m, dims)])
 
 
-def constraint_jacobian(x, dims: BipartiteDims, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the constraint map on the traceless chart.
+def constraint_jacobian(x, dims: BipartiteDims) -> np.ndarray:
+    """Exact Jacobian of :func:`constraint_functions` on the traceless chart.
 
     The chart is the orthonormal product basis of traceless Hermitian
-    matrices at dimension N (N^2 - 1 directions).  Rank 3 of the returned
-    (3, N^2 - 1) matrix confirms that the constraints cut out codimension 3.
+    matrices at dimension N (N^2 - 1 directions: A-local, B-local, then
+    correlation, in the order of :func:`fano_blocks`).  The constraints are
+    quadratic, so along a chart direction D the derivatives are
+    2 tr(m D), 2 tr(Tr_B m Tr_B D) and 2 tr(Tr_A m Tr_A D): twice the block
+    coefficients of m, and n_b resp. n_a times twice the local coefficients
+    on the local columns.  Rank 3 of the returned (3, N^2 - 1) matrix
+    confirms that the constraints cut out codimension 3.
     """
-    m = as_complex_matrix(x)
-    dims.check(m.shape[0])
-    fa = traceless_orthonormal_basis(dims.n_a)
-    fb = traceless_orthonormal_basis(dims.n_b)
-    ia = np.eye(dims.n_a) / np.sqrt(dims.n_a)
-    ib = np.eye(dims.n_b) / np.sqrt(dims.n_b)
-    chart = [kron(f, ib) for f in fa]
-    chart += [kron(ia, f) for f in fb]
-    chart += [kron(f, g) for f in fa for g in fb]
-    cols = []
-    for direction in chart:
-        plus = constraint_functions(m + step * direction, dims)
-        minus = constraint_functions(m - step * direction, dims)
-        cols.append((plus - minus) / (2.0 * step))
-    return np.stack(cols, axis=1)
+    blocks = fano_blocks(x, dims)
+    na2, nb2 = dims.n_a**2 - 1, dims.n_b**2 - 1
+    jac = np.zeros((3, na2 + nb2 + na2 * nb2))
+    jac[0] = np.concatenate([blocks.local_a, blocks.local_b, blocks.corr.ravel()])
+    jac[1, :na2] = dims.n_b * blocks.local_a
+    jac[2, na2:na2 + nb2] = dims.n_a * blocks.local_b
+    return 2.0 * jac

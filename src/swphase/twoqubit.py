@@ -6,9 +6,9 @@ associated su(4) generator basis, splits it into two commuting su(2)
 triples, two abelian 3-planes and a maximal torus, and builds the
 machinery that turns the composite admissibility constraints into a bundle
 of a unit 2-sphere and two ellipsoids over the abelian group factor: the
-adjoint 15x15 rotation, the ellipsoid matrices, their characteristic
-cubics and root-sign classification, and a closed-form solver (conic
-pencil, line pairs) for the points where sphere and both ellipsoids meet.
+adjoint 15x15 rotation, the ellipsoid matrices, the roots of their
+characteristic cubics, and a closed-form solver (conic pencil, line pairs)
+for the points where sphere and both ellipsoids meet.
 
 Batch axes
 ----------
@@ -79,7 +79,6 @@ __all__ = [
     "RootReport",
     "char_cubic_roots",
     "kernel_from_moduli",
-    "fibonacci_sphere",
     "FeasibilityResult",
     "MATRIX_LEVEL",
     "moduli_feasibility",
@@ -91,7 +90,6 @@ __all__ = [
     "SCAN_CSV_COLUMNS",
     "scan_to_csv",
     "scan_to_json",
-    "solid_overlap_oracle",
     "torus_factor_dependence",
     "cross_commutator_report",
     "convention_report",
@@ -486,13 +484,12 @@ def ellipsoid_matrices(o) -> QuadricTriple:
 
 @dataclass(frozen=True)
 class RootReport:
-    """Roots of the three characteristic cubics and the overlap verdict.
+    """Roots of the three characteristic cubics.
 
     roots_sphere_a/b are the roots of det(t I + A) resp. det(t I + B);
-    roots_ab those of det(t A + B).  A rank-deficient leading matrix marks
-    the record degenerate and routes the pencil through a polynomial
-    fallback (``ab_degenerate``).  classification follows the root-sign
-    criterion: overlap iff no cubic has a root above +tol_root.
+    roots_ab those of det(t A + B).  For positive-semidefinite A and B no
+    root is positive.  A rank-deficient leading matrix routes the pencil
+    through a polynomial fallback (``ab_degenerate``).
     """
 
     roots_sphere_a: np.ndarray
@@ -501,7 +498,6 @@ class RootReport:
     rank_a: int
     rank_b: int
     ab_degenerate: bool
-    classification: str
 
 
 def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -518,18 +514,19 @@ def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     return np.roots(trimmed)
 
 
-# Eigenvalue floor below which a quadric counts as rank-deficient and the
-# pencil det(t A + B) goes through the polynomial fallback.
+# Eigenvalue floor below which a quadric counts as rank-deficient: the
+# pencil det(t A + B) goes through the polynomial fallback and the record is
+# labelled degenerate.
 _COND_FLOOR = 1e-8
 
 
-def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9) -> RootReport:
-    """Roots of the three characteristic cubics and the overlap classification.
+def char_cubic_roots(q: QuadricTriple) -> RootReport:
+    """Roots of the three characteristic cubics and the ranks of A and B.
 
     det(t I + A) has roots -eig(A), likewise for B.  det(t A + B) is solved
     through the symmetric-definite pencil when A is positive definite
-    (smallest eigenvalue above ``_COND_FLOOR``); otherwise the record is
-    degenerate and a direct polynomial fallback reports the finite roots.
+    (smallest eigenvalue above ``_COND_FLOOR``); otherwise a direct
+    polynomial fallback reports the finite roots.
     The eigenvalues come from ``q`` (computed once, over the whole stack
     when ``q`` was indexed from one); ``q`` must be a single pair.
     """
@@ -538,7 +535,6 @@ def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9) -> RootReport:
     eig_a, eig_b = q.eig_a, q.eig_b
     rank_a = int(np.count_nonzero(eig_a > _COND_FLOOR))
     rank_b = int(np.count_nonzero(eig_b > _COND_FLOOR))
-    degenerate = rank_a < 3 or rank_b < 3
     if eig_a[0] > _COND_FLOOR:
         # The LAPACK routine scipy.linalg.eigh(q.b, q.a, eigvals_only=True) calls.
         gen, _, info = scipy.linalg.lapack.dsygvd(q.b, q.a, jobz="N")
@@ -549,12 +545,6 @@ def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9) -> RootReport:
     else:
         roots_ab = _det_poly_roots(q.a, q.b)
         ab_degenerate = True
-    if degenerate:
-        classification = "degenerate"
-    else:
-        # The largest root of each cubic; the eigenvalues are ascending.
-        top = max(-eig_a[0], -eig_b[0], roots_ab.real.max(initial=-np.inf))
-        classification = "no_overlap" if top > tol_root else "overlap"
     return RootReport(
         roots_sphere_a=(-eig_a).astype(complex),
         roots_sphere_b=(-eig_b).astype(complex),
@@ -562,7 +552,6 @@ def char_cubic_roots(q: QuadricTriple, tol_root: float = 1e-9) -> RootReport:
         rank_a=rank_a,
         rank_b=rank_b,
         ab_degenerate=ab_degenerate,
-        classification=classification,
     )
 
 
@@ -594,19 +583,15 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     return SWKernel(mat, 4)
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform grid of n points on the unit 2-sphere."""
-    i = np.arange(n)
-    golden = (1.0 + np.sqrt(5.0)) / 2.0
-    z = 1.0 - (2.0 * i + 1.0) / n
-    theta = 2.0 * np.pi * i / golden
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Solutions of the sphere-plus-two-ellipsoids system, with the verdict."""
+    """Solutions of the sphere-plus-two-ellipsoids system, with the verdict.
+
+    ``classification`` is "degenerate" when A or B is rank-deficient
+    (smallest eigenvalue at most ``_COND_FLOOR``, the rule of ``rank_a`` and
+    ``rank_b``); otherwise "feasible" when solutions were found and "empty"
+    when none were.
+    """
 
     solutions: list
     classification: str
@@ -651,10 +636,9 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
     """
     if level <= 0.0:
         raise ValueError("level must be positive")
-    classification = q.roots.classification
     solutions: list[np.ndarray] = []
     if not _level_reachable(q, level):
-        return FeasibilityResult(solutions=solutions, classification=classification)
+        return _feasibility_result(q, solutions)
     forms = np.stack([np.eye(3), q.a, q.b])
     mus = _conic_intersection(q.a - level * forms[0], q.b - level * forms[0])
     for _ in range(2):
@@ -667,7 +651,16 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
     for mu in mus[res <= _RESIDUAL_TOL]:
         if all(np.linalg.norm(mu - s) > _DEDUP_TOL for s in solutions):
             solutions += [mu, -mu]
-    return FeasibilityResult(solutions=solutions, classification=classification)
+    return _feasibility_result(q, solutions)
+
+
+def _feasibility_result(q: QuadricTriple, solutions: list) -> FeasibilityResult:
+    """The solutions of one pair with their label (see :class:`FeasibilityResult`)."""
+    if min(q.eig_a[0], q.eig_b[0]) <= _COND_FLOOR:
+        label = "degenerate"
+    else:
+        label = "feasible" if solutions else "empty"
+    return FeasibilityResult(solutions=solutions, classification=label)
 
 
 def _level_reachable(q: QuadricTriple, level: float) -> np.ndarray:
@@ -763,7 +756,7 @@ class ScanRecord:
 
     @property
     def classification(self) -> str:
-        return self.roots.classification
+        return self.feasibility.classification
 
     @property
     def n_solutions(self) -> int:
@@ -789,17 +782,20 @@ def _moduli_records(first_index: int, a_params: np.ndarray, a_prime_params: np.n
     records = []
     for k, reach in enumerate(reachable):
         qk = q[k]
-        roots = qk.roots
-        feas = (moduli_feasibility(qk) if reach
-                else FeasibilityResult(solutions=[], classification=roots.classification))
+        feas = moduli_feasibility(qk) if reach else _feasibility_result(qk, [])
         records.append(ScanRecord(first_index + k, a_params[k], a_prime_params[k],
-                                  qk, roots, feas))
+                                  qk, qk.roots, feas))
     return records
 
 
 def moduli_record(record_index: int, a_params, a_prime_params,
                   solve: bool = True) -> ScanRecord:
-    """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`."""
+    """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
+
+    ``solve=False`` skips the solver for callers that need only the
+    quadrics and roots; the record then holds no solutions, and its label
+    is not a verdict.
+    """
     a = np.asarray(a_params, dtype=float)
     ap = np.asarray(a_prime_params, dtype=float)
     if a.shape != (3,) or ap.shape != (3,):
@@ -821,8 +817,8 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = float(ranges[0]), float(ranges[1])
-    if not hi > lo:
-        raise ValueError("ranges must satisfy lo < hi")
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError(f"ranges must satisfy lo < hi with hi - lo finite, got {lo!r},{hi!r}")
     children = np.random.SeedSequence(seed).spawn(n)
     records = []
     for start in range(0, n, SCAN_CHUNK):
@@ -890,38 +886,6 @@ def scan_to_json(records) -> list:
             "solutions": [s.tolist() for s in rec.feasibility.solutions],
         })
     return out
-
-
-def solid_overlap_oracle(q: QuadricTriple, n_points: int = 100_000,
-                         tol: float = 1e-9, points: np.ndarray | None = None) -> str:
-    """Brute-force overlap verdict from sampled quadric values.
-
-    Searches for common points of each pair of solids (unit ball, ellipsoid
-    interiors) using surface samples only: sphere directions nu give sphere
-    points directly and ellipsoid surface points nu / sqrt(q(nu)).  A pair
-    overlaps when some sample of one surface lies inside (or within ``tol``
-    of) the other solid; "overlap" requires all three pairs to overlap.
-    Independent of the characteristic-root path: no eigensolver, only
-    quadratic-form evaluations.  Near-tangent configurations are the one
-    regime where the search can miss a witness.
-    """
-    pts = fibonacci_sphere(n_points) if points is None else points
-    qa = np.einsum("pi,ij,pj->p", pts, q.a, pts)
-    qb = np.einsum("pi,ij,pj->p", pts, q.b, pts)
-    up = 1.0 + tol
-    lo = 1.0 / (1.0 + tol)
-    # sphere surface inside the ellipsoid solid, or ellipsoid surface
-    # (radius 1/sqrt(q)) inside the closed unit ball
-    pair_sa = bool(np.any(qa <= up) or np.any(qa >= lo))
-    pair_sb = bool(np.any(qb <= up) or np.any(qb >= lo))
-    # E_A surface sample inside E_B solid: q_b/q_a <= 1, and vice versa
-    safe_a = qa > tol
-    safe_b = qb > tol
-    pair_ab = bool(
-        np.any(qb[safe_a] <= up * qa[safe_a])
-        or np.any(qa[safe_b] <= up * qb[safe_b])
-    )
-    return "overlap" if (pair_sa and pair_sb and pair_ab) else "no_overlap"
 
 
 def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,

@@ -34,20 +34,19 @@ from swphase.composite import (
 )
 from swphase.twoqubit import (
     KERNEL_COEFF,
+    MATRIX_LEVEL,
     QuadricTriple,
     abelian_factor,
     adjoint_matrix,
     build_lambda_basis,
-    char_cubic_roots,
     convention_report,
     elementary_constraint_value,
     ellipsoid_matrices,
     fano_decompose,
-    fibonacci_sphere,
     isotropy_dim,
     kernel_from_moduli,
+    moduli_feasibility,
     moduli_record,
-    solid_overlap_oracle,
     twoqubit_constraint_values,
 )
 
@@ -180,10 +179,21 @@ def test_criterion_06_dual_dimension():
                               compute_uv=False)
         worst_ratio = min(worst_ratio, svals[2] / svals[0])
         worst_abs = min(worst_abs, svals[2])
-    ok = ok_dim and worst_ratio > 1e-6 and worst_abs > 1e-8
+    # the tangent space of the admissible set: N^2 - 1 chart directions
+    # minus rank 3 constraints is dual_dim, at every bipartition tried
+    tangent_ok = True
+    for n_a, n_b in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        dims = BipartiteDims(n_a, n_b)
+        for seed in range(5):
+            jac = constraint_jacobian(make_composite_kernel(dims, seed).mat, dims)
+            rank = np.linalg.matrix_rank(jac)
+            tangent_ok = (tangent_ok and rank == 3
+                          and dims.total**2 - 1 - rank == dual_dim(dims))
+    ok = ok_dim and worst_ratio > 1e-6 and worst_abs > 1e-8 and tangent_ok
     _report(6, "dual-space dimension and constraint rank", ok,
             f"dual_dim(2,2) = {dual_dim(DIMS22)}, rank-3 margin: smallest/largest"
-            f" singular value {worst_ratio:.2e} > 1e-6 at 50 kernels")
+            f" singular value {worst_ratio:.2e} > 1e-6 at 50 kernels; rank 3 and"
+            f" N^2 - 1 - rank = dual_dim at 2x2, 2x3, 3x3, 2x4: {tangent_ok}")
 
 
 def test_criterion_07_lambda_basis_algebra():
@@ -246,6 +256,45 @@ def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
             f" exact: {ref_ok}")
 
 
+def _largest_eigenvalue(m):
+    """Closed-form largest eigenvalue of symmetric 3x3 matrices (..., 3, 3)."""
+    mean = np.trace(m, axis1=-2, axis2=-1) / 3.0
+    a, b, c = (m[..., k, k] - mean for k in range(3))
+    d, e, f = m[..., 0, 1], m[..., 1, 2], m[..., 0, 2]
+    scale = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    det = a * (b * c - e * e) - d * (d * c - e * f) + f * (d * e - b * f)
+    half_det = det / (2.0 * np.where(scale > 0.0, scale, 1.0) ** 3)
+    return mean + 2.0 * scale * np.cos(np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0)
+
+
+def _brickman_margins(qa, qb, level):
+    """min over t of lambda_max(cos t A + sin t B) - level (cos t + sin t), per pair.
+
+    Brickman (1961): the joint range of two quadratic forms on the unit
+    sphere of R^3 is convex, so mu mu = 1, mu A mu = mu B mu = level has a
+    solution iff this margin is >= 0.  The best of 720 angles (closed-form
+    eigenvalue) is refined by six rounds of 41 angles (eigvalsh), each
+    round 20 times narrower, and the margin is the least eigvalsh value.
+    """
+    def margin(angles, largest):
+        c, s = np.cos(angles)[..., None, None], np.sin(angles)[..., None, None]
+        pencil = c * qa[:, None] + s * qb[:, None]
+        return largest(pencil) - level * (c + s)[..., 0, 0]
+
+    step = np.pi / 360.0
+    coarse = np.broadcast_to(np.arange(720) * step, (len(qa), 720))
+    best_angle = coarse[0, np.argmin(margin(coarse, _largest_eigenvalue), axis=1)]
+    best = np.full(len(qa), np.inf)
+    for _ in range(6):
+        angles = best_angle[:, None] + np.linspace(-step, step, 41)
+        values = margin(angles, lambda m: np.linalg.eigvalsh(m)[..., -1])
+        k = np.argmin(values, axis=1)
+        best = np.minimum(best, values[np.arange(len(qa)), k])
+        best_angle = angles[np.arange(len(qa)), k]
+        step /= 20.0
+    return best
+
+
 def test_criterion_09_root_criterion(quadric_batch):
     a_params, ap_params, qa, qb = quadric_batch
     n_draws = qa.shape[0]
@@ -256,40 +305,28 @@ def test_criterion_09_root_criterion(quadric_batch):
         assert np.linalg.norm(q_one.a - qa[idx]) < 1e-12
         assert np.linalg.norm(q_one.b - qb[idx]) < 1e-12
 
-    pts = fibonacci_sphere(100_000)
-    mono = np.stack([
-        pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
-        2 * pts[:, 0] * pts[:, 1], 2 * pts[:, 0] * pts[:, 2],
-        2 * pts[:, 1] * pts[:, 2],
-    ], axis=1)
-
-    def batched_oracle(qa_c, qb_c):
-        ca = np.stack([qa_c[:, 0, 0], qa_c[:, 1, 1], qa_c[:, 2, 2],
-                       qa_c[:, 0, 1], qa_c[:, 0, 2], qa_c[:, 1, 2]], axis=1)
-        cb = np.stack([qb_c[:, 0, 0], qb_c[:, 1, 1], qb_c[:, 2, 2],
-                       qb_c[:, 0, 1], qb_c[:, 0, 2], qb_c[:, 1, 2]], axis=1)
-        va = mono @ ca.T
-        vb = mono @ cb.T
-        up = 1.0 + 1e-9
-        lo = 1.0 / up
-        pair_sa = (va.min(axis=0) <= up) | (va.max(axis=0) >= lo)
-        pair_sb = (vb.min(axis=0) <= up) | (vb.max(axis=0) >= lo)
-        pair_ab = ((vb - up * va).min(axis=0) <= 0.0) \
-            | ((va - up * vb).min(axis=0) <= 0.0)
-        return pair_sa & pair_sb & pair_ab
-
-    n_nondeg = 0
-    n_root_violations = 0
-    n_agree = 0
-    oracle_bits = np.empty(n_draws, dtype=bool)
-    verdicts = []
-    for lo_i in range(0, n_draws, 500):
-        hi_i = min(lo_i + 500, n_draws)
-        oracle_bits[lo_i:hi_i] = batched_oracle(qa[lo_i:hi_i], qb[lo_i:hi_i])
+    margins = np.concatenate([_brickman_margins(qa[k:k + 200], qb[k:k + 200], MATRIX_LEVEL)
+                              for k in range(0, n_draws, 200)])
+    quads = QuadricTriple(a=qa, b=qb)
+    n_nondeg = n_decided = 0
+    n_root_violations = n_structure_violations = n_disagree = 0
+    worst_residual = 0.0
+    counts = {}
     for idx in range(n_draws):
-        report = char_cubic_roots(QuadricTriple(a=qa[idx], b=qb[idx]))
-        verdicts.append(report.classification)
-        if report.classification == "degenerate":
+        q = quads[idx]
+        report = q.roots
+        feas = moduli_feasibility(q, level=MATRIX_LEVEL)
+        sols = np.array(feas.solutions).reshape(-1, 3)
+        counts[len(sols)] = counts.get(len(sols), 0) + 1
+        # every solution has exactly one antipode among the solutions
+        antipodes = np.linalg.norm(sols[:, None] + sols[None], axis=2) <= 1e-8
+        if len(sols) % 2 or len(sols) > 8 or np.any(antipodes.sum(axis=1) != 1):
+            n_structure_violations += 1
+        if len(sols):
+            res = np.einsum("pi,kij,pj->pk", sols, np.stack([q.a, q.b]), sols) - MATRIX_LEVEL
+            worst_residual = max(worst_residual, np.abs(res).max(),
+                                 np.abs(np.linalg.norm(sols, axis=1) - 1.0).max())
+        if feas.classification == "degenerate":
             continue
         n_nondeg += 1
         has_negative = (report.roots_sphere_a.real.min() < -1e-9
@@ -297,23 +334,19 @@ def test_criterion_09_root_criterion(quadric_batch):
                         and report.roots_ab.real.min() < -1e-9)
         if not has_negative:
             n_root_violations += 1
-        oracle_verdict = "overlap" if oracle_bits[idx] else "no_overlap"
-        if oracle_verdict == report.classification:
-            n_agree += 1
+        if abs(margins[idx]) > 1e-9:
+            n_decided += 1
+            if (feas.classification == "feasible") != (margins[idx] >= 0.0):
+                n_disagree += 1
 
-    # the batched oracle must mirror the reference implementation
-    rng = np.random.default_rng(3)
-    for idx in rng.integers(0, n_draws, 100):
-        ref = solid_overlap_oracle(QuadricTriple(a=qa[idx], b=qb[idx]),
-                                   points=pts)
-        assert ref == ("overlap" if oracle_bits[idx] else "no_overlap")
-
-    agreement = n_agree / n_nondeg
-    ok = n_root_violations == 0 and agreement >= 0.99 and n_nondeg > 9000
-    _report(9, "characteristic-root criterion vs brute force", ok,
-            f"{n_nondeg} nondegenerate of {n_draws}: {n_root_violations} "
-            f"negative-root violations (need 0), oracle agreement "
-            f"{agreement:.4f} >= 0.99 at 1e5 sphere points")
+    ok = (n_root_violations == 0 and n_structure_violations == 0 and worst_residual <= 1e-10
+          and n_disagree == 0 and n_decided >= 0.99 * n_draws and n_nondeg > 9000)
+    _report(9, "exact solver vs Brickman certificate at the matrix level", ok,
+            f"{n_nondeg} nondegenerate of {n_draws} (need > 9000), {n_decided} decided"
+            f" (need >= 99%): {n_disagree} feasible-vs-margin disagreements,"
+            f" {n_structure_violations} odd/unpaired/over-8 solution sets,"
+            f" worst residual {worst_residual:.1e} <= 1e-10, {n_root_violations}"
+            f" negative-root violations (need 0); counts {dict(sorted(counts.items()))}")
 
 
 def test_criterion_10_moduli_bridge():

@@ -374,6 +374,14 @@ class TestModuliScan:
         run(args + ["--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("ranges", ["-inf,inf", "-inf,0", "-1e308,1e308", "0,nan", "2,1"])
+    def test_bad_ranges_exit_2_with_one_error_line(self, ranges):
+        proc = run_fresh(["moduli", "scan", "--n", "2", f"--ranges={ranges}"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     def test_unwritable_path_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             ["moduli", "scan", "--n", "1", "--out",

@@ -15,6 +15,7 @@ from swphase.composite import (
     CompositeAdmissibilityError,
     CompositeKernel,
     block_norm_targets,
+    constraint_functions,
     constraint_jacobian,
     dual_dim,
     fano_blocks,
@@ -22,6 +23,7 @@ from swphase.composite import (
     make_composite_kernel,
     reduce_kernel,
     subsystem_wigner,
+    traceless_orthonormal_basis,
     verify_composite_master,
 )
 from swphase.linalg import mat_exp
@@ -190,6 +192,23 @@ class TestDualDim:
             svals = np.linalg.svd(jac, compute_uv=False)
             assert svals[2] > 1e-8
             assert svals[2] / svals[0] > 1e-6
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4)])
+    def test_jacobian_matches_central_differences(self, dims):
+        dims = BipartiteDims(*dims)
+        ia = np.eye(dims.n_a) / np.sqrt(dims.n_a)
+        ib = np.eye(dims.n_b) / np.sqrt(dims.n_b)
+        fa = traceless_orthonormal_basis(dims.n_a)
+        fb = traceless_orthonormal_basis(dims.n_b)
+        chart = ([kron(f, ib) for f in fa] + [kron(ia, g) for g in fb]
+                 + [kron(f, g) for f in fa for g in fb])
+        for seed in range(3):
+            m = make_composite_kernel(dims, seed).mat
+            step = 1e-6
+            ref = np.stack([(constraint_functions(m + step * d, dims)
+                             - constraint_functions(m - step * d, dims)) / (2.0 * step)
+                            for d in chart], axis=1)
+            assert np.abs(constraint_jacobian(m, dims) - ref).max() <= 1e-8
 
 
 class TestLocalUnitaryStructure:
