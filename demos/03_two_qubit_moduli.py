@@ -17,14 +17,13 @@ from swphase.twoqubit import (
     adjoint_matrix,
     build_lambda_basis,
     char_cubic_roots,
-    cross_commutator_report,
     ellipsoid_matrices,
     kak_element,
     kernel_from_moduli,
     moduli_feasibility,
     moduli_scan,
-    torus_factor_dependence,
 )
+from swphase.reports import cross_commutator_report, torus_factor_dependence
 
 dims = BipartiteDims(2, 2)
 
@@ -65,9 +64,8 @@ print(f"eig(B) = {np.round(np.linalg.eigvalsh(q.b), 4)}")
 print("Both sit in the window [0, 4/3]; moreover A + B <= (4/3) I:")
 print(f"  max eig(A + B) = {np.linalg.eigvalsh(q.a + q.b)[-1]:.4f}")
 
-report = char_cubic_roots(q)
-print(f"\ncharacteristic roots (sphere vs A): {np.round(report.roots_sphere_a.real, 4)}")
-print(f"characteristic roots (A vs B)     : {np.round(report.roots_ab.real, 4)}")
+print(f"\ncharacteristic roots (sphere vs A): {np.round(-q.eig_a, 4)}")
+print(f"characteristic roots (A vs B)     : {np.round(char_cubic_roots(q).real, 4)}")
 print(f"solver label at the matrix level 4/15: "
       f"{moduli_feasibility(q, level=MATRIX_LEVEL).classification}")
 
@@ -127,9 +125,8 @@ for r in nondeg:
     eb = np.linalg.eigvalsh(r.quadrics.b)
     if ea[0] <= 1.0 <= ea[-1] and eb[0] <= 1.0 <= eb[-1]:
         crossings += 1
-worst_root = max(max(r.roots.roots_sphere_a.real.max(),
-                     r.roots.roots_sphere_b.real.max(),
-                     r.roots.roots_ab.real.max()) for r in nondeg)
+worst_root = max(max((-r.quadrics.eig_a).max(), (-r.quadrics.eig_b).max(),
+                     r.roots_ab.real.max()) for r in nondeg)
 print(f"\n300 records: {n_deg} degenerate, {len(nondeg)} nondegenerate")
 print(f"largest characteristic root over all nondegenerate records: "
       f"{worst_root:.2e}")

@@ -12,7 +12,7 @@ parametrization; the mismatch is reported, never papered over.
 
 import json
 
-from swphase.twoqubit import convention_report
+from swphase.reports import convention_report
 
 report = convention_report(seed=0)
 

@@ -3,7 +3,8 @@
 Subpackages by concern: ``linalg`` (dense complex primitives), ``kernel``
 (elementary SW kernels and Wigner pairing), ``composite`` (bipartite
 admissibility and reduction), ``twoqubit`` (su(4) structure and the
-two-qubit moduli bundle), ``cli`` (command-line front end).
+two-qubit moduli bundle), ``reports`` (two-qubit Fano block norms and the
+convention audit), ``cli`` (command-line front end).
 """
 
 from .linalg import (
@@ -42,15 +43,13 @@ from .twoqubit import (
     adjoint_matrix,
     build_lambda_basis,
     char_cubic_roots,
-    convention_report,
     ellipsoid_matrices,
-    fano_compose,
-    fano_decompose,
     isotropy_dim,
     kak_element,
     kernel_from_moduli,
     moduli_feasibility,
     moduli_scan,
 )
+from .reports import convention_report
 
 __version__ = "0.1.0"

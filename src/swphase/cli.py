@@ -91,6 +91,13 @@ def _load_matrix_file(path: str) -> np.ndarray:
         raise ValueError(f"cannot read matrix: {exc}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors as one ``error:`` line and exit 2; sub-parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 # The parser of main, built on the first call of build_parser.
 _PARSER = None
 
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     global _PARSER
     if _PARSER is not None:
         return _PARSER
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swphase",
         description="Stratonovich-Weyl kernels, composite admissibility and "
                     "the two-qubit moduli scan.",

@@ -1,4 +1,4 @@
-"""Two-qubit kernel geometry: Fano coordinates, su(4) structure, moduli bundle.
+"""Two-qubit kernel geometry: su(4) structure and the moduli bundle.
 
 The traceless part of any two-qubit operator lives in the span of the 15
 Pauli tensor products sigma_mu x sigma_nu.  This module fixes the
@@ -8,7 +8,9 @@ machinery that turns the composite admissibility constraints into a bundle
 of a unit 2-sphere and two ellipsoids over the abelian group factor: the
 adjoint 15x15 rotation, the ellipsoid matrices, the roots of their
 characteristic cubics, and a closed-form solver (conic pencil, line pairs)
-for the points where sphere and both ellipsoids meet.
+for the points where sphere and both ellipsoids meet.  The Fano block
+norms of a two-qubit kernel and the convention audit live in
+:mod:`swphase.reports`.
 
 Batch axes
 ----------
@@ -20,63 +22,38 @@ failing stack index.  :func:`moduli_scan` runs these stages once per chunk
 of ``SCAN_CHUNK`` records; only the ragged per-record work (pencil roots,
 the solver) runs record by record, and :func:`moduli_record` is the
 batch-of-one case of the same pipeline.
-
-Convention pin
---------------
-A single tag governs the Fano parametrizations: "HS2" means basis elements
-sigma_{mu nu} / sqrt(2) (Hilbert-Schmidt norm sqrt(2)); "HS4" means plain
-sigma_{mu nu} (norm 2).  The library pins HS2 because it makes the
-elementary sum rule |eta_A|^2 + |eta_B|^2 + tr(E E^T) = 1 equivalent to
-the purity condition tr(Delta^2) = 4, and makes the moduli-sphere kernel
-construction land exactly on purity 4.  Block-norm values quoted in the
-literature for the alternative normalization are reported side by side by
-:func:`convention_report`, never silently adopted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import (
     DEFAULT_TOL,
-    BipartiteDims,
     as_complex_matrix,
-    haar_unitary,
     mat_exp,
     _check_each,
     _check_hermitian,
     _check_unitary,
 )
-from .kernel import SWKernel, kernel_from_spectrum, solve_kernel_spectrum
-from .composite import (
-    make_composite_kernel,
-    verify_composite_master,
-    _subsystem_purity_residuals,
-)
+from .kernel import SWKernel
 
 __all__ = [
-    "STATE_COEFF",
     "KERNEL_COEFF",
     "SIGMA",
     "FANO_ORDER",
     "LambdaBasis",
     "build_lambda_basis",
-    "FanoForm",
-    "fano_decompose",
-    "fano_compose",
-    "elementary_constraint_value",
-    "TwoQubitBlockReport",
-    "twoqubit_constraint_values",
     "KakElement",
     "abelian_factor",
     "kak_element",
     "adjoint_matrix",
     "QuadricTriple",
     "ellipsoid_matrices",
-    "RootReport",
     "char_cubic_roots",
     "kernel_from_moduli",
     "FeasibilityResult",
@@ -88,14 +65,11 @@ __all__ = [
     "moduli_record",
     "moduli_scan",
     "SCAN_CSV_COLUMNS",
+    "scan_record_row",
     "scan_to_csv",
     "scan_to_json",
-    "torus_factor_dependence",
-    "cross_commutator_report",
-    "convention_report",
 ]
 
-STATE_COEFF = np.sqrt(6.0) / 4.0
 KERNEL_COEFF = np.sqrt(30.0) / 4.0
 
 _P0 = np.eye(2, dtype=complex)
@@ -134,11 +108,11 @@ class LambdaBasis:
     """
 
     lambdas: np.ndarray
-    a_indices: tuple = (11, 9, 13)
-    a_prime_indices: tuple = (4, 1, 7)
-    k_prime_indices: tuple = (3, 6, 15)
-    k_signed: tuple = ((-1, 14), (1, 2), (-1, 8), (-1, 5), (1, 12), (-1, 10))
-    lu_local_indices: tuple = (1, 2, 3, 4, 5, 6)
+    a_indices: ClassVar[tuple] = (11, 9, 13)
+    a_prime_indices: ClassVar[tuple] = (4, 1, 7)
+    k_prime_indices: ClassVar[tuple] = (3, 6, 15)
+    k_signed: ClassVar[tuple] = ((-1, 14), (1, 2), (-1, 8), (-1, 5), (1, 12), (-1, 10))
+    lu_local_indices: ClassVar[tuple] = (1, 2, 3, 4, 5, 6)
 
     def span(self, indices) -> np.ndarray:
         """Stack of generators for one-based ``indices``."""
@@ -170,156 +144,6 @@ class LambdaBasis:
 def build_lambda_basis() -> LambdaBasis:
     """Construct the generator basis; -tr(l_i l_j) = delta_ij."""
     return LambdaBasis(lambdas=_LAMBDA.copy())
-
-
-@dataclass(frozen=True)
-class FanoForm:
-    """Bloch-vector parametrization of a two-qubit Hermitian matrix.
-
-    x = identity_coeff * I_4
-        + coeff * (xi_a . basis_A + xi_b . basis_B + corr_ij basis_i x basis_j)
-
-    where the basis elements are sigma_{mu nu} / sqrt(2) under the "HS2"
-    tag and plain sigma_{mu nu} under "HS4".
-    """
-
-    xi_a: np.ndarray
-    xi_b: np.ndarray
-    corr: np.ndarray
-    coeff: float
-    basis_norm: str
-    identity_coeff: float
-
-
-def _basis_scale(basis_norm: str) -> float:
-    if basis_norm == "HS2":
-        return np.sqrt(2.0)
-    if basis_norm == "HS4":
-        return 1.0
-    raise ValueError(f"basis_norm must be 'HS2' or 'HS4', got {basis_norm!r}")
-
-
-def fano_decompose(x, coeff: float = STATE_COEFF, basis_norm: str = "HS2") -> FanoForm:
-    """Extract Fano coordinates of a Hermitian 4x4 matrix by projection.
-
-    Parameters
-    ----------
-    x : array_like
-        Hermitian 4x4 matrix (defect beyond 1e-10 is rejected).
-    coeff : float
-        Overall scale in front of the traceless part; sqrt(6)/4 for states,
-        sqrt(30)/4 for kernels.
-    basis_norm : {"HS2", "HS4"}
-        Normalization tag for the basis elements.
-    """
-    m = as_complex_matrix(x)
-    if m.shape[0] != 4:
-        raise ValueError("Fano decomposition is for 4x4 matrices")
-    _check_hermitian(m)
-    s = _basis_scale(basis_norm)
-    raw = np.einsum("mab,ba->m", SIGMA, m).real / 4.0
-    coords = raw * (s / coeff)
-    return FanoForm(
-        xi_a=coords[0:3],
-        xi_b=coords[3:6],
-        corr=coords[6:15].reshape(3, 3),
-        coeff=float(coeff),
-        basis_norm=basis_norm,
-        identity_coeff=float(np.trace(m).real / 4.0),
-    )
-
-
-def fano_compose(form: FanoForm) -> np.ndarray:
-    """Reassemble the matrix from Fano coordinates."""
-    s = _basis_scale(form.basis_norm)
-    coords = np.concatenate([form.xi_a, form.xi_b, form.corr.reshape(-1)])
-    traceless = np.einsum("m,mab->ab", coords, SIGMA) / s
-    return form.identity_coeff * np.eye(4, dtype=complex) + form.coeff * traceless
-
-
-def elementary_constraint_value(delta_fano: FanoForm) -> float:
-    """Sum rule S = |eta_A|^2 + |eta_B|^2 + tr(E E^T) for a kernel Fano form.
-
-    Under the pinned HS2 convention with kernel coefficient sqrt(30)/4,
-    S = 1 is equivalent to the purity condition tr(Delta^2) = 4.
-    """
-    if abs(delta_fano.coeff - KERNEL_COEFF) > 1e-12:
-        raise ValueError("Fano form was not built with the kernel coefficient")
-    return float(
-        delta_fano.xi_a @ delta_fano.xi_a
-        + delta_fano.xi_b @ delta_fano.xi_b
-        + np.sum(delta_fano.corr**2)
-    )
-
-
-@dataclass(frozen=True)
-class TwoQubitBlockReport:
-    """Measured Fano block norms of a two-qubit kernel and their targets.
-
-    ``matrix_residuals`` holds |tr(Delta^2) - 4| and the two subsystem
-    purity residuals |tr((Tr_B Delta)^2) - 2|, |tr((Tr_A Delta)^2) - 2|;
-    these matrix-level values are the authoritative admissibility check.
-    The block targets are one-time derivations, hard-coded (see
-    :func:`twoqubit_constraint_values`).
-    """
-
-    measured: tuple
-    targets_pinned: tuple
-    targets_hs4: tuple
-    literature_values: tuple
-    matrix_residuals: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "measured_hs2": list(self.measured),
-            "targets_hs2": list(self.targets_pinned),
-            "targets_hs4": list(self.targets_hs4),
-            "literature_values": list(self.literature_values),
-            "matrix_residuals": {
-                "purity": self.matrix_residuals[0],
-                "eq8_a": self.matrix_residuals[1],
-                "eq8_b": self.matrix_residuals[2],
-            },
-        }
-
-
-def twoqubit_constraint_values(delta) -> TwoQubitBlockReport:
-    """Measured block norms of a candidate two-qubit kernel vs. derived targets.
-
-    Derivation of the hard-coded targets: in the orthonormal (HS-norm-1)
-    product basis, composite admissibility at (2, 2) forces squared block
-    weights 3/4, 3/4, 9/4 for the A-local, B-local and correlation blocks
-    (subsystem purity 2 each, total purity 4).  A Fano block written as
-    coeff * eta . (sigma / s) carries orthonormal weight
-    (coeff^2 * 4 / s^2) |eta|^2, so with coeff = sqrt(30)/4:
-
-        HS2 (s = sqrt(2)):  (15/4) |eta|^2  ->  targets (1/5, 1/5, 3/5)
-        HS4 (s = 1):        (15/2) |eta|^2  ->  targets (1/10, 1/10, 3/10)
-
-    The literature triple (1/10, 1/10, 4/5) for this parametrization sums
-    to 1 like the HS2 triple but matches neither uniform normalization;
-    it is reported, not adopted.
-    """
-    m = as_complex_matrix(delta)
-    # fano_decompose also rejects input that is not 4x4 or not Hermitian.
-    form = fano_decompose(m, coeff=KERNEL_COEFF, basis_norm="HS2")
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"kernel trace {tr} != 1")
-    measured = (
-        float(form.xi_a @ form.xi_a),
-        float(form.xi_b @ form.xi_b),
-        float(np.sum(form.corr**2)),
-    )
-    res_a, res_b = np.abs(_subsystem_purity_residuals(m, BipartiteDims(2, 2)))
-    residuals = (float(abs(np.trace(m @ m).real - 4.0)), float(res_a), float(res_b))
-    return TwoQubitBlockReport(
-        measured=measured,
-        targets_pinned=(0.2, 0.2, 0.6),
-        targets_hs4=(0.1, 0.1, 0.3),
-        literature_values=(0.1, 0.1, 0.8),
-        matrix_residuals=residuals,
-    )
 
 
 @dataclass(frozen=True)
@@ -407,26 +231,33 @@ def adjoint_matrix(a) -> np.ndarray:
     return o
 
 
+# Eigenvalue floor below which a quadric counts as rank-deficient: the
+# pencil det(t A + B) goes through the polynomial fallback and the record is
+# labelled degenerate.
+_COND_FLOOR = 1e-8
+
+
 @dataclass(frozen=True, slots=True)
 class QuadricTriple:
     """Ellipsoid matrices of the moduli bundle over torus coordinates.
 
     ``a`` and ``b`` are symmetric positive-semidefinite 3x3 matrices with
     eigenvalues <= 4/3; together with the unit sphere they define the
-    admissibility locus in the coordinates named by ``mu_labels``.  They
+    admissibility locus in the torus coordinates (mu3, mu6, mu15).  They
     may also be stacks (..., 3, 3) of equal shape, one pair per record;
     indexing the triple gives the pair of one record.  ``eig_a`` and
     ``eig_b`` hold the ascending eigenvalues, computed once by the
-    positive-semidefinite check.  ``roots`` is :func:`char_cubic_roots`
-    of a single pair, computed on first use and kept.
+    positive-semidefinite check; -eig_a and -eig_b are the roots of
+    det(t I + A) and det(t I + B).  ``rank_a`` and ``rank_b`` count the
+    eigenvalues above ``_COND_FLOOR``, one count per pair.
     """
 
     a: np.ndarray
     b: np.ndarray
-    mu_labels: tuple = ("mu3", "mu6", "mu15")
     eig_a: np.ndarray = field(init=False, repr=False, compare=False)
     eig_b: np.ndarray = field(init=False, repr=False, compare=False)
-    _roots: RootReport | None = field(init=False, default=None, repr=False, compare=False)
+    rank_a: np.ndarray = field(init=False, repr=False, compare=False)
+    rank_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, m in (("a", self.a), ("b", self.b)):
@@ -439,6 +270,7 @@ class QuadricTriple:
             _check_each(eig[..., 0] < -1e-10, f"{name} is not positive semidefinite")
             object.__setattr__(self, name, arr)
             object.__setattr__(self, f"eig_{name}", eig)
+            object.__setattr__(self, f"rank_{name}", np.count_nonzero(eig > _COND_FLOOR, axis=-1))
         if self.a.shape != self.b.shape:
             raise ValueError(f"a and b stacks differ in shape: {self.a.shape} vs {self.b.shape}")
 
@@ -447,18 +279,9 @@ class QuadricTriple:
         if self.a.ndim == 2:
             raise TypeError("a single quadric pair has no records to index")
         part = object.__new__(QuadricTriple)
-        for name in ("a", "b", "eig_a", "eig_b"):
+        for name in ("a", "b", "eig_a", "eig_b", "rank_a", "rank_b"):
             object.__setattr__(part, name, getattr(self, name)[index])
-        object.__setattr__(part, "mu_labels", self.mu_labels)
-        object.__setattr__(part, "_roots", None)
         return part
-
-    @property
-    def roots(self) -> RootReport:
-        """:func:`char_cubic_roots` at its default tolerances, computed on first use."""
-        if self._roots is None:
-            object.__setattr__(self, "_roots", char_cubic_roots(self))
-        return self._roots
 
 
 def ellipsoid_matrices(o) -> QuadricTriple:
@@ -482,24 +305,6 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     return QuadricTriple(a=quadrics[0], b=quadrics[1])
 
 
-@dataclass(frozen=True)
-class RootReport:
-    """Roots of the three characteristic cubics.
-
-    roots_sphere_a/b are the roots of det(t I + A) resp. det(t I + B);
-    roots_ab those of det(t A + B).  For positive-semidefinite A and B no
-    root is positive.  A rank-deficient leading matrix routes the pencil
-    through a polynomial fallback (``ab_degenerate``).
-    """
-
-    roots_sphere_a: np.ndarray
-    roots_sphere_b: np.ndarray
-    roots_ab: np.ndarray
-    rank_a: int
-    rank_b: int
-    ab_degenerate: bool
-
-
 def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Finite roots of det(t qa + qb) via exact cubic interpolation."""
     ts = np.array([-2.0, -1.0, 0.0, 1.0])
@@ -514,45 +319,23 @@ def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     return np.roots(trimmed)
 
 
-# Eigenvalue floor below which a quadric counts as rank-deficient: the
-# pencil det(t A + B) goes through the polynomial fallback and the record is
-# labelled degenerate.
-_COND_FLOOR = 1e-8
+def char_cubic_roots(q: QuadricTriple) -> np.ndarray:
+    """Roots of det(t A + B) for a single quadric pair.
 
-
-def char_cubic_roots(q: QuadricTriple) -> RootReport:
-    """Roots of the three characteristic cubics and the ranks of A and B.
-
-    det(t I + A) has roots -eig(A), likewise for B.  det(t A + B) is solved
-    through the symmetric-definite pencil when A is positive definite
-    (smallest eigenvalue above ``_COND_FLOOR``); otherwise a direct
-    polynomial fallback reports the finite roots.
-    The eigenvalues come from ``q`` (computed once, over the whole stack
-    when ``q`` was indexed from one); ``q`` must be a single pair.
+    Solved through the symmetric-definite pencil when A has full rank
+    (``q.rank_a == 3``); otherwise a direct polynomial fallback reports the
+    finite roots.  For positive-semidefinite A and B no root is positive.
+    The roots of det(t I + A) and det(t I + B) are -q.eig_a and -q.eig_b.
     """
     if q.a.ndim != 2:
         raise ValueError("char_cubic_roots takes one quadric pair; index the stack first")
-    eig_a, eig_b = q.eig_a, q.eig_b
-    rank_a = int(np.count_nonzero(eig_a > _COND_FLOOR))
-    rank_b = int(np.count_nonzero(eig_b > _COND_FLOOR))
-    if eig_a[0] > _COND_FLOOR:
-        # The LAPACK routine scipy.linalg.eigh(q.b, q.a, eigvals_only=True) calls.
-        gen, _, info = scipy.linalg.lapack.dsygvd(q.b, q.a, jobz="N")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dsygvd info {info})")
-        roots_ab = (-gen).astype(complex)
-        ab_degenerate = False
-    else:
-        roots_ab = _det_poly_roots(q.a, q.b)
-        ab_degenerate = True
-    return RootReport(
-        roots_sphere_a=(-eig_a).astype(complex),
-        roots_sphere_b=(-eig_b).astype(complex),
-        roots_ab=roots_ab,
-        rank_a=rank_a,
-        rank_b=rank_b,
-        ab_degenerate=ab_degenerate,
-    )
+    if q.rank_a < 3:
+        return _det_poly_roots(q.a, q.b)
+    # The LAPACK routine scipy.linalg.eigh(q.b, q.a, eigvals_only=True) calls.
+    gen, _, info = scipy.linalg.lapack.dsygvd(q.b, q.a, jobz="N")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dsygvd info {info})")
+    return (-gen).astype(complex)
 
 
 def kernel_from_moduli(u, mu) -> SWKernel:
@@ -587,10 +370,9 @@ def kernel_from_moduli(u, mu) -> SWKernel:
 class FeasibilityResult:
     """Solutions of the sphere-plus-two-ellipsoids system, with the verdict.
 
-    ``classification`` is "degenerate" when A or B is rank-deficient
-    (smallest eigenvalue at most ``_COND_FLOOR``, the rule of ``rank_a`` and
-    ``rank_b``); otherwise "feasible" when solutions were found and "empty"
-    when none were.
+    ``classification`` is "degenerate" when A or B has rank below 3
+    (:attr:`QuadricTriple.rank_a`, :attr:`QuadricTriple.rank_b`); otherwise
+    "feasible" when solutions were found and "empty" when none were.
     """
 
     solutions: list
@@ -656,7 +438,7 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
 
 def _feasibility_result(q: QuadricTriple, solutions: list) -> FeasibilityResult:
     """The solutions of one pair with their label (see :class:`FeasibilityResult`)."""
-    if min(q.eig_a[0], q.eig_b[0]) <= _COND_FLOOR:
+    if min(q.rank_a, q.rank_b) < 3:
         label = "degenerate"
     else:
         label = "feasible" if solutions else "empty"
@@ -745,13 +527,13 @@ def isotropy_dim(delta, algebra: str = "lu_local") -> int:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One moduli-scan draw: abelian parameters, quadrics, roots, solutions."""
+    """One moduli-scan draw: abelian parameters, quadrics, their pencil roots, solutions."""
 
     record_index: int
     a_params: np.ndarray
     a_prime_params: np.ndarray
     quadrics: QuadricTriple
-    roots: RootReport
+    roots_ab: np.ndarray
     feasibility: FeasibilityResult
 
     @property
@@ -784,7 +566,7 @@ def _moduli_records(first_index: int, a_params: np.ndarray, a_prime_params: np.n
         qk = q[k]
         feas = moduli_feasibility(qk) if reach else _feasibility_result(qk, [])
         records.append(ScanRecord(first_index + k, a_params[k], a_prime_params[k],
-                                  qk, qk.roots, feas))
+                                  qk, char_cubic_roots(qk), feas))
     return records
 
 
@@ -848,12 +630,12 @@ def _fmt_root(r: complex) -> str:
 
 def scan_record_row(rec: ScanRecord) -> list:
     """One CSV row; each array goes to Python floats once, whose repr round-trips."""
-    q, roots = rec.quadrics, rec.roots
+    q = rec.quadrics
     params = rec.a_params.tolist() + rec.a_prime_params.tolist()
     eigs = q.eig_a[::-1].tolist() + q.eig_b[::-1].tolist()
-    roots_ab = ";".join(map(_fmt_root, roots.roots_ab.tolist()))
+    roots_ab = ";".join(map(_fmt_root, rec.roots_ab.tolist()))
     sols = ";".join(" ".join(map(repr, s.tolist())) for s in rec.feasibility.solutions)
-    return [rec.record_index, *map(repr, params), roots.rank_a, roots.rank_b,
+    return [rec.record_index, *map(repr, params), q.rank_a, q.rank_b,
             *map(repr, eigs), roots_ab, rec.classification, rec.n_solutions, sols]
 
 
@@ -871,113 +653,18 @@ def scan_to_json(records) -> list:
     """JSON mirror of the CSV dataset (same fields, structured values)."""
     out = []
     for rec in records:
-        q, roots = rec.quadrics, rec.roots
+        q = rec.quadrics
         out.append({
             "record_index": rec.record_index,
             "a_params": rec.a_params.tolist(),
             "ap_params": rec.a_prime_params.tolist(),
-            "rank_A": roots.rank_a,
-            "rank_B": roots.rank_b,
+            "rank_A": int(q.rank_a),
+            "rank_B": int(q.rank_b),
             "eig_A": q.eig_a[::-1].tolist(),
             "eig_B": q.eig_b[::-1].tolist(),
-            "roots_AB": [[r.real, r.imag] for r in roots.roots_ab.tolist()],
+            "roots_AB": [[r.real, r.imag] for r in rec.roots_ab.tolist()],
             "classification": rec.classification,
             "n_solutions": rec.n_solutions,
             "solutions": [s.tolist() for s in rec.feasibility.solutions],
         })
     return out
-
-
-def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
-                            seed=0) -> dict:
-    """Measure how the K and T factors move the composite residuals.
-
-    The bundle construction keeps only the abelian factor of the full
-    K * A * T decomposition.  This experiment fixes (A, mu), conjugates by
-    random K and T factors, and reports the maximum change of the two
-    subsystem purity values.  Torus invariance is an identity (diagonal
-    factors commute with the diagonal seed); the K dependence is a measured
-    number, reported rather than assumed to vanish.
-    """
-    dims = BipartiteDims(2, 2)
-    lb = build_lambda_basis()
-    factor_a = abelian_factor(a_params, a_prime_params)
-
-    def purity_residuals(u):
-        return np.abs(_subsystem_purity_residuals(kernel_from_moduli(u, mu).mat, dims))
-
-    base = purity_residuals(factor_a)
-    rng = np.random.default_rng(seed)
-    max_t_shift = max_k_shift = 0.0
-    for _ in range(n_draws):
-        t = _exp_span(rng.uniform(-np.pi, np.pi, 3), lb.k_prime_generators)
-        max_t_shift = max(max_t_shift, *np.abs(purity_residuals(factor_a @ t) - base))
-        k = _exp_span(rng.uniform(-np.pi, np.pi, 6), lb.k_generators)
-        max_k_shift = max(max_k_shift, *np.abs(purity_residuals(k @ factor_a) - base))
-    return {
-        "base_purity_a_residual": float(base[0]),
-        "base_purity_b_residual": float(base[1]),
-        "max_torus_shift": float(max_t_shift),
-        "max_k_shift": float(max_k_shift),
-        "n_draws": n_draws,
-    }
-
-
-def cross_commutator_report() -> dict:
-    """Numerically locate the span of commutators between the two abelian planes.
-
-    Returns the dimension of span{[a', a]} and the Frobenius weight of its
-    projection onto the twisted block, the torus, the abelian planes and
-    the local block.  Reported, not asserted: no target is guessed for
-    where these commutators must land.
-    """
-    lb = build_lambda_basis()
-    comms = []
-    for x in lb.a_prime_generators:
-        for y in lb.a_generators:
-            comms.append(x @ y - y @ x)
-    comms = np.stack(comms)
-    coeff = -np.einsum("cab,mba->cm", comms, lb.lambdas).real
-    span_dim = int(np.linalg.matrix_rank(coeff, tol=1e-10))
-
-    def weight(gens):
-        proj = -np.einsum("cab,mba->cm", comms, gens).real
-        return float(np.linalg.norm(proj) ** 2)
-
-    total = float(np.linalg.norm(coeff) ** 2)
-    return {
-        "span_dim": span_dim,
-        "total_weight": total,
-        "weight_k_twisted": weight(lb.k_generators),
-        "weight_torus": weight(lb.k_prime_generators),
-        "weight_abelian_planes": weight(np.concatenate(
-            [lb.a_generators, lb.a_prime_generators])),
-        "weight_local": weight(lb.local_generators),
-    }
-
-
-def convention_report(seed=0) -> dict:
-    """Audit of the basis-normalization pin against the composite constraints.
-
-    Builds a random elementary kernel (the sum rule must give 1 under the
-    pin) and a random composite kernel, then prints the measured block
-    norms alongside every candidate target triple and the authoritative
-    matrix-level residuals.  Discrepancies between conventions are part of
-    the report by construction.
-    """
-    spec = solve_kernel_spectrum(4, "random", seed=seed)
-    elem = kernel_from_spectrum(spec, haar_unitary(4, seed))
-    s_value = elementary_constraint_value(
-        fano_decompose(elem.mat, coeff=KERNEL_COEFF, basis_norm="HS2"))
-
-    dims = BipartiteDims(2, 2)
-    comp = make_composite_kernel(dims, seed)
-    block_report = twoqubit_constraint_values(comp.mat)
-    matrix_report = verify_composite_master(comp.mat, dims)
-    return {
-        "pinned_convention": "HS2",
-        "elementary_sum_rule": s_value,
-        "elementary_sum_rule_target": 1.0,
-        "composite_blocks": block_report.as_dict(),
-        "composite_matrix_report": matrix_report.as_dict(),
-    }

@@ -33,20 +33,21 @@ from swphase.composite import (
     verify_composite_master,
 )
 from swphase.twoqubit import (
-    KERNEL_COEFF,
     MATRIX_LEVEL,
     QuadricTriple,
     abelian_factor,
     adjoint_matrix,
     build_lambda_basis,
-    convention_report,
-    elementary_constraint_value,
+    char_cubic_roots,
     ellipsoid_matrices,
-    fano_decompose,
     isotropy_dim,
     kernel_from_moduli,
     moduli_feasibility,
     moduli_record,
+)
+from swphase.reports import (
+    convention_report,
+    elementary_constraint_value,
     twoqubit_constraint_values,
 )
 
@@ -314,7 +315,6 @@ def test_criterion_09_root_criterion(quadric_batch):
     counts = {}
     for idx in range(n_draws):
         q = quads[idx]
-        report = q.roots
         feas = moduli_feasibility(q, level=MATRIX_LEVEL)
         sols = np.array(feas.solutions).reshape(-1, 3)
         counts[len(sols)] = counts.get(len(sols), 0) + 1
@@ -329,9 +329,9 @@ def test_criterion_09_root_criterion(quadric_batch):
         if feas.classification == "degenerate":
             continue
         n_nondeg += 1
-        has_negative = (report.roots_sphere_a.real.min() < -1e-9
-                        and report.roots_sphere_b.real.min() < -1e-9
-                        and report.roots_ab.real.min() < -1e-9)
+        has_negative = ((-q.eig_a).min() < -1e-9
+                        and (-q.eig_b).min() < -1e-9
+                        and char_cubic_roots(q).real.min() < -1e-9)
         if not has_negative:
             n_root_violations += 1
         if abs(margins[idx]) > 1e-9:
@@ -385,10 +385,8 @@ def test_criterion_11_convention_ledger():
     documented = (blocks["literature_values"] == [0.1, 0.1, 0.8]
                   and blocks["literature_values"] != blocks["targets_hs2"])
     matrix_ok = max(blocks["matrix_residuals"].values()) < 1e-10
-    elementary = fano_decompose(
-        kernel_from_moduli(haar_unitary(4, 12),
-                           np.array([3.0, -2.0, 1.0]) / np.sqrt(14.0)).mat,
-        coeff=KERNEL_COEFF, basis_norm="HS2")
+    elementary = kernel_from_moduli(haar_unitary(4, 12),
+                                    np.array([3.0, -2.0, 1.0]) / np.sqrt(14.0)).mat
     s_check = abs(elementary_constraint_value(elementary) - 1.0)
     measured = twoqubit_constraint_values(make_composite_kernel(DIMS22, 13).mat)
     measured_ok = np.allclose(measured.measured, measured.targets_pinned,

@@ -54,6 +54,21 @@ class TestParserReuse:
         assert outs == fresh
 
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "gen", "--n", "4", "--composite", "--dims", "2y2"],
+        ["reconstruct", "--n", "4", "--samples", "0"],
+        ["moduli", "scan"],
+        ["moduli", "scan", "--n", "x"],
+        ["frobnicate"],
+    ], ids=["dims", "samples", "missing-n", "bad-int", "unknown-command"])
+    def test_parse_error_exit_2_with_one_error_line(self, argv):
+        proc = run_fresh(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 class TestKernelGen:
     def test_n2_spectrum(self, capsys):
         code, out, _ = run(["kernel", "gen", "--n", "2", "--seed", "7"], capsys)
@@ -374,7 +389,8 @@ class TestModuliScan:
         run(args + ["--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("ranges", ["-inf,inf", "-inf,0", "-1e308,1e308", "0,nan", "2,1"])
+    @pytest.mark.parametrize("ranges", ["-inf,inf", "-inf,0", "-1e308,1e308", "0,nan", "2,1",
+                                        "abc"])
     def test_bad_ranges_exit_2_with_one_error_line(self, ranges):
         proc = run_fresh(["moduli", "scan", "--n", "2", f"--ranges={ranges}"])
         assert proc.returncode == 2

@@ -43,10 +43,30 @@ def _product_kernel():
 class TestFanoBlocks:
     def test_round_trip(self):
         for dims in (DIMS22, BipartiteDims(2, 3)):
-            h = random_hermitian(dims.total, seed=dims.total)
-            blocks = fano_blocks(h, dims)
-            back = fano_blocks_compose(blocks)
-            assert np.linalg.norm(back - h) < 1e-12
+            for seed in range(50):
+                h = random_hermitian(dims.total, seed=seed)
+                blocks = fano_blocks(h, dims)
+                back = fano_blocks_compose(blocks)
+                assert np.linalg.norm(back - h) < 1e-12
+
+    def test_pauli_coefficient_2x2(self):
+        # (I + sigma_z ⊗ I)/4 on F_z = sigma_z / sqrt(2): tr(x (F_z ⊗ I)) / sqrt(2) = 1/2
+        x = (np.eye(4) + kron(np.diag([1.0, -1.0]), np.eye(2))) / 4.0
+        blocks = fano_blocks(x, DIMS22)
+        np.testing.assert_allclose(blocks.local_a, [0.0, 0.0, 0.5], atol=1e-15)
+        assert np.linalg.norm(blocks.local_b) < 1e-15
+        assert np.linalg.norm(blocks.corr) < 1e-15
+
+    def test_pure_states_2x2(self):
+        # traceless blocks of a pure state carry tr(rho^2) - 1/4 = 3/4
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            blocks = fano_blocks(np.outer(v, v.conj()), DIMS22)
+            s = (blocks.local_a @ blocks.local_a + blocks.local_b @ blocks.local_b
+                 + np.sum(blocks.corr**2))
+            assert abs(s - 0.75) < 1e-10
 
     def test_identity_coeff_is_scaled_trace(self):
         h = random_hermitian(4, 3)

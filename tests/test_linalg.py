@@ -43,10 +43,10 @@ def _unitarity_sites():
 
 def _hermiticity_sites():
     from swphase.composite import fano_blocks
-    from swphase.twoqubit import fano_decompose, isotropy_dim, twoqubit_constraint_values
+    from swphase.reports import twoqubit_constraint_values
+    from swphase.twoqubit import isotropy_dim
 
     return {
-        "fano_decompose": fano_decompose,
         "twoqubit_constraint_values": twoqubit_constraint_values,
         "isotropy_dim": isotropy_dim,
         "fano_blocks": lambda x: fano_blocks(x, BipartiteDims(2, 2)),

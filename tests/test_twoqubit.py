@@ -5,27 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
+from swphase.linalg import BipartiteDims, haar_unitary
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import make_composite_kernel, verify_composite_master
 from swphase import twoqubit
 from swphase.twoqubit import (
-    KERNEL_COEFF,
     MATRIX_LEVEL,
     SCAN_CHUNK,
     SCAN_CSV_COLUMNS,
-    SIGMA,
     QuadricTriple,
     abelian_factor,
     adjoint_matrix,
     build_lambda_basis,
     char_cubic_roots,
-    convention_report,
-    cross_commutator_report,
-    elementary_constraint_value,
     ellipsoid_matrices,
-    fano_compose,
-    fano_decompose,
     isotropy_dim,
     kak_element,
     kernel_from_moduli,
@@ -35,6 +28,11 @@ from swphase.twoqubit import (
     scan_record_row,
     scan_to_csv,
     scan_to_json,
+)
+from swphase.reports import (
+    convention_report,
+    cross_commutator_report,
+    elementary_constraint_value,
     torus_factor_dependence,
     twoqubit_constraint_values,
 )
@@ -103,53 +101,14 @@ class TestLambdaBasis:
             report["weight_k_twisted"], abs=1e-10)
 
 
-class TestFanoForm:
-    def test_maximally_mixed(self):
-        form = fano_decompose(np.eye(4) / 4)
-        assert np.linalg.norm(form.xi_a) < 1e-15
-        assert np.linalg.norm(form.xi_b) < 1e-15
-        assert np.linalg.norm(form.corr) < 1e-15
-
-    def test_raw_pauli_coefficient(self):
-        # quarter-weight sigma_z ⊗ I: raw projection coefficient is 1/4
-        x = (np.eye(4) + SIGMA[2]) / 4.0
-        form = fano_decompose(x, coeff=1.0, basis_norm="HS4")
-        np.testing.assert_allclose(form.xi_a, [0.0, 0.0, 0.25], atol=1e-15)
-
-    def test_round_trip(self):
-        for seed in range(200):
-            h = random_hermitian(4, seed)
-            for basis_norm in ("HS2", "HS4"):
-                form = fano_decompose(h, basis_norm=basis_norm)
-                assert np.linalg.norm(fano_compose(form) - h) < 1e-13
-
-    def test_pure_state_sum_rule(self):
-        # HS2 with the state coefficient: pure states sit on the unit shell
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            v /= np.linalg.norm(v)
-            rho = np.outer(v, v.conj())
-            form = fano_decompose(rho)
-            s = (form.xi_a @ form.xi_a + form.xi_b @ form.xi_b
-                 + np.sum(form.corr**2))
-            assert abs(s - 1.0) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            fano_decompose(np.eye(4) + 1j * np.diag([1, 0, 0, 0]))
-
-
 class TestElementaryConstraint:
     def test_moduli_kernel_on_shell(self):
         ker = kernel_from_moduli(np.eye(4), [1.0, 0.0, 0.0])
-        s = elementary_constraint_value(
-            fano_decompose(ker.mat, coeff=KERNEL_COEFF, basis_norm="HS2"))
+        s = elementary_constraint_value(ker.mat)
         assert abs(s - 1.0) < 1e-12
 
     def test_maximally_mixed_is_zero(self):
-        s = elementary_constraint_value(
-            fano_decompose(np.eye(4) / 4, coeff=KERNEL_COEFF, basis_norm="HS2"))
+        s = elementary_constraint_value(np.eye(4) / 4)
         assert abs(s) < 1e-15
 
     def test_random_elementary_kernel(self):
@@ -157,13 +116,8 @@ class TestElementaryConstraint:
             ker = kernel_from_spectrum(
                 solve_kernel_spectrum(4, "random", seed=seed),
                 haar_unitary(4, seed + 77))
-            s = elementary_constraint_value(
-                fano_decompose(ker.mat, coeff=KERNEL_COEFF, basis_norm="HS2"))
+            s = elementary_constraint_value(ker.mat)
             assert abs(s - 1.0) < 1e-10
-
-    def test_rejects_state_coefficient(self):
-        with pytest.raises(ValueError):
-            elementary_constraint_value(fano_decompose(np.eye(4) / 4))
 
 
 class TestTwoQubitConstraintValues:
@@ -267,17 +221,17 @@ class TestEllipsoidMatrices:
 
 class TestCharCubicRoots:
     def test_degenerate_reference(self):
+        from swphase.twoqubit import _det_poly_roots
+
         q = ellipsoid_matrices(np.eye(15))
-        report = char_cubic_roots(q)
-        np.testing.assert_allclose(
-            np.sort(report.roots_sphere_a.real), [-4.0 / 3.0, 0.0, 0.0], atol=1e-14)
-        assert report.rank_a == 1
-        assert report.ab_degenerate
+        np.testing.assert_allclose(np.sort(-q.eig_a), [-4.0 / 3.0, 0.0, 0.0], atol=1e-14)
+        assert q.rank_a == 1
+        # rank below 3: the pencil goes through the polynomial fallback
+        np.testing.assert_array_equal(char_cubic_roots(q), _det_poly_roots(q.a, q.b))
 
     def test_proportional_quadrics(self):
         q = QuadricTriple(a=(4.0 / 3.0) * np.eye(3), b=(4.0 / 3.0) * np.eye(3))
-        report = char_cubic_roots(q)
-        np.testing.assert_allclose(report.roots_ab.real, [-1.0, -1.0, -1.0],
+        np.testing.assert_allclose(char_cubic_roots(q).real, [-1.0, -1.0, -1.0],
                                    atol=1e-12)
 
     def test_cubic_path_matches_eigenvalue_path(self):
@@ -286,24 +240,21 @@ class TestCharCubicRoots:
 
         for seed in range(30):
             q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 3000)))
-            report = char_cubic_roots(q)
+            roots_ab = char_cubic_roots(q)
             gold_a = np.sort(_det_poly_roots(np.eye(3), q.a).real)
-            np.testing.assert_allclose(
-                np.sort(report.roots_sphere_a.real), gold_a, atol=1e-10)
-            if not report.ab_degenerate:
+            np.testing.assert_allclose(np.sort(-q.eig_a), gold_a, atol=1e-10)
+            if q.rank_a == 3:
                 gold_ab = np.sort(_det_poly_roots(q.a, q.b).real)
-                np.testing.assert_allclose(
-                    np.sort(report.roots_ab.real), gold_ab, atol=1e-8)
+                np.testing.assert_allclose(np.sort(roots_ab.real), gold_ab, atol=1e-8)
 
     def test_negative_root_sweep(self):
         for seed in range(200):
             q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 7000)))
-            report = char_cubic_roots(q)
-            if min(report.rank_a, report.rank_b) < 3:
+            if min(q.rank_a, q.rank_b) < 3:
                 continue
-            assert report.roots_sphere_a.real.min() < -1e-9
-            assert report.roots_sphere_b.real.min() < -1e-9
-            assert report.roots_ab.real.min() < -1e-9
+            assert (-q.eig_a).min() < -1e-9
+            assert (-q.eig_b).min() < -1e-9
+            assert char_cubic_roots(q).real.min() < -1e-9
 
 
 class TestKernelFromModuli:
@@ -450,7 +401,7 @@ class TestModuliFeasibility:
 
     def test_label_feasible(self):
         rec = moduli_scan(200, seed=3)[79]
-        assert (rec.roots.rank_a, rec.roots.rank_b) == (3, 3)
+        assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (3, 3)
         result = moduli_feasibility(rec.quadrics, level=MATRIX_LEVEL)
         assert result.n_solutions == 4
         assert result.classification == "feasible"
@@ -458,7 +409,7 @@ class TestModuliFeasibility:
     def test_label_empty(self):
         # level 1 is out of reach on the bundle (A + B <= (4/3) I)
         rec = moduli_scan(200, seed=3)[79]
-        assert (rec.roots.rank_a, rec.roots.rank_b) == (3, 3)
+        assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (3, 3)
         assert rec.n_solutions == 0
         assert rec.classification == moduli_feasibility(rec.quadrics).classification == "empty"
 
@@ -549,10 +500,10 @@ def _reference_row(rec):
     return ([rec.record_index]
             + [repr(float(v)) for v in rec.a_params]
             + [repr(float(v)) for v in rec.a_prime_params]
-            + [rec.roots.rank_a, rec.roots.rank_b]
+            + [rec.quadrics.rank_a, rec.quadrics.rank_b]
             + [repr(float(v)) for v in eig_a]
             + [repr(float(v)) for v in eig_b]
-            + [";".join(fmt_root(r) for r in rec.roots.roots_ab), rec.classification,
+            + [";".join(fmt_root(r) for r in rec.roots_ab), rec.classification,
                rec.n_solutions,
                ";".join(" ".join(repr(float(c)) for c in s) for s in rec.feasibility.solutions)])
 
@@ -563,11 +514,11 @@ def _reference_json(rec):
         "record_index": rec.record_index,
         "a_params": [float(v) for v in rec.a_params],
         "ap_params": [float(v) for v in rec.a_prime_params],
-        "rank_A": rec.roots.rank_a,
-        "rank_B": rec.roots.rank_b,
+        "rank_A": int(rec.quadrics.rank_a),
+        "rank_B": int(rec.quadrics.rank_b),
         "eig_A": [float(v) for v in rec.quadrics.eig_a[::-1]],
         "eig_B": [float(v) for v in rec.quadrics.eig_b[::-1]],
-        "roots_AB": [[float(r.real), float(r.imag)] for r in rec.roots.roots_ab],
+        "roots_AB": [[float(r.real), float(r.imag)] for r in rec.roots_ab],
         "classification": rec.classification,
         "n_solutions": rec.n_solutions,
         "solutions": [[float(c) for c in s] for s in rec.feasibility.solutions],
@@ -609,15 +560,12 @@ def _assert_same_record(got, want):
     assert got.record_index == want.record_index
     pairs = [(got.a_params, want.a_params), (got.a_prime_params, want.a_prime_params)]
     pairs += [(getattr(got.quadrics, k), getattr(want.quadrics, k))
-              for k in ("a", "b", "eig_a", "eig_b")]
-    pairs += [(getattr(got.roots, k), getattr(want.roots, k))
-              for k in ("roots_sphere_a", "roots_sphere_b", "roots_ab")]
+              for k in ("a", "b", "eig_a", "eig_b", "rank_a", "rank_b")]
+    pairs += [(got.roots_ab, want.roots_ab)]
     pairs += [(np.array(got.feasibility.solutions), np.array(want.feasibility.solutions))]
     for x, y in pairs:
         assert np.array_equal(x, y)
-    assert ((got.roots.rank_a, got.roots.rank_b, got.roots.ab_degenerate, got.classification)
-            == (want.roots.rank_a, want.roots.rank_b, want.roots.ab_degenerate,
-                want.classification))
+    assert got.classification == want.classification
 
 
 class TestBatchParity:
@@ -658,7 +606,7 @@ class TestBatchParity:
             assert np.array_equal(factors[k], abelian_factor(a[k], ap[k]))
             assert np.array_equal(adj[k], adjoint_matrix(factors[k]))
             single = ellipsoid_matrices(adj[k])
-            for name in ("a", "b", "eig_a", "eig_b"):
+            for name in ("a", "b", "eig_a", "eig_b", "rank_a", "rank_b"):
                 assert np.array_equal(getattr(quads[k], name), getattr(single, name))
         with pytest.raises(ValueError, match="one quadric pair"):
             char_cubic_roots(quads)
@@ -672,7 +620,7 @@ class TestBatchParity:
                             lambda q, *args, **kw: calls.append(q) or original(q, *args, **kw))
         rec = moduli_record(0, [0.3, -1.2, 2.0], [0.7, 0.1, -0.4])
         assert len(calls) == 1
-        assert rec.quadrics.roots is rec.roots
+        assert np.array_equal(rec.roots_ab, original(rec.quadrics))
         moduli_feasibility(rec.quadrics, level=MATRIX_LEVEL)
         assert len(calls) == 1
         moduli_scan(30, seed=2)
