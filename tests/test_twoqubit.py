@@ -5,9 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from swphase.linalg import BipartiteDims, haar_unitary
+from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
-from swphase.composite import make_composite_kernel, verify_composite_master
+from swphase.composite import (
+    fano_blocks,
+    fano_blocks_compose,
+    make_composite_kernel,
+    verify_composite_master,
+)
 from swphase import twoqubit
 from swphase.twoqubit import (
     MATRIX_LEVEL,
@@ -99,6 +104,26 @@ class TestLambdaBasis:
         assert report["span_dim"] >= 1
         assert report["total_weight"] == pytest.approx(
             report["weight_k_twisted"], abs=1e-10)
+
+
+class TestFanoForm:
+    """The two-qubit Fano form (identity, local and correlation blocks) at 2x2."""
+
+    def test_maximally_mixed(self):
+        blocks = fano_blocks(np.eye(4) / 4, DIMS22)
+        assert np.linalg.norm(blocks.local_a) < 1e-15
+        assert np.linalg.norm(blocks.local_b) < 1e-15
+        assert np.linalg.norm(blocks.corr) < 1e-15
+
+    def test_round_trip(self):
+        for seed in range(200):
+            h = random_hermitian(4, seed)
+            back = fano_blocks_compose(fano_blocks(h, DIMS22))
+            assert np.linalg.norm(back - h) < 1e-13
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError):
+            fano_blocks(np.eye(4) + 1j * np.diag([1, 0, 0, 0]), DIMS22)
 
 
 class TestElementaryConstraint:
