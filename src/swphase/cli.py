@@ -54,6 +54,15 @@ def _parse_samples(text: str) -> list:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
 def _parse_ranges(text: str):
     """Parse lo,hi; moduli_scan checks the values."""
     try:
@@ -123,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = kernel_sub.add_parser("gen", help="generate a random kernel")
     p_gen.add_argument("--n", type=int, required=True, help="system dimension")
-    p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_gen.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p_gen.add_argument("--composite", action="store_true",
                        help="draw a composite-admissible kernel")
     p_gen.add_argument("--dims", type=_parse_dims, default=None,
@@ -156,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--n", type=int, required=True)
     p_rec.add_argument("--samples", type=_parse_samples, required=True,
                        help="comma-separated ladder, e.g. 1000,10000,100000")
-    p_rec.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_rec.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p_rec.add_argument("--out", default=None)
     p_rec.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -164,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     mod_sub = p_mod.add_subparsers(dest="moduli_command", required=True)
     p_scan = mod_sub.add_parser("scan", help="random scan of the ellipsoid bundle")
     p_scan.add_argument("--n", type=int, required=True, help="number of records")
-    p_scan.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_scan.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p_scan.add_argument("--zero-params", action="store_true",
                         help="evaluate every record at the origin")
     p_scan.add_argument("--ranges", type=_parse_ranges, default=(-np.pi, np.pi),

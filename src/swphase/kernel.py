@@ -24,6 +24,7 @@ from .linalg import (
     as_complex_matrix,
     hermiticity_defect,
     _check_unitary,
+    _ginibre,
 )
 
 __all__ = [
@@ -46,10 +47,9 @@ __all__ = [
 # identities keep the tighter default.
 PURITY_TOL = 1e-10
 
-# Orbit samples per batched pass of the Monte-Carlo estimators.  The chunk
-# fixes how the Gaussian stream is split into samples, so it is part of
-# their output, not a tuning knob.
-_MC_CHUNK = 50_000
+# Bytes of one complex n x n stack per pass of the Monte-Carlo estimators.
+# It bounds their memory only: the sample stream does not depend on it.
+_MC_CHUNK_BYTES = 1 << 20
 
 
 def hyperplane_frame(n: int) -> np.ndarray:
@@ -204,21 +204,22 @@ def _spectrum_values(spec, n: int) -> np.ndarray:
 
 
 def _orbit_chunks(n: int, spec, samples: int, seed):
-    """Orbit points U D U^dagger for Haar U, in stacks of at most ``_MC_CHUNK``.
+    """Orbit points U D U^dagger for Haar U, in stacks of ``_MC_CHUNK_BYTES``.
 
     U is the raw Q factor of a complex Ginibre draw from the stream that
-    :func:`linalg.haar_unitaries` uses.  The 1/sqrt(2) scale and the phase
-    fixes that make Q itself Haar (phases of diag(R), det = 1) multiply Q on
-    the right by a diagonal unitary, which cancels in U D U^dagger, so they
-    are skipped.  Each draw is freed before its orbit product is formed.
+    :func:`linalg.haar_unitaries` uses, which does not depend on the chunk.
+    The 1/sqrt(2) scale and the phase fixes that make Q itself Haar (phases
+    of diag(R), det = 1) multiply Q on the right by a diagonal unitary, which
+    cancels in U D U^dagger, so they are skipped.  Each draw is freed before
+    its orbit product is formed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     pi = _spectrum_values(spec, n)
     rng = np.random.default_rng(seed)
-    for start in range(0, samples, _MC_CHUNK):
-        shape = (min(_MC_CHUNK, samples - start), n, n)
-        u = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    step = max(1, _MC_CHUNK_BYTES // (16 * n * n))
+    for start in range(0, samples, step):
+        u = np.linalg.qr(_ginibre(n, rng, min(step, samples - start)))[0]
         uh = u.conj().swapaxes(-1, -2)
         u *= pi
         yield u @ uh
@@ -261,8 +262,8 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
 
     Returns (N / samples) * sum_k (U_k D U_k†) tr(rho U_k D U_k†) over Haar
     samples U_k.  Converges to rho at the O(1/sqrt(samples)) rate.
-    Deterministic given ``seed``; chunking only bounds memory, the sample
-    stream and summation order are fixed.
+    Deterministic given ``seed``; chunking only bounds memory, as the
+    sample stream does not depend on it.
     """
     n = rho.dim
     acc = np.zeros((n, n), dtype=complex)

@@ -211,11 +211,16 @@ def mat_exp(x) -> np.ndarray:
     return out
 
 
+def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Unscaled complex Ginibre matrices, batched when ``size`` is given.  Each is one
+    (2, n, n) draw, real part first, filled in C order: sample k does not depend on size."""
+    g = rng.standard_normal((2, n, n) if size is None else (size, 2, n, n))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
 def _haar_from_rng(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar samples from SU(n), batched when ``size`` is given."""
-    shape = (n, n) if size is None else (size, n, n)
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_ginibre(n, rng, size) / np.sqrt(2.0))
     # Unique-factor convention: absorb the phases of diag(R) so the
     # distribution is exactly Haar on U(n), then fix det = 1.
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -233,16 +238,14 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _haar_from_rng(n, rng)
+    return _haar_from_rng(n, np.random.default_rng(seed))
 
 
 def haar_unitaries(n: int, size: int, seed) -> np.ndarray:
     """Stacked Haar SU(n) samples of shape (size, n, n)."""
     if n < 1 or size < 1:
         raise ValueError("n and size must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _haar_from_rng(n, rng, size=size)
+    return _haar_from_rng(n, np.random.default_rng(seed), size=size)
 
 
 def random_hermitian(n: int, seed) -> np.ndarray:

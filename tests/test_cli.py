@@ -68,6 +68,18 @@ class TestParserReuse:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "gen", "--n", "4", "--seed", "-1"],
+        ["reconstruct", "--n", "4", "--samples", "10", "--seed", "-5"],
+        ["moduli", "scan", "--n", "2", "--seed", "-1"],
+    ], ids=["kernel-gen", "reconstruct", "moduli-scan"])
+    def test_negative_seed_names_the_option(self, argv):
+        proc = run_fresh(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: argument --seed: seed must be a non-negative "
+                               f"integer, got '{argv[-1]}'\n")
+
 
 class TestKernelGen:
     def test_n2_spectrum(self, capsys):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from swphase import kernel
 from swphase.linalg import _haar_from_rng, haar_unitary, random_density
 from swphase.kernel import (
-    _MC_CHUNK,
+    _MC_CHUNK_BYTES,
     _orbit_chunks,
     KernelSpectrum,
     covariance_check,
@@ -16,6 +19,9 @@ from swphase.kernel import (
     verify_master,
     wigner_value,
 )
+
+# Samples per chunk of the orbit sampler at n = 4.
+CHUNK_N4 = _MC_CHUNK_BYTES // (16 * 4 * 4)
 
 GOLD_2 = np.array([(1 + np.sqrt(3)) / 2, (1 - np.sqrt(3)) / 2])
 
@@ -185,16 +191,48 @@ class TestReconstructMC:
 class TestOrbitChunks:
     """The Monte-Carlo estimators' one orbit sampler."""
 
-    @pytest.mark.parametrize("n, samples", [(2, 500), (4, 500), (32, 60), (4, _MC_CHUNK + 7)])
+    @pytest.mark.parametrize("n, samples", [(2, 500), (4, 500), (32, 60), (4, CHUNK_N4 + 7)])
     def test_equals_haar_orbit(self, n, samples):
         spec = solve_kernel_spectrum(n, "random", seed=n)
         chunks = list(_orbit_chunks(n, spec, samples, seed=17))
-        sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]
-        assert [len(c) for c in chunks] == sizes
+        assert sum(len(c) for c in chunks) == samples
+        assert max(c.nbytes for c in chunks) <= _MC_CHUNK_BYTES
         rng = np.random.default_rng(17)
-        u = np.concatenate([_haar_from_rng(n, rng, size=b) for b in sizes])
+        u = np.stack([_haar_from_rng(n, rng) for _ in range(samples)])
         want = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
         assert np.abs(np.concatenate(chunks) - want).max() < 1e-13
+
+    def test_stream_does_not_depend_on_chunk(self, monkeypatch):
+        # One chunk, 64 samples a chunk (does not divide 1000), one sample a chunk.
+        rho = random_density(4, 3)
+        spec = solve_kernel_spectrum(4, "random", seed=4)
+        counts, orbits, estimates = [], [], []
+        for chunk_bytes in (_MC_CHUNK_BYTES, 16 * 16 * 64 + 5, 1):
+            monkeypatch.setattr(kernel, "_MC_CHUNK_BYTES", chunk_bytes)
+            chunks = list(_orbit_chunks(4, spec, 1000, seed=8))
+            counts.append(len(chunks))
+            orbits.append(np.concatenate(chunks))
+            estimates.append((reconstruct_mc(rho, spec, 1000, seed=8),
+                              phase_space_norm_mc(rho, spec, 1000, seed=8)))
+        assert counts == [1, 16, 1000]
+        for orbit, (rec, norm) in zip(orbits[1:], estimates[1:]):
+            assert np.array_equal(orbit, orbits[0])
+            assert np.abs(rec - estimates[0][0]).max() < 1e-14
+            assert abs(norm - estimates[0][1]) < 1e-14
+
+    def test_memory_does_not_grow_with_samples(self):
+        rho = random_density(32, 1)
+        spec = solve_kernel_spectrum(32, "random", seed=2)
+        peaks = []
+        for samples in (500, 5000):
+            tracemalloc.start()
+            try:
+                reconstruct_mc(rho, spec, samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * _MC_CHUNK_BYTES
+        assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     def test_input_errors_shared(self, estimator):

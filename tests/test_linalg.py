@@ -6,6 +6,7 @@ import pytest
 from swphase.linalg import (
     BipartiteDims,
     DensityMatrix,
+    _haar_from_rng,
     haar_unitaries,
     haar_unitary,
     is_hermitian,
@@ -231,6 +232,22 @@ class TestHaarUnitary:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(haar_unitary(4, 123), haar_unitary(4, 123))
+
+    def test_single_draw_keeps_two_draw_formula(self):
+        # Real part, then imaginary part, each one (n, n) draw: pins `kernel gen` output.
+        n = 4
+        rng = np.random.default_rng(123)
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        q = q * (d / np.abs(d))
+        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
+        assert np.array_equal(haar_unitary(n, 123), q)
+
+    def test_batch_does_not_depend_on_its_split(self):
+        rng = np.random.default_rng(9)
+        split = np.concatenate([_haar_from_rng(3, rng, size=5), _haar_from_rng(3, rng, size=8)])
+        assert np.array_equal(haar_unitaries(3, 13, seed=9), split)
 
     def test_first_moment_vanishes(self):
         u = haar_unitaries(4, 10_000, seed=7)
