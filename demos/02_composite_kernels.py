@@ -18,7 +18,7 @@ from swphase.composite import (
     subsystem_wigner,
     verify_composite_master,
 )
-from swphase.twoqubit import build_lambda_basis
+from swphase.twoqubit import FANO_ORDER, LAMBDA
 
 dims = BipartiteDims(2, 2)
 
@@ -94,8 +94,7 @@ for seed in range(200):
     worst = max(worst, r.purity_a_residual, r.purity_b_residual)
 print(f"\n200 random local rotations: worst admissibility residual {worst:.2e}")
 
-lb = build_lambda_basis()
-u = mat_exp((np.pi / 2) * lb.span([7])[0])  # exp of a correlation generator
+u = mat_exp((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # a correlation generator
 r = verify_composite_master(u @ comp.mat @ u.conj().T, dims)
 print(f"one non-local rotation: residuals {r.purity_a_residual:.3f} / "
       f"{r.purity_b_residual:.3f}  (admissibility destroyed)")

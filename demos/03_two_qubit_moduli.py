@@ -13,9 +13,12 @@ import numpy as np
 from swphase.linalg import BipartiteDims
 from swphase.composite import verify_composite_master
 from swphase.twoqubit import (
+    A_PLANE,
+    K_TWISTED,
+    LAMBDA,
     MATRIX_LEVEL,
+    TORUS,
     adjoint_matrix,
-    build_lambda_basis,
     char_cubic_roots,
     ellipsoid_matrices,
     kak_element,
@@ -31,11 +34,11 @@ print("=" * 72)
 print("1. The generator basis and its split")
 print("=" * 72)
 
-lb = build_lambda_basis()
-gram = -np.einsum("iab,jba->ij", lb.lambdas, lb.lambdas).real
+gram = -np.einsum("iab,jba->ij", LAMBDA, LAMBDA).real
 print(f"\northonormality defect of the 15 generators: "
       f"{np.abs(gram - np.eye(15)).max():.1e}")
-print("split: twisted su(2)+su(2) block (6), two abelian 3-planes, torus (3)")
+print(f"split: twisted su(2)+su(2) block ({len(K_TWISTED)}), two abelian "
+      f"{len(A_PLANE)}-planes, torus ({len(TORUS)})")
 cc = cross_commutator_report()
 print(f"commutators between the two abelian planes span a {cc['span_dim']}-dim"
       f" space, landing entirely in the twisted block "

@@ -41,7 +41,6 @@ from .composite import (
 )
 from .twoqubit import (
     adjoint_matrix,
-    build_lambda_basis,
     char_cubic_roots,
     ellipsoid_matrices,
     isotropy_dim,

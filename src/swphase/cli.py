@@ -63,6 +63,15 @@ def _parse_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        if 0.0 < float(text) < np.inf:  # false for nan
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"tol must be a positive finite number, got {text!r}")
+
+
 def _parse_ranges(text: str):
     """Parse lo,hi; moduli_scan checks the values."""
     try:
@@ -143,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = kernel_sub.add_parser("verify", help="verify a kernel matrix file")
     p_ver.add_argument("input", help="matrix JSON file")
     p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_ver.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p_ver.add_argument("--out", default=None)
 
     p_comp = sub.add_parser("composite", help="composite admissibility checks")
@@ -151,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cver = comp_sub.add_parser("verify", help="verify a composite kernel file")
     p_cver.add_argument("input", help="matrix JSON file")
     p_cver.add_argument("--dims", type=_parse_dims, required=True)
-    p_cver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_cver.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p_cver.add_argument("--out", default=None)
 
     p_wig = sub.add_parser("wigner", help="Wigner function values")
@@ -239,7 +248,7 @@ def _cmd_composite_verify(args) -> int:
     args.dims.check(mat.shape[0])
     report = composite.verify_composite_master(mat, args.dims, args.tol)
     _emit(_dump_json(report.as_dict()), args.out)
-    return EXIT_OK if report.admissible(args.tol) else EXIT_FAIL
+    return EXIT_OK if report.admissible() else EXIT_FAIL
 
 
 def _cmd_wigner_eval(args) -> int:
@@ -300,11 +309,7 @@ def _cmd_moduli_scan(args) -> int:
         text = buf.getvalue()
     else:
         text = _dump_json(twoqubit.scan_to_json(records))
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _emit(text, args.out)
     return EXIT_OK
 
 

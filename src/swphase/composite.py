@@ -26,6 +26,7 @@ from .linalg import (
     kron,
     partial_trace,
     _check_hermitian,
+    _ginibre,
 )
 from .kernel import PURITY_TOL, MasterReport, SWKernel, hyperplane_frame, verify_master
 
@@ -168,7 +169,7 @@ class CompositeKernel:
     def __post_init__(self):
         self.dims.check(self.kernel.n)
         report = verify_composite_master(self.kernel.mat, self.dims)
-        if not report.admissible(ADMISSIBLE_TOL):
+        if not report.admissible():
             raise CompositeAdmissibilityError(
                 report.purity_a_residual, report.purity_b_residual
             )
@@ -180,17 +181,19 @@ class CompositeKernel:
 
 @dataclass(frozen=True)
 class CompositeReport:
-    """Residuals of the full-system and subsystem-reduction conditions."""
+    """Residuals of the full-system and subsystem-reduction conditions, judged
+    (``full.hermitian`` and :meth:`admissible`) at the ``tol`` they were built with."""
 
     dims: BipartiteDims
     full: MasterReport
     purity_a_residual: float
     purity_b_residual: float
+    tol: float = ADMISSIBLE_TOL
 
-    def admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
-        return (self.full.ok(tol)
-                and self.purity_a_residual <= tol
-                and self.purity_b_residual <= tol)
+    def admissible(self) -> bool:
+        return (self.full.ok(self.tol)
+                and self.purity_a_residual <= self.tol
+                and self.purity_b_residual <= self.tol)
 
     def as_dict(self) -> dict:
         # Wire-format field names are part of the on-disk report schema.
@@ -217,7 +220,7 @@ def verify_composite_master(x, dims: BipartiteDims,
     dims.check(m.shape[0])
     full = verify_master(m, dims.total, tol)
     res_a, res_b = np.abs(_subsystem_purity_residuals(m, dims))
-    return CompositeReport(dims, full, float(res_a), float(res_b))
+    return CompositeReport(dims, full, float(res_a), float(res_b), tol)
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:
@@ -264,7 +267,7 @@ def make_composite_kernel(dims: BipartiteDims, seed) -> CompositeKernel:
     ta, tb, tc = block_norm_targets(dims)
     n = dims.total
     for _ in range(_MAX_REDRAWS):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = _ginibre(n, rng)
         h = (g + g.conj().T) / 2.0
         blocks = fano_blocks(h, dims)
         na = np.linalg.norm(blocks.local_a)

@@ -210,8 +210,10 @@ def _orbit_chunks(n: int, spec, samples: int, seed):
     :func:`linalg.haar_unitaries` uses, which does not depend on the chunk.
     The 1/sqrt(2) scale and the phase fixes that make Q itself Haar (phases
     of diag(R), det = 1) multiply Q on the right by a diagonal unitary, which
-    cancels in U D U^dagger, so they are skipped.  Each draw is freed before
-    its orbit product is formed.
+    cancels in U D U^dagger, so they are skipped.  Callers drop each stack
+    before asking for the next.  U and U^dagger live on until the next draw
+    replaces them: freeing them first would let malloc return the heap to
+    the system and fault it back in for every chunk.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -270,6 +272,7 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     for orbit in _orbit_chunks(n, spec, samples, seed):
         w = np.einsum("kij,ji->k", orbit, rho.mat).real
         acc += np.einsum("k,kij->ij", w, orbit)
+        del orbit  # before the next stack is drawn
     return n * acc / samples
 
 
@@ -280,8 +283,10 @@ def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed) -> float:
     tr(rho) = 1: the finite-norm axiom under the total-measure-N convention.
     """
     n = rho.dim
-    total = sum(np.einsum("kij,ji->k", orbit, rho.mat).real.sum()
-                for orbit in _orbit_chunks(n, spec, samples, seed))
+    total = 0.0
+    for orbit in _orbit_chunks(n, spec, samples, seed):
+        total += np.einsum("kij,ji->k", orbit, rho.mat).real.sum()
+        del orbit  # before the next stack is drawn
     return n * total / samples
 
 

@@ -250,8 +250,7 @@ def haar_unitaries(n: int, size: int, seed) -> np.ndarray:
 
 def random_hermitian(n: int, seed) -> np.ndarray:
     """GUE-style random Hermitian matrix (unnormalized)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = _ginibre(n, np.random.default_rng(seed))
     return (g + g.conj().T) / 2.0
 
 
@@ -259,8 +258,7 @@ def random_density(n: int, seed) -> DensityMatrix:
     """Full-rank random density matrix G G† / tr(G G†), G complex Gaussian."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    g = _ginibre(n, np.random.default_rng(seed)) / np.sqrt(2.0)
     w = g @ g.conj().T
     w = (w + w.conj().T) / 2.0
     return DensityMatrix(w / np.trace(w).real)

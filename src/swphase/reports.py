@@ -33,9 +33,15 @@ from .composite import (
     _subsystem_purity_residuals,
 )
 from .twoqubit import (
+    A_PLANE,
+    A_PRIME_PLANE,
     KERNEL_COEFF,
+    K_TWISTED,
+    LAMBDA,
+    LOCAL_A,
+    LOCAL_B,
+    TORUS,
     abelian_factor,
-    build_lambda_basis,
     kernel_from_moduli,
     _exp_span,
 )
@@ -152,7 +158,6 @@ def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
     factors commute with the diagonal seed); the K dependence is a measured
     number, reported rather than assumed to vanish.
     """
-    lb = build_lambda_basis()
     factor_a = abelian_factor(a_params, a_prime_params)
 
     def purity_residuals(u):
@@ -162,9 +167,9 @@ def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
     rng = np.random.default_rng(seed)
     max_t_shift = max_k_shift = 0.0
     for _ in range(n_draws):
-        t = _exp_span(rng.uniform(-np.pi, np.pi, 3), lb.k_prime_generators)
+        t = _exp_span(rng.uniform(-np.pi, np.pi, 3), LAMBDA[list(TORUS)])
         max_t_shift = max(max_t_shift, *np.abs(purity_residuals(factor_a @ t) - base))
-        k = _exp_span(rng.uniform(-np.pi, np.pi, 6), lb.k_generators)
+        k = _exp_span(rng.uniform(-np.pi, np.pi, 6), K_TWISTED)
         max_k_shift = max(max_k_shift, *np.abs(purity_residuals(k @ factor_a) - base))
     return {
         "base_purity_a_residual": float(base[0]),
@@ -183,13 +188,9 @@ def cross_commutator_report() -> dict:
     the local block.  Reported, not asserted: no target is guessed for
     where these commutators must land.
     """
-    lb = build_lambda_basis()
-    comms = []
-    for x in lb.a_prime_generators:
-        for y in lb.a_generators:
-            comms.append(x @ y - y @ x)
-    comms = np.stack(comms)
-    coeff = -np.einsum("cab,mba->cm", comms, lb.lambdas).real
+    comms = np.stack([x @ y - y @ x for x in LAMBDA[list(A_PRIME_PLANE)]
+                      for y in LAMBDA[list(A_PLANE)]])
+    coeff = -np.einsum("cab,mba->cm", comms, LAMBDA).real
     span_dim = int(np.linalg.matrix_rank(coeff, tol=1e-10))
 
     def weight(gens):
@@ -200,11 +201,10 @@ def cross_commutator_report() -> dict:
     return {
         "span_dim": span_dim,
         "total_weight": total,
-        "weight_k_twisted": weight(lb.k_generators),
-        "weight_torus": weight(lb.k_prime_generators),
-        "weight_abelian_planes": weight(np.concatenate(
-            [lb.a_generators, lb.a_prime_generators])),
-        "weight_local": weight(lb.local_generators),
+        "weight_k_twisted": weight(K_TWISTED),
+        "weight_torus": weight(LAMBDA[list(TORUS)]),
+        "weight_abelian_planes": weight(LAMBDA[list(A_PLANE + A_PRIME_PLANE)]),
+        "weight_local": weight(LAMBDA[list(LOCAL_A + LOCAL_B)]),
     }
 
 

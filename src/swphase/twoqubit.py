@@ -27,7 +27,6 @@ batch-of-one case of the same pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -46,8 +45,13 @@ __all__ = [
     "KERNEL_COEFF",
     "SIGMA",
     "FANO_ORDER",
-    "LambdaBasis",
-    "build_lambda_basis",
+    "LAMBDA",
+    "LOCAL_A",
+    "LOCAL_B",
+    "A_PLANE",
+    "A_PRIME_PLANE",
+    "TORUS",
+    "K_TWISTED",
     "KakElement",
     "abelian_factor",
     "kak_element",
@@ -72,11 +76,8 @@ __all__ = [
 
 KERNEL_COEFF = np.sqrt(30.0) / 4.0
 
-_P0 = np.eye(2, dtype=complex)
-_P1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_P2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_P3 = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = np.stack([_P0, _P1, _P2, _P3])
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                  [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 # Listing order of the 15 traceless Fano labels (mu, nu); entry m hosts
 # generator number m + 1.
@@ -89,61 +90,22 @@ FANO_ORDER = (
 )
 
 SIGMA = np.stack([np.kron(PAULI[m], PAULI[n]) for m, n in FANO_ORDER])
-_LAMBDA = 0.5j * SIGMA
 
-# Torus directions (sigma_30, sigma_03, sigma_33) and the local column
-# blocks, as zero-based positions into FANO_ORDER.
-_TORUS_ROWS = (2, 5, 14)
-_A_COLS = (0, 1, 2)
-_B_COLS = (3, 4, 5)
-
-
-@dataclass(frozen=True)
-class LambdaBasis:
-    """The 15 su(4) generators (i/2) sigma_{mu nu} and their subalgebra split.
-
-    Index tuples are one-based generator numbers in the listing order of
-    ``FANO_ORDER``.  ``k_signed`` records the signs that make the twisted
-    su(2) + su(2) triples close among themselves.
-    """
-
-    lambdas: np.ndarray
-    a_indices: ClassVar[tuple] = (11, 9, 13)
-    a_prime_indices: ClassVar[tuple] = (4, 1, 7)
-    k_prime_indices: ClassVar[tuple] = (3, 6, 15)
-    k_signed: ClassVar[tuple] = ((-1, 14), (1, 2), (-1, 8), (-1, 5), (1, 12), (-1, 10))
-    lu_local_indices: ClassVar[tuple] = (1, 2, 3, 4, 5, 6)
-
-    def span(self, indices) -> np.ndarray:
-        """Stack of generators for one-based ``indices``."""
-        return self.lambdas[[i - 1 for i in indices]]
-
-    @property
-    def a_generators(self) -> np.ndarray:
-        return self.span(self.a_indices)
-
-    @property
-    def a_prime_generators(self) -> np.ndarray:
-        return self.span(self.a_prime_indices)
-
-    @property
-    def k_prime_generators(self) -> np.ndarray:
-        return self.span(self.k_prime_indices)
-
-    @property
-    def k_generators(self) -> np.ndarray:
-        signs = np.array([s for s, _ in self.k_signed], dtype=complex)
-        idx = [i - 1 for _, i in self.k_signed]
-        return signs[:, None, None] * self.lambdas[idx]
-
-    @property
-    def local_generators(self) -> np.ndarray:
-        return self.span(self.lu_local_indices)
-
-
-def build_lambda_basis() -> LambdaBasis:
-    """Construct the generator basis; -tr(l_i l_j) = delta_ij."""
-    return LambdaBasis(lambdas=_LAMBDA.copy())
+# The su(4) generators (i/2) sigma_{mu nu}, -tr(l_i l_j) = delta_ij, and
+# their subalgebra split as zero-based rows of LAMBDA; the comments give the
+# one-based generator numbers.  The arrays are shared and read-only.
+LAMBDA = 0.5j * SIGMA
+LOCAL_A = (0, 1, 2)            # 1, 2, 3: sigma_10, sigma_20, sigma_30
+LOCAL_B = (3, 4, 5)            # 4, 5, 6: sigma_01, sigma_02, sigma_03
+A_PLANE = (10, 8, 12)          # 11, 9, 13
+A_PRIME_PLANE = (3, 0, 6)      # 4, 1, 7
+TORUS = (2, 5, 14)             # 3, 6, 15: sigma_30, sigma_03, sigma_33
+# The twisted su(2) + su(2), -l14, l2, -l8, -l5, l12, -l10: the signs make
+# its two triples close among themselves.
+K_TWISTED = (np.array([-1, 1, -1, -1, 1, -1], dtype=complex)[:, None, None]
+             * LAMBDA[[13, 1, 7, 4, 11, 9]])
+for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED):
+    _shared.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -173,10 +135,6 @@ def _exp_span(params, generators) -> np.ndarray:
     return mat_exp(np.einsum("...i,iab->...ab", np.asarray(params, dtype=float), generators))
 
 
-_A_GENERATORS = build_lambda_basis().a_generators
-_A_PRIME_GENERATORS = build_lambda_basis().a_prime_generators
-
-
 def abelian_factor(a_params, a_prime_params) -> np.ndarray:
     """The abelian factor exp(a) exp(a') of :func:`kak_element`, batched.
 
@@ -185,7 +143,8 @@ def abelian_factor(a_params, a_prime_params) -> np.ndarray:
     exactly exp(a) exp(a'): the two do not commute with each other even
     though each 3-plane is abelian.
     """
-    return _exp_span(a_params, _A_GENERATORS) @ _exp_span(a_prime_params, _A_PRIME_GENERATORS)
+    return (_exp_span(a_params, LAMBDA[list(A_PLANE)])
+            @ _exp_span(a_prime_params, LAMBDA[list(A_PRIME_PLANE)]))
 
 
 def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
@@ -194,7 +153,6 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     ``k_params`` has length 6, the others length 3.  The A factor is
     :func:`abelian_factor`.
     """
-    lb = build_lambda_basis()
     k_params = np.asarray(k_params, dtype=float)
     a_params = np.asarray(a_params, dtype=float)
     a_prime_params = np.asarray(a_prime_params, dtype=float)
@@ -202,9 +160,9 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     if k_params.shape != (6,) or a_params.shape != (3,) \
             or a_prime_params.shape != (3,) or t_params.shape != (3,):
         raise ValueError("expected parameter shapes (6,), (3,), (3,), (3,)")
-    factor_k = _exp_span(k_params, lb.k_generators)
+    factor_k = _exp_span(k_params, K_TWISTED)
     factor_a = abelian_factor(a_params, a_prime_params)
-    factor_t = _exp_span(t_params, lb.k_prime_generators)
+    factor_t = _exp_span(t_params, LAMBDA[list(TORUS)])
     return KakElement(k_params, a_params, a_prime_params, t_params,
                       factor_k, factor_a, factor_t)
 
@@ -222,8 +180,8 @@ def adjoint_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 4x4 unitary or a stack of them, got shape {am.shape}")
     _check_unitary(am)
     ah = am.conj().swapaxes(-1, -2)
-    rotated = am[..., None, :, :] @ _LAMBDA @ ah[..., None, :, :]
-    o = -np.einsum("...nab,mba->...mn", rotated, _LAMBDA)
+    rotated = am[..., None, :, :] @ LAMBDA @ ah[..., None, :, :]
+    o = -np.einsum("...nab,mba->...mn", rotated, LAMBDA)
     _check_each(np.abs(o.imag).max(axis=(-2, -1)) > 1e-12, "adjoint matrix came out non-real")
     o = o.real
     _check_each(np.linalg.norm(o @ o.swapaxes(-1, -2) - np.eye(15), axis=(-2, -1)) > 1e-11,
@@ -298,8 +256,8 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     if om.ndim < 2 or om.shape[-2:] != (15, 15):
         raise ValueError(f"expected a 15x15 adjoint matrix or a stack of them, got shape {om.shape}")
     quadrics = []
-    for rows in (_A_COLS, _B_COLS):
-        sub = om[(...,) + np.ix_(rows, _TORUS_ROWS)]
+    for rows in (LOCAL_A, LOCAL_B):
+        sub = om[(...,) + np.ix_(rows, TORUS)]
         q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
         quadrics.append((q + q.swapaxes(-1, -2)) / 2.0)
     return QuadricTriple(a=quadrics[0], b=quadrics[1])
@@ -356,11 +314,8 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     if um.shape[0] != 4:
         raise ValueError("expected a 4x4 unitary")
     _check_unitary(um)
-    core = np.eye(4, dtype=complex) + np.sqrt(15.0) * (
-        mu[0] * SIGMA[_TORUS_ROWS[0]]
-        + mu[1] * SIGMA[_TORUS_ROWS[1]]
-        + mu[2] * SIGMA[_TORUS_ROWS[2]]
-    )
+    s1, s2, s3 = SIGMA[list(TORUS)]
+    core = np.eye(4, dtype=complex) + np.sqrt(15.0) * (mu[0] * s1 + mu[1] * s2 + mu[2] * s3)
     mat = (um @ core @ um.conj().T) / 4.0
     mat = (mat + mat.conj().T) / 2.0
     return SWKernel(mat, 4)
@@ -494,7 +449,8 @@ def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-_ALGEBRA_CHOICES = ("lu_local", "full_su4", "k_twisted")
+_ISOTROPY_SPANS = {"lu_local": LAMBDA[list(LOCAL_A + LOCAL_B)], "full_su4": LAMBDA,
+                   "k_twisted": K_TWISTED}
 
 
 def isotropy_dim(delta, algebra: str = "lu_local") -> int:
@@ -509,15 +465,9 @@ def isotropy_dim(delta, algebra: str = "lu_local") -> int:
     if m.shape[0] != 4:
         raise ValueError("expected a 4x4 matrix")
     _check_hermitian(m)
-    lb = build_lambda_basis()
-    if algebra == "lu_local":
-        gens = lb.local_generators
-    elif algebra == "full_su4":
-        gens = lb.lambdas
-    elif algebra == "k_twisted":
-        gens = lb.k_generators
-    else:
-        raise ValueError(f"algebra must be one of {_ALGEBRA_CHOICES}")
+    gens = _ISOTROPY_SPANS.get(algebra)
+    if gens is None:
+        raise ValueError(f"algebra must be one of {tuple(_ISOTROPY_SPANS)}")
     comm = gens @ m - m @ gens
     flat = comm.reshape(len(gens), -1)
     stacked = np.concatenate([flat.real, flat.imag], axis=1)

@@ -33,11 +33,16 @@ from swphase.composite import (
     verify_composite_master,
 )
 from swphase.twoqubit import (
+    A_PLANE,
+    A_PRIME_PLANE,
+    FANO_ORDER,
+    K_TWISTED,
+    LAMBDA,
     MATRIX_LEVEL,
+    TORUS,
     QuadricTriple,
     abelian_factor,
     adjoint_matrix,
-    build_lambda_basis,
     char_cubic_roots,
     ellipsoid_matrices,
     isotropy_dim,
@@ -160,8 +165,7 @@ def test_criterion_05_lu_invariance_and_witness():
         u = kron(haar_unitary(2, seed), haar_unitary(2, seed + 20_000))
         rep = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
         worst = max(worst, rep.purity_a_residual, rep.purity_b_residual)
-    lb = build_lambda_basis()
-    u = mat_exp((np.pi / 2) * lb.span([7])[0])
+    u = mat_exp((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])
     witness = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
     violation = max(witness.purity_a_residual, witness.purity_b_residual)
     ok = worst < 1e-11 and violation > 0.1
@@ -198,8 +202,7 @@ def test_criterion_06_dual_dimension():
 
 
 def test_criterion_07_lambda_basis_algebra():
-    lb = build_lambda_basis()
-    lam = lb.lambdas
+    lam = LAMBDA
     worst = np.abs(-np.einsum("iab,jba->ij", lam, lam).real - np.eye(15)).max()
 
     def max_comm(gens):
@@ -209,8 +212,8 @@ def test_criterion_07_lambda_basis_algebra():
                 out = max(out, np.linalg.norm(x @ y - y @ x))
         return out
 
-    worst = max(worst, max_comm(lb.a_generators), max_comm(lb.a_prime_generators),
-                max_comm(lb.k_prime_generators))
+    worst = max(worst, max_comm(lam[list(A_PLANE)]), max_comm(lam[list(A_PRIME_PLANE)]),
+                max_comm(lam[list(TORUS)]))
 
     def closure_defect(gens_x, gens_y, span):
         out = 0.0
@@ -222,9 +225,9 @@ def test_criterion_07_lambda_basis_algebra():
                     c - np.einsum("m,mab->ab", coeff, span)))
         return out
 
-    k = lb.k_generators
-    kp = lb.k_prime_generators
-    planes = np.concatenate([lb.a_generators, lb.a_prime_generators])
+    k = K_TWISTED
+    kp = lam[list(TORUS)]
+    planes = lam[list(A_PLANE + A_PRIME_PLANE)]
     worst = max(worst, closure_defect(k, k, k), closure_defect(kp, kp, kp),
                 closure_defect(k, kp, planes))
     _report(7, "generator basis algebra", worst < 1e-13,
@@ -233,10 +236,9 @@ def test_criterion_07_lambda_basis_algebra():
 
 def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
     rng = np.random.default_rng(17)
-    lb = build_lambda_basis()
     params = rng.uniform(-np.pi, np.pi, (100, 2, 3))
-    el1 = mat_exp(np.einsum("rk,kab->rab", params[:, 0], lb.a_generators))
-    el2 = mat_exp(np.einsum("rk,kab->rab", params[:, 1], lb.a_prime_generators))
+    el1 = mat_exp(np.einsum("rk,kab->rab", params[:, 0], LAMBDA[list(A_PLANE)]))
+    el2 = mat_exp(np.einsum("rk,kab->rab", params[:, 1], LAMBDA[list(A_PRIME_PLANE)]))
     o1 = adjoint_matrix(el1)
     o2 = adjoint_matrix(el2)
     worst_orth = np.linalg.norm(o1 @ o1.transpose(0, 2, 1) - np.eye(15), axis=(1, 2)).max()

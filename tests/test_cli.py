@@ -80,6 +80,20 @@ class TestParserReuse:
         assert proc.stderr == (f"error: argument --seed: seed must be a non-negative "
                                f"integer, got '{argv[-1]}'\n")
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", [["kernel", "verify"],
+                                         ["composite", "verify", "--dims", "2x2"]],
+                             ids=["kernel-verify", "composite-verify"])
+    def test_bad_tol_names_the_option(self, tmp_path, capsys, command, tol):
+        path = write_matrix(tmp_path / "m.json", np.eye(4) / 4)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, path, "--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: argument --tol: tol must be a positive finite "
+                                f"number, got '{tol}'\n")
+
 
 class TestKernelGen:
     def test_n2_spectrum(self, capsys):
@@ -285,6 +299,22 @@ class TestCompositeVerify:
         code, _, _ = run(["composite", "verify", path, "--dims", "2x3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-10", "1e-3"])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["valid", "perturbed"])
+    def test_admissible_is_the_exit_verdict(self, tmp_path, capsys, tol, perturbed):
+        from swphase.composite import make_composite_kernel
+        from swphase.linalg import BipartiteDims
+
+        mat = make_composite_kernel(BipartiteDims(2, 2), 0).mat
+        if perturbed:  # trace kept, purities moved by about 1e-6
+            mat = mat + np.diag([1e-6, -1e-6, 0.0, 0.0])
+        path = write_matrix(tmp_path / "comp.json", mat)
+        code, out, _ = run(["composite", "verify", path, "--dims", "2x2", "--tol", tol], capsys)
+        admissible = json.loads(out)["admissible"]
+        assert admissible == (code == 0)
+        if perturbed:
+            assert admissible == (tol == "1e-3")
+
     def test_garbage_exit_2(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text("not json at all")
@@ -410,8 +440,15 @@ class TestModuliScan:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
-    def test_unwritable_path_exit_2(self, tmp_path, capsys):
-        code, _, err = run(
-            ["moduli", "scan", "--n", "1", "--out",
-             str(tmp_path / "missing_dir" / "out.csv")], capsys)
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "gen", "--n", "2"],
+        ["reconstruct", "--n", "2", "--samples", "10"],
+        ["moduli", "scan", "--n", "1"],
+    ], ids=["kernel-gen", "reconstruct", "moduli-scan"])
+    def test_unwritable_path_exit_2(self, tmp_path, capsys, argv):
+        code, out, err = run(argv + ["--out", str(tmp_path / "missing_dir" / "out")], capsys)
         assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

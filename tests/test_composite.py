@@ -27,7 +27,7 @@ from swphase.composite import (
     verify_composite_master,
 )
 from swphase.linalg import mat_exp
-from swphase.twoqubit import build_lambda_basis
+from swphase.twoqubit import FANO_ORDER, LAMBDA
 
 DIMS22 = BipartiteDims(2, 2)
 
@@ -243,9 +243,8 @@ class TestLocalUnitaryStructure:
     def test_nonlocal_witness(self):
         # conjugation by the exponential of a correlation generator breaks
         # the reduction constraints while keeping the full-system ones
-        lb = build_lambda_basis()
         comp = make_composite_kernel(DIMS22, 2)
-        u = mat_exp((np.pi / 2) * lb.span([7])[0])  # generator of sigma_1 ⊗ sigma_1
+        u = mat_exp((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # sigma_1 ⊗ sigma_1
         report = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
         assert report.full.purity_residual < 1e-12
         assert max(report.purity_a_residual, report.purity_b_residual) > 0.1

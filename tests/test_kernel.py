@@ -235,6 +235,22 @@ class TestOrbitChunks:
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_peak_drops_each_orbit_stack(self, estimator, n):
+        # Three chunks and one sample: an orbit stack kept by its caller beside
+        # the next draw takes the peak to about 7 chunks.
+        rho = random_density(n, 1)
+        spec = solve_kernel_spectrum(n, "random", seed=2)
+        samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
+        tracemalloc.start()
+        try:
+            estimator(rho, spec, samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * _MC_CHUNK_BYTES
+
+    @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     def test_input_errors_shared(self, estimator):
         rho = random_density(4, 0)
         with pytest.raises(ValueError, match=r"^dimension mismatch: state 4, spectrum 3$"):

@@ -278,6 +278,15 @@ class TestRandomDensity:
             rho = random_density(4, seed)
             assert np.linalg.eigvalsh(rho.mat)[0] > 0.0
 
+    def test_keeps_two_draw_formula(self):
+        # Real part, then imaginary part, each one (n, n) draw: pins `reconstruct` output.
+        g = _rand_complex(4, 5)
+        w = (g / np.sqrt(2.0)) @ (g / np.sqrt(2.0)).conj().T
+        w = (w + w.conj().T) / 2.0
+        assert np.array_equal(random_density(4, 5).mat, w / np.trace(w).real)
+        g = _rand_complex(3, 5)
+        assert np.array_equal(random_hermitian(3, 5), (g + g.conj().T) / 2.0)
+
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))  # trace 2

@@ -15,13 +15,20 @@ from swphase.composite import (
 )
 from swphase import twoqubit
 from swphase.twoqubit import (
+    A_PLANE,
+    A_PRIME_PLANE,
+    K_TWISTED,
+    LAMBDA,
+    LOCAL_A,
     MATRIX_LEVEL,
+    PAULI,
     SCAN_CHUNK,
     SCAN_CSV_COLUMNS,
+    SIGMA,
+    TORUS,
     QuadricTriple,
     abelian_factor,
     adjoint_matrix,
-    build_lambda_basis,
     char_cubic_roots,
     ellipsoid_matrices,
     isotropy_dim,
@@ -52,37 +59,32 @@ def _random_abelian_factor(seed):
 
 class TestLambdaBasis:
     def test_orthonormality(self):
-        lb = build_lambda_basis()
-        gram = -np.einsum("iab,jba->ij", lb.lambdas, lb.lambdas).real
+        gram = -np.einsum("iab,jba->ij", LAMBDA, LAMBDA).real
         assert np.abs(gram - np.eye(15)).max() < 1e-14
 
     def test_single_generator_norm(self):
-        lb = build_lambda_basis()
-        l3 = lb.span([3])[0]
+        l3 = LAMBDA[TORUS[0]]
         assert abs(-np.trace(l3 @ l3).real - 1.0) < 1e-14
 
-    @pytest.mark.parametrize("block", ["a_generators", "a_prime_generators",
-                                       "k_prime_generators"])
+    @pytest.mark.parametrize("block", [pytest.param(A_PLANE, id="a_generators"),
+                                       pytest.param(A_PRIME_PLANE, id="a_prime_generators"),
+                                       pytest.param(TORUS, id="k_prime_generators")])
     def test_abelian_blocks(self, block):
-        gens = getattr(build_lambda_basis(), block)
+        gens = LAMBDA[list(block)]
         for x in gens:
             for y in gens:
                 assert np.linalg.norm(x @ y - y @ x) < 1e-13
 
     def test_k_triple_closure(self):
-        # [l2, -l14] is proportional to -l8
-        lb = build_lambda_basis()
-        l2 = lb.span([2])[0]
-        l14 = lb.span([14])[0]
-        l8 = lb.span([8])[0]
-        comm = l2 @ (-l14) - (-l14) @ l2
-        coeff = -np.trace(comm @ (-l8)).real
-        assert np.linalg.norm(comm - coeff * (-l8)) < 1e-13
+        # [l2, -l14] is proportional to -l8: the first triple of K_TWISTED
+        minus_l14, l2, minus_l8 = K_TWISTED[:3]
+        comm = l2 @ minus_l14 - minus_l14 @ l2
+        coeff = -np.trace(comm @ minus_l8).real
+        assert np.linalg.norm(comm - coeff * minus_l8) < 1e-13
         assert abs(coeff) > 0.5
 
     def test_k_closes_on_itself(self):
-        lb = build_lambda_basis()
-        k = lb.k_generators
+        k = K_TWISTED
         for i in range(6):
             for j in range(6):
                 c = k[i] @ k[j] - k[j] @ k[i]
@@ -90,14 +92,23 @@ class TestLambdaBasis:
                 assert np.linalg.norm(c - proj) < 1e-13
 
     def test_k_kprime_commutators_in_abelian_planes(self):
-        lb = build_lambda_basis()
-        span = np.concatenate([lb.a_generators, lb.a_prime_generators])
-        for x in lb.k_generators:
-            for y in lb.k_prime_generators:
+        span = LAMBDA[list(A_PLANE + A_PRIME_PLANE)]
+        for x in K_TWISTED:
+            for y in LAMBDA[list(TORUS)]:
                 c = x @ y - y @ x
                 proj = np.einsum(
                     "m,mab->ab", -np.einsum("ab,mba->m", c, span).real, span)
                 assert np.linalg.norm(c - proj) < 1e-13
+
+    @pytest.mark.parametrize("shared", [PAULI, SIGMA, LAMBDA, K_TWISTED],
+                             ids=["PAULI", "SIGMA", "LAMBDA", "K_TWISTED"])
+    def test_shared_arrays_read_only(self, shared):
+        before = shared.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared *= 2.0
+        assert np.array_equal(shared, before)
 
     def test_cross_commutator_report_is_descriptive(self):
         report = cross_commutator_report()
@@ -192,10 +203,9 @@ class TestKakElement:
 
     def test_factor_order(self):
         el = kak_element(np.zeros(6), [0.5, 0, 0], [0, 0.7, 0], np.zeros(3))
-        lb = build_lambda_basis()
         from swphase.linalg import mat_exp
 
-        expected = mat_exp(0.5 * lb.a_generators[0]) @ mat_exp(0.7 * lb.a_prime_generators[1])
+        expected = mat_exp(0.5 * LAMBDA[A_PLANE[0]]) @ mat_exp(0.7 * LAMBDA[A_PRIME_PLANE[1]])
         np.testing.assert_allclose(el.factor_a, expected, atol=1e-14)
 
 
@@ -239,7 +249,7 @@ class TestEllipsoidMatrices:
     def test_symmetry_residual(self):
         for seed in range(50):
             o = adjoint_matrix(_random_abelian_factor(seed))
-            sub = o[np.ix_((0, 1, 2), (2, 5, 14))]
+            sub = o[np.ix_(LOCAL_A, TORUS)]
             raw = (4.0 / 3.0) * sub.T @ sub
             assert np.linalg.norm(raw - raw.T) < 1e-13
 
@@ -366,7 +376,7 @@ class TestModuliFeasibility:
                 assert abs(mu @ q.a @ mu - MATRIX_LEVEL) < 1e-10
                 ker = kernel_from_moduli(factor, mu)
                 report = verify_composite_master(ker.mat, DIMS22)
-                assert report.admissible(1e-10)
+                assert report.admissible()
         assert found > 0
 
     def test_record_79_keeps_both_antipodal_pairs(self):
@@ -381,7 +391,7 @@ class TestModuliFeasibility:
             assert abs(mu @ rec.quadrics.a @ mu - MATRIX_LEVEL) <= 1e-10
             assert abs(mu @ rec.quadrics.b @ mu - MATRIX_LEVEL) <= 1e-10
             ker = kernel_from_moduli(factor, mu)
-            assert verify_composite_master(ker.mat, DIMS22).admissible(1e-10)
+            assert verify_composite_master(ker.mat, DIMS22).admissible()
 
     def test_identity_fibre_matrix_level(self):
         # A = diag(4/3, 0, 0), B = diag(0, 4/3, 0): mu_1^2 = mu_2^2 = 1/5
