@@ -4,8 +4,10 @@ Subcommands: ``kernel gen``, ``kernel verify``, ``composite verify``,
 ``wigner eval``, ``reconstruct``, ``moduli scan``.  Exit codes: 0 success,
 1 well-formed input with a negative verdict, 2 usage or I/O error (also for
 non-finite input, or a report that would hold a non-finite number: JSON
-output is strict).  The matrix readers take a bare matrix object or a
-report holding one under ``"matrix"``, as ``kernel gen`` writes.  The
+output is strict).  The reports of ``kernel gen``, ``kernel verify`` and
+``composite verify`` carry ``"schema": 1``.  The matrix readers take a bare
+matrix object or a report holding one under ``"matrix"``, as ``kernel gen``
+writes, with or without a schema; any other schema is an input error.  The
 default seed is a fixed constant so documented invocations reproduce
 byte-for-byte.
 """
@@ -27,6 +29,10 @@ DEFAULT_TOL = 1e-10
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Version of the report envelope that the verdict commands write and the
+# matrix readers accept.
+_SCHEMA = 1
 
 # Largest --n of kernel gen and reconstruct: at 1024 a kernel gen run peaks
 # near 0.6 GB and writes 80 MB of JSON; larger sizes are refused before
@@ -102,8 +108,11 @@ def _load_matrix_file(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if isinstance(obj, dict) and "matrix" in obj:
-            obj = obj["matrix"]
+        if isinstance(obj, dict):
+            schema = obj.get("schema", _SCHEMA)
+            if type(schema) is not int or schema != _SCHEMA:
+                raise ValueError(f"unsupported report schema {schema!r}, expected {_SCHEMA}")
+            obj = obj.get("matrix", obj)
         return linalg.matrix_from_json(obj)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"cannot read matrix: {exc}") from None
@@ -220,6 +229,7 @@ def _cmd_kernel_gen(args) -> int:
         report = kernel.verify_master(mat, args.n)
     payload = report.as_dict()
     payload.update({
+        "schema": _SCHEMA,
         "n": args.n,
         "seed": args.seed,
         "spectrum": [float(v) for v in spectrum],
@@ -236,7 +246,7 @@ def _cmd_kernel_verify(args) -> int:
         raise ValueError(f"--n {args.n} does not match file dimension {mat.shape[0]}")
     report = kernel.verify_master(mat, n, args.tol)
     payload = report.as_dict()
-    payload["n"] = n
+    payload.update({"schema": _SCHEMA, "n": n})
     if report.hermitian:
         payload["spectrum"] = [float(v) for v in np.sort(np.linalg.eigvalsh(mat))[::-1]]
     _emit(_dump_json(payload), args.out)
@@ -247,7 +257,7 @@ def _cmd_composite_verify(args) -> int:
     mat = _load_matrix_file(args.input)
     args.dims.check(mat.shape[0])
     report = composite.verify_composite_master(mat, args.dims, args.tol)
-    _emit(_dump_json(report.as_dict()), args.out)
+    _emit(_dump_json({**report.as_dict(), "schema": _SCHEMA}), args.out)
     return EXIT_OK if report.admissible() else EXIT_FAIL
 
 

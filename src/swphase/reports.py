@@ -42,8 +42,8 @@ from .twoqubit import (
     LOCAL_B,
     TORUS,
     abelian_factor,
+    kak_element,
     kernel_from_moduli,
-    _exp_span,
 )
 
 __all__ = [
@@ -166,10 +166,11 @@ def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
     base = purity_residuals(factor_a)
     rng = np.random.default_rng(seed)
     max_t_shift = max_k_shift = 0.0
+    zeros = np.zeros(3)
     for _ in range(n_draws):
-        t = _exp_span(rng.uniform(-np.pi, np.pi, 3), LAMBDA[list(TORUS)])
+        t = kak_element(np.zeros(6), zeros, zeros, rng.uniform(-np.pi, np.pi, 3)).factor_t
         max_t_shift = max(max_t_shift, *np.abs(purity_residuals(factor_a @ t) - base))
-        k = _exp_span(rng.uniform(-np.pi, np.pi, 6), K_TWISTED)
+        k = kak_element(rng.uniform(-np.pi, np.pi, 6), zeros, zeros, zeros).factor_k
         max_k_shift = max(max_k_shift, *np.abs(purity_residuals(k @ factor_a) - base))
     return {
         "base_purity_a_residual": float(base[0]),

@@ -12,6 +12,18 @@ for the points where sphere and both ellipsoids meet.  The Fano block
 norms of a two-qubit kernel and the convention audit live in
 :mod:`swphase.reports`.
 
+Closed forms
+------------
+Each abelian 3-plane (A, A' and the torus) is spanned by three commuting
+Pauli products whose product is the identity: the Cartan (KAK) structure
+of SU(4) (Khaneja & Glaser, Chem. Phys. 267, 2001).  The three share a
+fixed eigenframe V with entries 0, +-1/2, +-i/2 (V = I on the torus), so
+V V^dagger == I exactly and exp(sum_i p_i l_i) = V diag(exp((i/2) p . S))
+V^dagger with a +-1 sign table S.  The abelian and torus factors thus need
+no eigensolver; only the non-abelian K factor of :func:`kak_element` goes
+through :func:`~swphase.linalg.mat_exp`.  The adjoint map is
+O = L^dagger (a kron conj(a)) L, with L the flattened generators.
+
 Batch axes
 ----------
 The abelian factor, the adjoint map and the ellipsoid matrices take a
@@ -104,7 +116,34 @@ TORUS = (2, 5, 14)             # 3, 6, 15: sigma_30, sigma_03, sigma_33
 # its two triples close among themselves.
 K_TWISTED = (np.array([-1, 1, -1, -1, 1, -1], dtype=complex)[:, None, None]
              * LAMBDA[[13, 1, 7, 4, 11, 9]])
-for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED):
+# The sign table S of the closed forms (module docstring); the third row is
+# the product of the first two.
+_PLANE_SIGNS = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+def _joint_frame(plane) -> np.ndarray:
+    """The frame V of an abelian plane: V^dagger sigma_i V = diag(_PLANE_SIGNS[i]).
+
+    Column k is a column of the joint projector (I + s1 sigma_1)(I + s2 sigma_2)/4
+    with (s1, s2) = _PLANE_SIGNS[:2, k], divided by the square root of its
+    diagonal entry (1/4, or 1 on the torus), so the entries are 0, +-1/2,
+    +-i/2 or 1 and V V^dagger == I holds exactly in floating point.
+    """
+    cols = []
+    for s1, s2 in _PLANE_SIGNS[:2].T:
+        proj = (np.eye(4) + s1 * SIGMA[plane[0]]) @ (np.eye(4) + s2 * SIGMA[plane[1]]) / 4.0
+        j = np.argmax(proj.diagonal().real)
+        cols.append(proj[:, j] / np.sqrt(proj[j, j].real))
+    return np.stack(cols, axis=1)
+
+
+# The frame V of A_PLANE, A_PRIME_PLANE and TORUS (where V = I).
+_PLANE_FRAMES = {plane: _joint_frame(plane) for plane in (A_PLANE, A_PRIME_PLANE, TORUS)}
+# L and L^dagger of adjoint_matrix: column n of L is l_n flattened row-major.
+_LAMBDA_COLS = LAMBDA.reshape(15, 16).T.copy()
+_LAMBDA_ROWS_H = LAMBDA.reshape(15, 16).conj()
+for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _LAMBDA_COLS, _LAMBDA_ROWS_H,
+                *_PLANE_FRAMES.values()):
     _shared.flags.writeable = False
 
 
@@ -130,28 +169,35 @@ class KakElement:
         return self.factor_k @ self.factor_a @ self.factor_t
 
 
-def _exp_span(params, generators) -> np.ndarray:
-    """exp(sum_i params[..., i] generators[i]), batched over params (..., k)."""
-    return mat_exp(np.einsum("...i,iab->...ab", np.asarray(params, dtype=float), generators))
+def _plane_exp(params, plane) -> np.ndarray:
+    """exp(sum_i params[..., i] LAMBDA[plane[i]]) over an abelian plane, batched.
+
+    ``plane`` is A_PLANE, A_PRIME_PLANE or TORUS; parameters (..., 3) give
+    (..., 4, 4).  Closed form in the plane's exact eigenframe, no eigensolver.
+    """
+    v = _PLANE_FRAMES[plane]
+    phases = np.exp(0.5j * (np.asarray(params, dtype=float) @ _PLANE_SIGNS))
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def abelian_factor(a_params, a_prime_params) -> np.ndarray:
     """The abelian factor exp(a) exp(a') of :func:`kak_element`, batched.
 
-    Parameters of shape (..., 3) give factors of shape (..., 4, 4); each
-    of the two exponentials runs once over the whole stack.  The order is
-    exactly exp(a) exp(a'): the two do not commute with each other even
-    though each 3-plane is abelian.
+    Parameters of shape (..., 3) give factors of shape (..., 4, 4).  Each
+    exponential is V diag(phases) V^dagger in its plane's common eigenframe,
+    whose entries are 0, +-1/2 and +-i/2, so the factors are exactly the
+    identity at the origin.  The order is exactly exp(a) exp(a'): the two do
+    not commute with each other even though each 3-plane is abelian.
     """
-    return (_exp_span(a_params, LAMBDA[list(A_PLANE)])
-            @ _exp_span(a_prime_params, LAMBDA[list(A_PRIME_PLANE)]))
+    return _plane_exp(a_params, A_PLANE) @ _plane_exp(a_prime_params, A_PRIME_PLANE)
 
 
 def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     """Build the factored group element from real coordinates.
 
     ``k_params`` has length 6, the others length 3.  The A factor is
-    :func:`abelian_factor`.
+    :func:`abelian_factor` and the diagonal torus factor has the same closed
+    form; only the non-abelian K factor goes through :func:`mat_exp`.
     """
     k_params = np.asarray(k_params, dtype=float)
     a_params = np.asarray(a_params, dtype=float)
@@ -160,9 +206,9 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     if k_params.shape != (6,) or a_params.shape != (3,) \
             or a_prime_params.shape != (3,) or t_params.shape != (3,):
         raise ValueError("expected parameter shapes (6,), (3,), (3,), (3,)")
-    factor_k = _exp_span(k_params, K_TWISTED)
+    factor_k = mat_exp(np.einsum("i,iab->ab", k_params, K_TWISTED))
     factor_a = abelian_factor(a_params, a_prime_params)
-    factor_t = _exp_span(t_params, LAMBDA[list(TORUS)])
+    factor_t = _plane_exp(t_params, TORUS)
     return KakElement(k_params, a_params, a_prime_params, t_params,
                       factor_k, factor_a, factor_t)
 
@@ -173,15 +219,17 @@ def adjoint_matrix(a) -> np.ndarray:
     Entries O[m, n] = -tr(a l_n a^dagger l_m), i.e. column n holds the
     coordinates of a l_n a^dagger, so coefficient vectors transform as
     x -> O x and adjoint(a1 a2) = adjoint(a1) adjoint(a2).  O is orthogonal.
-    A stack of unitaries (..., 4, 4) gives a stack (..., 15, 15).
+    With L the 16x15 matrix whose columns are the flattened generators this
+    is O = L^dagger (a kron conj(a)) L: the first product is one GEMM over the
+    whole stack.  A stack of unitaries (..., 4, 4) gives a stack (..., 15, 15).
     """
     am = np.asarray(a, dtype=complex)
     if am.ndim < 2 or am.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 unitary or a stack of them, got shape {am.shape}")
     _check_unitary(am)
-    ah = am.conj().swapaxes(-1, -2)
-    rotated = am[..., None, :, :] @ LAMBDA @ ah[..., None, :, :]
-    o = -np.einsum("...nab,mba->...mn", rotated, LAMBDA)
+    # Rows (..., i, l), columns (j, k): a[i, j] conj(a[l, k]).
+    kron = (am[..., :, None, :, None] * am.conj()[..., None, :, None, :]).reshape(-1, 16)
+    o = _LAMBDA_ROWS_H @ (kron @ _LAMBDA_COLS).reshape(am.shape[:-2] + (16, 15))
     _check_each(np.abs(o.imag).max(axis=(-2, -1)) > 1e-12, "adjoint matrix came out non-real")
     o = o.real
     _check_each(np.linalg.norm(o @ o.swapaxes(-1, -2) - np.eye(15), axis=(-2, -1)) > 1e-11,
@@ -242,6 +290,10 @@ class QuadricTriple:
         return part
 
 
+# The sub-blocks S of O behind A and B: local rows, torus columns.
+_QUADRIC_BLOCKS = tuple((...,) + np.ix_(rows, TORUS) for rows in (LOCAL_A, LOCAL_B))
+
+
 def ellipsoid_matrices(o) -> QuadricTriple:
     """Ellipsoid matrices from the adjoint rotation.
 
@@ -256,8 +308,8 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     if om.ndim < 2 or om.shape[-2:] != (15, 15):
         raise ValueError(f"expected a 15x15 adjoint matrix or a stack of them, got shape {om.shape}")
     quadrics = []
-    for rows in (LOCAL_A, LOCAL_B):
-        sub = om[(...,) + np.ix_(rows, TORUS)]
+    for block in _QUADRIC_BLOCKS:
+        sub = om[block]
         q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
         quadrics.append((q + q.swapaxes(-1, -2)) / 2.0)
     return QuadricTriple(a=quadrics[0], b=quadrics[1])

@@ -123,7 +123,7 @@ class TestKernelGen:
         assert payload["matrix"]["dim"] == 4
         # The full-system residuals appear once, under eq6.
         assert set(payload) == {"dims", "eq6", "eq8_a", "eq8_b", "admissible",
-                                "n", "seed", "spectrum", "matrix"}
+                                "schema", "n", "seed", "spectrum", "matrix"}
         assert set(payload["eq6"]) == {"hermitian", "hermiticity_defect",
                                        "trace_residual", "purity_residual"}
 
@@ -224,6 +224,51 @@ class TestReportEnvelope:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read matrix:")
 
+    def test_reports_carry_schema(self, tmp_path, capsys):
+        gen = tmp_path / "gen.json"
+        comp = tmp_path / "comp.json"
+        run(["kernel", "gen", "--n", "3", "--seed", "5", "--out", str(gen)], capsys)
+        run(["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2", "--seed", "5",
+             "--out", str(comp)], capsys)
+        assert json.loads(gen.read_text())["schema"] == 1
+        assert json.loads(comp.read_text())["schema"] == 1
+        for argv in (["kernel", "verify", str(gen)],
+                     ["composite", "verify", str(comp), "--dims", "2x2"]):
+            code, out, _ = run(argv, capsys)
+            assert code == 0 and json.loads(out)["schema"] == 1
+
+    @pytest.mark.parametrize("envelope", [
+        lambda report: report,
+        lambda report: {k: v for k, v in report.items() if k != "schema"},
+        lambda report: report["matrix"],
+    ], ids=["schema_1", "no_schema", "bare_matrix"])
+    def test_readers_accept_schema_1_or_none(self, tmp_path, capsys, envelope):
+        gen = tmp_path / "gen.json"
+        run(["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2", "--seed", "5",
+             "--out", str(gen)], capsys)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(envelope(json.loads(gen.read_text()))))
+        state = write_matrix(tmp_path / "state.json", np.diag([1.0, 0.0, 0.0, 0.0]))
+        for argv in (["kernel", "verify", str(path)],
+                     ["composite", "verify", str(path), "--dims", "2x2"],
+                     ["wigner", "eval", state, str(path)]):
+            code, out, err = run(argv, capsys)
+            assert code == 0 and err == "", argv
+
+    @pytest.mark.parametrize("schema", [2, 0, "1", 1.0, True, None])
+    def test_other_schema_exit_2(self, tmp_path, capsys, schema):
+        gen = tmp_path / "gen.json"
+        run(["kernel", "gen", "--n", "2", "--seed", "4", "--out", str(gen)], capsys)
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps({**json.loads(gen.read_text()), "schema": schema}))
+        for argv in (["kernel", "verify", str(path)],
+                     ["composite", "verify", str(path), "--dims", "1x2"],
+                     ["wigner", "eval", str(path), str(gen)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: cannot read matrix: unsupported report schema")
+            assert err.count("\n") == 1
+
 
 def _nan_matrix(path):
     entries = [[0.0, 0.0]] * 16
@@ -285,7 +330,7 @@ class TestCompositeVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["admissible"] is True
-        assert set(payload) == {"dims", "eq6", "eq8_a", "eq8_b", "admissible"}
+        assert set(payload) == {"dims", "eq6", "eq8_a", "eq8_b", "admissible", "schema"}
 
     def test_maximally_mixed_exit_1(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "mixed.json", np.eye(4) / 4)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
+from swphase.linalg import BipartiteDims, haar_unitary, haar_unitaries, mat_exp, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import (
     fano_blocks,
@@ -55,6 +55,17 @@ DIMS22 = BipartiteDims(2, 2)
 def _random_abelian_factor(seed):
     rng = np.random.default_rng(seed)
     return abelian_factor(rng.uniform(-np.pi, np.pi, 3), rng.uniform(-np.pi, np.pi, 3))
+
+
+def _exp_generators(params, rows):
+    """Eigensolver reference: mat_exp of sum_i params[..., i] LAMBDA[rows[i]]."""
+    return mat_exp(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
+
+
+def _adjoint_per_generator(a):
+    """Reference adjoint map, one generator pair at a time: -tr(a l_n a^dagger l_m)."""
+    rotated = a[..., None, :, :] @ LAMBDA @ a.conj().swapaxes(-1, -2)[..., None, :, :]
+    return -np.einsum("...nab,mba->...mn", rotated, LAMBDA).real
 
 
 class TestLambdaBasis:
@@ -203,10 +214,33 @@ class TestKakElement:
 
     def test_factor_order(self):
         el = kak_element(np.zeros(6), [0.5, 0, 0], [0, 0.7, 0], np.zeros(3))
-        from swphase.linalg import mat_exp
-
         expected = mat_exp(0.5 * LAMBDA[A_PLANE[0]]) @ mat_exp(0.7 * LAMBDA[A_PRIME_PLANE[1]])
         np.testing.assert_allclose(el.factor_a, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)], ids=str)
+    def test_closed_forms_match_mat_exp(self, shape):
+        a, ap, t = np.random.default_rng(len(shape)).uniform(-np.pi, np.pi, (3,) + shape)
+        exp_a, exp_ap = _exp_generators(a, A_PLANE), _exp_generators(ap, A_PRIME_PLANE)
+        factors = abelian_factor(a, ap)
+        assert factors.shape == shape[:-1] + (4, 4)
+        np.testing.assert_allclose(factors, exp_a @ exp_ap, rtol=0, atol=1e-14)
+        # the two planes do not commute: the swapped order is far off
+        assert np.abs(factors - exp_ap @ exp_a).max() > 1e-2
+        for idx in np.ndindex(shape[:-1]):
+            el = kak_element(np.zeros(6), a[idx], ap[idx], t[idx])
+            np.testing.assert_allclose(el.factor_t, _exp_generators(t[idx], TORUS),
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(el.factor_a, factors[idx], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("plane", [pytest.param(A_PLANE, id="a_plane"),
+                                       pytest.param(A_PRIME_PLANE, id="a_prime_plane"),
+                                       pytest.param(TORUS, id="torus")])
+    def test_plane_frame_exact(self, plane):
+        v = twoqubit._PLANE_FRAMES[plane]
+        assert np.array_equal(v @ v.conj().T, np.eye(4))
+        assert np.array_equal(v.conj().T @ v, np.eye(4))
+        for row, signs in zip(plane, twoqubit._PLANE_SIGNS):
+            assert np.array_equal(v.conj().T @ SIGMA[row] @ v, np.diag(signs))
 
 
 class TestAdjointMatrix:
@@ -229,6 +263,16 @@ class TestAdjointMatrix:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             adjoint_matrix(np.diag([1.0, 2.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 5)], ids=str)
+    def test_matches_per_generator_formula(self, shape):
+        u = haar_unitaries(4, int(np.prod(shape)), seed=len(shape)).reshape(shape + (4, 4))
+        o = adjoint_matrix(u)
+        assert o.shape == shape + (15, 15)
+        np.testing.assert_allclose(o, _adjoint_per_generator(u), rtol=0, atol=1e-14)
+        abelian = _random_abelian_factor(3)
+        np.testing.assert_allclose(adjoint_matrix(abelian), _adjoint_per_generator(abelian),
+                                   rtol=0, atol=1e-14)
 
 
 class TestEllipsoidMatrices:
@@ -494,6 +538,29 @@ class TestModuliScan:
         assert rec.classification == "degenerate"
         assert rec.n_solutions == 0
         np.testing.assert_array_equal(rec.quadrics.a, np.diag([4.0 / 3.0, 0, 0]))
+
+    def test_closed_form_change_is_roundoff(self):
+        # The closed-form front end against the eigensolver route it replaced
+        # (mat_exp of the generator sums, then the per-generator adjoint).
+        # The roots are compared relative to the largest root of the record:
+        # a root far below it is ill-conditioned, and one ulp of noise on the
+        # quadrics moves it by about 1e-3 of itself.
+        records = moduli_scan(1000, 7)
+        a = np.stack([rec.a_params for rec in records])
+        ap = np.stack([rec.a_prime_params for rec in records])
+        ref = ellipsoid_matrices(_adjoint_per_generator(
+            _exp_generators(a, A_PLANE) @ _exp_generators(ap, A_PRIME_PLANE)))
+        for k, rec in enumerate(records):
+            want, feas = ref[k], moduli_feasibility(ref[k])
+            assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (want.rank_a, want.rank_b)
+            assert (rec.classification, rec.n_solutions) == (feas.classification,
+                                                             feas.n_solutions)
+            np.testing.assert_allclose(rec.quadrics.eig_a, want.eig_a, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(rec.quadrics.eig_b, want.eig_b, rtol=0, atol=1e-13)
+            got_roots, want_roots = np.sort(rec.roots_ab), np.sort(char_cubic_roots(want))
+            assert got_roots.shape == want_roots.shape
+            assert (np.abs(got_roots - want_roots).max(initial=0.0)
+                    <= 1e-6 * np.abs(want_roots).max(initial=0.0))
 
     def test_deterministic(self):
         r1 = moduli_scan(5, seed=9)
