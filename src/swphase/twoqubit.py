@@ -38,6 +38,7 @@ batch-of-one case of the same pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,7 +256,10 @@ class QuadricTriple:
     ``eig_b`` hold the ascending eigenvalues, computed once by the
     positive-semidefinite check; -eig_a and -eig_b are the roots of
     det(t I + A) and det(t I + B).  ``rank_a`` and ``rank_b`` count the
-    eigenvalues above ``_COND_FLOOR``, one count per pair.
+    eigenvalues above ``_COND_FLOOR``, one count per pair.  Every entry must
+    be finite.  The checks run in order of kind (shape, finite, symmetric,
+    positive semidefinite), each once on ``a`` and ``b`` stacked; the first
+    kind that fails is reported, on ``a`` before ``b``.
     """
 
     a: np.ndarray
@@ -266,19 +270,23 @@ class QuadricTriple:
     rank_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, m in (("a", self.a), ("b", self.b)):
-            arr = np.asarray(m, dtype=float)
+        pair = (np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float))
+        for name, arr in zip("ab", pair):
             if arr.ndim < 2 or arr.shape[-2:] != (3, 3):
                 raise ValueError(f"{name} must be 3x3 or a stack of 3x3 matrices")
-            _check_each(np.linalg.norm(arr - arr.swapaxes(-1, -2), axis=(-2, -1)) > 1e-13,
-                        f"{name} is not symmetric")
-            eig = np.linalg.eigvalsh(arr)
-            _check_each(eig[..., 0] < -1e-10, f"{name} is not positive semidefinite")
+        if pair[0].shape != pair[1].shape:
+            raise ValueError(f"a and b stacks differ in shape: {pair[0].shape} vs {pair[1].shape}")
+        ab = np.stack(pair)
+        _check_pair(~np.isfinite(ab).all(axis=(-2, -1)), "has a non-finite entry")
+        _check_pair(np.linalg.norm(ab - ab.swapaxes(-1, -2), axis=(-2, -1)) > 1e-13,
+                    "is not symmetric")
+        eig = np.linalg.eigvalsh(ab)
+        _check_pair(eig[..., 0] < -1e-10, "is not positive semidefinite")
+        rank = np.count_nonzero(eig > _COND_FLOOR, axis=-1)
+        for name, arr, eig_k, rank_k in zip("ab", pair, eig, rank):
             object.__setattr__(self, name, arr)
-            object.__setattr__(self, f"eig_{name}", eig)
-            object.__setattr__(self, f"rank_{name}", np.count_nonzero(eig > _COND_FLOOR, axis=-1))
-        if self.a.shape != self.b.shape:
-            raise ValueError(f"a and b stacks differ in shape: {self.a.shape} vs {self.b.shape}")
+            object.__setattr__(self, f"eig_{name}", eig_k)
+            object.__setattr__(self, f"rank_{name}", rank_k)
 
     def __getitem__(self, index) -> QuadricTriple:
         """The pair of one record of a stack (or a sub-stack), checked with it."""
@@ -290,8 +298,15 @@ class QuadricTriple:
         return part
 
 
-# The sub-blocks S of O behind A and B: local rows, torus columns.
-_QUADRIC_BLOCKS = tuple((...,) + np.ix_(rows, TORUS) for rows in (LOCAL_A, LOCAL_B))
+def _check_pair(bad: np.ndarray, message: str) -> None:
+    """:func:`_check_each` on ``a`` then ``b`` of a stacked check (2, ...)."""
+    if bad.any():
+        for name, bad_k in zip("ab", bad):
+            _check_each(bad_k, f"{name} {message}")
+
+
+# The sub-blocks S of O behind A and B, stacked: local rows, torus columns.
+_QUADRIC_BLOCKS = (...,) + np.ix_(LOCAL_A + LOCAL_B, TORUS)
 
 
 def ellipsoid_matrices(o) -> QuadricTriple:
@@ -307,12 +322,10 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     om = np.asarray(o, dtype=float)
     if om.ndim < 2 or om.shape[-2:] != (15, 15):
         raise ValueError(f"expected a 15x15 adjoint matrix or a stack of them, got shape {om.shape}")
-    quadrics = []
-    for block in _QUADRIC_BLOCKS:
-        sub = om[block]
-        q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
-        quadrics.append((q + q.swapaxes(-1, -2)) / 2.0)
-    return QuadricTriple(a=quadrics[0], b=quadrics[1])
+    sub = om[_QUADRIC_BLOCKS].reshape(om.shape[:-2] + (2, 3, 3))
+    q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
+    q = (q + q.swapaxes(-1, -2)) / 2.0
+    return QuadricTriple(a=q[..., 0, :, :], b=q[..., 1, :, :])
 
 
 def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -415,32 +428,48 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
     at most ``_RESIDUAL_TOL`` (points within ``_DEDUP_TOL`` count once).
     No solution exists, and none is sought, when ``level`` is outside the
     eigenvalue range of A or of B, or above lambda_max(A + B) / 2.  A
-    degenerate pencil (A = B, or a null direction shared by C_A and C_B),
-    whose solutions can form a curve, raises ValueError.
+    degenerate pencil (A = B, a null direction shared by C_A and C_B, or a
+    zero conic, A or B equal to level I), whose solutions can form a curve,
+    raises ValueError, as does a ``level`` that is not positive and finite.
+
+    The pencil roots come from one direct LAPACK ``dggev`` call; its input
+    is finite because :class:`QuadricTriple` rejects non-finite entries.
+    The line pairs are split on Python floats, and the Newton steps, the
+    residuals and the dedup distances take one array product each over all
+    candidate points.
 
     The default ``level`` is the quoted unit normalization; pass
     ``MATRIX_LEVEL`` to solve the system equivalent to the matrix-level
     subsystem purity conditions (solutions then generate
     composite-admissible kernels through :func:`kernel_from_moduli`).
     """
-    if level <= 0.0:
-        raise ValueError("level must be positive")
-    solutions: list[np.ndarray] = []
+    if not (level > 0.0 and math.isfinite(level)):
+        raise ValueError(f"level must be positive and finite, got {level!r}")
     if not _level_reachable(q, level):
-        return _feasibility_result(q, solutions)
-    forms = np.stack([np.eye(3), q.a, q.b])
-    mus = _conic_intersection(q.a - level * forms[0], q.b - level * forms[0])
+        return _feasibility_result(q, [])
+    eye = np.eye(3)
+    mus = _conic_intersection(q.a - level * eye, q.b - level * eye)
+    if not len(mus):
+        return _feasibility_result(q, [])
+    # Row k of grad[p] is form k of [I | A | B] applied to mu_p.
+    forms = np.concatenate([eye, q.a, q.b], axis=1)
+    target = np.array([[1.0], [level], [level]])
     for _ in range(2):
-        grad = np.einsum("kij,pj->pki", forms, mus)
-        f = np.einsum("pki,pi->pk", grad, mus) - [1.0, level, level]
+        grad = (mus @ forms).reshape(-1, 3, 3)
+        f = grad @ mus[:, :, None] - target
         ok = np.linalg.det(grad) != 0.0  # exactly singular at structured tangencies
-        mus[ok] -= 0.5 * np.linalg.solve(grad[ok], f[ok, :, None])[..., 0]
+        mus[ok] -= 0.5 * np.linalg.solve(grad[ok], f[ok])[..., 0]
     mus /= np.linalg.norm(mus, axis=1, keepdims=True)
-    res = np.abs(np.einsum("pi,kij,pj->pk", mus, forms[1:], mus) - level).max(axis=1)
-    for mu in mus[res <= _RESIDUAL_TOL]:
-        if all(np.linalg.norm(mu - s) > _DEDUP_TOL for s in solutions):
-            solutions += [mu, -mu]
-    return _feasibility_result(q, solutions)
+    values = (mus @ forms[:, 3:]).reshape(-1, 2, 3) @ mus[:, :, None]
+    good = mus[np.abs(values[..., 0] - level).max(axis=1) <= _RESIDUAL_TOL]
+    # Distances from each point to every point, then to every antipode.
+    n = len(good)
+    dist = np.linalg.norm(good[:, None] - np.concatenate([good, -good]), axis=-1).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(dist):
+        if all(row[j] > _DEDUP_TOL and row[j + n] > _DEDUP_TOL for j in kept):
+            kept.append(i)
+    return _feasibility_result(q, [mu for i in kept for mu in (good[i], -good[i])])
 
 
 def _feasibility_result(q: QuadricTriple, solutions: list) -> FeasibilityResult:
@@ -466,39 +495,63 @@ def _level_reachable(q: QuadricTriple, level: float) -> np.ndarray:
 
 
 def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Unit candidates (m, 3), m <= 4, for the real common points of two conics."""
-    ca, cb = ca / np.linalg.norm(ca), cb / np.linalg.norm(cb)
+    """Unit candidates (m, 3), m <= 4, for the real common points of two conics.
+
+    The entries must be finite: the pencil roots come straight from LAPACK's
+    ``dggev`` (the routine behind ``scipy.linalg.eigvals``), which does not
+    check its input.  A zero conic (A or B equal to level I) makes the
+    pencil degenerate and raises ValueError, as does any degenerate pencil.
+    """
+    norm_a, norm_b = np.linalg.norm(ca), np.linalg.norm(cb)
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("degenerate pencil: C_A or C_B is zero (A or B equals level I)")
+    ca, cb = ca / norm_a, cb / norm_b
     wedge = np.outer(ca, cb)
     # Roots t = alpha / beta of det(ca + t cb), t = inf too, from ca v = t (-cb) v.
-    ab = scipy.linalg.eigvals(ca, -cb, homogeneous_eigvals=True)
-    size = np.abs(ab).max(axis=0)
-    if np.linalg.norm(wedge - wedge.T) <= 1e-12 or size.min() <= 1e-12:
+    alpha_re, alpha_im, beta, _, _, _, info = scipy.linalg.lapack.dggev(
+        ca, -cb, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dggev info {info})")
+    roots = list(zip(alpha_re.tolist(), alpha_im.tolist(), beta.tolist()))
+    sizes = [max(math.hypot(a_re, a_im), abs(b)) for a_re, a_im, b in roots]
+    if np.linalg.norm(wedge - wedge.T) <= 1e-12 or min(sizes) <= 1e-12:
         raise ValueError("degenerate pencil: C_A and C_B proportional or det(C_A + t C_B) == 0")
-    xy = np.stack([ab[1].real, ab[0].real], axis=1)[np.abs(ab[0].imag) <= 1e-8 * size]
-    xy /= np.linalg.norm(xy, axis=1, keepdims=True)
+    xy = []
+    for (a_re, a_im, b), size in zip(roots, sizes):
+        if abs(a_im) <= 1e-8 * size:  # a real root: the member b ca + a_re cb
+            h = math.sqrt(b * b + a_re * a_re)
+            xy.append([b / h, a_re / h])
+    xy = np.array(xy).reshape(-1, 2)
     w, v = np.linalg.eigh(xy[:, 0, None, None] * ca + xy[:, 1, None, None] * cb)
-    # Split the indefinite member (a real line pair) with the best-separated lines.
-    null = np.argmin(np.abs(w), axis=1)
-    score = np.where((null == 1) & (w[:, 0] < 0.0) & (w[:, 2] > 0.0),
-                     np.minimum(-w[:, 0], w[:, 2]), -np.inf)
-    k = int(np.argmax(score))
-    if score[k] == -np.inf:  # no real line pair: complex contact (or 4-fold, unresolved)
+    # Split the indefinite member (a real line pair) with the best-separated
+    # lines: the middle eigenvalue is the one nearest zero (the first on a tie)
+    # and the others straddle it; the first best score wins.
+    k, best, w = -1, -math.inf, w.tolist()
+    for i, (w0, w1, w2) in enumerate(w):
+        if abs(w1) < abs(w0) and abs(w1) <= abs(w2) and w0 < 0.0 < w2 and min(-w0, w2) > best:
+            k, best = i, min(-w0, w2)
+    if k < 0:  # no real line pair: complex contact (or 4-fold, unresolved)
         return np.zeros((0, 3))
     # On the member x ca + y cb, cb = 0 implies ca = 0 when x != 0, and vice versa.
-    other = cb if abs(xy[k, 0]) >= abs(xy[k, 1]) else ca
-    lo, hi = np.sqrt(-w[k, 0]), np.sqrt(w[k, 2])
-    v0, v1, v2 = v[k].T
-    points = []
-    for sign in (1.0, -1.0):
-        # The line hi (v2 . mu) = sign lo (v0 . mu), spanned by v1 and e.
-        e = (lo * v2 + sign * hi * v0) / np.hypot(lo, hi)
-        p, c, r = v1 @ other @ v1, v1 @ other @ e, e @ other @ e
+    x, y = xy[k].tolist()
+    other = cb if abs(x) >= abs(y) else ca
+    lo, hi = math.sqrt(-w[k][0]), math.sqrt(w[k][2])
+    h = math.hypot(lo, hi)
+    lo, hi = lo / h, hi / h
+    # Rows v1, e+, e-: the line hi (v2 . mu) = sign lo (v0 . mu) is spanned by
+    # v1 and e = lo v2 + sign hi v0, so the rows span both lines.
+    basis = np.array([[0.0, 1.0, 0.0], [hi, 0.0, lo], [-hi, 0.0, lo]]) @ v[k].T
+    (p, c_plus, c_minus), (_, r_plus, _), (_, _, r_minus) = (basis @ other @ basis.T).tolist()
+    coeffs = []
+    for j, c, r in ((1, c_plus, r_plus), (2, c_minus, r_minus)):
         disc = c * c - p * r
         if disc >= -1e-10 * (p * p + c * c + r * r):  # tangent up to roundoff: keep
-            s = -(c + np.copysign(np.sqrt(max(disc, 0.0)), c))
-            points += [u * v1 + t * e for u, t in ((s, p), (r, s)) if u or t]
-    pts = np.array(points).reshape(-1, 3)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+            s = -(c + math.copysign(math.sqrt(max(disc, 0.0)), c))
+            for u, t in ((s, p), (r, s)):
+                if u or t:  # the unit point (u v1 + t e) / hypot(u, t): v1 is normal to e
+                    h = math.hypot(u, t)
+                    coeffs.append([u / h, t / h, 0.0] if j == 1 else [u / h, 0.0, t / h])
+    return np.array(coeffs).reshape(-1, 3) @ basis
 
 
 _ISOTROPY_SPANS = {"lu_local": LAMBDA[list(LOCAL_A + LOCAL_B)], "full_su4": LAMBDA,

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from swphase.linalg import BipartiteDims, haar_unitary, haar_unitaries, mat_exp, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
@@ -472,6 +473,32 @@ class TestModuliFeasibility:
             labels.add(got.classification)
         assert {"feasible", "empty"} <= labels
 
+    @pytest.mark.parametrize("a, a_prime, level", [
+        ((0, 0, 1 / 4), (0, 0, 1 / 4), 0.4),
+        ((-1, -1 / 2, 1 / 4), (1, 1 / 2, 1 / 4), MATRIX_LEVEL),
+        ((1 / 4, 1, 1), (1 / 2, 1 / 4, 0), MATRIX_LEVEL),
+        ((1, 1, 1 / 4), (-1 / 2, -1, 1 / 4), 0.4),
+    ])
+    def test_structured_tangency_records(self, a, a_prime, level):
+        # Rank-deficient records on the grid of multiples of pi/4, where the
+        # solution count is not stable under roundoff: some candidates sit
+        # at tangencies whose Newton Jacobian is singular to working
+        # precision, so the last bits decide whether they survive.  The
+        # count is therefore not compared with the reference here, only
+        # the label and the properties every returned point must have.
+        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array(a),
+                                                             np.pi * np.array(a_prime))))
+        assert min(q.rank_a, q.rank_b) < 3
+        got = moduli_feasibility(q, level=level)
+        assert got.classification == "degenerate"
+        assert got.n_solutions % 2 == 0 and got.n_solutions <= 8
+        mus = np.array(got.solutions).reshape(-1, 3)
+        np.testing.assert_allclose(np.linalg.norm(mus, axis=1), 1.0, rtol=0, atol=1e-12)
+        for quad in (q.a, q.b):
+            values = np.einsum("pi,ij,pj->p", mus, quad, mus)
+            assert np.abs(values - level).max(initial=0.0) <= 1e-10
+        np.testing.assert_array_equal(mus[1::2], -mus[0::2])
+
     def test_label_degenerate_on_identity_fibre(self):
         # rank 1/1 quadrics: degenerate even though 8 solutions exist
         result = moduli_feasibility(ellipsoid_matrices(np.eye(15)), level=MATRIX_LEVEL)
@@ -508,6 +535,97 @@ class TestModuliFeasibility:
             rb = np.einsum("kikj->ij", ker.mat.reshape(2, 2, 2, 2))
             val_b = np.trace(rb @ rb).real
             assert abs(val_b - (0.5 + (45.0 / 8.0) * (mu @ q.b @ mu))) < 1e-10
+
+
+def _qz_reference(q, level):
+    """Solutions of the moduli system through scipy's QZ wrapper, one point at a time.
+
+    The same pencil-and-line-pair algorithm as the library, written without
+    its batching: eigvals(..., homogeneous_eigvals=True) for the pencil roots
+    and a per-point Newton, residual and dedup loop.
+    """
+    if not (q.eig_a[0] <= level <= q.eig_a[-1] and q.eig_b[0] <= level <= q.eig_b[-1]
+            and np.linalg.eigvalsh(q.a + q.b)[-1] >= 2.0 * level):
+        return []
+    ca, cb = q.a - level * np.eye(3), q.b - level * np.eye(3)
+    ca, cb = ca / np.linalg.norm(ca), cb / np.linalg.norm(cb)
+    ab = scipy.linalg.eigvals(ca, -cb, homogeneous_eigvals=True)
+    xy = np.stack([ab[1].real, ab[0].real], axis=1)[np.abs(ab[0].imag) <= 1e-8 * np.abs(ab).max(axis=0)]
+    xy /= np.linalg.norm(xy, axis=1, keepdims=True)
+    w, v = np.linalg.eigh(xy[:, 0, None, None] * ca + xy[:, 1, None, None] * cb)
+    score = np.where((np.argmin(np.abs(w), axis=1) == 1) & (w[:, 0] < 0.0) & (w[:, 2] > 0.0),
+                     np.minimum(-w[:, 0], w[:, 2]), -np.inf)
+    k, points = int(np.argmax(score)), []
+    if score[k] > -np.inf:
+        other = cb if abs(xy[k, 0]) >= abs(xy[k, 1]) else ca
+        lo, hi = np.sqrt(-w[k, 0]), np.sqrt(w[k, 2])
+        v0, v1, v2 = v[k].T
+        for sign in (1.0, -1.0):
+            e = (lo * v2 + sign * hi * v0) / np.hypot(lo, hi)
+            p, c, r = v1 @ other @ v1, v1 @ other @ e, e @ other @ e
+            disc = c * c - p * r
+            if disc >= -1e-10 * (p * p + c * c + r * r):
+                s = -(c + np.copysign(np.sqrt(max(disc, 0.0)), c))
+                points += [u * v1 + t * e for u, t in ((s, p), (r, s)) if u or t]
+    forms, solutions = np.stack([np.eye(3), q.a, q.b]), []
+    for mu in points:
+        mu = mu / np.linalg.norm(mu)
+        for _ in range(2):
+            grad = forms @ mu
+            if np.linalg.det(grad) != 0.0:
+                mu = mu - 0.5 * np.linalg.solve(grad, grad @ mu - [1.0, level, level])
+        mu = mu / np.linalg.norm(mu)
+        if (max(abs(mu @ q.a @ mu - level), abs(mu @ q.b @ mu - level)) <= 1e-10
+                and all(np.linalg.norm(mu - s) > 1e-8 for s in solutions)):
+            solutions += [mu, -mu]
+    return solutions
+
+
+class TestSolverGuards:
+    """Inputs the solver must refuse with a ValueError before any LAPACK call."""
+
+    @pytest.mark.parametrize("zero", ["a", "b"])
+    def test_zero_conic_raises_degenerate_pencil(self, zero):
+        # A = level I: C_A = 0, a pencil made of C_B alone, solved by a whole conic
+        flat, other = MATRIX_LEVEL * np.eye(3), np.diag([0.1, 0.3, 0.5])
+        pair = {"a": flat, "b": other} if zero == "a" else {"a": other, "b": flat}
+        q = QuadricTriple(**pair)
+        assert twoqubit._level_reachable(q, MATRIX_LEVEL)
+        with pytest.raises(ValueError, match="degenerate pencil"):
+            moduli_feasibility(q, level=MATRIX_LEVEL)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_level_must_be_positive_and_finite(self, level):
+        q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(3)))
+        with pytest.raises(ValueError, match="level must be positive and finite"):
+            moduli_feasibility(q, level=level)
+
+    def test_exact_shared_null_direction_raises_degenerate_pencil(self):
+        # diagonal quadrics sharing the eigenvalue level: alpha = beta = 0 exactly
+        for a_diag, b_diag in (([1.0, 0.1], [0.05, 1.2]), ([0.9, 0.2], [0.1, 0.7])):
+            q = QuadricTriple(a=np.diag(a_diag + [MATRIX_LEVEL]), b=np.diag(b_diag + [MATRIX_LEVEL]))
+            with pytest.raises(ValueError, match="degenerate pencil"):
+                moduli_feasibility(q, level=MATRIX_LEVEL)
+
+
+class TestSolverParity:
+    """moduli_feasibility against the per-point QZ reference on seeded bundle draws."""
+
+    @pytest.mark.parametrize("level", [MATRIX_LEVEL, 0.15, 0.4])
+    def test_matches_qz_reference(self, level):
+        labels = set()
+        for seed in range(300):
+            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 30_000)))
+            got, want = moduli_feasibility(q, level=level), _qz_reference(q, level)
+            assert got.n_solutions == len(want)
+            if min(q.rank_a, q.rank_b) < 3:
+                assert got.classification == "degenerate"
+            else:
+                assert got.classification == ("feasible" if want else "empty")
+            for mu in got.solutions:
+                assert min(np.abs(mu - s).max() for s in want) <= 1e-12
+            labels.add(got.classification)
+        assert {"feasible", "empty"} <= labels
 
 
 class TestIsotropyDim:
@@ -759,6 +877,45 @@ class TestBatchParity:
         q = ellipsoid_matrices(np.eye(15))
         with pytest.raises(ValueError, match="differ in shape"):
             QuadricTriple(a=np.stack([q.a, q.a]), b=q.b)
+
+    @pytest.mark.parametrize("check", ["symmetric", "positive semidefinite"])
+    def test_stacked_check_names_a_before_b(self, check):
+        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
+            *np.random.default_rng(4).uniform(-np.pi, np.pi, (2, 6, 3)))))
+        a, b = quads.a.copy(), quads.b.copy()
+        if check == "symmetric":
+            a[3, 0, 1] += 1e-12
+            b[1, 2, 0] += 1e-12
+        else:
+            a[3] -= (np.linalg.eigvalsh(a[3])[0] + 1e-6) * np.eye(3)
+            b[1] -= (np.linalg.eigvalsh(b[1])[0] + 1e-6) * np.eye(3)
+        with pytest.raises(ValueError, match=rf"^a is not {check} at stack index \[3\]$"):
+            QuadricTriple(a=a, b=b)
+        with pytest.raises(ValueError, match=rf"^b is not {check} at stack index \[1\]$"):
+            QuadricTriple(a=quads.a, b=b)
+        with pytest.raises(ValueError, match=rf"^b is not {check}$"):
+            QuadricTriple(a=quads.a[1], b=b[1])
+        # The checks run in order of kind (shape, finite, symmetric,
+        # semidefinite), each on a then b.
+        with pytest.raises(ValueError, match=r"^a and b stacks differ in shape"):
+            QuadricTriple(a=a, b=b[:4])
+        if check == "positive semidefinite":
+            b[1, 2, 0] += 1e-12
+            with pytest.raises(ValueError, match=r"^b is not symmetric at stack index \[1\]$"):
+                QuadricTriple(a=a, b=b)
+
+    def test_non_finite_quadric_raises(self):
+        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
+            *np.random.default_rng(5).uniform(-np.pi, np.pi, (2, 5, 3)))))
+        for bad in (np.nan, np.inf, -np.inf):
+            a = quads.a[0].copy()
+            a[1, 1] = bad
+            with pytest.raises(ValueError, match=r"^a has a non-finite entry$"):
+                QuadricTriple(a=a, b=quads.b[0])
+            b = quads.b.copy()
+            b[3, 0, 2] = b[3, 2, 0] = bad
+            with pytest.raises(ValueError, match=r"^b has a non-finite entry at stack index \[3\]$"):
+                QuadricTriple(a=quads.a, b=b)
 
 
 class TestTorusFactorDependence:
