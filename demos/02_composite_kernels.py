@@ -7,8 +7,9 @@ unitaries preserve admissibility, non-local ones break it.
 """
 
 import numpy as np
+import scipy.linalg
 
-from swphase.linalg import BipartiteDims, haar_unitary, kron, mat_exp, random_density
+from swphase.linalg import BipartiteDims, haar_unitary, kron, random_density
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum, wigner_value
 from swphase.composite import (
     constraint_jacobian,
@@ -94,7 +95,7 @@ for seed in range(200):
     worst = max(worst, r.purity_a_residual, r.purity_b_residual)
 print(f"\n200 random local rotations: worst admissibility residual {worst:.2e}")
 
-u = mat_exp((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # a correlation generator
+u = scipy.linalg.expm((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # a correlation generator
 r = verify_composite_master(u @ comp.mat @ u.conj().T, dims)
 print(f"one non-local rotation: residuals {r.purity_a_residual:.3f} / "
       f"{r.purity_b_residual:.3f}  (admissibility destroyed)")

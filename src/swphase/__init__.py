@@ -13,7 +13,6 @@ from .linalg import (
     haar_unitary,
     is_hermitian,
     kron,
-    mat_exp,
     matrix_from_json,
     matrix_to_json,
     partial_trace,

@@ -157,12 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bipartition AxB (required with --composite)")
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--format", choices=["json"], default="json")
+    p_gen.set_defaults(handler=_cmd_kernel_gen)
 
     p_ver = kernel_sub.add_parser("verify", help="verify a kernel matrix file")
     p_ver.add_argument("input", help="matrix JSON file")
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p_ver.add_argument("--out", default=None)
+    p_ver.set_defaults(handler=_cmd_kernel_verify)
 
     p_comp = sub.add_parser("composite", help="composite admissibility checks")
     comp_sub = p_comp.add_subparsers(dest="composite_command", required=True)
@@ -171,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cver.add_argument("--dims", type=_parse_dims, required=True)
     p_cver.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p_cver.add_argument("--out", default=None)
+    p_cver.set_defaults(handler=_cmd_composite_verify)
 
     p_wig = sub.add_parser("wigner", help="Wigner function values")
     wig_sub = p_wig.add_subparsers(dest="wigner_command", required=True)
@@ -178,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("state", help="density matrix JSON file")
     p_eval.add_argument("kernel", help="kernel matrix JSON file")
     p_eval.add_argument("--out", default=None)
+    p_eval.set_defaults(handler=_cmd_wigner_eval)
 
     p_rec = sub.add_parser("reconstruct", help="orbit-integral reconstruction experiment")
     p_rec.add_argument("--n", type=int, required=True)
@@ -186,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p_rec.add_argument("--out", default=None)
     p_rec.add_argument("--format", choices=["json", "csv"], default="json")
+    p_rec.set_defaults(handler=_cmd_reconstruct)
 
     p_mod = sub.add_parser("moduli", help="two-qubit moduli bundle scan")
     mod_sub = p_mod.add_subparsers(dest="moduli_command", required=True)
@@ -198,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="uniform parameter box lo,hi")
     p_scan.add_argument("--out", default=None)
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_scan.set_defaults(handler=_cmd_moduli_scan)
     _PARSER = parser
     return parser
 
@@ -328,26 +334,10 @@ def main(argv=None) -> int:
     try:
         # Overflow in a report shows as the strict-JSON error, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _dispatch(args)
+            return args.handler(args)
     except (OSError, ValueError) as exc:  # bad input, a usage error or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _dispatch(args) -> int:
-    if args.command == "kernel":
-        if args.kernel_command == "gen":
-            return _cmd_kernel_gen(args)
-        return _cmd_kernel_verify(args)
-    if args.command == "composite":
-        return _cmd_composite_verify(args)
-    if args.command == "wigner":
-        return _cmd_wigner_eval(args)
-    if args.command == "reconstruct":
-        return _cmd_reconstruct(args)
-    if args.command == "moduli":
-        return _cmd_moduli_scan(args)
-    raise AssertionError("unreachable")
 
 
 def entry():

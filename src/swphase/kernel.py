@@ -82,9 +82,9 @@ class KernelSpectrum:
         if np.any(np.diff(pi) > 0):
             raise ValueError("spectrum must be sorted descending")
         n = pi.size
-        if abs(pi.sum() - 1.0) > DEFAULT_TOL:
+        if not abs(pi.sum() - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"sum {pi.sum()} != 1")
-        if abs((pi**2).sum() - n) > DEFAULT_TOL:
+        if not abs((pi**2).sum() - n) <= DEFAULT_TOL:
             raise ValueError(f"sum of squares {(pi ** 2).sum()} != {n}")
 
     @property
@@ -138,7 +138,7 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
         v = np.asarray(vector, dtype=float)
         if v.shape != (n - 1,):
             raise ValueError(f"vector must have shape ({n - 1},)")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
             raise ValueError("vector must have unit norm")
     else:
         raise ValueError(f"unknown selector {selector!r}")
@@ -159,13 +159,13 @@ class SWKernel:
         if m.shape[0] != self.n:
             raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]}, n = {self.n}")
         defect = hermiticity_defect(m)
-        if defect > DEFAULT_TOL:
+        if not defect <= DEFAULT_TOL:
             raise ValueError(f"kernel not Hermitian: defect {defect:.3e}")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > DEFAULT_TOL:
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"kernel trace {tr} != 1")
         purity = np.trace(m @ m).real
-        if abs(purity - self.n) > PURITY_TOL:
+        if not abs(purity - self.n) <= PURITY_TOL:
             raise ValueError(f"kernel purity {purity} != {self.n}")
 
     @property

@@ -17,7 +17,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DEFAULT_TOL",
@@ -28,7 +27,6 @@ __all__ = [
     "partial_trace",
     "is_hermitian",
     "hermiticity_defect",
-    "mat_exp",
     "haar_unitary",
     "haar_unitaries",
     "random_density",
@@ -92,10 +90,10 @@ class DensityMatrix:
         m = as_complex_matrix(self.mat)
         object.__setattr__(self, "mat", m)
         defect = hermiticity_defect(m)
-        if defect > DEFAULT_TOL:
+        if not defect <= DEFAULT_TOL:
             raise ValueError(f"not Hermitian: defect {defect:.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > DEFAULT_TOL:
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"trace {tr} is not 1")
         w = np.linalg.eigvalsh(m)
         if w[0] < -1e-10:
@@ -153,62 +151,26 @@ def _check_each(bad, message: str) -> None:
 
 
 def _check_unitary(u: np.ndarray) -> None:
-    """Reject a matrix or stack (..., n, n) with |u u^dagger - I|_F > DEFAULT_TOL."""
+    """Reject a matrix or stack (..., n, n) unless |u u^dagger - I|_F <= DEFAULT_TOL.
+
+    The test is ``~(defect <= tol)``, not ``defect > tol``, so that NaN fails it.
+    """
     gram = u @ u.conj().swapaxes(-1, -2)
-    _check_each(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)) > DEFAULT_TOL,
+    _check_each(~(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)) <= DEFAULT_TOL),
                 "input is not unitary")
 
 
 def _check_hermitian(x: np.ndarray) -> None:
-    """Reject a matrix or stack (..., n, n) with Hermiticity defect above 1e-10."""
+    """Reject a matrix or stack (..., n, n) unless its Hermiticity defect is <= 1e-10."""
     defect = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
-    _check_each(defect > 1e-10, "input is not Hermitian")
+    _check_each(~(defect <= 1e-10), "input is not Hermitian")
 
 
 def is_hermitian(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Frobenius Hermiticity defect is within ``tol``."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return hermiticity_defect(x) <= tol
-
-
-def mat_exp(x) -> np.ndarray:
-    """Matrix exponential of a square matrix or of a stack (..., n, n).
-
-    Each matrix takes its own path.  Anti-Hermitian and Hermitian inputs go
-    through an eigendecomposition so that the result is unitary (resp.
-    positive definite) to machine precision; everything else falls back to
-    scaling-and-squaring.  Each path runs once over its part of the stack.
-
-    Raises
-    ------
-    ArithmeticError
-        If the fallback fails to produce finite entries.
-    """
-    m = np.asarray(x, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    mh = m.conj().swapaxes(-1, -2)
-    tol = DEFAULT_TOL * (1.0 + np.linalg.norm(m, axis=(-2, -1)))
-    anti = np.linalg.norm(m + mh, axis=(-2, -1)) <= tol
-    herm = ~anti
-    if herm.any():
-        herm &= np.linalg.norm(m - mh, axis=(-2, -1)) <= tol
-    rest = ~(anti | herm)
-    out = np.empty_like(m)
-    if anti.any():
-        # exp(i H) with H Hermitian: exactly unitary up to eigh roundoff
-        w, v = np.linalg.eigh(-1j * m[anti])
-        out[anti] = (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    if herm.any():
-        w, v = np.linalg.eigh(m[herm])
-        out[herm] = (v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    if rest.any():
-        fallback = scipy.linalg.expm(m[rest])
-        if not np.all(np.isfinite(fallback)):
-            raise ArithmeticError("matrix exponential did not converge")
-        out[rest] = fallback
-    return out
 
 
 def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -250,6 +212,8 @@ def haar_unitaries(n: int, size: int, seed) -> np.ndarray:
 
 def random_hermitian(n: int, seed) -> np.ndarray:
     """GUE-style random Hermitian matrix (unnormalized)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     g = _ginibre(n, np.random.default_rng(seed))
     return (g + g.conj().T) / 2.0
 

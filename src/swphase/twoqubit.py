@@ -19,9 +19,11 @@ Pauli products whose product is the identity: the Cartan (KAK) structure
 of SU(4) (Khaneja & Glaser, Chem. Phys. 267, 2001).  The three share a
 fixed eigenframe V with entries 0, +-1/2, +-i/2 (V = I on the torus), so
 V V^dagger == I exactly and exp(sum_i p_i l_i) = V diag(exp((i/2) p . S))
-V^dagger with a +-1 sign table S.  The abelian and torus factors thus need
-no eigensolver; only the non-abelian K factor of :func:`kak_element` goes
-through :func:`~swphase.linalg.mat_exp`.  The adjoint map is
+V^dagger with a +-1 sign table S.  The twisted block K_TWISTED is two
+commuting triples of pairwise anticommuting signed Pauli products, so
+x = sum_i k_i K_i over one triple squares to -(|k|/2)^2 I and
+exp(x) = cos(|k|/2) I + sin(|k|/2)/(|k|/2) x (Rodrigues).  No factor of
+:func:`kak_element` needs an eigensolver.  The adjoint map is
 O = L^dagger (a kron conj(a)) L, with L the flattened generators.
 
 Batch axes
@@ -47,7 +49,6 @@ import scipy.linalg
 from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
-    mat_exp,
     _check_each,
     _check_hermitian,
     _check_unitary,
@@ -181,6 +182,16 @@ def _plane_exp(params, plane) -> np.ndarray:
     return (v * phases[..., None, :]) @ v.conj().T
 
 
+def _triple_exp(params, triple) -> np.ndarray:
+    """exp(sum_i params[i] triple[i]) for a triple of K_TWISTED, in Rodrigues form.
+
+    The sum squares to -(|params|/2)^2 I; np.sinc(t / pi) = sin(t) / t is 1 at t = 0.
+    """
+    half = math.hypot(*params) / 2.0
+    x = np.einsum("i,iab->ab", params, triple)
+    return math.cos(half) * np.eye(4) + np.sinc(half / math.pi) * x
+
+
 def abelian_factor(a_params, a_prime_params) -> np.ndarray:
     """The abelian factor exp(a) exp(a') of :func:`kak_element`, batched.
 
@@ -196,9 +207,10 @@ def abelian_factor(a_params, a_prime_params) -> np.ndarray:
 def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     """Build the factored group element from real coordinates.
 
-    ``k_params`` has length 6, the others length 3.  The A factor is
-    :func:`abelian_factor` and the diagonal torus factor has the same closed
-    form; only the non-abelian K factor goes through :func:`mat_exp`.
+    ``k_params`` has length 6, the others length 3, all finite.  The A factor
+    is :func:`abelian_factor`, the diagonal torus factor has the same closed
+    form, and the K factor is the product of the Rodrigues forms of the two
+    commuting triples of K_TWISTED.
     """
     k_params = np.asarray(k_params, dtype=float)
     a_params = np.asarray(a_params, dtype=float)
@@ -207,7 +219,9 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     if k_params.shape != (6,) or a_params.shape != (3,) \
             or a_prime_params.shape != (3,) or t_params.shape != (3,):
         raise ValueError("expected parameter shapes (6,), (3,), (3,), (3,)")
-    factor_k = mat_exp(np.einsum("i,iab->ab", k_params, K_TWISTED))
+    if not np.isfinite(np.concatenate([k_params, a_params, a_prime_params, t_params])).all():
+        raise ValueError("KAK parameters must be finite")
+    factor_k = _triple_exp(k_params[:3], K_TWISTED[:3]) @ _triple_exp(k_params[3:], K_TWISTED[3:])
     factor_a = abelian_factor(a_params, a_prime_params)
     factor_t = _plane_exp(t_params, TORUS)
     return KakElement(k_params, a_params, a_prime_params, t_params,
@@ -373,7 +387,7 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (3,):
         raise ValueError("mu must be a real 3-vector")
-    if abs(np.linalg.norm(mu) - 1.0) > DEFAULT_TOL:
+    if not abs(np.linalg.norm(mu) - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"mu must be a unit vector, got norm {np.linalg.norm(mu)}")
     um = as_complex_matrix(u)
     if um.shape[0] != 4:

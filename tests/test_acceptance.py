@@ -7,12 +7,12 @@ calibration.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from swphase.linalg import (
     BipartiteDims,
     haar_unitary,
     kron,
-    mat_exp,
     partial_trace,
     random_density,
 )
@@ -165,7 +165,7 @@ def test_criterion_05_lu_invariance_and_witness():
         u = kron(haar_unitary(2, seed), haar_unitary(2, seed + 20_000))
         rep = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
         worst = max(worst, rep.purity_a_residual, rep.purity_b_residual)
-    u = mat_exp((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])
+    u = scipy.linalg.expm((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])
     witness = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
     violation = max(witness.purity_a_residual, witness.purity_b_residual)
     ok = worst < 1e-11 and violation > 0.1
@@ -237,8 +237,8 @@ def test_criterion_07_lambda_basis_algebra():
 def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
     rng = np.random.default_rng(17)
     params = rng.uniform(-np.pi, np.pi, (100, 2, 3))
-    el1 = mat_exp(np.einsum("rk,kab->rab", params[:, 0], LAMBDA[list(A_PLANE)]))
-    el2 = mat_exp(np.einsum("rk,kab->rab", params[:, 1], LAMBDA[list(A_PRIME_PLANE)]))
+    el1 = scipy.linalg.expm(np.einsum("rk,kab->rab", params[:, 0], LAMBDA[list(A_PLANE)]))
+    el2 = scipy.linalg.expm(np.einsum("rk,kab->rab", params[:, 1], LAMBDA[list(A_PRIME_PLANE)]))
     o1 = adjoint_matrix(el1)
     o2 = adjoint_matrix(el2)
     worst_orth = np.linalg.norm(o1 @ o1.transpose(0, 2, 1) - np.eye(15), axis=(1, 2)).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from swphase.linalg import (
     BipartiteDims,
@@ -26,7 +27,6 @@ from swphase.composite import (
     traceless_orthonormal_basis,
     verify_composite_master,
 )
-from swphase.linalg import mat_exp
 from swphase.twoqubit import FANO_ORDER, LAMBDA
 
 DIMS22 = BipartiteDims(2, 2)
@@ -244,7 +244,7 @@ class TestLocalUnitaryStructure:
         # conjugation by the exponential of a correlation generator breaks
         # the reduction constraints while keeping the full-system ones
         comp = make_composite_kernel(DIMS22, 2)
-        u = mat_exp((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # sigma_1 ⊗ sigma_1
+        u = scipy.linalg.expm((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # sigma_1 ⊗ sigma_1
         report = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
         assert report.full.purity_residual < 1e-12
         assert max(report.purity_a_residual, report.purity_b_residual) > 0.1

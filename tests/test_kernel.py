@@ -9,6 +9,7 @@ from swphase.kernel import (
     _MC_CHUNK_BYTES,
     _orbit_chunks,
     KernelSpectrum,
+    SWKernel,
     covariance_check,
     haar_second_moment_coefficients,
     kernel_from_spectrum,
@@ -67,10 +68,14 @@ class TestSolveSpectrum:
     def test_rejects_bad_vector(self):
         with pytest.raises(ValueError):
             solve_kernel_spectrum(3, "from_unit_vector", vector=[1.0, 1.0])
+        with pytest.raises(ValueError, match="unit norm"):
+            solve_kernel_spectrum(3, "from_unit_vector", vector=[np.nan, 0.0])
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
             KernelSpectrum(np.array([0.9, 0.1]))  # purity 0.82 != 2
+        with pytest.raises(ValueError, match="sum nan != 1"):
+            KernelSpectrum(np.array([np.nan, np.nan]))
 
 
 class TestKernelFromSpectrum:
@@ -95,6 +100,14 @@ class TestKernelFromSpectrum:
         spec = solve_kernel_spectrum(2)
         with pytest.raises(ValueError):
             kernel_from_spectrum(spec, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [1e-9j, np.nan], ids=["non_hermitian", "nan"])
+    def test_sw_kernel_rejects_bad_entry(self, entry):
+        mat = np.diag(GOLD_2).astype(complex)
+        SWKernel(mat, 2)
+        mat[0, 1] = entry
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SWKernel(mat, 2)
 
 
 class TestWignerValue:

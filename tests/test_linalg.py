@@ -11,7 +11,6 @@ from swphase.linalg import (
     haar_unitary,
     is_hermitian,
     kron,
-    mat_exp,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -62,16 +61,18 @@ class TestSharedChecks:
         check = _unitarity_sites()[site]
         u = haar_unitary(4, 3)
         check(u * np.exp(0.4j))  # unitary up to roundoff: accepted
-        with pytest.raises(ValueError, match=r"^input is not unitary$"):
-            check(u * (1.0 + 1e-9))
+        for bad in (u * (1.0 + 1e-9), np.full((4, 4), np.nan)):
+            with pytest.raises(ValueError, match=r"^input is not unitary$"):
+                check(bad)
 
     @pytest.mark.parametrize("site", list(_hermiticity_sites()))
     def test_hermiticity_sites(self, site):
         check = _hermiticity_sites()[site]
         h = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         check(h + 1e-12j * np.triu(np.ones((4, 4)), 1))  # defect below 1e-10: accepted
-        with pytest.raises(ValueError, match=r"^input is not Hermitian$"):
-            check(h + 1e-9j * np.triu(np.ones((4, 4)), 1))
+        for bad in (h + 1e-9j * np.triu(np.ones((4, 4)), 1), np.full((4, 4), np.nan)):
+            with pytest.raises(ValueError, match=r"^input is not Hermitian$"):
+                check(bad)
 
 
 class TestKron:
@@ -164,62 +165,8 @@ class TestIsHermitian:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             is_hermitian(np.eye(2), 0.0)
-
-
-class TestMatExp:
-    def test_zero(self):
-        np.testing.assert_allclose(mat_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-    def test_diagonal(self):
-        got = mat_exp(np.diag([1j * np.pi / 2, -1j * np.pi / 2]))
-        np.testing.assert_allclose(got, np.diag([1j, -1j]), atol=1e-15)
-
-    def test_inverse_identity(self):
-        for seed in range(5):
-            h = random_hermitian(4, seed)
-            x = 1j * h
-            assert np.linalg.norm(mat_exp(x) @ mat_exp(-x) - np.eye(4)) < 1e-12
-
-    def test_unitary_for_anti_hermitian(self):
-        x = 1j * random_hermitian(4, 2)
-        u = mat_exp(x)
-        assert np.linalg.norm(u @ u.conj().T - np.eye(4)) < 1e-12
-
-    def test_commuting_pair_multiplies(self):
-        h = random_hermitian(4, 5)
-        x = 1j * h
-        y = 1j * (0.3 * h + 0.7 * h @ h @ h)
-        assert np.linalg.norm(x @ y - y @ x) < 1e-10
-        lhs = mat_exp(x) @ mat_exp(y)
-        rhs = mat_exp(x + y)
-        assert np.linalg.norm(lhs - rhs) < 1e-10
-
-    def test_generic_fallback(self):
-        rng = np.random.default_rng(8)
-        x = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        got = mat_exp(x)
-        # oracle: truncated power series
-        series = np.eye(3, dtype=complex)
-        term = np.eye(3, dtype=complex)
-        for k in range(1, 40):
-            term = term @ x / k
-            series = series + term
-        np.testing.assert_allclose(got, series, atol=1e-12)
-
-    def test_mixed_stack_equals_single_calls(self):
-        rng = np.random.default_rng(9)
-        h = random_hermitian(3, 1)
-        generic = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        stack = np.stack([1j * h, h, generic, 0.5j * h]).reshape(2, 2, 3, 3)
-        got = mat_exp(stack)
-        assert got.shape == (2, 2, 3, 3)
-        for idx in np.ndindex(2, 2):
-            assert np.array_equal(got[idx], mat_exp(stack[idx]))
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0)])
-    def test_rejects_non_square(self, shape):
-        with pytest.raises(ValueError):
-            mat_exp(np.zeros(shape))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            is_hermitian(np.eye(2), np.nan)
 
 
 class TestHaarUnitary:
@@ -287,11 +234,19 @@ class TestRandomDensity:
         g = _rand_complex(3, 5)
         assert np.array_equal(random_hermitian(3, 5), (g + g.conj().T) / 2.0)
 
+    @pytest.mark.parametrize("draw", [random_density, random_hermitian, haar_unitary],
+                             ids=lambda f: f.__name__)
+    def test_rejects_empty(self, draw):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            draw(0, 5)
+
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[1.5, 0], [0, -0.5]]))  # not PSD
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
 
 
 class TestSerialization:

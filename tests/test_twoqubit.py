@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from swphase.linalg import BipartiteDims, haar_unitary, haar_unitaries, mat_exp, random_hermitian
+from swphase.linalg import BipartiteDims, haar_unitary, haar_unitaries, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import (
     fano_blocks,
@@ -59,8 +59,8 @@ def _random_abelian_factor(seed):
 
 
 def _exp_generators(params, rows):
-    """Eigensolver reference: mat_exp of sum_i params[..., i] LAMBDA[rows[i]]."""
-    return mat_exp(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
+    """Independent reference: scipy expm of sum_i params[..., i] LAMBDA[rows[i]]."""
+    return scipy.linalg.expm(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
 
 
 def _adjoint_per_generator(a):
@@ -94,6 +94,19 @@ class TestLambdaBasis:
         coeff = -np.trace(comm @ minus_l8).real
         assert np.linalg.norm(comm - coeff * minus_l8) < 1e-13
         assert abs(coeff) > 0.5
+
+    def test_k_triples_are_anticommuting_paulis(self):
+        # What the Rodrigues form of the K factor rests on: within a triple,
+        # x x = -I/4 and x y = -y x; across the triples, x y = y x.  Exact.
+        zero = np.zeros((4, 4))
+        for triple in (K_TWISTED[:3], K_TWISTED[3:]):
+            for i, x in enumerate(triple):
+                assert np.array_equal(x @ x, -0.25 * np.eye(4))
+                for y in triple[i + 1:]:
+                    assert np.array_equal(x @ y + y @ x, zero)
+        for x in K_TWISTED[:3]:
+            for y in K_TWISTED[3:]:
+                assert np.array_equal(x @ y - y @ x, zero)
 
     def test_k_closes_on_itself(self):
         k = K_TWISTED
@@ -215,11 +228,37 @@ class TestKakElement:
 
     def test_factor_order(self):
         el = kak_element(np.zeros(6), [0.5, 0, 0], [0, 0.7, 0], np.zeros(3))
-        expected = mat_exp(0.5 * LAMBDA[A_PLANE[0]]) @ mat_exp(0.7 * LAMBDA[A_PRIME_PLANE[1]])
+        expected = (scipy.linalg.expm(0.5 * LAMBDA[A_PLANE[0]])
+                    @ scipy.linalg.expm(0.7 * LAMBDA[A_PRIME_PLANE[1]]))
         np.testing.assert_allclose(el.factor_a, expected, atol=1e-14)
 
+    def test_factor_k_matches_expm(self):
+        zeros = np.zeros(3)
+        for k in np.random.default_rng(13).uniform(-np.pi, np.pi, (200, 6)):
+            got = kak_element(k, zeros, zeros, zeros).factor_k
+            want = scipy.linalg.expm(np.einsum("i,iab->ab", k, K_TWISTED))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-9], ids=str)
+    def test_factor_k_near_origin(self, scale):
+        k = scale * np.array([0.6, -0.8, 0.0, 0.0, 0.0, 1.0])
+        got = kak_element(k, np.zeros(3), np.zeros(3), np.zeros(3)).factor_k
+        assert np.isfinite(got).all()
+        if scale == 0.0:
+            assert np.array_equal(got, np.eye(4))
+        want = scipy.linalg.expm(np.einsum("i,iab->ab", k, K_TWISTED))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=str)
+    def test_rejects_non_finite(self, bad):
+        for group in range(4):
+            params = [np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3)]
+            params[group][1] = bad
+            with pytest.raises(ValueError, match=r"^KAK parameters must be finite$"):
+                kak_element(*params)
+
     @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)], ids=str)
-    def test_closed_forms_match_mat_exp(self, shape):
+    def test_closed_forms_match_expm(self, shape):
         a, ap, t = np.random.default_rng(len(shape)).uniform(-np.pi, np.pi, (3,) + shape)
         exp_a, exp_ap = _exp_generators(a, A_PLANE), _exp_generators(ap, A_PRIME_PLANE)
         factors = abelian_factor(a, ap)
@@ -659,7 +698,7 @@ class TestModuliScan:
 
     def test_closed_form_change_is_roundoff(self):
         # The closed-form front end against the eigensolver route it replaced
-        # (mat_exp of the generator sums, then the per-generator adjoint).
+        # (the exponential of the generator sums, then the per-generator adjoint).
         # The roots are compared relative to the largest root of the record:
         # a root far below it is ill-conditioned, and one ulp of noise on the
         # quadrics moves it by about 1e-3 of itself.
