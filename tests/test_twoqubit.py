@@ -249,13 +249,23 @@ class TestKakElement:
         want = scipy.linalg.expm(np.einsum("i,iab->ab", k, K_TWISTED))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=str)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
     def test_rejects_non_finite(self, bad):
         for group in range(4):
             params = [np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3)]
             params[group][1] = bad
             with pytest.raises(ValueError, match=r"^KAK parameters must be finite$"):
                 kak_element(*params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    def test_abelian_factor_rejects_non_finite(self, bad):
+        for which in range(2):
+            params = [np.zeros((4, 3)), np.zeros((4, 3))]
+            params[which][2, 1] = bad
+            with pytest.raises(ValueError, match=r"^abelian parameters must be finite$"):
+                abelian_factor(*params)
+            with pytest.raises(ValueError, match=r"^abelian parameters must be finite$"):
+                moduli_record(0, params[0][2], params[1][2])
 
     @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)], ids=str)
     def test_closed_forms_match_expm(self, shape):
@@ -291,6 +301,10 @@ class TestAdjointMatrix:
         for seed in range(100):
             o = adjoint_matrix(haar_unitary(4, seed))
             assert np.linalg.norm(o @ o.T - np.eye(15)) < 1e-12
+        stack = adjoint_matrix(haar_unitaries(4, 60, seed=7).reshape(3, 20, 4, 4))
+        assert stack.shape == (3, 20, 15, 15)
+        gram = stack @ stack.swapaxes(-1, -2)
+        assert np.linalg.norm(gram - np.eye(15), axis=(-2, -1)).max() < 1e-12
 
     def test_homomorphism(self):
         for seed in range(20):
@@ -517,25 +531,28 @@ class TestModuliFeasibility:
         ((-1, -1 / 2, 1 / 4), (1, 1 / 2, 1 / 4), MATRIX_LEVEL),
         ((1 / 4, 1, 1), (1 / 2, 1 / 4, 0), MATRIX_LEVEL),
         ((1, 1, 1 / 4), (-1 / 2, -1, 1 / 4), 0.4),
+        ((0, 0, 1 / 4), (0, 1 / 4, 0), 0.4),
     ])
     def test_structured_tangency_records(self, a, a_prime, level):
         # Rank-deficient records on the grid of multiples of pi/4, where the
-        # solution count is not stable under roundoff: some candidates sit
-        # at tangencies whose Newton Jacobian is singular to working
-        # precision, so the last bits decide whether they survive.  The
+        # solution count is not stable under roundoff: at a tangency the
+        # two candidates of the double root land about _DEDUP_TOL apart, so
+        # the last bits decide whether they count once or twice.  The
         # count is therefore not compared with the reference here, only
         # the label and the properties every returned point must have.
+        # Every record has solutions, exact to roundoff, the last one too:
+        # a tangency whose Brickman margin is +2.1e-11.
         q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array(a),
                                                              np.pi * np.array(a_prime))))
         assert min(q.rank_a, q.rank_b) < 3
         got = moduli_feasibility(q, level=level)
         assert got.classification == "degenerate"
-        assert got.n_solutions % 2 == 0 and got.n_solutions <= 8
-        mus = np.array(got.solutions).reshape(-1, 3)
-        np.testing.assert_allclose(np.linalg.norm(mus, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert got.n_solutions % 2 == 0 and 0 < got.n_solutions <= 8
+        mus = np.array(got.solutions)
+        np.testing.assert_allclose(np.linalg.norm(mus, axis=1), 1.0, rtol=0, atol=1e-14)
         for quad in (q.a, q.b):
             values = np.einsum("pi,ij,pj->p", mus, quad, mus)
-            assert np.abs(values - level).max(initial=0.0) <= 1e-10
+            assert np.abs(values - level).max() <= 1e-14
         np.testing.assert_array_equal(mus[1::2], -mus[0::2])
 
     def test_label_degenerate_on_identity_fibre(self):
@@ -579,9 +596,11 @@ class TestModuliFeasibility:
 def _qz_reference(q, level):
     """Solutions of the moduli system through scipy's QZ wrapper, one point at a time.
 
-    The same pencil-and-line-pair algorithm as the library, written without
-    its batching: eigvals(..., homogeneous_eigvals=True) for the pencil roots
-    and a per-point Newton, residual and dedup loop.
+    The pencil-and-line-pair algorithm of the library, written without its
+    batching: eigvals(..., homogeneous_eigvals=True) for the pencil roots
+    and a per-point loop that refines, checks residuals and deduplicates.
+    The library keeps its closed-form points as they are, so parity at
+    1e-12 also checks that the refinement moves them by roundoff only.
     """
     if not (q.eig_a[0] <= level <= q.eig_a[-1] and q.eig_b[0] <= level <= q.eig_b[-1]
             and np.linalg.eigvalsh(q.a + q.b)[-1] >= 2.0 * level):
