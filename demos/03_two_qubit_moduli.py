@@ -68,7 +68,7 @@ print("Both sit in the window [0, 4/3]; moreover A + B <= (4/3) I:")
 print(f"  max eig(A + B) = {np.linalg.eigvalsh(q.a + q.b)[-1]:.4f}")
 
 print(f"\ncharacteristic roots (sphere vs A): {np.round(-q.eig_a, 4)}")
-print(f"characteristic roots (A vs B)     : {np.round(char_cubic_roots(q).real, 4)}")
+print(f"characteristic roots (A vs B)     : {np.round(char_cubic_roots(q), 4)}")
 print(f"solver label at the matrix level 4/15: "
       f"{moduli_feasibility(q, level=MATRIX_LEVEL).classification}")
 
@@ -129,12 +129,14 @@ for r in nondeg:
     if ea[0] <= 1.0 <= ea[-1] and eb[0] <= 1.0 <= eb[-1]:
         crossings += 1
 worst_root = max(max((-r.quadrics.eig_a).max(), (-r.quadrics.eig_b).max(),
-                     r.roots_ab.real.max()) for r in nondeg)
+                     r.roots_ab.max()) for r in nondeg)
 print(f"\n300 records: {n_deg} degenerate, {len(nondeg)} nondegenerate")
 print(f"largest characteristic root over all nondegenerate records: "
       f"{worst_root:.2e}")
 print("(never positive: A and B are positive semidefinite, so no root of")
-print("det(tI + A), det(tI + B) or det(tA + B) can be; the roots carry no verdict)")
+print("det(tI + A) or det(tI + B) can be, and the roots of det(tA + B) are")
+print("1 - 1/lambda over the pencil eigenvalues lambda of (A, A + B) in (0, 1];")
+print("the roots carry no verdict)")
 print(f"fibres where BOTH ellipsoid surfaces also cross the unit sphere: "
       f"{crossings} of {len(nondeg)} (the unit-level system is tight)")
 counts = {}

@@ -238,13 +238,17 @@ def matrix_to_json(x) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`, with schema validation.
 
-    Exact for finite entries; NaN or infinite parts raise ValueError.
+    Exact for finite entries.  ``dim`` must be an int and each part of an
+    entry an int or float, never a bool or a string; anything else, and NaN
+    or infinite parts, raise ValueError.
     """
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         entries = list(obj["entries"])
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix object needs 'dim' and a list of 'entries'") from exc
+    if type(dim) is not int:
+        raise ValueError(f"'dim' must be an integer, got {dim!r}")
     if dim < 1 or len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
     flat = np.empty(dim * dim, dtype=complex)
@@ -252,9 +256,13 @@ def matrix_from_json(obj) -> np.ndarray:
         try:
             re, im = pair
             z = complex(float(re), float(im))
+        except OverflowError as exc:  # an int beyond the float range
+            raise ValueError(f"entry {k} is not finite: {pair!r}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"entry {k} is not a [re, im] pair of numbers: {pair!r}") from exc
         if not cmath.isfinite(z):
             raise ValueError(f"entry {k} is not finite: {pair!r}")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+            raise ValueError(f"entry {k} is not a [re, im] pair of numbers: {pair!r}")
         flat[k] = z
     return flat.reshape(dim, dim)

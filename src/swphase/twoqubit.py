@@ -6,11 +6,11 @@ associated su(4) generator basis, splits it into two commuting su(2)
 triples, two abelian 3-planes and a maximal torus, and builds the
 machinery that turns the composite admissibility constraints into a bundle
 of a unit 2-sphere and two ellipsoids over the abelian group factor: the
-adjoint 15x15 rotation, the ellipsoid matrices, the roots of their
-characteristic cubics, and a closed-form solver (conic pencil, line pairs)
-for the points where sphere and both ellipsoids meet.  The Fano block
-norms of a two-qubit kernel and the convention audit live in
-:mod:`swphase.reports`.
+adjoint 15x15 rotation, the ellipsoid matrices, the roots of det(t A + B)
+from the symmetric-definite pencil (A, A + B), and a closed-form solver
+(conic pencil, line pairs) for the points where sphere and both ellipsoids
+meet.  The Fano block norms of a two-qubit kernel and the convention audit
+live in :mod:`swphase.reports`.
 
 Closed forms
 ------------
@@ -253,9 +253,9 @@ def adjoint_matrix(a) -> np.ndarray:
     return o.real
 
 
-# Eigenvalue floor below which a quadric counts as rank-deficient: the
-# pencil det(t A + B) goes through the polynomial fallback and the record is
-# labelled degenerate.
+# Eigenvalue floor below which a quadric counts as rank-deficient (the
+# record is labelled degenerate), and below which A + B counts as singular
+# (det(t A + B) vanishes for every t and no pencil root is reported).
 _COND_FLOOR = 1e-8
 
 
@@ -267,20 +267,22 @@ class QuadricTriple:
     eigenvalues <= 4/3; together with the unit sphere they define the
     admissibility locus in the torus coordinates (mu3, mu6, mu15).  They
     may also be stacks (..., 3, 3) of equal shape, one pair per record;
-    indexing the triple gives the pair of one record.  ``eig_a`` and
-    ``eig_b`` hold the ascending eigenvalues, computed once by the
-    positive-semidefinite check; -eig_a and -eig_b are the roots of
-    det(t I + A) and det(t I + B).  ``rank_a`` and ``rank_b`` count the
-    eigenvalues above ``_COND_FLOOR``, one count per pair.  Every entry must
-    be finite.  The checks run in order of kind (shape, finite, symmetric,
-    positive semidefinite), each once on ``a`` and ``b`` stacked; the first
-    kind that fails is reported, on ``a`` before ``b``.
+    indexing the triple gives the pair of one record.  ``eig_a``, ``eig_b``
+    and ``eig_ab`` hold the ascending eigenvalues of A, B and A + B,
+    computed once, in one call, with the positive-semidefinite check;
+    -eig_a and -eig_b are the roots of det(t I + A) and det(t I + B).
+    ``rank_a`` and ``rank_b`` count the eigenvalues above ``_COND_FLOOR``,
+    one count per pair.  Every entry must be finite.  The checks run in
+    order of kind (shape, finite, symmetric, positive semidefinite), each
+    once on ``a`` and ``b`` stacked; the first kind that fails is reported,
+    on ``a`` before ``b``.
     """
 
     a: np.ndarray
     b: np.ndarray
     eig_a: np.ndarray = field(init=False, repr=False, compare=False)
     eig_b: np.ndarray = field(init=False, repr=False, compare=False)
+    eig_ab: np.ndarray = field(init=False, repr=False, compare=False)
     rank_a: np.ndarray = field(init=False, repr=False, compare=False)
     rank_b: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -295,9 +297,11 @@ class QuadricTriple:
         _check_pair(~np.isfinite(ab).all(axis=(-2, -1)), "has a non-finite entry")
         _check_pair(np.linalg.norm(ab - ab.swapaxes(-1, -2), axis=(-2, -1)) > 1e-13,
                     "is not symmetric")
-        eig = np.linalg.eigvalsh(ab)
+        eig = np.linalg.eigvalsh(np.concatenate([ab, ab[:1] + ab[1:]]))
+        eig, eig_ab = eig[:2], eig[2]
         _check_pair(eig[..., 0] < -1e-10, "is not positive semidefinite")
         rank = np.count_nonzero(eig > _COND_FLOOR, axis=-1)
+        object.__setattr__(self, "eig_ab", eig_ab)
         for name, arr, eig_k, rank_k in zip("ab", pair, eig, rank):
             object.__setattr__(self, name, arr)
             object.__setattr__(self, f"eig_{name}", eig_k)
@@ -308,7 +312,7 @@ class QuadricTriple:
         if self.a.ndim == 2:
             raise TypeError("a single quadric pair has no records to index")
         part = object.__new__(QuadricTriple)
-        for name in ("a", "b", "eig_a", "eig_b", "rank_a", "rank_b"):
+        for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "rank_a", "rank_b"):
             object.__setattr__(part, name, getattr(self, name)[index])
         return part
 
@@ -343,37 +347,28 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     return QuadricTriple(a=q[..., 0, :, :], b=q[..., 1, :, :])
 
 
-def _det_poly_roots(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Finite roots of det(t qa + qb) via exact cubic interpolation."""
-    ts = np.array([-2.0, -1.0, 0.0, 1.0])
-    vals = np.array([np.linalg.det(t * qa + qb) for t in ts])
-    coeffs = np.linalg.solve(np.vander(ts, 4), vals)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return np.array([], dtype=complex)
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-12 * scale, coeffs, 0.0), "f")
-    if trimmed.size < 2:
-        return np.array([], dtype=complex)
-    return np.roots(trimmed)
-
-
 def char_cubic_roots(q: QuadricTriple) -> np.ndarray:
-    """Roots of det(t A + B) for a single quadric pair.
+    """Real roots of det(t A + B) for a single quadric pair, in descending order.
 
-    Solved through the symmetric-definite pencil when A has full rank
-    (``q.rank_a == 3``); otherwise a direct polynomial fallback reports the
-    finite roots.  For positive-semidefinite A and B no root is positive.
-    The roots of det(t I + A) and det(t I + B) are -q.eig_a and -q.eig_b.
+    With C = A + B, det(t A + B) = det(C) prod_i (1 + (t - 1) lambda_i),
+    where lambda_i in [0, 1] are the eigenvalues of the symmetric-definite
+    pencil (A, C) (Golub & Van Loan, Matrix Computations, 8.7).  When C is
+    definite, exactly ``q.rank_a`` of them are nonzero, and the roots are
+    t_i = 1 - 1/lambda_i over those: real and <= 0.  When lambda_min(C) is
+    at most ``_COND_FLOOR``, A and B share a null direction, the
+    determinant vanishes for every t and no root is reported.  The roots
+    of det(t I + A) and det(t I + B) are -q.eig_a and -q.eig_b.
     """
     if q.a.ndim != 2:
         raise ValueError("char_cubic_roots takes one quadric pair; index the stack first")
-    if q.rank_a < 3:
-        return _det_poly_roots(q.a, q.b)
-    # The LAPACK routine scipy.linalg.eigh(q.b, q.a, eigvals_only=True) calls.
-    gen, _, info = scipy.linalg.lapack.dsygvd(q.b, q.a, jobz="N")
+    if q.eig_ab[0] <= _COND_FLOOR:
+        return np.zeros(0)
+    # The LAPACK routine scipy.linalg.eigh(q.a, q.a + q.b, eigvals_only=True) calls.
+    lam, _, info = scipy.linalg.lapack.dsygvd(q.a, q.a + q.b, jobz="N")
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dsygvd info {info})")
-    return (-gen).astype(complex)
+    # A <= A + B gives lambda <= 1; the clamp keeps roundoff from making a root positive.
+    return 1.0 - 1.0 / np.minimum(lam[::-1][:q.rank_a], 1.0)
 
 
 def kernel_from_moduli(u, mu) -> SWKernel:
@@ -383,7 +378,9 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     + mu_3 sigma_33)) U^dagger.  The sqrt(15) scale is the HS2-pinned
     rewrite of the sqrt(30)-scaled generator expansion over plain Pauli
     products; it is the unique scale for which unit-sphere mu gives
-    purity exactly 4.
+    purity exactly 4.  The three torus products are diagonal,
+    sigma_30, sigma_03, sigma_33 = diag(_PLANE_SIGNS[i]), so the kernel is
+    U diag(pi) U^dagger with pi = (1 + sqrt(15) mu S) / 4.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (3,):
@@ -394,9 +391,8 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     if um.shape[0] != 4:
         raise ValueError("expected a 4x4 unitary")
     _check_unitary(um)
-    s1, s2, s3 = SIGMA[list(TORUS)]
-    core = np.eye(4, dtype=complex) + np.sqrt(15.0) * (mu[0] * s1 + mu[1] * s2 + mu[2] * s3)
-    mat = (um @ core @ um.conj().T) / 4.0
+    pi = (1.0 + np.sqrt(15.0) * (mu @ _PLANE_SIGNS)) / 4.0
+    mat = (um * pi) @ um.conj().T
     mat = (mat + mat.conj().T) / 2.0
     return SWKernel(mat, 4)
 
@@ -494,10 +490,9 @@ def _level_reachable(q: QuadricTriple, level: float) -> np.ndarray:
     unit sphere: level outside the eigenvalue range of A or of B, or above
     lambda_max(A + B) / 2.
     """
-    top = np.linalg.eigvalsh(q.a + q.b)[..., -1]
     return ((q.eig_a[..., 0] <= level) & (level <= q.eig_a[..., -1])
             & (q.eig_b[..., 0] <= level) & (level <= q.eig_b[..., -1])
-            & (top >= 2.0 * level))
+            & (q.eig_ab[..., -1] >= 2.0 * level))
 
 
 def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -550,10 +545,11 @@ def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     (p, c_plus, c_minus), (_, r_plus, _), (_, _, r_minus) = (basis @ other @ basis.T).tolist()
     coeffs = []
     for j, c, r in ((1, c_plus, r_plus), (2, c_minus, r_minus)):
-        disc = c * c - p * r
-        if disc >= -1e-10 * (p * p + c * c + r * r):  # tangent up to roundoff: keep
+        disc, band = c * c - p * r, 1e-10 * (p * p + c * c + r * r)
+        if disc >= -band:  # tangent up to roundoff: keep
             s = -(c + math.copysign(math.sqrt(max(disc, 0.0)), c))
-            for u, t in ((s, p), (r, s)):
+            # In the band a root is double; with p != 0 (s, p) alone is that point.
+            for u, t in ((s, p),) if p and disc <= band else ((s, p), (r, s)):
                 if u or t:  # the unit point (u v1 + t e) / hypot(u, t): v1 is normal to e
                     h = math.hypot(u, t)
                     coeffs.append([u / h, t / h, 0.0] if j == 1 else [u / h, 0.0, t / h])
@@ -683,18 +679,12 @@ SCAN_CSV_COLUMNS = (
 )
 
 
-def _fmt_root(r: complex) -> str:
-    if abs(r.imag) < 1e-12:
-        return repr(r.real)
-    return repr(r)
-
-
 def scan_record_row(rec: ScanRecord) -> list:
     """One CSV row; each array goes to Python floats once, whose repr round-trips."""
     q = rec.quadrics
     params = rec.a_params.tolist() + rec.a_prime_params.tolist()
     eigs = q.eig_a[::-1].tolist() + q.eig_b[::-1].tolist()
-    roots_ab = ";".join(map(_fmt_root, rec.roots_ab.tolist()))
+    roots_ab = ";".join(map(repr, rec.roots_ab.tolist()))
     sols = ";".join(" ".join(map(repr, s.tolist())) for s in rec.feasibility.solutions)
     return [rec.record_index, *map(repr, params), q.rank_a, q.rank_b,
             *map(repr, eigs), roots_ab, rec.classification, rec.n_solutions, sols]
@@ -723,7 +713,7 @@ def scan_to_json(records) -> list:
             "rank_B": int(q.rank_b),
             "eig_A": q.eig_a[::-1].tolist(),
             "eig_B": q.eig_b[::-1].tolist(),
-            "roots_AB": [[r.real, r.imag] for r in rec.roots_ab.tolist()],
+            "roots_AB": [[r, 0.0] for r in rec.roots_ab.tolist()],
             "classification": rec.classification,
             "n_solutions": rec.n_solutions,
             "solutions": [s.tolist() for s in rec.feasibility.solutions],

@@ -191,6 +191,21 @@ class TestKernelVerify:
         assert out == ""
         assert err.startswith("error: cannot read matrix:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("obj", [
+        {"dim": 2.9, "entries": [[1, 0]] * 4},
+        {"dim": "2", "entries": [[1, 0]] * 4},
+        {"dim": True, "entries": [[1, 0]]},
+        {"dim": 1, "entries": [["1", "0"]]},
+        {"dim": 1, "entries": [[True, 0]]},
+    ], ids=["dim-float", "dim-str", "dim-bool", "entry-str", "entry-bool"])
+    def test_non_number_types_exit_2(self, tmp_path, capsys, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(["kernel", "verify", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read matrix:") and err.count("\n") == 1
+
     def test_dim_override_mismatch_exit_2(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "k.json", np.eye(2) / 2)
         code, _, _ = run(["kernel", "verify", path, "--n", "4"], capsys)

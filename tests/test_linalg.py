@@ -265,6 +265,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_from_json({"dim": 2, "entries": [[1, 0, 0]] * 4})
 
+    @pytest.mark.parametrize("obj, match", [
+        ({"dim": 2.9, "entries": [[1, 0]] * 4}, "'dim' must be an integer, got 2.9"),
+        ({"dim": "2", "entries": [[1, 0]] * 4}, "'dim' must be an integer, got '2'"),
+        ({"dim": True, "entries": [[1, 0]]}, "'dim' must be an integer, got True"),
+        ({"dim": 1, "entries": [["1", "0"]]}, r"entry 0 is not a \[re, im\] pair of numbers"),
+        ({"dim": 1, "entries": [[True, 0]]}, r"entry 0 is not a \[re, im\] pair of numbers"),
+        ({"dim": 1, "entries": [[0, False]]}, r"entry 0 is not a \[re, im\] pair of numbers"),
+        ({"dim": 1, "entries": [[10**400, 0]]}, "entry 0 is not finite"),
+    ], ids=["dim-float", "dim-str", "dim-bool", "entry-str", "entry-bool-re", "entry-bool-im",
+            "entry-huge-int"])
+    def test_strict_number_types(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            matrix_from_json(obj)
+
+    def test_ints_and_floats_accepted(self):
+        back = matrix_from_json({"dim": 2, "entries": [[1, 0], [0.5, -2], [0, 0.25], [3, 1]]})
+        np.testing.assert_array_equal(back, [[1, 0.5 - 2j], [0.25j, 3 + 1j]])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "nan", 1e400])
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_rejected(self, bad, part):

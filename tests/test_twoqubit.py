@@ -352,25 +352,25 @@ class TestEllipsoidMatrices:
             assert np.linalg.norm(raw - raw.T) < 1e-13
 
 
+def _det_poly_roots(qa, qb):
+    """Oracle: roots of det(t qa + qb), interpolated at four points, by np.roots."""
+    ts = np.array([-2.0, -1.0, 0.0, 1.0])
+    coeffs = np.linalg.solve(np.vander(ts, 4), [np.linalg.det(t * qa + qb) for t in ts])
+    return np.roots(coeffs)
+
+
+def _ulp_noise(m, rng):
+    """m plus symmetric noise of -1, 0 or +1 ulp of its largest entry."""
+    e = rng.choice([-1.0, 0.0, 1.0], size=m.shape) * np.spacing(np.abs(m).max())
+    return m + np.triu(e) + np.triu(e, 1).T
+
+
 class TestCharCubicRoots:
-    def test_degenerate_reference(self):
-        from swphase.twoqubit import _det_poly_roots
-
-        q = ellipsoid_matrices(np.eye(15))
-        np.testing.assert_allclose(np.sort(-q.eig_a), [-4.0 / 3.0, 0.0, 0.0], atol=1e-14)
-        assert q.rank_a == 1
-        # rank below 3: the pencil goes through the polynomial fallback
-        np.testing.assert_array_equal(char_cubic_roots(q), _det_poly_roots(q.a, q.b))
-
     def test_proportional_quadrics(self):
         q = QuadricTriple(a=(4.0 / 3.0) * np.eye(3), b=(4.0 / 3.0) * np.eye(3))
-        np.testing.assert_allclose(char_cubic_roots(q).real, [-1.0, -1.0, -1.0],
-                                   atol=1e-12)
+        np.testing.assert_allclose(char_cubic_roots(q), [-1.0, -1.0, -1.0], atol=1e-12)
 
     def test_cubic_path_matches_eigenvalue_path(self):
-        # oracle: roots of the interpolated determinant polynomial
-        from swphase.twoqubit import _det_poly_roots
-
         for seed in range(30):
             q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 3000)))
             roots_ab = char_cubic_roots(q)
@@ -378,7 +378,57 @@ class TestCharCubicRoots:
             np.testing.assert_allclose(np.sort(-q.eig_a), gold_a, atol=1e-10)
             if q.rank_a == 3:
                 gold_ab = np.sort(_det_poly_roots(q.a, q.b).real)
-                np.testing.assert_allclose(np.sort(roots_ab.real), gold_ab, atol=1e-8)
+                np.testing.assert_allclose(np.sort(roots_ab), gold_ab, atol=1e-8)
+
+    def test_backward_accurate_with_one_root_per_rank(self):
+        # Normwise residual |det(t A + B)| / (|t| |A| + |B|)^3 at roundoff level,
+        # and one root per nonzero eigenvalue of A, in descending order.
+        for rec in moduli_scan(5000, 7):
+            q, roots = rec.quadrics, rec.roots_ab
+            assert roots.dtype == np.float64 and roots.shape == (q.rank_a,)
+            assert np.all(np.diff(roots) <= 0.0) and np.all(roots <= 0.0)
+            norm_a, norm_b = np.linalg.norm(q.a, 2), np.linalg.norm(q.b, 2)
+            for t in roots:
+                residual = abs(np.linalg.det(t * q.a + q.b)) / (abs(t) * norm_a + norm_b) ** 3
+                assert residual <= 1e-14
+
+    # grid records whose A and B share a null direction, so det(t A + B) == 0
+    @pytest.mark.parametrize("a, a_prime", [((0, 1 / 2, 0), (1 / 2, 1 / 2, -1)),
+                                            ((0, 1 / 2, 1 / 4), (1 / 2, 0, -1 / 2))])
+    def test_singular_pencil_has_no_roots(self, a, a_prime):
+        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array(a),
+                                                             np.pi * np.array(a_prime))))
+        assert char_cubic_roots(q).shape == (0,)
+        assert q.eig_ab[0] <= 1e-8
+
+    def test_identity_fibre(self):
+        q = ellipsoid_matrices(np.eye(15))
+        np.testing.assert_allclose(np.sort(-q.eig_a), [-4.0 / 3.0, 0.0, 0.0], atol=1e-14)
+        assert (q.rank_a, q.rank_b) == (1, 1)
+        assert char_cubic_roots(q).shape == (0,)
+
+    def test_grid_sample_roots_real_and_non_positive(self):
+        # multiples of pi/4 and pi/2: many records share a null direction of A and B
+        grid = np.pi * np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+        params = np.random.default_rng(15).choice(grid, size=(3000, 6))
+        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+        roots = [char_cubic_roots(q[k]) for k in range(len(params))]
+        assert all(np.all(np.imag(r) == 0.0) and np.all(np.real(r) <= 0.0) for r in roots)
+        # rank_A roots, none on a singular pencil
+        assert [len(r) for r in roots] == np.where(q.eig_ab[:, 0] > 1e-8, q.rank_a, 0).tolist()
+
+    def test_ill_conditioned_small_root(self):
+        # Record 885 of seed 7: a root near -2.45e-6 beside one near -1.6e6.
+        # The reference value is the root of det(t A + B) for these float
+        # quadrics in 60-digit arithmetic.
+        q = moduli_scan(1000, 7)[885].quadrics
+        roots = char_cubic_roots(q)
+        small = roots[np.argmin(np.abs(roots))]
+        assert abs(small / -2.45400255708e-6 - 1.0) <= 1e-9
+        rng = np.random.default_rng(885)
+        for _ in range(50):
+            noisy = char_cubic_roots(QuadricTriple(a=_ulp_noise(q.a, rng), b=_ulp_noise(q.b, rng)))
+            assert abs(noisy[np.argmin(np.abs(noisy))] / small - 1.0) <= 1e-8
 
     def test_negative_root_sweep(self):
         for seed in range(200):
@@ -534,26 +584,35 @@ class TestModuliFeasibility:
         ((0, 0, 1 / 4), (0, 1 / 4, 0), 0.4),
     ])
     def test_structured_tangency_records(self, a, a_prime, level):
-        # Rank-deficient records on the grid of multiples of pi/4, where the
-        # solution count is not stable under roundoff: at a tangency the
-        # two candidates of the double root land about _DEDUP_TOL apart, so
-        # the last bits decide whether they count once or twice.  The
-        # count is therefore not compared with the reference here, only
-        # the label and the properties every returned point must have.
-        # Every record has solutions, exact to roundoff, the last one too:
-        # a tangency whose Brickman margin is +2.1e-11.
+        # Rank-deficient records on the grid of multiples of pi/4 with a
+        # tangency: a line of the split pencil member touches the other
+        # conic, and its double root is one candidate, so the tangent
+        # point counts once.  Every record has solutions, exact to
+        # roundoff, the last one too: a tangency whose Brickman margin is
+        # +2.1e-11.
         q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array(a),
                                                              np.pi * np.array(a_prime))))
         assert min(q.rank_a, q.rank_b) < 3
         got = moduli_feasibility(q, level=level)
         assert got.classification == "degenerate"
-        assert got.n_solutions % 2 == 0 and 0 < got.n_solutions <= 8
+        assert got.n_solutions == 4
         mus = np.array(got.solutions)
         np.testing.assert_allclose(np.linalg.norm(mus, axis=1), 1.0, rtol=0, atol=1e-14)
         for quad in (q.a, q.b):
             values = np.einsum("pi,ij,pj->p", mus, quad, mus)
             assert np.abs(values - level).max() <= 1e-14
         np.testing.assert_array_equal(mus[1::2], -mus[0::2])
+
+    def test_tangent_point_counts_once_under_noise(self):
+        # The double root comes out as one candidate whatever its last bits:
+        # with two candidates about sqrt(eps) apart, around _DEDUP_TOL,
+        # 1-ulp noise gave 4, 6 or 8 solutions here.
+        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array([0, 0, 0.25]),
+                                                             np.pi * np.array([0, 0.25, 0]))))
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            noisy = QuadricTriple(a=_ulp_noise(q.a, rng), b=_ulp_noise(q.b, rng))
+            assert moduli_feasibility(noisy, level=0.4).n_solutions == 4
 
     def test_label_degenerate_on_identity_fibre(self):
         # rank 1/1 quadrics: degenerate even though 8 solutions exist
@@ -601,6 +660,9 @@ def _qz_reference(q, level):
     and a per-point loop that refines, checks residuals and deduplicates.
     The library keeps its closed-form points as they are, so parity at
     1e-12 also checks that the refinement moves them by roundoff only.
+    Both candidates of a tangent line's double root are kept here and left
+    to the distance dedup, where the library emits one; seeded draws have
+    no exact tangency, so the counts must agree.
     """
     if not (q.eig_a[0] <= level <= q.eig_a[-1] and q.eig_b[0] <= level <= q.eig_b[-1]
             and np.linalg.eigvalsh(q.a + q.b)[-1] >= 2.0 * level):
@@ -719,8 +781,8 @@ class TestModuliScan:
         # The closed-form front end against the eigensolver route it replaced
         # (the exponential of the generator sums, then the per-generator adjoint).
         # The roots are compared relative to the largest root of the record:
-        # a root far below it is ill-conditioned, and one ulp of noise on the
-        # quadrics moves it by about 1e-3 of itself.
+        # a root far below it is ill-conditioned, and the last bits in which
+        # the two front ends' quadrics differ move it by up to 1e-6 of itself.
         records = moduli_scan(1000, 7)
         a = np.stack([rec.a_params for rec in records])
         ap = np.stack([rec.a_prime_params for rec in records])
@@ -771,9 +833,6 @@ class TestModuliScan:
 
 def _reference_row(rec):
     """A CSV row formatted one numpy scalar at a time with repr(float(v))."""
-    def fmt_root(r):
-        return repr(float(r.real)) if abs(r.imag) < 1e-12 else repr(complex(r))
-
     eig_a, eig_b = rec.quadrics.eig_a[::-1], rec.quadrics.eig_b[::-1]
     return ([rec.record_index]
             + [repr(float(v)) for v in rec.a_params]
@@ -781,7 +840,7 @@ def _reference_row(rec):
             + [rec.quadrics.rank_a, rec.quadrics.rank_b]
             + [repr(float(v)) for v in eig_a]
             + [repr(float(v)) for v in eig_b]
-            + [";".join(fmt_root(r) for r in rec.roots_ab), rec.classification,
+            + [";".join(repr(float(r)) for r in rec.roots_ab), rec.classification,
                rec.n_solutions,
                ";".join(" ".join(repr(float(c)) for c in s) for s in rec.feasibility.solutions)])
 
@@ -796,7 +855,7 @@ def _reference_json(rec):
         "rank_B": int(rec.quadrics.rank_b),
         "eig_A": [float(v) for v in rec.quadrics.eig_a[::-1]],
         "eig_B": [float(v) for v in rec.quadrics.eig_b[::-1]],
-        "roots_AB": [[float(r.real), float(r.imag)] for r in rec.roots_ab],
+        "roots_AB": [[float(r), 0.0] for r in rec.roots_ab],
         "classification": rec.classification,
         "n_solutions": rec.n_solutions,
         "solutions": [[float(c) for c in s] for s in rec.feasibility.solutions],
@@ -838,7 +897,7 @@ def _assert_same_record(got, want):
     assert got.record_index == want.record_index
     pairs = [(got.a_params, want.a_params), (got.a_prime_params, want.a_prime_params)]
     pairs += [(getattr(got.quadrics, k), getattr(want.quadrics, k))
-              for k in ("a", "b", "eig_a", "eig_b", "rank_a", "rank_b")]
+              for k in ("a", "b", "eig_a", "eig_b", "eig_ab", "rank_a", "rank_b")]
     pairs += [(got.roots_ab, want.roots_ab)]
     pairs += [(np.array(got.feasibility.solutions), np.array(want.feasibility.solutions))]
     for x, y in pairs:
@@ -884,8 +943,10 @@ class TestBatchParity:
             assert np.array_equal(factors[k], abelian_factor(a[k], ap[k]))
             assert np.array_equal(adj[k], adjoint_matrix(factors[k]))
             single = ellipsoid_matrices(adj[k])
-            for name in ("a", "b", "eig_a", "eig_b", "rank_a", "rank_b"):
+            for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "rank_a", "rank_b"):
                 assert np.array_equal(getattr(quads[k], name), getattr(single, name))
+        # the one stacked eigensolver call gives the bits of a separate one on A + B
+        assert np.array_equal(quads.eig_ab, np.linalg.eigvalsh(quads.a + quads.b))
         with pytest.raises(ValueError, match="one quadric pair"):
             char_cubic_roots(quads)
         with pytest.raises(TypeError):
