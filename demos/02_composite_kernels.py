@@ -7,7 +7,6 @@ unitaries preserve admissibility, non-local ones break it.
 """
 
 import numpy as np
-import scipy.linalg
 
 from swphase.linalg import BipartiteDims, haar_unitary, kron, random_density
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum, wigner_value
@@ -19,7 +18,7 @@ from swphase.composite import (
     subsystem_wigner,
     verify_composite_master,
 )
-from swphase.twoqubit import FANO_ORDER, LAMBDA
+from swphase.twoqubit import FANO_ORDER, SIGMA
 
 dims = BipartiteDims(2, 2)
 
@@ -95,7 +94,8 @@ for seed in range(200):
     worst = max(worst, r.purity_a_residual, r.purity_b_residual)
 print(f"\n200 random local rotations: worst admissibility residual {worst:.2e}")
 
-u = scipy.linalg.expm((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # a correlation generator
+# exp((pi/2) l) for the correlation generator l = (i/2) sigma_11; sigma_11^2 = I
+u = np.cos(np.pi / 4) * np.eye(4) + 1j * np.sin(np.pi / 4) * SIGMA[FANO_ORDER.index((1, 1))]
 r = verify_composite_master(u @ comp.mat @ u.conj().T, dims)
 print(f"one non-local rotation: residuals {r.purity_a_residual:.3f} / "
       f"{r.purity_b_residual:.3f}  (admissibility destroyed)")

@@ -143,6 +143,13 @@ def hermiticity_defect(x) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, the value of
+    ``np.linalg.norm(x, axis=(-2, -1))`` without its argument handling."""
+    sq = (x.conj() * x).real if x.dtype.kind == "c" else x * x
+    return np.sqrt(sq.sum(axis=(-2, -1)))
+
+
 def _check_each(bad, message: str) -> None:
     """Raise ValueError(message) if the check failed for any matrix of a stack."""
     if bad.any():
@@ -155,14 +162,15 @@ def _check_unitary(u: np.ndarray) -> None:
 
     The test is ``~(defect <= tol)``, not ``defect > tol``, so that NaN fails it.
     """
+    n = u.shape[-1]
     gram = u @ u.conj().swapaxes(-1, -2)
-    _check_each(~(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)) <= DEFAULT_TOL),
-                "input is not unitary")
+    gram.reshape(gram.shape[:-2] + (n * n,))[..., ::n + 1] -= 1.0  # the diagonal: gram - I
+    _check_each(~(_frobenius(gram) <= DEFAULT_TOL), "input is not unitary")
 
 
 def _check_hermitian(x: np.ndarray) -> None:
     """Reject a matrix or stack (..., n, n) unless its Hermiticity defect is <= 1e-10."""
-    defect = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
+    defect = _frobenius(x - x.conj().swapaxes(-1, -2))
     _check_each(~(defect <= 1e-10), "input is not Hermitian")
 
 

@@ -33,9 +33,18 @@ leading batch axis: parameters (..., 3) give factors (..., 4, 4), adjoint
 matrices (..., 15, 15) and a :class:`QuadricTriple` of stacks (..., 3, 3).
 Every check runs on every matrix of a stack and its error names the first
 failing stack index.  :func:`moduli_scan` runs these stages once per chunk
-of ``SCAN_CHUNK`` records; only the ragged per-record work (pencil roots,
-the solver) runs record by record, and :func:`moduli_record` is the
-batch-of-one case of the same pipeline.
+of ``SCAN_CHUNK`` records; only the closed-form pencil matrices, the
+per-record roots and the solver run record by record, and
+:func:`moduli_record` is the batch-of-one case of the same pipeline.
+
+Dependencies
+------------
+The module needs numpy alone.  Its 3x3 eigenproblems go through
+``numpy.linalg``: one stacked ``eigvalsh`` call per :class:`QuadricTriple`
+and, in the solver, one ``eigvals`` call for the conic pencil and one
+``eigh`` call for its singular members.  The Cholesky reduction of the
+definite pencil and the adjugate of the conic pencil's member are closed
+forms on Python floats.
 """
 
 from __future__ import annotations
@@ -44,7 +53,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DEFAULT_TOL,
@@ -52,6 +60,7 @@ from .linalg import (
     _check_each,
     _check_hermitian,
     _check_unitary,
+    _frobenius,
 )
 from .kernel import SWKernel
 
@@ -139,13 +148,14 @@ def _joint_frame(plane) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-# The frame V of A_PLANE, A_PRIME_PLANE and TORUS (where V = I).
+# The frame V of A_PLANE, A_PRIME_PLANE and TORUS (where V = I), and V^dagger.
 _PLANE_FRAMES = {plane: _joint_frame(plane) for plane in (A_PLANE, A_PRIME_PLANE, TORUS)}
+_PLANE_FRAMES_H = {plane: v.conj().T for plane, v in _PLANE_FRAMES.items()}
 # L and L^dagger of adjoint_matrix: column n of L is l_n flattened row-major.
 _LAMBDA_COLS = LAMBDA.reshape(15, 16).T.copy()
 _LAMBDA_ROWS_H = LAMBDA.reshape(15, 16).conj()
 for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _LAMBDA_COLS, _LAMBDA_ROWS_H,
-                *_PLANE_FRAMES.values()):
+                *_PLANE_FRAMES.values(), *_PLANE_FRAMES_H.values()):
     _shared.flags.writeable = False
 
 
@@ -177,9 +187,9 @@ def _plane_exp(params, plane) -> np.ndarray:
     ``plane`` is A_PLANE, A_PRIME_PLANE or TORUS; parameters (..., 3) give
     (..., 4, 4).  Closed form in the plane's exact eigenframe, no eigensolver.
     """
-    v = _PLANE_FRAMES[plane]
+    v, v_h = _PLANE_FRAMES[plane], _PLANE_FRAMES_H[plane]
     phases = np.exp(0.5j * (np.asarray(params, dtype=float) @ _PLANE_SIGNS))
-    return (v * phases[..., None, :]) @ v.conj().T
+    return (v * phases[..., None, :]) @ v_h
 
 
 def _triple_exp(params, triple) -> np.ndarray:
@@ -257,6 +267,10 @@ def adjoint_matrix(a) -> np.ndarray:
 # record is labelled degenerate), and below which A + B counts as singular
 # (det(t A + B) vanishes for every t and no pencil root is reported).
 _COND_FLOOR = 1e-8
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+_EYE3_ROWS = _EYE3.tolist()
+_PIVOT_FLOOR = _COND_FLOOR / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,6 +285,10 @@ class QuadricTriple:
     and ``eig_ab`` hold the ascending eigenvalues of A, B and A + B,
     computed once, in one call, with the positive-semidefinite check;
     -eig_a and -eig_b are the roots of det(t I + A) and det(t I + B).
+    ``eig_pencil`` holds, from the same call, the ascending eigenvalues of
+    the symmetric-definite pencil (A, A + B), those of L^-1 A L^-T with
+    A + B = L L^T (see :func:`char_cubic_roots`); they are meaningful only
+    where ``eig_ab[..., 0]`` exceeds ``_COND_FLOOR``.
     ``rank_a`` and ``rank_b`` count the eigenvalues above ``_COND_FLOOR``,
     one count per pair.  Every entry must be finite.  The checks run in
     order of kind (shape, finite, symmetric, positive semidefinite), each
@@ -283,6 +301,7 @@ class QuadricTriple:
     eig_a: np.ndarray = field(init=False, repr=False, compare=False)
     eig_b: np.ndarray = field(init=False, repr=False, compare=False)
     eig_ab: np.ndarray = field(init=False, repr=False, compare=False)
+    eig_pencil: np.ndarray = field(init=False, repr=False, compare=False)
     rank_a: np.ndarray = field(init=False, repr=False, compare=False)
     rank_b: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -293,15 +312,22 @@ class QuadricTriple:
                 raise ValueError(f"{name} must be 3x3 or a stack of 3x3 matrices")
         if pair[0].shape != pair[1].shape:
             raise ValueError(f"a and b stacks differ in shape: {pair[0].shape} vs {pair[1].shape}")
-        ab = np.stack(pair)
+        # A, B, A + B and the pencil matrices, stacked for one eigensolver call.
+        quad = np.empty((4,) + pair[0].shape)
+        quad[0], quad[1] = pair
+        ab = quad[:2]
         _check_pair(~np.isfinite(ab).all(axis=(-2, -1)), "has a non-finite entry")
-        _check_pair(np.linalg.norm(ab - ab.swapaxes(-1, -2), axis=(-2, -1)) > 1e-13,
-                    "is not symmetric")
-        eig = np.linalg.eigvalsh(np.concatenate([ab, ab[:1] + ab[1:]]))
-        eig, eig_ab = eig[:2], eig[2]
+        _check_pair(_frobenius(ab - ab.swapaxes(-1, -2)) > 1e-13, "is not symmetric")
+        c = np.add(*pair, out=quad[2])
+        quad[3].reshape(-1, 3, 3)[...] = [
+            _cholesky_congruence(ak, ck)
+            for ak, ck in zip(pair[0].reshape(-1, 3, 3).tolist(), c.reshape(-1, 3, 3).tolist())]
+        eig = np.linalg.eigvalsh(quad)
+        eig, eig_ab, eig_pencil = eig[:2], eig[2], eig[3]
         _check_pair(eig[..., 0] < -1e-10, "is not positive semidefinite")
-        rank = np.count_nonzero(eig > _COND_FLOOR, axis=-1)
+        rank = (eig > _COND_FLOOR).sum(axis=-1)
         object.__setattr__(self, "eig_ab", eig_ab)
+        object.__setattr__(self, "eig_pencil", eig_pencil)
         for name, arr, eig_k, rank_k in zip("ab", pair, eig, rank):
             object.__setattr__(self, name, arr)
             object.__setattr__(self, f"eig_{name}", eig_k)
@@ -312,7 +338,7 @@ class QuadricTriple:
         if self.a.ndim == 2:
             raise TypeError("a single quadric pair has no records to index")
         part = object.__new__(QuadricTriple)
-        for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "rank_a", "rank_b"):
+        for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b"):
             object.__setattr__(part, name, getattr(self, name)[index])
         return part
 
@@ -347,28 +373,83 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     return QuadricTriple(a=q[..., 0, :, :], b=q[..., 1, :, :])
 
 
+def _cholesky_congruence(a: list, c: list) -> list:
+    """L^-1 A L^-T for the Cholesky factor L of C = L L^T, as 3x3 nested lists of floats.
+
+    The reduction of LAPACK's dsygvd (dpotrf, then dsygst) in closed form,
+    from the lower triangles of A and C: Y = L^-1 A by forward substitution,
+    then the lower triangle of L^-1 Y^T, which is L^-1 A L^-T since A is
+    symmetric, mirrored.  When a pivot of C is at most ``_COND_FLOOR`` / 2
+    the identity is returned instead: the pivots of a C whose smallest
+    eigenvalue exceeds ``_COND_FLOOR`` are all above it, and the bound keeps
+    every entry finite.
+    """
+    (c00, _, _), (c10, c11, _), (c20, c21, c22) = c
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
+    if not c00 > _PIVOT_FLOOR:
+        return _EYE3_ROWS
+    l00 = math.sqrt(c00)
+    l10, l20 = c10 / l00, c20 / l00
+    p1 = c11 - l10 * l10
+    if not p1 > _PIVOT_FLOOR:
+        return _EYE3_ROWS
+    l11 = math.sqrt(p1)
+    l21 = (c21 - l20 * l10) / l11
+    p2 = c22 - l20 * l20 - l21 * l21
+    if not p2 > _PIVOT_FLOOR:
+        return _EYE3_ROWS
+    l22 = math.sqrt(p2)
+    y00, y01, y02 = a00 / l00, a10 / l00, a20 / l00
+    y10, y11, y12 = (a10 - l10 * y00) / l11, (a11 - l10 * y01) / l11, (a21 - l10 * y02) / l11
+    y20 = (a20 - l20 * y00 - l21 * y10) / l22
+    y21 = (a21 - l20 * y01 - l21 * y11) / l22
+    y22 = (a22 - l20 * y02 - l21 * y12) / l22
+    # Column j of the result is L^-1 times row j of Y; its rows j..2 are kept.
+    m00 = y00 / l00
+    m10 = (y01 - l10 * m00) / l11
+    m20 = (y02 - l20 * m00 - l21 * m10) / l22
+    z0 = y10 / l00
+    m11 = (y11 - l10 * z0) / l11
+    m21 = (y12 - l20 * z0 - l21 * m11) / l22
+    z0 = y20 / l00
+    z1 = (y21 - l10 * z0) / l11
+    m22 = (y22 - l20 * z0 - l21 * z1) / l22
+    return [[m00, m10, m20], [m10, m11, m21], [m20, m21, m22]]
+
+
+def _pencil_roots(q: QuadricTriple) -> list:
+    """Real roots of det(t A + B) for each pair of q (one pair or a stack), in descending order.
+
+    Returns one float64 array per pair, the pairs of a stack in row-major
+    order, from ``q.eig_pencil`` (see :func:`char_cubic_roots`).  A pair
+    whose A + B is singular (lambda_min <= ``_COND_FLOOR``) has no roots.
+    Only the top ``rank_a`` eigenvalues are divided: the others are zero.
+    """
+    counts = np.where(q.eig_ab[..., 0] > _COND_FLOOR, q.rank_a, 0).reshape(-1).tolist()
+    lam = q.eig_pencil.reshape(-1, 3)[:, ::-1].tolist()
+    # A <= A + B gives lambda <= 1; the clamp keeps roundoff from making a root positive.
+    return [np.array([1.0 - 1.0 / min(x, 1.0) for x in row[:count]], dtype=float)
+            for row, count in zip(lam, counts)]
+
+
 def char_cubic_roots(q: QuadricTriple) -> np.ndarray:
     """Real roots of det(t A + B) for a single quadric pair, in descending order.
 
     With C = A + B, det(t A + B) = det(C) prod_i (1 + (t - 1) lambda_i),
     where lambda_i in [0, 1] are the eigenvalues of the symmetric-definite
-    pencil (A, C) (Golub & Van Loan, Matrix Computations, 8.7).  When C is
-    definite, exactly ``q.rank_a`` of them are nonzero, and the roots are
-    t_i = 1 - 1/lambda_i over those: real and <= 0.  When lambda_min(C) is
-    at most ``_COND_FLOOR``, A and B share a null direction, the
+    pencil (A, C) (Golub & Van Loan, Matrix Computations, 8.7), those of
+    L^-1 A L^-T with C = L L^T (``q.eig_pencil``).  When C is definite,
+    exactly ``q.rank_a`` of them are nonzero, and the roots are
+    t_i = 1 - 1/lambda_i over those: real and <= 0.  When lambda_min(C)
+    is at most ``_COND_FLOOR``, A and B share a null direction, the
     determinant vanishes for every t and no root is reported.  The roots
-    of det(t I + A) and det(t I + B) are -q.eig_a and -q.eig_b.
+    of det(t I + A) and det(t I + B) are -q.eig_a and -q.eig_b.  This is
+    the batch-of-one case of the per-chunk computation of
+    :func:`moduli_scan`.
     """
     if q.a.ndim != 2:
         raise ValueError("char_cubic_roots takes one quadric pair; index the stack first")
-    if q.eig_ab[0] <= _COND_FLOOR:
-        return np.zeros(0)
-    # The LAPACK routine scipy.linalg.eigh(q.a, q.a + q.b, eigvals_only=True) calls.
-    lam, _, info = scipy.linalg.lapack.dsygvd(q.a, q.a + q.b, jobz="N")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dsygvd info {info})")
-    # A <= A + B gives lambda <= 1; the clamp keeps roundoff from making a root positive.
-    return 1.0 - 1.0 / np.minimum(lam[::-1][:q.rank_a], 1.0)
+    return _pencil_roots(q)[0]
 
 
 def kernel_from_moduli(u, mu) -> SWKernel:
@@ -426,6 +507,16 @@ MATRIX_LEVEL = 4.0 / 15.0
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
 
+# The members cos(theta) C_A + sin(theta) C_B, theta = k pi / 8, k < 12, of
+# _singular_members: it picks its invertible member P among the first eight
+# and takes Q, the member pi/2 further on, four places later.  At or below
+# _SINGULAR_PENCIL_TOL the best |det| of the eight, so every member of the
+# pencil, is singular.
+_PENCIL_COS_SIN = [(math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)) for k in range(12)]
+_PENCIL_COS, _PENCIL_SIN = np.array(_PENCIL_COS_SIN).T[:, :, None, None]
+_PENCIL_COS.flags.writeable = _PENCIL_SIN.flags.writeable = False
+_SINGULAR_PENCIL_TOL = 1e-12
+
 
 def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResult:
     """Solve mu mu^T = 1, mu A mu^T = level, mu B mu^T = level in closed form.
@@ -443,10 +534,11 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
     zero conic, A or B equal to level I), whose solutions can form a curve,
     raises ValueError, as does a ``level`` that is not positive and finite.
 
-    The pencil roots come from one direct LAPACK ``dggev`` call; its input
-    is finite because :class:`QuadricTriple` rejects non-finite entries.
-    The line pairs are split on Python floats, and the residuals and the
-    dedup distances take one array product each over all candidate points.
+    The pencil roots come from one 3x3 nonsymmetric eigenvalue call (see
+    :func:`_singular_members`); its input is finite because
+    :class:`QuadricTriple` rejects non-finite entries.  The line pairs are
+    split on Python floats, and the residuals and the dedup distances take
+    one array product each over all candidate points.
 
     The default ``level`` is the quoted unit normalization; pass
     ``MATRIX_LEVEL`` to solve the system equivalent to the matrix-level
@@ -457,16 +549,16 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
         raise ValueError(f"level must be positive and finite, got {level!r}")
     if not _level_reachable(q, level):
         return _feasibility_result(q, [])
-    eye = np.eye(3)
-    mus = _conic_intersection(q.a - level * eye, q.b - level * eye)
+    mus = _conic_intersection(q.a - level * _EYE3, q.b - level * _EYE3)
     if not len(mus):
         return _feasibility_result(q, [])
-    mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+    mus /= np.sqrt((mus * mus).sum(axis=1, keepdims=True))
     values = (mus @ np.concatenate([q.a, q.b], axis=1)).reshape(-1, 2, 3) @ mus[:, :, None]
     good = mus[np.abs(values[..., 0] - level).max(axis=1) <= _RESIDUAL_TOL]
     # Distances from each point to every point, then to every antipode.
     n = len(good)
-    dist = np.linalg.norm(good[:, None] - np.concatenate([good, -good]), axis=-1).tolist()
+    diff = good[:, None] - np.concatenate([good, -good])
+    dist = np.sqrt((diff * diff).sum(axis=-1)).tolist()
     kept: list[int] = []
     for i, row in enumerate(dist):
         if all(row[j] > _DEDUP_TOL and row[j + n] > _DEDUP_TOL for j in kept):
@@ -495,34 +587,59 @@ def _level_reachable(q: QuadricTriple, level: float) -> np.ndarray:
             & (q.eig_ab[..., -1] >= 2.0 * level))
 
 
+_DEGENERATE_PENCIL = "degenerate pencil: C_A and C_B proportional or det(C_A + t C_B) == 0"
+
+
+def _singular_members(ca: np.ndarray, cb: np.ndarray) -> list:
+    """The real roots of det(x ca + y cb), as unit pairs [x, y], for conics of unit norm.
+
+    They come from one nonsymmetric eigenproblem.  Of the members
+    P = cos(theta) ca + sin(theta) cb, theta = k pi / 8, k < 8, the one with
+    the largest |det| is inverted: with Q the member at theta + pi/2, each
+    eigenvalue nu of adj(P) Q = det(P) P^-1 Q gives the singular member
+    nu P - det(P) Q, and a root counts as real when its imaginary part is at
+    most 1e-8 of its size.  det(x ca + y cb) is a cubic form, so at most
+    three of the eight members are singular unless every member is: a best
+    |det| of at most ``_SINGULAR_PENCIL_TOL`` raises ValueError (a
+    degenerate pencil).
+    """
+    members = _PENCIL_COS * ca + _PENCIL_SIN * cb
+    dets = np.linalg.det(members[:8])
+    k = int(np.abs(dets).argmax())
+    det = float(dets[k])
+    if abs(det) <= _SINGULAR_PENCIL_TOL:
+        raise ValueError(_DEGENERATE_PENCIL)
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = members[k].tolist()
+    adj = np.array([[p11 * p22 - p12 * p21, p02 * p21 - p01 * p22, p01 * p12 - p02 * p11],
+                    [p12 * p20 - p10 * p22, p00 * p22 - p02 * p20, p02 * p10 - p00 * p12],
+                    [p10 * p21 - p11 * p20, p01 * p20 - p00 * p21, p00 * p11 - p01 * p10]])
+    (c, s), (c_q, s_q) = _PENCIL_COS_SIN[k], _PENCIL_COS_SIN[k + 4]
+    xy = []
+    for nu in map(complex, np.linalg.eigvals(adj @ members[k + 4]).tolist()):
+        if abs(nu.imag) <= 1e-8 * max(abs(nu), abs(det)):  # the member nu P - det Q
+            x, y = c * nu.real - c_q * det, s * nu.real - s_q * det
+            h = math.hypot(x, y)
+            xy.append([x / h, y / h])
+    return xy
+
+
 def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """Unit candidates (m, 3), m <= 4, for the real common points of two conics.
 
-    The entries must be finite: the pencil roots come straight from LAPACK's
-    ``dggev`` (the routine behind ``scipy.linalg.eigvals``), which does not
-    check its input.  A zero conic (A or B equal to level I) makes the
-    pencil degenerate and raises ValueError, as does any degenerate pencil.
+    The real singular members of the pencil come from
+    :func:`_singular_members`; one of them that is a real line pair is split
+    into its two lines, and each line meets the other conic at the roots of
+    a 2x2 quadratic form.  A zero conic (A or B equal to level I), two
+    proportional conics and any other degenerate pencil raise ValueError.
     """
     norm_a, norm_b = np.linalg.norm(ca), np.linalg.norm(cb)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("degenerate pencil: C_A or C_B is zero (A or B equals level I)")
     ca, cb = ca / norm_a, cb / norm_b
     wedge = np.outer(ca, cb)
-    # Roots t = alpha / beta of det(ca + t cb), t = inf too, from ca v = t (-cb) v.
-    alpha_re, alpha_im, beta, _, _, _, info = scipy.linalg.lapack.dggev(
-        ca, -cb, compute_vl=0, compute_vr=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"generalized eigenproblem failed (dggev info {info})")
-    roots = list(zip(alpha_re.tolist(), alpha_im.tolist(), beta.tolist()))
-    sizes = [max(math.hypot(a_re, a_im), abs(b)) for a_re, a_im, b in roots]
-    if np.linalg.norm(wedge - wedge.T) <= 1e-12 or min(sizes) <= 1e-12:
-        raise ValueError("degenerate pencil: C_A and C_B proportional or det(C_A + t C_B) == 0")
-    xy = []
-    for (a_re, a_im, b), size in zip(roots, sizes):
-        if abs(a_im) <= 1e-8 * size:  # a real root: the member b ca + a_re cb
-            h = math.sqrt(b * b + a_re * a_re)
-            xy.append([b / h, a_re / h])
-    xy = np.array(xy).reshape(-1, 2)
+    if np.linalg.norm(wedge - wedge.T) <= 1e-12:
+        raise ValueError(_DEGENERATE_PENCIL)
+    xy = np.array(_singular_members(ca, cb)).reshape(-1, 2)
     w, v = np.linalg.eigh(xy[:, 0, None, None] * ca + xy[:, 1, None, None] * cb)
     # Split the indefinite member (a real line pair) with the best-separated
     # lines: the middle eigenvalue is the one nearest zero (the first on a tie)
@@ -612,18 +729,19 @@ def _moduli_records(first_index: int, a_params: np.ndarray, a_prime_params: np.n
     """Records for stacked parameter rows (m, 3), numbered from ``first_index``.
 
     The abelian factor, adjoint map, ellipsoid matrices, their eigenvalues
-    and the early-exit test of :func:`moduli_feasibility` (at its default
-    level) run once over the stack; pencil roots and the solver run per
-    record, the solver only where the early exit does not settle it.
+    (the pencil's too) and the early-exit test of :func:`moduli_feasibility`
+    (at its default level) run once over the stack, and the pencil roots
+    come from one call for the stack; the solver runs per record, only
+    where the early exit does not settle it.
     """
     q = ellipsoid_matrices(adjoint_matrix(abelian_factor(a_params, a_prime_params)))
     reachable = _level_reachable(q, 1.0) if solve else np.zeros(len(a_params), dtype=bool)
     records = []
-    for k, reach in enumerate(reachable):
+    for k, (reach, roots) in enumerate(zip(reachable.tolist(), _pencil_roots(q))):
         qk = q[k]
         feas = moduli_feasibility(qk) if reach else _feasibility_result(qk, [])
         records.append(ScanRecord(first_index + k, a_params[k], a_prime_params[k],
-                                  qk, char_cubic_roots(qk), feas))
+                                  qk, roots, feas))
     return records
 
 

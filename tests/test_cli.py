@@ -512,3 +512,25 @@ class TestOutputErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestRuntimeDependencies:
+    def test_cli_loads_numpy_only(self):
+        # scipy is a test dependency only: the independent references of the
+        # tests use it, the library and the CLI must not load it.
+        code = """\
+import contextlib, io, sys
+import swphase.cli as cli
+argvs = [["moduli", "scan", "--n", "30"], ["reconstruct", "--n", "4", "--samples", "100"],
+         ["kernel", "gen", "--n", "4"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(swphase.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"

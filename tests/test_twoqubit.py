@@ -727,6 +727,20 @@ class TestSolverGuards:
             with pytest.raises(ValueError, match="degenerate pencil"):
                 moduli_feasibility(q, level=MATRIX_LEVEL)
 
+    @pytest.mark.parametrize("gap", [1e-9, -1e-9, 1e-6, -1e-6])
+    def test_near_shared_null_direction_is_solved(self, gap, monkeypatch):
+        # C_A and C_B miss a common null direction by `gap`: a regular
+        # pencil, solved as the QZ reference solves it (no solutions for a
+        # positive gap, four pairs near the third axis for a negative one)
+        q = QuadricTriple(a=np.diag([1.0, 0.1, MATRIX_LEVEL]),
+                          b=np.diag([0.05, 1.2, MATRIX_LEVEL + gap]))
+        got = moduli_feasibility(q, level=MATRIX_LEVEL)
+        monkeypatch.setattr(twoqubit, "_singular_members", _dggev_singular_members)
+        want = moduli_feasibility(q, level=MATRIX_LEVEL)
+        assert got.n_solutions == want.n_solutions == (0 if gap > 0 else 8)
+        for mu in got.solutions:
+            assert min(np.abs(mu - s).max() for s in want.solutions) <= 1e-12
+
 
 class TestSolverParity:
     """moduli_feasibility against the per-point QZ reference on seeded bundle draws."""
@@ -746,6 +760,100 @@ class TestSolverParity:
                 assert min(np.abs(mu - s).max() for s in want) <= 1e-12
             labels.add(got.classification)
         assert {"feasible", "empty"} <= labels
+
+
+# The 6^6 structured grid: each abelian parameter is one of 0, +-pi/2, +-pi
+# and pi/4.  Its records are often rank-deficient, share a null direction of
+# A and B, or have conics that touch.
+_GRID_VALUES = np.pi * np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+
+
+def _grid_quadrics(n, seed):
+    """The quadrics of n distinct grid records, drawn with a seed."""
+    index = np.random.default_rng(seed).choice(6 ** 6, size=n, replace=False)
+    params = _GRID_VALUES[index[:, None] // 6 ** np.arange(6) % 6]
+    return ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+
+
+def _dsygvd_roots(q):
+    """Reference roots of det(t A + B), descending, from scipy's eigh of the pencil (A, A + B).
+
+    No roots when A + B is singular; otherwise 1 - 1/lambda over the
+    eigenvalues above 1e-9 (the zero ones come out at roundoff).
+    """
+    if scipy.linalg.eigvalsh(q.a + q.b)[0] <= 1e-8:
+        return np.zeros(0)
+    lam = scipy.linalg.eigh(q.a, q.a + q.b, eigvals_only=True)[::-1]
+    return 1.0 - 1.0 / np.minimum(lam[lam > 1e-9], 1.0)
+
+
+def _dggev_singular_members(ca, cb):
+    """Reference for twoqubit._singular_members through scipy's QZ wrapper (LAPACK dggev).
+
+    Roots alpha / beta of det(ca + t cb): a root with alpha and beta both at
+    most 1e-12 marks a singular pencil, and a root is real when
+    |Im alpha| <= 1e-8 max(|alpha|, |beta|); it stands for the member
+    beta ca + alpha cb.
+    """
+    alpha, beta = scipy.linalg.eigvals(ca, -cb, homogeneous_eigvals=True)
+    size = np.maximum(np.abs(alpha), np.abs(beta))
+    if size.min() <= 1e-12:
+        raise ValueError(twoqubit._DEGENERATE_PENCIL)
+    xy = np.stack([beta.real, alpha.real], axis=1)[np.abs(alpha.imag) <= 1e-8 * size]
+    return (xy / np.linalg.norm(xy, axis=1, keepdims=True)).tolist()
+
+
+def _solve_or_none(q, level):
+    try:
+        return moduli_feasibility(q, level=level)
+    except ValueError as exc:
+        assert "degenerate pencil" in str(exc)
+        return None
+
+
+class TestGridParity:
+    """The pencil code on 2,000 grid records against the scipy references of the tests."""
+
+    def test_roots_match_dsygvd(self):
+        q = _grid_quadrics(2000, 16)
+        with_roots = 0
+        for k in range(2000):
+            got, want = char_cubic_roots(q[k]), _dsygvd_roots(q[k])
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            norm_a, norm_b = np.linalg.norm(q[k].a, 2), np.linalg.norm(q[k].b, 2)
+            for t in got:
+                det = np.linalg.det(t * q[k].a + q[k].b)
+                assert abs(det) / (abs(t) * norm_a + norm_b) ** 3 <= 1e-14
+            with_roots += len(got) > 0
+        assert 0 < with_roots < 2000  # the sample holds singular pencils too
+
+    @pytest.mark.parametrize("level", [MATRIX_LEVEL, 0.15, 0.4])
+    def test_solutions_match_dggev(self, level, monkeypatch):
+        # Points where the conics cross agree to 1e-12.  Where they touch,
+        # the three gradients mu, A mu, B mu are dependent, and a change in
+        # the last bits of a pencil root moves the point by up to sqrt(eps):
+        # there the bound is 1e-6, with residuals at roundoff in both.
+        q = _grid_quadrics(2000, 16)
+        got = [_solve_or_none(q[k], level) for k in range(2000)]
+        monkeypatch.setattr(twoqubit, "_singular_members", _dggev_singular_members)
+        want = [_solve_or_none(q[k], level) for k in range(2000)]
+        raised = touching = 0
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert (g is None) == (w is None)
+            if g is None:
+                raised += 1
+                continue
+            assert (g.n_solutions, g.classification) == (w.n_solutions, w.classification)
+            for mu in g.solutions:
+                crossing = abs(np.linalg.det(np.stack([mu, q[k].a @ mu, q[k].b @ mu]))) >= 1e-5
+                touching += not crossing
+                bound = 1e-12 if crossing else 1e-6
+                assert min(np.abs(mu - s).max() for s in w.solutions) <= bound
+                assert abs(mu @ q[k].a @ mu - level) <= 1e-10
+                assert abs(mu @ q[k].b @ mu - level) <= 1e-10
+        assert raised > 0
+        assert touching > 0 or level == 0.15  # no record of the sample touches at 0.15
 
 
 class TestIsotropyDim:
@@ -897,7 +1005,7 @@ def _assert_same_record(got, want):
     assert got.record_index == want.record_index
     pairs = [(got.a_params, want.a_params), (got.a_prime_params, want.a_prime_params)]
     pairs += [(getattr(got.quadrics, k), getattr(want.quadrics, k))
-              for k in ("a", "b", "eig_a", "eig_b", "eig_ab", "rank_a", "rank_b")]
+              for k in ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b")]
     pairs += [(got.roots_ab, want.roots_ab)]
     pairs += [(np.array(got.feasibility.solutions), np.array(want.feasibility.solutions))]
     for x, y in pairs:
@@ -943,7 +1051,7 @@ class TestBatchParity:
             assert np.array_equal(factors[k], abelian_factor(a[k], ap[k]))
             assert np.array_equal(adj[k], adjoint_matrix(factors[k]))
             single = ellipsoid_matrices(adj[k])
-            for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "rank_a", "rank_b"):
+            for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b"):
                 assert np.array_equal(getattr(quads[k], name), getattr(single, name))
         # the one stacked eigensolver call gives the bits of a separate one on A + B
         assert np.array_equal(quads.eig_ab, np.linalg.eigvalsh(quads.a + quads.b))
@@ -953,17 +1061,20 @@ class TestBatchParity:
             single[0]
 
     def test_roots_computed_once_per_record(self, monkeypatch):
+        # one batched roots call per scan chunk, none from the solver
         calls = []
-        original = twoqubit.char_cubic_roots
-        monkeypatch.setattr(twoqubit, "char_cubic_roots",
-                            lambda q, *args, **kw: calls.append(q) or original(q, *args, **kw))
+        original = twoqubit._pencil_roots
+        monkeypatch.setattr(twoqubit, "_pencil_roots", lambda q: calls.append(q) or original(q))
         rec = moduli_record(0, [0.3, -1.2, 2.0], [0.7, 0.1, -0.4])
         assert len(calls) == 1
-        assert np.array_equal(rec.roots_ab, original(rec.quadrics))
+        assert np.array_equal(rec.roots_ab, char_cubic_roots(rec.quadrics))
+        calls.clear()
         moduli_feasibility(rec.quadrics, level=MATRIX_LEVEL)
-        assert len(calls) == 1
+        assert len(calls) == 0
         moduli_scan(30, seed=2)
-        assert len(calls) == 31
+        assert len(calls) == 1
+        moduli_scan(SCAN_CHUNK + 1, seed=2)
+        assert len(calls) == 3
 
     def test_non_unitary_factor_in_stack_raises(self):
         stack = abelian_factor(*np.random.default_rng(1).uniform(-np.pi, np.pi, (2, 5, 3)))
