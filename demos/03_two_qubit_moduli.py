@@ -18,6 +18,7 @@ from swphase.twoqubit import (
     LAMBDA,
     MATRIX_LEVEL,
     TORUS,
+    abelian_factor,
     adjoint_matrix,
     char_cubic_roots,
     ellipsoid_matrices,
@@ -57,7 +58,7 @@ print("=" * 72)
 rng = np.random.default_rng(5)
 a_params = rng.uniform(-np.pi, np.pi, 3)
 ap_params = rng.uniform(-np.pi, np.pi, 3)
-factor = kak_element(np.zeros(6), a_params, ap_params, np.zeros(3)).factor_a
+factor = abelian_factor(a_params, ap_params)
 o = adjoint_matrix(factor)
 print(f"\nadjoint rotation: orthogonality defect "
       f"{np.linalg.norm(o @ o.T - np.eye(15)):.1e}")

@@ -9,12 +9,13 @@ themselves valid subsystem kernels:
 Subsystem Wigner functions are then obtained by pairing reduced states with
 reduced kernels.  The admissible set has dimension n_a^2 n_b^2 - 4 (three
 independent constraints on the N^2 - 1 dimensional traceless chart, plus
-the unit trace).
+the unit trace).  Gell-Mann bases are shared read-only stacks, built once per
+dimension; :func:`make_composite_kernel` draws one Ginibre matrix per seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +51,8 @@ __all__ = [
 
 ADMISSIBLE_TOL = 1e-10
 
-# Draws make_composite_kernel tries before giving up; a random Hermitian
-# draw has a vanishing block with probability zero.
-_MAX_REDRAWS = 100
+# The stacks of traceless_orthonormal_basis, one per dimension, read-only.
+_BASES: dict[int, np.ndarray] = {}
 
 
 class CompositeAdmissibilityError(ValueError):
@@ -74,8 +74,11 @@ def traceless_orthonormal_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian traceless basis of d x d matrices, shape (d^2-1, d, d).
 
     Generalized Gell-Mann construction: symmetric pairs, antisymmetric
-    pairs, then diagonal sum-zero directions; tr(F_i F_j) = delta_ij.
+    pairs, then diagonal sum-zero directions; tr(F_i F_j) = delta_ij.  Built
+    once per d and shared by every call, so read-only.
     """
+    if d in _BASES:
+        return _BASES[d]
     out = []
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for i in range(d):
@@ -90,7 +93,9 @@ def traceless_orthonormal_basis(d: int) -> np.ndarray:
             out.append(m)
     for row in hyperplane_frame(d):
         out.append(np.diag(row).astype(complex))
-    return np.stack(out)
+    basis = _BASES[d] = np.stack(out)
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass(frozen=True)
@@ -161,18 +166,20 @@ def block_norm_targets(dims: BipartiteDims) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class CompositeKernel:
-    """An SW kernel that is admissible for a given bipartition."""
+    """An SW kernel that is admissible for a given bipartition; ``report`` is
+    the :class:`CompositeReport` its constructor checked, at ADMISSIBLE_TOL."""
 
     kernel: SWKernel
     dims: BipartiteDims
+    report: CompositeReport = field(init=False)
 
     def __post_init__(self):
-        self.dims.check(self.kernel.n)
         report = verify_composite_master(self.kernel.mat, self.dims)
         if not report.admissible():
             raise CompositeAdmissibilityError(
                 report.purity_a_residual, report.purity_b_residual
             )
+        object.__setattr__(self, "report", report)
 
     @property
     def mat(self) -> np.ndarray:
@@ -259,33 +266,24 @@ def make_composite_kernel(dims: BipartiteDims, seed) -> CompositeKernel:
     Draws a random Hermitian matrix, splits it into Fano blocks and rescales
     each traceless block to the norm forced by the admissibility
     constraints (only identity and A-local blocks survive Tr_B, and
-    symmetrically).  Degenerate draws with a vanishing block are redrawn.
+    symmetrically).  One Ginibre matrix is drawn per seed: a block of a
+    random Hermitian matrix vanishes with probability zero.
     """
     if dims.n_a < 2 or dims.n_b < 2:
-        raise ValueError("composite kernels need n_a, n_b >= 2")
-    rng = np.random.default_rng(seed)
+        raise ValueError("composite kernels need subsystem dimensions >= 2")
     ta, tb, tc = block_norm_targets(dims)
     n = dims.total
-    for _ in range(_MAX_REDRAWS):
-        g = _ginibre(n, rng)
-        h = (g + g.conj().T) / 2.0
-        blocks = fano_blocks(h, dims)
-        na = np.linalg.norm(blocks.local_a)
-        nb = np.linalg.norm(blocks.local_b)
-        nc = np.linalg.norm(blocks.corr)
-        if min(na, nb, nc) < 1e-12:
-            continue
-        scaled = FanoBlocks(
-            identity_coeff=1.0 / np.sqrt(n),
-            local_a=blocks.local_a * (np.sqrt(ta) / na),
-            local_b=blocks.local_b * (np.sqrt(tb) / nb),
-            corr=blocks.corr * (np.sqrt(tc) / nc),
-            dims=dims,
-        )
-        mat = fano_blocks_compose(scaled)
-        mat = (mat + mat.conj().T) / 2.0
-        return CompositeKernel(SWKernel(mat, n), dims)
-    raise RuntimeError(f"no nondegenerate draw in {_MAX_REDRAWS} attempts")
+    g = _ginibre(n, np.random.default_rng(seed))
+    blocks = fano_blocks((g + g.conj().T) / 2.0, dims)
+    scaled = FanoBlocks(
+        identity_coeff=1.0 / np.sqrt(n),
+        local_a=blocks.local_a * (np.sqrt(ta) / np.linalg.norm(blocks.local_a)),
+        local_b=blocks.local_b * (np.sqrt(tb) / np.linalg.norm(blocks.local_b)),
+        corr=blocks.corr * (np.sqrt(tc) / np.linalg.norm(blocks.corr)),
+        dims=dims,
+    )
+    mat = fano_blocks_compose(scaled)
+    return CompositeKernel(SWKernel((mat + mat.conj().T) / 2.0, n), dims)
 
 
 def dual_dim(dims: BipartiteDims) -> int:

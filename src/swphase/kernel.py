@@ -180,9 +180,13 @@ def kernel_from_spectrum(spec: KernelSpectrum, u) -> SWKernel:
     if um.shape[0] != n:
         raise ValueError(f"unitary is {um.shape[0]}x{um.shape[0]}, spectrum has n = {n}")
     _check_unitary(um)
-    mat = (um * spec.pi) @ um.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return SWKernel(mat, n)
+    return _orbit_kernel(um, spec.pi)
+
+
+def _orbit_kernel(um: np.ndarray, pi) -> SWKernel:
+    """The kernel at the orbit point um diag(pi) um^dagger, symmetrized; um is checked unitary."""
+    mat = (um * pi) @ um.conj().T
+    return SWKernel((mat + mat.conj().T) / 2.0, um.shape[0])
 
 
 def wigner_value(rho: DensityMatrix, delta: SWKernel) -> float:

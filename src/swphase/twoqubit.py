@@ -62,7 +62,7 @@ from .linalg import (
     _check_unitary,
     _frobenius,
 )
-from .kernel import SWKernel
+from .kernel import SWKernel, _orbit_kernel
 
 __all__ = [
     "KERNEL_COEFF",
@@ -472,10 +472,7 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     if um.shape[0] != 4:
         raise ValueError("expected a 4x4 unitary")
     _check_unitary(um)
-    pi = (1.0 + np.sqrt(15.0) * (mu @ _PLANE_SIGNS)) / 4.0
-    mat = (um * pi) @ um.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return SWKernel(mat, 4)
+    return _orbit_kernel(um, (1.0 + np.sqrt(15.0) * (mu @ _PLANE_SIGNS)) / 4.0)
 
 
 @dataclass(frozen=True)

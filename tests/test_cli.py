@@ -127,6 +127,26 @@ class TestKernelGen:
         assert set(payload["eq6"]) == {"hermitian", "hermiticity_defect",
                                        "trace_residual", "purity_residual"}
 
+    def test_composite_gen_verifies_once(self, capsys, monkeypatch):
+        calls = []
+        verify = composite.verify_composite_master
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(composite, "verify_composite_master", counted)
+        code, out, _ = run(
+            ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2",
+             "--seed", "3"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        comp = composite.make_composite_kernel(linalg.BipartiteDims(2, 2), 3)
+        assert out == cli._dump_json({
+            **comp.report.as_dict(), "schema": 1, "n": 4, "seed": 3,
+            "spectrum": [float(v) for v in comp.kernel.spectrum],
+            "matrix": matrix_to_json(comp.mat)}) + "\n"
+
     @pytest.mark.parametrize("argv", [
         ["--n", "1000000"],
         ["--n", str(cli._MAX_KERNEL_N + 1)],

@@ -40,6 +40,16 @@ def _product_kernel():
     return ka, kb, CompositeKernel(SWKernel(kron(ka.mat, kb.mat), 4), DIMS22)
 
 
+class TestTracelessBasis:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_one_shared_read_only_stack_per_dimension(self, d):
+        basis = traceless_orthonormal_basis(d)
+        assert traceless_orthonormal_basis(d) is basis
+        assert basis.shape == (d * d - 1, d, d)
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
+
+
 class TestFanoBlocks:
     def test_round_trip(self):
         for dims in (DIMS22, BipartiteDims(2, 3)):
@@ -195,8 +205,15 @@ class TestMakeCompositeKernel:
         assert abs(np.linalg.norm(blocks.corr) ** 2 - tc) < 1e-12
 
     def test_rejects_qubitless_dims(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need subsystem dimensions >= 2"):
             make_composite_kernel(BipartiteDims(1, 4), 0)
+
+    def test_report_is_the_constructor_verdict(self):
+        for dims in (DIMS22, BipartiteDims(2, 3)):
+            comp = make_composite_kernel(dims, 4)
+            assert comp.report == verify_composite_master(comp.mat, dims)
+        ka, kb, product = _product_kernel()
+        assert product.report == verify_composite_master(kron(ka.mat, kb.mat), DIMS22)
 
 
 class TestDualDim:

@@ -351,6 +351,16 @@ class TestEllipsoidMatrices:
             raw = (4.0 / 3.0) * sub.T @ sub
             assert np.linalg.norm(raw - raw.T) < 1e-13
 
+    def test_sum_bound_on_the_grid(self):
+        # A + B <= (4/3) I on all 6^6 grid records; the identity fibre attains it
+        index = np.arange(6 ** 6)
+        params = _GRID_VALUES[index[:, None] // 6 ** np.arange(6) % 6]
+        worst = 0.0
+        for chunk in np.split(params, 6):
+            q = ellipsoid_matrices(adjoint_matrix(abelian_factor(chunk[:, :3], chunk[:, 3:])))
+            worst = max(worst, np.linalg.eigvalsh(q.a + q.b)[:, -1].max())
+        assert 4.0 / 3.0 - 1e-12 <= worst <= 4.0 / 3.0 + 1e-12
+
 
 def _det_poly_roots(qa, qb):
     """Oracle: roots of det(t qa + qb), interpolated at four points, by np.roots."""
@@ -740,6 +750,26 @@ class TestSolverGuards:
         assert got.n_solutions == want.n_solutions == (0 if gap > 0 else 8)
         for mu in got.solutions:
             assert min(np.abs(mu - s).max() for s in want.solutions) <= 1e-12
+
+
+class TestRealRootCut:
+    """_singular_members keeps a pencil root when |Im nu| <= 1e-8 of its size."""
+
+    def test_near_real_complex_pair_is_dropped(self):
+        # det(ca - t cb) = (-eps^2 - (1 - t)^2)(c - t): the real root c and the
+        # pair 1 +- i eps, whose relative imaginary part (about eps) lies above
+        # the cut and below a looser cut of 1e-5
+        eps, c = 2e-6, 0.3
+        ca = np.array([[eps, 1.0, 0.0], [1.0, -eps, 0.0], [0.0, 0.0, c]])
+        cb = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        rot = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        ca, cb = rot @ ca @ rot.T, rot @ cb @ rot.T  # a congruence keeps the roots
+        norm_a, norm_b = np.linalg.norm(ca), np.linalg.norm(cb)
+        roots = twoqubit._singular_members(ca / norm_a, cb / norm_b)
+        assert len(roots) == 1
+        want = np.array([norm_a, -c * norm_b])  # the member ca - c cb
+        want /= np.linalg.norm(want)
+        assert min(np.abs(roots[0] - want).max(), np.abs(roots[0] + want).max()) <= 1e-12
 
 
 class TestSolverParity:
