@@ -24,7 +24,6 @@ import numpy as np
 from . import composite, kernel, linalg, twoqubit
 
 DEFAULT_SEED = 20210
-DEFAULT_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = kernel_sub.add_parser("verify", help="verify a kernel matrix file")
     p_ver.add_argument("input", help="matrix JSON file")
     p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
+    p_ver.add_argument("--tol", type=_parse_tol, default=kernel.PURITY_TOL)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(handler=_cmd_kernel_verify)
 
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cver = comp_sub.add_parser("verify", help="verify a composite kernel file")
     p_cver.add_argument("input", help="matrix JSON file")
     p_cver.add_argument("--dims", type=_parse_dims, required=True)
-    p_cver.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
+    p_cver.add_argument("--tol", type=_parse_tol, default=kernel.PURITY_TOL)
     p_cver.add_argument("--out", default=None)
     p_cver.set_defaults(handler=_cmd_composite_verify)
 
@@ -227,9 +226,8 @@ def _cmd_kernel_gen(args) -> int:
         if args.n < 2:
             raise ValueError(f"no kernel spectrum exists at n={args.n}")
         spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
-        mat = kernel.kernel_from_spectrum(spec, linalg.haar_unitary(args.n, args.seed)).mat
-        spectrum = spec.pi
-        report = kernel.verify_master(mat, args.n)
+        ker = kernel.kernel_from_spectrum(spec, linalg.haar_unitary(args.n, args.seed))
+        mat, spectrum, report = ker.mat, spec.pi, ker.report
     payload = report.as_dict()
     payload.update({
         "schema": _SCHEMA,

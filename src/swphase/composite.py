@@ -49,8 +49,6 @@ __all__ = [
     "constraint_jacobian",
 ]
 
-ADMISSIBLE_TOL = 1e-10
-
 # The stacks of traceless_orthonormal_basis, one per dimension, read-only.
 _BASES: dict[int, np.ndarray] = {}
 
@@ -166,19 +164,17 @@ def block_norm_targets(dims: BipartiteDims) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class CompositeKernel:
-    """An SW kernel that is admissible for a given bipartition; ``report`` is
-    the :class:`CompositeReport` its constructor checked, at ADMISSIBLE_TOL."""
+    """An SW kernel admissible for a given bipartition; ``report`` is the :class:`CompositeReport`
+    its constructor checked: ``kernel.report`` plus the two subsystem purities."""
 
     kernel: SWKernel
     dims: BipartiteDims
     report: CompositeReport = field(init=False)
 
     def __post_init__(self):
-        report = verify_composite_master(self.kernel.mat, self.dims)
+        report = _composite_report(self.kernel.mat, self.kernel.report, self.dims, PURITY_TOL)
         if not report.admissible():
-            raise CompositeAdmissibilityError(
-                report.purity_a_residual, report.purity_b_residual
-            )
+            raise CompositeAdmissibilityError(report.purity_a_residual, report.purity_b_residual)
         object.__setattr__(self, "report", report)
 
     @property
@@ -195,7 +191,7 @@ class CompositeReport:
     full: MasterReport
     purity_a_residual: float
     purity_b_residual: float
-    tol: float = ADMISSIBLE_TOL
+    tol: float = PURITY_TOL
 
     def admissible(self) -> bool:
         return (self.full.ok(self.tol)
@@ -220,14 +216,17 @@ def _subsystem_purity_residuals(m: np.ndarray, dims: BipartiteDims) -> np.ndarra
     return np.array([np.trace(ra @ ra).real - dims.n_a, np.trace(rb @ rb).real - dims.n_b])
 
 
-def verify_composite_master(x, dims: BipartiteDims,
-                            tol: float = ADMISSIBLE_TOL) -> CompositeReport:
+def _composite_report(m, full: MasterReport, dims: BipartiteDims, tol: float) -> CompositeReport:
+    """The report of m from its full-system report and its subsystem purities; checks dims."""
+    res_a, res_b = np.abs(_subsystem_purity_residuals(m, dims))
+    return CompositeReport(dims, full, float(res_a), float(res_b), tol)
+
+
+def verify_composite_master(x, dims: BipartiteDims, tol: float = PURITY_TOL) -> CompositeReport:
     """Report all four admissibility residuals for a candidate matrix."""
     m = as_complex_matrix(x)
     dims.check(m.shape[0])
-    full = verify_master(m, dims.total, tol)
-    res_a, res_b = np.abs(_subsystem_purity_residuals(m, dims))
-    return CompositeReport(dims, full, float(res_a), float(res_b), tol)
+    return _composite_report(m, verify_master(m, dims.total, tol), dims, tol)
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:

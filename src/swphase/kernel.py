@@ -14,7 +14,7 @@ closed form via the Haar second moment and by Monte Carlo).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,8 +43,8 @@ __all__ = [
     "covariance_check",
 ]
 
-# Purity-type quantities pass through an eigensolver once; algebraic
-# identities keep the tighter default.
+# The tolerance of every verdict on purities and reports (and the CLI's --tol);
+# algebraic identities (Hermiticity, unit trace) keep linalg.DEFAULT_TOL.
 PURITY_TOL = 1e-10
 
 # Bytes of one complex n x n stack per pass of the Monte-Carlo estimators.
@@ -131,8 +131,6 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
     elif selector == "random":
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(n - 1)
-        while np.linalg.norm(v) < 1e-12:
-            v = rng.standard_normal(n - 1)
         v /= np.linalg.norm(v)
     elif selector == "from_unit_vector":
         v = np.asarray(vector, dtype=float)
@@ -148,29 +146,36 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
 
 @dataclass(frozen=True)
 class SWKernel:
-    """A Stratonovich-Weyl kernel: Hermitian with tr = 1 and tr^2 = N."""
+    """A Stratonovich-Weyl kernel: Hermitian with tr = 1 and tr^2 = N; ``report`` is the
+    :func:`verify_master` report that admitted it (purity to PURITY_TOL, the rest DEFAULT_TOL)."""
 
     mat: np.ndarray
     n: int
+    report: MasterReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
         object.__setattr__(self, "mat", m)
-        if m.shape[0] != self.n:
-            raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]}, n = {self.n}")
-        defect = hermiticity_defect(m)
-        if not defect <= DEFAULT_TOL:
-            raise ValueError(f"kernel not Hermitian: defect {defect:.3e}")
-        tr = np.trace(m).real
-        if not abs(tr - 1.0) <= DEFAULT_TOL:
-            raise ValueError(f"kernel trace {tr} != 1")
-        purity = np.trace(m @ m).real
-        if not abs(purity - self.n) <= PURITY_TOL:
-            raise ValueError(f"kernel purity {purity} != {self.n}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_master(m, self.n)  # entries that overflow fail a test below
+        object.__setattr__(self, "report", report)
+        if not report.hermiticity_defect <= DEFAULT_TOL:
+            raise ValueError(f"kernel not Hermitian: defect {report.hermiticity_defect:.3e}")
+        if not report.trace_residual <= DEFAULT_TOL:
+            raise _residual_error("kernel trace", np.trace(m), 1, DEFAULT_TOL)
+        if not report.purity_residual <= PURITY_TOL:
+            raise _residual_error("kernel purity", np.trace(m @ m), self.n, PURITY_TOL)
 
     @property
     def spectrum(self) -> np.ndarray:
         return np.sort(np.linalg.eigvalsh(self.mat))[::-1]
+
+
+def _residual_error(name: str, value: complex, target: int, tol: float) -> ValueError:
+    """The error for a trace off its target: by the real part, else by the imaginary part."""
+    if abs(value.real - target) <= tol:
+        return ValueError(f"{name} has imaginary part {value.imag:.3e}")
+    return ValueError(f"{name} {value.real} != {target}")
 
 
 def kernel_from_spectrum(spec: KernelSpectrum, u) -> SWKernel:
@@ -313,19 +318,18 @@ class MasterReport:
 
 
 def verify_master(x, n: int, tol: float = PURITY_TOL) -> MasterReport:
-    """Report |tr x - 1|, |tr x^2 - n| and the Hermiticity defect."""
+    """Report |tr x - 1|, |tr x^2 - n|, each plus its |imaginary part|, and the Hermiticity
+    defect: the one master-equation check, which SWKernel keeps as ``report``."""
     m = as_complex_matrix(x)
     if m.shape[0] != n:
         raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]}, n = {n}")
     defect = hermiticity_defect(m)
-    trace_res = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-    purity = np.trace(m @ m)
-    purity_res = abs(purity.real - n) + abs(purity.imag)
+    tr, purity = np.trace(m), np.trace(m @ m)
     return MasterReport(
         hermitian=defect <= tol,
         hermiticity_defect=float(defect),
-        trace_residual=float(trace_res),
-        purity_residual=float(purity_res),
+        trace_residual=float(abs(tr.real - 1.0) + abs(tr.imag)),
+        purity_residual=float(abs(purity.real - n) + abs(purity.imag)),
     )
 
 

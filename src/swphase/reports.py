@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BipartiteDims, as_complex_matrix, haar_unitary
-from .kernel import kernel_from_spectrum, solve_kernel_spectrum
+from .kernel import PURITY_TOL, kernel_from_spectrum, solve_kernel_spectrum, _residual_error
 from .composite import (
     block_norm_targets,
     fano_blocks,
@@ -131,11 +131,10 @@ def twoqubit_constraint_values(delta) -> TwoQubitBlockReport:
     m = as_complex_matrix(delta)
     # fano_blocks also rejects input that is not 4x4 or not Hermitian.
     measured = _hs2_block_norms(m)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"kernel trace {tr} != 1")
-    res_a, res_b = np.abs(_subsystem_purity_residuals(m, _DIMS22))
-    residuals = (float(abs(np.trace(m @ m).real - 4.0)), float(res_a), float(res_b))
+    report = verify_composite_master(m, _DIMS22)
+    if not report.full.trace_residual <= PURITY_TOL:
+        raise _residual_error("kernel trace", np.trace(m), 1, PURITY_TOL)
+    residuals = (report.full.purity_residual, report.purity_a_residual, report.purity_b_residual)
     targets = tuple(_HS2_WEIGHT * t for t in block_norm_targets(_DIMS22))
     return TwoQubitBlockReport(
         measured=measured,
@@ -224,11 +223,10 @@ def convention_report(seed=0) -> dict:
 
     comp = make_composite_kernel(_DIMS22, seed)
     block_report = twoqubit_constraint_values(comp.mat)
-    matrix_report = verify_composite_master(comp.mat, _DIMS22)
     return {
         "pinned_convention": "HS2",
         "elementary_sum_rule": s_value,
         "elementary_sum_rule_target": 1.0,
         "composite_blocks": block_report.as_dict(),
-        "composite_matrix_report": matrix_report.as_dict(),
+        "composite_matrix_report": comp.report.as_dict(),
     }

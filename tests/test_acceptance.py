@@ -49,6 +49,7 @@ from swphase.twoqubit import (
     kernel_from_moduli,
     moduli_feasibility,
     moduli_record,
+    _pencil_roots,
 )
 from swphase.reports import (
     convention_report,
@@ -345,14 +346,25 @@ def test_criterion_09_root_criterion(quadric_batch):
             if (feas.classification == "feasible") != (margins[idx] >= 0.0):
                 n_disagree += 1
 
+    # Every reported root t of every draw is a root: |det(tA + B)| relative
+    # to the cube of the bound |t| lambda_max(A) + lambda_max(B) of its size.
+    roots = _pencil_roots(quads)
+    owner = np.repeat(np.arange(n_draws), [len(r) for r in roots])
+    t = np.concatenate(roots)
+    dets = np.linalg.det(t[:, None, None] * qa[owner] + qb[owner])
+    sizes = np.abs(t) * quads.eig_a[owner, -1] + quads.eig_b[owner, -1]
+    worst_root = float(np.max(np.abs(dets) / sizes**3))
+
     ok = (n_root_violations == 0 and n_structure_violations == 0 and worst_residual <= 1e-10
+          and worst_root <= 1e-13
           and n_disagree == 0 and n_decided >= 0.99 * n_draws and n_nondeg > 9000)
     _report(9, "exact solver vs Brickman certificate at the matrix level", ok,
             f"{n_nondeg} nondegenerate of {n_draws} (need > 9000), {n_decided} decided"
             f" (need >= 99%): {n_disagree} feasible-vs-margin disagreements,"
             f" {n_structure_violations} odd/unpaired/over-8 solution sets,"
             f" worst residual {worst_residual:.1e} <= 1e-10, {n_root_violations}"
-            f" negative-root violations (need 0); counts {dict(sorted(counts.items()))}")
+            f" negative-root violations (need 0), worst |det(tA + B)| / size^3 over"
+            f" {t.size} roots {worst_root:.2e} <= 1e-13; counts {dict(sorted(counts.items()))}")
 
 
 def test_criterion_10_moduli_bridge():

@@ -127,25 +127,45 @@ class TestKernelGen:
         assert set(payload["eq6"]) == {"hermitian", "hermiticity_defect",
                                        "trace_residual", "purity_residual"}
 
-    def test_composite_gen_verifies_once(self, capsys, monkeypatch):
+    def _count_calls(self, monkeypatch, module, name):
         calls = []
-        verify = composite.verify_composite_master
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return verify(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(composite, "verify_composite_master", counted)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_composite_gen_verifies_once(self, capsys, monkeypatch):
+        # The matrix is verified once, by the SWKernel constructor; the
+        # composite report builds on that report instead of verifying again.
+        master = self._count_calls(monkeypatch, kernel, "verify_master")
+        composite_calls = self._count_calls(monkeypatch, composite, "verify_composite_master")
         code, out, _ = run(
             ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2",
              "--seed", "3"], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert len(master) == 1
+        assert composite_calls == []
         comp = composite.make_composite_kernel(linalg.BipartiteDims(2, 2), 3)
         assert out == cli._dump_json({
             **comp.report.as_dict(), "schema": 1, "n": 4, "seed": 3,
             "spectrum": [float(v) for v in comp.kernel.spectrum],
             "matrix": matrix_to_json(comp.mat)}) + "\n"
+
+    def test_gen_prints_the_constructor_report(self, capsys, monkeypatch):
+        master = self._count_calls(monkeypatch, kernel, "verify_master")
+        code, out, _ = run(["kernel", "gen", "--n", "4", "--seed", "7"], capsys)
+        assert code == 0
+        assert len(master) == 1
+        spec = kernel.solve_kernel_spectrum(4, "random", seed=7)
+        ker = kernel.kernel_from_spectrum(spec, linalg.haar_unitary(4, 7))
+        assert out == cli._dump_json({
+            **ker.report.as_dict(), "schema": 1, "n": 4, "seed": 7,
+            "spectrum": [float(v) for v in spec.pi],
+            "matrix": matrix_to_json(ker.mat)}) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["--n", "1000000"],

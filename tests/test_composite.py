@@ -214,6 +214,12 @@ class TestMakeCompositeKernel:
             assert comp.report == verify_composite_master(comp.mat, dims)
         ka, kb, product = _product_kernel()
         assert product.report == verify_composite_master(kron(ka.mat, kb.mat), DIMS22)
+        assert product.report.full is product.kernel.report
+
+    def test_rejects_mismatched_dims(self):
+        _, _, product = _product_kernel()
+        with pytest.raises(ValueError, match=r"^matrix dimension 4 does not match bipartition 2x3$"):
+            CompositeKernel(product.kernel, BipartiteDims(2, 3))
 
 
 class TestDualDim:

@@ -110,6 +110,68 @@ class TestKernelFromSpectrum:
             SWKernel(mat, 2)
 
 
+def _kernel16():
+    return kernel_from_spectrum(solve_kernel_spectrum(16, "random", seed=3), haar_unitary(16, 3))
+
+
+class TestSWKernelReport:
+    """SWKernel keeps the verify_master report that admitted it."""
+
+    def test_report_is_verify_master(self):
+        from swphase.composite import make_composite_kernel, reduce_kernel
+        from swphase.linalg import BipartiteDims
+        from swphase.twoqubit import kernel_from_moduli
+
+        comp = make_composite_kernel(BipartiteDims(2, 3), 5)
+        kernels = [
+            kernel_from_spectrum(solve_kernel_spectrum(5, "random", seed=1), haar_unitary(5, 2)),
+            kernel_from_moduli(haar_unitary(4, 7), [0.6, 0.0, 0.8]),
+            reduce_kernel(comp, "A"),
+            reduce_kernel(comp, "B"),
+            comp.kernel,
+        ]
+        for ker in kernels:
+            assert ker.report == verify_master(ker.mat, ker.n)
+        assert comp.report.full is comp.kernel.report
+
+    def test_imaginary_trace_is_rejected(self):
+        # Hermiticity defect 8e-13 and Re tr = 1 pass; Im tr = 1.6e-12 does not.
+        mat = _kernel16().mat + 1e-13j * np.eye(16)
+        assert verify_master(mat, 16).hermiticity_defect <= 1e-12
+        assert abs(np.trace(mat).real - 1.0) <= 1e-12
+        with pytest.raises(ValueError, match=r"^kernel trace has imaginary part 1\.600e-12$"):
+            SWKernel(mat, 16)
+
+    def test_imaginary_purity_is_rejected(self):
+        # Re tr(m^2) sits 0.99e-10 above 16, inside PURITY_TOL; the imaginary
+        # part 2 tr(Delta K) ~ 3.2e-12 of a traceless Hermitian K with
+        # |2K| = 8e-13 takes the residual over it.
+        delta = _kernel16().mat
+        s = 1.0 + 0.99e-10 / (2.0 * (16.0 - 1.0 / 16.0))
+        k = delta - np.eye(16) / 16.0
+        k *= 4e-13 / np.linalg.norm(k)
+        mat = s * delta + (1.0 - s) / 16.0 * np.eye(16) + 1j * k
+        report = verify_master(mat, 16)
+        assert report.hermiticity_defect <= 1e-12 and report.trace_residual <= 1e-12
+        assert abs(np.trace(mat @ mat).real - 16.0) <= kernel.PURITY_TOL
+        with pytest.raises(ValueError, match=r"^kernel purity has imaginary part 3\.\d+e-12$"):
+            SWKernel(mat, 16)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.1, r"^kernel trace 1\.1\d* != 1$"),
+        (1.0 + 2e-12, r"^kernel trace 1\.0000000000\d* != 1$"),
+    ])
+    def test_real_trace_message(self, scale, message):
+        with pytest.raises(ValueError, match=message):
+            SWKernel(scale * _kernel16().mat, 16)
+
+    def test_overflow_rejected_without_warning(self):
+        # The trace test rejects it; tr(m^2) overflows inside verify_master,
+        # which must not warn (warnings are errors in this suite).
+        with pytest.raises(ValueError, match=r"^kernel trace 2e\+200 != 1$"):
+            SWKernel(np.diag([1e200, 1e200]), 2)
+
+
 class TestWignerValue:
     def test_maximally_mixed(self):
         n = 4
