@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from swphase import kernel
-from swphase.linalg import _haar_from_rng, haar_unitary, random_density
+from swphase.linalg import _haar_from_rng, haar_unitaries, haar_unitary, random_density
 from swphase.kernel import (
+    _GS_MAX_N,
     _MC_CHUNK_BYTES,
     _orbit_chunks,
+    _q_factors,
     KernelSpectrum,
     SWKernel,
     covariance_check,
@@ -266,10 +268,14 @@ class TestReconstructMC:
 class TestOrbitChunks:
     """The Monte-Carlo estimators' one orbit sampler."""
 
-    @pytest.mark.parametrize("n, samples", [(2, 500), (4, 500), (32, 60), (4, CHUNK_N4 + 7)])
+    @pytest.mark.parametrize("n, samples", [
+        (2, 500), (3, 500), (4, 500), (_GS_MAX_N, 200), (_GS_MAX_N + 1, 200), (32, 60),
+        (4, CHUNK_N4 + 7),
+    ])
     def test_equals_haar_orbit(self, n, samples):
         spec = solve_kernel_spectrum(n, "random", seed=n)
-        chunks = list(_orbit_chunks(n, spec, samples, seed=17))
+        # Each stack is overwritten by the next one, so keep copies.
+        chunks = [c.copy() for c in _orbit_chunks(n, spec, samples, seed=17)]
         assert sum(len(c) for c in chunks) == samples
         assert max(c.nbytes for c in chunks) <= _MC_CHUNK_BYTES
         rng = np.random.default_rng(17)
@@ -284,7 +290,7 @@ class TestOrbitChunks:
         counts, orbits, estimates = [], [], []
         for chunk_bytes in (_MC_CHUNK_BYTES, 16 * 16 * 64 + 5, 1):
             monkeypatch.setattr(kernel, "_MC_CHUNK_BYTES", chunk_bytes)
-            chunks = list(_orbit_chunks(4, spec, 1000, seed=8))
+            chunks = [c.copy() for c in _orbit_chunks(4, spec, 1000, seed=8)]
             counts.append(len(chunks))
             orbits.append(np.concatenate(chunks))
             estimates.append((reconstruct_mc(rho, spec, 1000, seed=8),
@@ -312,8 +318,11 @@ class TestOrbitChunks:
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     @pytest.mark.parametrize("n", [4, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
-        # Three chunks and one sample: an orbit stack kept by its caller beside
-        # the next draw takes the peak to about 7 chunks.
+        # Three chunks and one sample.  Gram-Schmidt (n = 4) keeps the draw,
+        # the complex stack and the orbit in three reused buffers; LAPACK
+        # (n = 32) adds its Q, R and workspace.  Fresh stacks per chunk, or an
+        # orbit kept beside the next draw, take the peak past the bound.
+        bound = {4: 4.5, 32: 6.5}[n]
         rho = random_density(n, 1)
         spec = solve_kernel_spectrum(n, "random", seed=2)
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
@@ -323,7 +332,26 @@ class TestOrbitChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * _MC_CHUNK_BYTES
+        assert peak <= bound * _MC_CHUNK_BYTES
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_q_factors_orthonormal_when_ill_conditioned(self, n):
+        # Condition numbers 1, 1e4 and 1e8: one Gram-Schmidt pass loses
+        # orthogonality as cond^2 * eps (4e-4 at n = 4, 3e-3 at n = 8 here);
+        # two passes keep it at eps.
+        assert n <= _GS_MAX_N
+        u = haar_unitaries(n, 3, seed=n)
+        v = haar_unitaries(n, 3, seed=n + 100)
+        s = np.stack([np.geomspace(1.0, 10.0**-e, n) for e in (0, 4, 8)])
+        a = (u * s[:, None, :]) @ v
+        q = _q_factors(a.copy())
+        gram = q.conj().swapaxes(-1, -2) @ q
+        assert np.abs(gram - np.eye(n)).max() <= 1e-13
+        # Q R = A with R upper triangular and a positive real diagonal.
+        r = q.conj().swapaxes(-1, -2) @ a
+        assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(a).max()
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.all(d.real > 0) and np.abs(d.imag).max() <= 1e-13
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     def test_input_errors_shared(self, estimator):

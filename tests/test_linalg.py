@@ -6,6 +6,7 @@ import pytest
 from swphase.linalg import (
     BipartiteDims,
     DensityMatrix,
+    _ginibre,
     _haar_from_rng,
     haar_unitaries,
     haar_unitary,
@@ -207,6 +208,28 @@ class TestHaarUnitary:
         vals = np.abs(u[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0 / n) < 5.0 * se
+
+
+class TestGinibre:
+    @pytest.mark.parametrize("n, size", [(1, None), (4, None), (4, 7), (9, 3)])
+    def test_bits_equal_complex_sum(self, n, size):
+        # Filling .real and .imag gives the bits of g0 + 1j*g1, so every seeded
+        # draw (states, kernels, unitaries) keeps its output.
+        for seed in range(20):
+            g = np.random.default_rng(seed).standard_normal((2, n, n) if size is None
+                                                            else (size, 2, n, n))
+            want = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+            got = _ginibre(n, np.random.default_rng(seed), size)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_buffers_keep_the_stream(self):
+        n, k = 3, 5
+        draw, out = np.empty((k, 2, n, n)), np.empty((k, n, n), dtype=complex)
+        rng = np.random.default_rng(11)
+        got = np.concatenate([_ginibre(n, rng, draw=draw, out=out).copy(),
+                              _ginibre(n, rng, draw=draw[:2], out=out[:2]).copy()])
+        assert np.array_equal(got, _ginibre(n, np.random.default_rng(11), k + 2))
 
 
 class TestRandomDensity:
