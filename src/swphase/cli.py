@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--composite", action="store_true",
                        help="draw a composite-admissible kernel")
     p_gen.add_argument("--dims", type=_parse_dims, default=None,
-                       help="bipartition AxB (required with --composite)")
+                       help="bipartition AxB (required with --composite, refused without)")
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--format", choices=["json"], default="json")
     p_gen.set_defaults(handler=_cmd_kernel_gen)
@@ -223,6 +223,8 @@ def _cmd_kernel_gen(args) -> int:
         comp = composite.make_composite_kernel(dims, args.seed)
         mat, spectrum, report = comp.mat, comp.kernel.spectrum, comp.report
     else:
+        if args.dims is not None:
+            raise ValueError("--dims requires --composite")
         if args.n < 2:
             raise ValueError(f"no kernel spectrum exists at n={args.n}")
         spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)

@@ -20,16 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     BipartiteDims,
     DensityMatrix,
     as_complex_matrix,
     kron,
     partial_trace,
+    random_hermitian,
     _check_hermitian,
-    _ginibre,
 )
-from .kernel import PURITY_TOL, MasterReport, SWKernel, hyperplane_frame, verify_master
+from .kernel import PURITY_TOL, MasterReport, SWKernel, hyperplane_frame, verify_master, _pairing
 
 __all__ = [
     "CompositeAdmissibilityError",
@@ -165,17 +164,20 @@ def block_norm_targets(dims: BipartiteDims) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class CompositeKernel:
     """An SW kernel admissible for a given bipartition; ``report`` is the :class:`CompositeReport`
-    its constructor checked: ``kernel.report`` plus the two subsystem purities."""
+    its constructor checked from ``kernel.report`` and the two partial traces, which it keeps."""
 
     kernel: SWKernel
     dims: BipartiteDims
     report: CompositeReport = field(init=False)
+    _reduced: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        report = _composite_report(self.kernel.mat, self.kernel.report, self.dims, PURITY_TOL)
+        reduced, residuals = _reductions(self.kernel.mat, self.dims)
+        report = CompositeReport(self.dims, self.kernel.report, *map(abs, residuals))
         if not report.admissible():
             raise CompositeAdmissibilityError(report.purity_a_residual, report.purity_b_residual)
         object.__setattr__(self, "report", report)
+        object.__setattr__(self, "_reduced", reduced)
 
     @property
     def mat(self) -> np.ndarray:
@@ -209,37 +211,30 @@ class CompositeReport:
         }
 
 
-def _subsystem_purity_residuals(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Signed residuals tr((Tr_B m)^2) - n_a and tr((Tr_A m)^2) - n_b."""
-    ra = partial_trace(m, dims, keep="A")
-    rb = partial_trace(m, dims, keep="B")
-    return np.array([np.trace(ra @ ra).real - dims.n_a, np.trace(rb @ rb).real - dims.n_b])
-
-
-def _composite_report(m, full: MasterReport, dims: BipartiteDims, tol: float) -> CompositeReport:
-    """The report of m from its full-system report and its subsystem purities; checks dims."""
-    res_a, res_b = np.abs(_subsystem_purity_residuals(m, dims))
-    return CompositeReport(dims, full, float(res_a), float(res_b), tol)
+def _reductions(m, dims: BipartiteDims) -> tuple[dict, list]:
+    """Tr_B m and Tr_A m, keyed "A" and "B" by the subsystem each lives on, and their signed
+    purity residuals tr((Tr_B m)^2) - n_a and tr((Tr_A m)^2) - n_b; checks dims."""
+    reduced = {"A": partial_trace(m, dims, keep="A"), "B": partial_trace(m, dims, keep="B")}
+    return reduced, [float(np.trace(r @ r).real - r.shape[0]) for r in reduced.values()]
 
 
 def verify_composite_master(x, dims: BipartiteDims, tol: float = PURITY_TOL) -> CompositeReport:
     """Report all four admissibility residuals for a candidate matrix."""
     m = as_complex_matrix(x)
-    dims.check(m.shape[0])
-    return _composite_report(m, verify_master(m, dims.total, tol), dims, tol)
+    residuals = _reductions(m, dims)[1]  # checks dims before verify_master can
+    return CompositeReport(dims, verify_master(m, dims.total, tol), *map(abs, residuals), tol)
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:
     """Partial-trace a composite kernel down to a subsystem kernel.
 
-    The reduced matrix keeps unit trace, and composite admissibility, which
-    :class:`CompositeKernel` verified on construction, makes its purity
-    equal the subsystem dimension, so the result is a valid kernel for the
-    subsystem.
+    The result is the partial trace that :class:`CompositeKernel` kept, symmetrized: it has
+    unit trace, and admissibility makes its purity the subsystem dimension, as a kernel's.
     """
-    reduced = partial_trace(delta.mat, delta.dims, keep=keep)
-    n = delta.dims.n_a if keep == "A" else delta.dims.n_b
-    return SWKernel((reduced + reduced.conj().T) / 2.0, n)
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    reduced = delta._reduced[keep]
+    return SWKernel((reduced + reduced.conj().T) / 2.0, reduced.shape[0])
 
 
 def subsystem_wigner(rho_ab: DensityMatrix, delta: CompositeKernel,
@@ -247,16 +242,9 @@ def subsystem_wigner(rho_ab: DensityMatrix, delta: CompositeKernel,
     """Wigner value of a reduced state: tr(Tr_B rho * Tr_B Delta) for keep="A".
 
     Equals the direct pairing tr(rho_ab (Delta_A ⊗ I)) by the partial-trace
-    duality; the reduce-then-pair route is what is computed here.
+    duality; the reduce-then-pair route, with the kept Tr_B Delta, is computed here.
     """
-    dims = delta.dims
-    dims.check(rho_ab.dim)
-    rho_red = partial_trace(rho_ab.mat, dims, keep=keep)
-    ker_red = partial_trace(delta.mat, dims, keep=keep)
-    w = np.trace(rho_red @ ker_red)
-    if abs(w.imag) > DEFAULT_TOL:
-        raise ValueError(f"pairing has imaginary part {w.imag:.3e}")
-    return float(w.real)
+    return _pairing(partial_trace(rho_ab.mat, delta.dims, keep=keep), delta._reduced[keep])
 
 
 def make_composite_kernel(dims: BipartiteDims, seed) -> CompositeKernel:
@@ -272,8 +260,7 @@ def make_composite_kernel(dims: BipartiteDims, seed) -> CompositeKernel:
         raise ValueError("composite kernels need subsystem dimensions >= 2")
     ta, tb, tc = block_norm_targets(dims)
     n = dims.total
-    g = _ginibre(n, np.random.default_rng(seed))
-    blocks = fano_blocks((g + g.conj().T) / 2.0, dims)
+    blocks = fano_blocks(random_hermitian(n, seed), dims)
     scaled = FanoBlocks(
         identity_coeff=1.0 / np.sqrt(n),
         local_a=blocks.local_a * (np.sqrt(ta) / np.linalg.norm(blocks.local_a)),
@@ -293,7 +280,7 @@ def dual_dim(dims: BipartiteDims) -> int:
 def constraint_functions(x, dims: BipartiteDims) -> np.ndarray:
     """The three purity constraints (full, A-reduced, B-reduced), as residual values."""
     m = as_complex_matrix(x)
-    return np.array([np.trace(m @ m).real - dims.total, *_subsystem_purity_residuals(m, dims)])
+    return np.array([np.trace(m @ m).real - dims.total, *_reductions(m, dims)[1]])
 
 
 def constraint_jacobian(x, dims: BipartiteDims) -> np.ndarray:

@@ -204,7 +204,12 @@ def wigner_value(rho: DensityMatrix, delta: SWKernel) -> float:
     """Wigner quasiprobability value W = tr(rho Delta); real, may be negative."""
     if rho.dim != delta.n:
         raise ValueError(f"dimension mismatch: state {rho.dim}, kernel {delta.n}")
-    w = np.trace(rho.mat @ delta.mat)
+    return _pairing(rho.mat, delta.mat)
+
+
+def _pairing(rho: np.ndarray, delta: np.ndarray) -> float:
+    """tr(rho delta) of two same-size matrices, which must be real to DEFAULT_TOL."""
+    w = np.trace(rho @ delta)
     if abs(w.imag) > DEFAULT_TOL:
         raise ValueError(f"pairing has imaginary part {w.imag:.3e}")
     return float(w.real)

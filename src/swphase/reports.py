@@ -30,7 +30,7 @@ from .composite import (
     fano_blocks,
     make_composite_kernel,
     verify_composite_master,
-    _subsystem_purity_residuals,
+    _reductions,
 )
 from .twoqubit import (
     A_PLANE,
@@ -131,7 +131,11 @@ def twoqubit_constraint_values(delta) -> TwoQubitBlockReport:
     m = as_complex_matrix(delta)
     # fano_blocks also rejects input that is not 4x4 or not Hermitian.
     measured = _hs2_block_norms(m)
-    report = verify_composite_master(m, _DIMS22)
+    return _block_report(m, measured, verify_composite_master(m, _DIMS22))
+
+
+def _block_report(m: np.ndarray, measured: tuple, report) -> TwoQubitBlockReport:
+    """The block report of a 4x4 matrix m from its HS2 block norms and its CompositeReport."""
     if not report.full.trace_residual <= PURITY_TOL:
         raise _residual_error("kernel trace", np.trace(m), 1, PURITY_TOL)
     residuals = (report.full.purity_residual, report.purity_a_residual, report.purity_b_residual)
@@ -143,7 +147,6 @@ def twoqubit_constraint_values(delta) -> TwoQubitBlockReport:
         literature_values=(0.1, 0.1, 0.8),
         matrix_residuals=residuals,
     )
-
 
 
 def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
@@ -160,7 +163,7 @@ def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
     factor_a = abelian_factor(a_params, a_prime_params)
 
     def purity_residuals(u):
-        return np.abs(_subsystem_purity_residuals(kernel_from_moduli(u, mu).mat, _DIMS22))
+        return np.abs(_reductions(kernel_from_moduli(u, mu).mat, _DIMS22)[1])
 
     base = purity_residuals(factor_a)
     rng = np.random.default_rng(seed)
@@ -222,7 +225,7 @@ def convention_report(seed=0) -> dict:
     s_value = elementary_constraint_value(elem.mat)
 
     comp = make_composite_kernel(_DIMS22, seed)
-    block_report = twoqubit_constraint_values(comp.mat)
+    block_report = _block_report(comp.mat, _hs2_block_norms(comp.mat), comp.report)
     return {
         "pinned_convention": "HS2",
         "elementary_sum_rule": s_value,

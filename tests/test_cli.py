@@ -127,22 +127,11 @@ class TestKernelGen:
         assert set(payload["eq6"]) == {"hermitian", "hermiticity_defect",
                                        "trace_residual", "purity_residual"}
 
-    def _count_calls(self, monkeypatch, module, name):
-        calls = []
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-        return calls
-
-    def test_composite_gen_verifies_once(self, capsys, monkeypatch):
+    def test_composite_gen_verifies_once(self, capsys, count_calls):
         # The matrix is verified once, by the SWKernel constructor; the
         # composite report builds on that report instead of verifying again.
-        master = self._count_calls(monkeypatch, kernel, "verify_master")
-        composite_calls = self._count_calls(monkeypatch, composite, "verify_composite_master")
+        master = count_calls(kernel, "verify_master")
+        composite_calls = count_calls(composite, "verify_composite_master")
         code, out, _ = run(
             ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2",
              "--seed", "3"], capsys)
@@ -155,8 +144,8 @@ class TestKernelGen:
             "spectrum": [float(v) for v in comp.kernel.spectrum],
             "matrix": matrix_to_json(comp.mat)}) + "\n"
 
-    def test_gen_prints_the_constructor_report(self, capsys, monkeypatch):
-        master = self._count_calls(monkeypatch, kernel, "verify_master")
+    def test_gen_prints_the_constructor_report(self, capsys, count_calls):
+        master = count_calls(kernel, "verify_master")
         code, out, _ = run(["kernel", "gen", "--n", "4", "--seed", "7"], capsys)
         assert code == 0
         assert len(master) == 1
@@ -188,6 +177,17 @@ class TestKernelGen:
         code, _, err = run(
             ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x3"], capsys)
         assert code == 2
+
+    def test_dims_without_composite_exit_2(self, tmp_path, capsys, count_calls):
+        # --dims names a bipartition, which only a composite kernel has: without
+        # --composite it is refused before any kernel is drawn or written.
+        drawn = count_calls(linalg, "haar_unitary")
+        out_path = tmp_path / "k.json"
+        code, out, err = run(["kernel", "gen", "--n", "4", "--dims", "2x2",
+                              "--out", str(out_path)], capsys)
+        assert code == 2
+        assert (out, err) == ("", "error: --dims requires --composite\n")
+        assert drawn == [] and not out_path.exists()
 
     def test_output_file_deterministic(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"

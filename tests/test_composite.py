@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from swphase import composite
 from swphase.linalg import (
     BipartiteDims,
     DensityMatrix,
     haar_unitary,
+    hermiticity_defect,
     kron,
     partial_trace,
     random_density,
     random_hermitian,
 )
-from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
+from swphase.kernel import SWKernel, kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import (
     CompositeAdmissibilityError,
     CompositeKernel,
@@ -35,8 +37,6 @@ DIMS22 = BipartiteDims(2, 2)
 def _product_kernel():
     ka = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 1))
     kb = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 2))
-    from swphase.kernel import SWKernel
-
     return ka, kb, CompositeKernel(SWKernel(kron(ka.mat, kb.mat), 4), DIMS22)
 
 
@@ -115,11 +115,16 @@ class TestReduceKernel:
         assert reduce_kernel(comp, "A").n == 2
         assert reduce_kernel(comp, "B").n == 3
 
+    def test_rejects_unknown_subsystem(self):
+        comp = make_composite_kernel(DIMS22, 0)
+        for reduce in (lambda keep: reduce_kernel(comp, keep),
+                       lambda keep: subsystem_wigner(random_density(4, 1), comp, keep)):
+            with pytest.raises(ValueError, match=r"^keep must be 'A' or 'B', got 'C'$"):
+                reduce("C")
+
     def test_error_carries_residuals(self):
         # an elementary kernel aligned with sigma_z ⊗ I is not composite-admissible
         mat = (np.eye(4) + np.sqrt(15) * np.diag([1.0, 1.0, -1.0, -1.0])) / 4.0
-        from swphase.kernel import SWKernel
-
         with pytest.raises(CompositeAdmissibilityError) as err:
             CompositeKernel(SWKernel(mat, 4), DIMS22)
         assert err.value.purity_a_residual > 1.0
@@ -150,6 +155,43 @@ class TestSubsystemWigner:
             ker_a = partial_trace(comp.mat, DIMS22, keep="A")
             rhs = np.trace(rho.mat @ kron(ker_a, np.eye(2))).real
             assert abs(lhs - rhs) < 1e-12
+
+
+class TestPartialTracesTakenOnce:
+    """Admission takes Tr_B Delta and Tr_A Delta once; the reductions read them."""
+
+    @pytest.mark.parametrize("dims", [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 3)])
+    def test_harness_sequence_takes_three(self, dims, count_calls):
+        rho = random_density(dims.total, 8)
+        traced = count_calls(composite, "partial_trace")
+        comp = make_composite_kernel(dims, 7)
+        reduce_kernel(comp, "A")
+        reduce_kernel(comp, "B")
+        subsystem_wigner(rho, comp, "A")
+        # Delta twice, at admission, then the state once.
+        assert [args[0] is comp.mat for args in traced] == [True, True, False]
+        assert traced[2][0] is rho.mat
+
+    @pytest.mark.parametrize("dims", [DIMS22, BipartiteDims(2, 3)])
+    def test_kept_traces_are_bit_identical_to_recomputed(self, dims):
+        # A kernel admitted with a Hermiticity defect within SWKernel's 1e-12:
+        # the kept partial traces are the measured, unsymmetrized ones, so
+        # the reductions equal the recomputation from comp.mat bit for bit.
+        n = dims.total
+        rng = np.random.default_rng(12)
+        skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        skew = 1e-14 * (skew - skew.conj().T)
+        np.fill_diagonal(skew, 0.0)  # keeps the trace
+        comp = CompositeKernel(SWKernel(make_composite_kernel(dims, 11).mat + skew, n), dims)
+        assert 0.0 < hermiticity_defect(comp.mat) <= 1e-12
+        rho = random_density(n, 13)
+        for keep, n_sub in (("A", dims.n_a), ("B", dims.n_b)):
+            red = partial_trace(comp.mat, dims, keep=keep)
+            assert not np.array_equal(red, red.conj().T)
+            assert np.array_equal(reduce_kernel(comp, keep).mat, (red + red.conj().T) / 2.0)
+            assert reduce_kernel(comp, keep).n == n_sub
+            pairing = np.trace(partial_trace(rho.mat, dims, keep=keep) @ red)
+            assert subsystem_wigner(rho, comp, keep) == float(pairing.real)
 
 
 class TestVerifyCompositeMaster:

@@ -1187,6 +1187,26 @@ class TestTorusFactorDependence:
 
 
 class TestConventionReport:
+    def test_verifies_and_traces_the_composite_kernel_once(self, count_calls):
+        from swphase import composite, kernel
+
+        traced = count_calls(composite, "partial_trace")
+        verified = count_calls(kernel, "verify_master")
+        count_calls(composite, "verify_master", verified)
+        report = convention_report(seed=0)
+        # One verify_master per kernel, elementary and composite; the
+        # composite's two partial traces are those of its admission.
+        assert (len(traced), len(verified)) == (2, 2)
+        elem = kernel_from_spectrum(solve_kernel_spectrum(4, "random", seed=0), haar_unitary(4, 0))
+        comp = make_composite_kernel(DIMS22, 0)
+        assert report == {
+            "pinned_convention": "HS2",
+            "elementary_sum_rule": elementary_constraint_value(elem.mat),
+            "elementary_sum_rule_target": 1.0,
+            "composite_blocks": twoqubit_constraint_values(comp.mat).as_dict(),
+            "composite_matrix_report": verify_composite_master(comp.mat, DIMS22).as_dict(),
+        }
+
     def test_fields_and_values(self):
         report = convention_report(seed=5)
         assert report["pinned_convention"] == "HS2"
