@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -87,6 +88,19 @@ def _parse_ranges(text: str):
     return lo, hi
 
 
+def _glue_ranges(argv) -> list:
+    """argv with each ``--ranges V`` written ``--ranges=V``.
+
+    argparse reads a value such as -1,2 as an option, not as the value of
+    ``--ranges``; glued to the option it parses.
+    """
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--ranges" else None
+        out.append(token if value is None else f"--ranges={value}")
+    return out
+
+
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -95,6 +109,29 @@ def _emit(text: str, out_path):
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_replacing(path: str, write) -> None:
+    """Call write(fh) on a temporary file beside ``path`` that replaces it on success.
+
+    On failure the temporary file is removed, so ``path`` is never left
+    half written.  A symbolic link is followed, and a ``path`` that exists
+    and is not a regular file, such as /dev/null, is written in place.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _dump_json(payload) -> str:
@@ -313,20 +350,22 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_moduli_scan(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    records = twoqubit.moduli_scan(args.n, args.seed, ranges=args.ranges,
-                                   zero_params=args.zero_params)
-    if args.format == "csv":
-        buf = io.StringIO()
-        twoqubit.scan_to_csv(records, buf)
-        text = buf.getvalue()
+    write = twoqubit.scan_to_csv if args.format == "csv" else twoqubit.scan_to_json
+
+    def scan(stream):
+        write(stream, args.n, args.seed, ranges=args.ranges, zero_params=args.zero_params)
+
+    if args.out is None:
+        scan(sys.stdout)
+        if args.format == "json":  # as _emit, end the text on stdout with a newline
+            sys.stdout.write("\n")
     else:
-        text = _dump_json(twoqubit.scan_to_json(records))
-    _emit(text, args.out)
+        _write_replacing(args.out, scan)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_ranges(sys.argv[1:] if argv is None else argv))
     try:
         # Overflow in a report shows as the strict-JSON error, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):

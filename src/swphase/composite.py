@@ -72,10 +72,13 @@ def traceless_orthonormal_basis(d: int) -> np.ndarray:
 
     Generalized Gell-Mann construction: symmetric pairs, antisymmetric
     pairs, then diagonal sum-zero directions; tr(F_i F_j) = delta_ij.  Built
-    once per d and shared by every call, so read-only.
+    once per d and shared by every call, so read-only.  At d = 1 the
+    traceless space is {0} and the basis is the empty stack (0, 1, 1).
     """
     if d in _BASES:
         return _BASES[d]
+    if d < 1:
+        raise ValueError(f"a basis needs dimension d >= 1, got d={d}")
     out = []
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for i in range(d):
@@ -90,7 +93,7 @@ def traceless_orthonormal_basis(d: int) -> np.ndarray:
             out.append(m)
     for row in hyperplane_frame(d):
         out.append(np.diag(row).astype(complex))
-    basis = _BASES[d] = np.stack(out)
+    basis = _BASES[d] = np.array(out, dtype=complex).reshape(-1, d, d)
     basis.flags.writeable = False
     return basis
 
@@ -161,7 +164,7 @@ def block_norm_targets(dims: BipartiteDims) -> tuple[float, float, float]:
     return ta, tb, tc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeKernel:
     """An SW kernel admissible for a given bipartition; ``report`` is the :class:`CompositeReport`
     its constructor checked from ``kernel.report`` and the two partial traces, which it keeps."""
@@ -169,7 +172,7 @@ class CompositeKernel:
     kernel: SWKernel
     dims: BipartiteDims
     report: CompositeReport = field(init=False)
-    _reduced: dict = field(init=False, repr=False, compare=False)
+    _reduced: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         reduced, residuals = _reductions(self.kernel.mat, self.dims)

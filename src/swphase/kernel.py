@@ -71,7 +71,7 @@ def hyperplane_frame(n: int) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpectrum:
     """Ordered (descending) eigenvalues of an SW kernel.
 
@@ -150,14 +150,14 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
     return KernelSpectrum(np.sort(pi)[::-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SWKernel:
     """A Stratonovich-Weyl kernel: Hermitian with tr = 1 and tr^2 = N; ``report`` is the
     :func:`verify_master` report that admitted it (purity to PURITY_TOL, the rest DEFAULT_TOL)."""
 
     mat: np.ndarray
     n: int
-    report: MasterReport = field(init=False, repr=False, compare=False)
+    report: MasterReport = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)

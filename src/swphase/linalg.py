@@ -76,7 +76,7 @@ class BipartiteDims:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 

@@ -32,9 +32,10 @@ The abelian factor, the adjoint map and the ellipsoid matrices take a
 leading batch axis: parameters (..., 3) give factors (..., 4, 4), adjoint
 matrices (..., 15, 15) and a :class:`QuadricTriple` of stacks (..., 3, 3).
 Every check runs on every matrix of a stack and its error names the first
-failing stack index.  :func:`moduli_scan` runs these stages once per chunk
-of ``SCAN_CHUNK`` records; only the closed-form pencil matrices, the
-per-record roots and the solver run record by record, and
+failing stack index.  The scan's chunk pipeline runs these stages once per
+chunk of ``SCAN_CHUNK`` records for :func:`moduli_scan` and the writers
+:func:`scan_to_csv` and :func:`scan_to_json`; only the closed-form pencil
+matrices, the roots and the solver run record by record, and
 :func:`moduli_record` is the batch-of-one case of the same pipeline.
 
 Dependencies
@@ -49,6 +50,7 @@ forms on Python floats.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,36 +67,13 @@ from .linalg import (
 from .kernel import SWKernel, _orbit_kernel
 
 __all__ = [
-    "KERNEL_COEFF",
-    "SIGMA",
-    "FANO_ORDER",
-    "LAMBDA",
-    "LOCAL_A",
-    "LOCAL_B",
-    "A_PLANE",
-    "A_PRIME_PLANE",
-    "TORUS",
-    "K_TWISTED",
-    "KakElement",
-    "abelian_factor",
-    "kak_element",
-    "adjoint_matrix",
-    "QuadricTriple",
-    "ellipsoid_matrices",
-    "char_cubic_roots",
-    "kernel_from_moduli",
-    "FeasibilityResult",
-    "MATRIX_LEVEL",
-    "moduli_feasibility",
-    "isotropy_dim",
-    "ScanRecord",
-    "SCAN_CHUNK",
-    "moduli_record",
-    "moduli_scan",
-    "SCAN_CSV_COLUMNS",
-    "scan_record_row",
-    "scan_to_csv",
-    "scan_to_json",
+    "KERNEL_COEFF", "SIGMA", "FANO_ORDER", "LAMBDA", "LOCAL_A", "LOCAL_B",
+    "A_PLANE", "A_PRIME_PLANE", "TORUS", "K_TWISTED",
+    "KakElement", "abelian_factor", "kak_element", "adjoint_matrix",
+    "QuadricTriple", "ellipsoid_matrices", "char_cubic_roots", "kernel_from_moduli",
+    "FeasibilityResult", "MATRIX_LEVEL", "moduli_feasibility", "isotropy_dim",
+    "ScanRecord", "SCAN_CHUNK", "moduli_record", "moduli_scan",
+    "SCAN_CSV_COLUMNS", "scan_to_csv", "scan_to_json",
 ]
 
 KERNEL_COEFF = np.sqrt(30.0) / 4.0
@@ -159,7 +138,7 @@ for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _LAMBDA_COLS, _LA
     _shared.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KakElement:
     """Group element factored as g = K * A * T.
 
@@ -226,10 +205,8 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     form, and the K factor is the product of the Rodrigues forms of the two
     commuting triples of K_TWISTED.
     """
-    k_params = np.asarray(k_params, dtype=float)
-    a_params = np.asarray(a_params, dtype=float)
-    a_prime_params = np.asarray(a_prime_params, dtype=float)
-    t_params = np.asarray(t_params, dtype=float)
+    k_params, a_params, a_prime_params, t_params = (
+        np.asarray(x, dtype=float) for x in (k_params, a_params, a_prime_params, t_params))
     if k_params.shape != (6,) or a_params.shape != (3,) \
             or a_prime_params.shape != (3,) or t_params.shape != (3,):
         raise ValueError("expected parameter shapes (6,), (3,), (3,), (3,)")
@@ -273,7 +250,7 @@ _EYE3_ROWS = _EYE3.tolist()
 _PIVOT_FLOOR = _COND_FLOOR / 2.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class QuadricTriple:
     """Ellipsoid matrices of the moduli bundle over torus coordinates.
 
@@ -298,12 +275,12 @@ class QuadricTriple:
 
     a: np.ndarray
     b: np.ndarray
-    eig_a: np.ndarray = field(init=False, repr=False, compare=False)
-    eig_b: np.ndarray = field(init=False, repr=False, compare=False)
-    eig_ab: np.ndarray = field(init=False, repr=False, compare=False)
-    eig_pencil: np.ndarray = field(init=False, repr=False, compare=False)
-    rank_a: np.ndarray = field(init=False, repr=False, compare=False)
-    rank_b: np.ndarray = field(init=False, repr=False, compare=False)
+    eig_a: np.ndarray = field(init=False, repr=False)
+    eig_b: np.ndarray = field(init=False, repr=False)
+    eig_ab: np.ndarray = field(init=False, repr=False)
+    eig_pencil: np.ndarray = field(init=False, repr=False)
+    rank_a: np.ndarray = field(init=False, repr=False)
+    rank_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pair = (np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float))
@@ -420,16 +397,15 @@ def _cholesky_congruence(a: list, c: list) -> list:
 def _pencil_roots(q: QuadricTriple) -> list:
     """Real roots of det(t A + B) for each pair of q (one pair or a stack), in descending order.
 
-    Returns one float64 array per pair, the pairs of a stack in row-major
-    order, from ``q.eig_pencil`` (see :func:`char_cubic_roots`).  A pair
-    whose A + B is singular (lambda_min <= ``_COND_FLOOR``) has no roots.
-    Only the top ``rank_a`` eigenvalues are divided: the others are zero.
+    Returns one list of Python floats per pair, the pairs of a stack in
+    row-major order, from ``q.eig_pencil`` (see :func:`char_cubic_roots`).
+    A pair whose A + B is singular (lambda_min <= ``_COND_FLOOR``) has no
+    roots.  Only the top ``rank_a`` eigenvalues are divided: the others are zero.
     """
     counts = np.where(q.eig_ab[..., 0] > _COND_FLOOR, q.rank_a, 0).reshape(-1).tolist()
     lam = q.eig_pencil.reshape(-1, 3)[:, ::-1].tolist()
     # A <= A + B gives lambda <= 1; the clamp keeps roundoff from making a root positive.
-    return [np.array([1.0 - 1.0 / min(x, 1.0) for x in row[:count]], dtype=float)
-            for row, count in zip(lam, counts)]
+    return [[1.0 - 1.0 / min(x, 1.0) for x in row[:count]] for row, count in zip(lam, counts)]
 
 
 def char_cubic_roots(q: QuadricTriple) -> np.ndarray:
@@ -449,7 +425,7 @@ def char_cubic_roots(q: QuadricTriple) -> np.ndarray:
     """
     if q.a.ndim != 2:
         raise ValueError("char_cubic_roots takes one quadric pair; index the stack first")
-    return _pencil_roots(q)[0]
+    return np.array(_pencil_roots(q)[0], dtype=float)
 
 
 def kernel_from_moduli(u, mu) -> SWKernel:
@@ -475,7 +451,7 @@ def kernel_from_moduli(u, mu) -> SWKernel:
     return _orbit_kernel(um, (1.0 + np.sqrt(15.0) * (mu @ _PLANE_SIGNS)) / 4.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """Solutions of the sphere-plus-two-ellipsoids system, with the verdict.
 
@@ -565,10 +541,7 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
 
 def _feasibility_result(q: QuadricTriple, solutions: list) -> FeasibilityResult:
     """The solutions of one pair with their label (see :class:`FeasibilityResult`)."""
-    if min(q.rank_a, q.rank_b) < 3:
-        label = "degenerate"
-    else:
-        label = "feasible" if solutions else "empty"
+    label = "degenerate" if min(q.rank_a, q.rank_b) < 3 else "feasible" if solutions else "empty"
     return FeasibilityResult(solutions=solutions, classification=label)
 
 
@@ -689,14 +662,12 @@ def isotropy_dim(delta, algebra: str = "lu_local") -> int:
     gens = _ISOTROPY_SPANS.get(algebra)
     if gens is None:
         raise ValueError(f"algebra must be one of {tuple(_ISOTROPY_SPANS)}")
-    comm = gens @ m - m @ gens
-    flat = comm.reshape(len(gens), -1)
-    stacked = np.concatenate([flat.real, flat.imag], axis=1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    flat = (gens @ m - m @ gens).reshape(len(gens), -1)
+    svals = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), compute_uv=False)
     return int(np.sum(svals < 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanRecord:
     """One moduli-scan draw: abelian parameters, quadrics, their pencil roots, solutions."""
 
@@ -716,121 +687,149 @@ class ScanRecord:
         return self.feasibility.n_solutions
 
 
-# Records per batched pass of moduli_scan.  The stacks of one pass take a
+# Records per chunk of the scan pipeline.  The stacks of one chunk take a
 # few MB, so peak memory does not grow with the chunk count.
 SCAN_CHUNK = 256
 
 
-def _moduli_records(first_index: int, a_params: np.ndarray, a_prime_params: np.ndarray,
-                    solve: bool) -> list:
-    """Records for stacked parameter rows (m, 3), numbered from ``first_index``.
+def _chunk_stages(params: np.ndarray, solve: bool) -> tuple:
+    """(quadrics, roots, solved) for parameter rows (m, 6), a then a', each stage once.
 
-    The abelian factor, adjoint map, ellipsoid matrices, their eigenvalues
-    (the pencil's too) and the early-exit test of :func:`moduli_feasibility`
-    (at its default level) run once over the stack, and the pencil roots
-    come from one call for the stack; the solver runs per record, only
-    where the early exit does not settle it.
+    ``solved`` maps the records that the early exit of :func:`moduli_feasibility`
+    (default level, run over the stack) does not settle to the solver's results.
     """
-    q = ellipsoid_matrices(adjoint_matrix(abelian_factor(a_params, a_prime_params)))
-    reachable = _level_reachable(q, 1.0) if solve else np.zeros(len(a_params), dtype=bool)
-    records = []
-    for k, (reach, roots) in enumerate(zip(reachable.tolist(), _pencil_roots(q))):
-        qk = q[k]
-        feas = moduli_feasibility(qk) if reach else _feasibility_result(qk, [])
-        records.append(ScanRecord(first_index + k, a_params[k], a_prime_params[k],
-                                  qk, roots, feas))
-    return records
+    q = ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+    reachable = np.flatnonzero(_level_reachable(q, 1.0)).tolist() if solve else []
+    return q, _pencil_roots(q), {k: moduli_feasibility(q[k]) for k in reachable}
 
 
-def moduli_record(record_index: int, a_params, a_prime_params,
-                  solve: bool = True) -> ScanRecord:
-    """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
+def _scan_chunks(n: int, seed, ranges, zero_params: bool):
+    """The scan's chunk pipeline: (start, params (m, 6), *_chunk_stages) per chunk.
 
-    ``solve=False`` skips the solver for callers that need only the
-    quadrics and roots; the record then holds no solutions, and its label
-    is not a verdict.
-    """
-    a = np.asarray(a_params, dtype=float)
-    ap = np.asarray(a_prime_params, dtype=float)
-    if a.shape != (3,) or ap.shape != (3,):
-        raise ValueError("expected parameter shapes (3,), (3,)")
-    return _moduli_records(record_index, a[None], ap[None], solve)[0]
-
-
-def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi),
-                zero_params: bool = False) -> list:
-    """Random scan of the moduli bundle.
-
-    Each record draws the two abelian parameter triples uniformly from
-    ``ranges`` using a child seed spawned from (seed, record index), so the
-    scan is reproducible and a record does not depend on ``n``.
-    ``zero_params`` pins every draw to the origin instead.  Records are
-    evaluated ``SCAN_CHUNK`` at a time, each stage once over the chunk, and
-    equal :func:`moduli_record` of the same parameters bit for bit.
+    A chunk of ``SCAN_CHUNK`` records is drawn when the one before it has
+    been consumed.  Successive spawns of one SeedSequence(seed) give child i
+    of a single spawn(n); record i takes a then a' from one
+    uniform(lo, hi, 6) call of default_rng(child i).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = float(ranges[0]), float(ranges[1])
     if not (lo < hi and np.isfinite(hi - lo)):
         raise ValueError(f"ranges must satisfy lo < hi with hi - lo finite, got {lo!r},{hi!r}")
-    children = np.random.SeedSequence(seed).spawn(n)
-    records = []
+    parent = np.random.SeedSequence(seed)
     for start in range(0, n, SCAN_CHUNK):
-        chunk = children[start:start + SCAN_CHUNK]
+        m = min(SCAN_CHUNK, n - start)
         if zero_params:
-            draws = np.zeros((len(chunk), 2, 3))
+            params = np.zeros((m, 6))
         else:
-            draws = np.array([[rng.uniform(lo, hi, 3), rng.uniform(lo, hi, 3)]
-                              for rng in map(np.random.default_rng, chunk)])
-        records += _moduli_records(start, draws[:, 0], draws[:, 1], solve=True)
+            params = np.array([np.random.default_rng(child).uniform(lo, hi, 6)
+                               for child in parent.spawn(m)])
+        yield (start, params, *_chunk_stages(params, solve=True))
+
+
+def _chunk_records(start: int, params, q: QuadricTriple, roots: list, solved: dict) -> list:
+    """The :class:`ScanRecord` of each record of a chunk, numbered from ``start``."""
+    records = []
+    for k, row in enumerate(roots):
+        qk = q[k]
+        feas = solved[k] if k in solved else _feasibility_result(qk, [])
+        records.append(ScanRecord(start + k, params[k, :3], params[k, 3:], qk,
+                                  np.array(row, dtype=float), feas))
     return records
 
 
+def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = True) -> ScanRecord:
+    """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
+
+    ``solve=False`` skips the solver for callers that need only the
+    quadrics and roots; the record then holds no solutions, and its label
+    is not a verdict.
+    """
+    a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
+    if a.shape != (3,) or ap.shape != (3,):
+        raise ValueError("expected parameter shapes (3,), (3,)")
+    params = np.concatenate([a, ap])[None]
+    return _chunk_records(record_index, params, *_chunk_stages(params, solve))[0]
+
+
+def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False) -> list:
+    """Random scan of the moduli bundle, as a list of :class:`ScanRecord`.
+
+    Record i draws its abelian parameters uniformly from ``ranges`` with
+    child i of SeedSequence(seed), so a record does not depend on ``n``;
+    ``zero_params`` pins every draw to the origin.  The records come from
+    the chunk pipeline (:func:`_scan_chunks`) and equal :func:`moduli_record`
+    bit for bit.  :func:`scan_to_csv` and :func:`scan_to_json` stream them.
+    """
+    return [rec for chunk in _scan_chunks(n, seed, ranges, zero_params)
+            for rec in _chunk_records(*chunk)]
+
+
 SCAN_CSV_COLUMNS = (
-    "record_index", "a1", "a2", "a3", "ap1", "ap2", "ap3",
-    "rank_A", "rank_B",
+    "record_index", "a1", "a2", "a3", "ap1", "ap2", "ap3", "rank_A", "rank_B",
     "eigA1", "eigA2", "eigA3", "eigB1", "eigB2", "eigB3",
     "rootsAB", "classification", "n_solutions", "solutions",
 )
 
 
-def scan_record_row(rec: ScanRecord) -> list:
-    """One CSV row; each array goes to Python floats once, whose repr round-trips."""
-    q = rec.quadrics
-    params = rec.a_params.tolist() + rec.a_prime_params.tolist()
-    eigs = q.eig_a[::-1].tolist() + q.eig_b[::-1].tolist()
-    roots_ab = ";".join(map(repr, rec.roots_ab.tolist()))
-    sols = ";".join(" ".join(map(repr, s.tolist())) for s in rec.feasibility.solutions)
-    return [rec.record_index, *map(repr, params), q.rank_a, q.rank_b,
-            *map(repr, eigs), roots_ab, rec.classification, rec.n_solutions, sols]
+def _chunk_fields(start: int, params, q: QuadricTriple, roots: list, solved: dict):
+    """Per record of a chunk, from a few tolist() calls: index, params, rank_A, rank_B, eig_A,
+    eig_B (descending), roots, label and solutions (as :func:`_feasibility_result` if unsolved).
+    """
+    rank_a, rank_b = q.rank_a.tolist(), q.rank_b.tolist()
+    labels = ["degenerate" if min(ra, rb) < 3 else "empty" for ra, rb in zip(rank_a, rank_b)]
+    sols = [[]] * len(labels)
+    for k, feas in solved.items():
+        labels[k], sols[k] = feas.classification, [mu.tolist() for mu in feas.solutions]
+    return zip(range(start, start + len(labels)), params.tolist(), rank_a, rank_b,
+               q.eig_a[:, ::-1].tolist(), q.eig_b[:, ::-1].tolist(), roots, labels, sols)
 
 
-def scan_to_csv(records, stream):
-    """Write scan records as CSV with the fixed column contract."""
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SCAN_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(scan_record_row(rec))
+# One CSV row: no field holds a comma, a quote or a line break, so none is quoted.
+_CSV_ROW = "%d" + ",%r" * 6 + ",%d,%d" + ",%r" * 6 + ",%s,%s,%d,%s\n"
 
 
-def scan_to_json(records) -> list:
-    """JSON mirror of the CSV dataset (same fields, structured values)."""
-    out = []
-    for rec in records:
-        q = rec.quadrics
-        out.append({
-            "record_index": rec.record_index,
-            "a_params": rec.a_params.tolist(),
-            "ap_params": rec.a_prime_params.tolist(),
-            "rank_A": int(q.rank_a),
-            "rank_B": int(q.rank_b),
-            "eig_A": q.eig_a[::-1].tolist(),
-            "eig_B": q.eig_b[::-1].tolist(),
-            "roots_AB": [[r, 0.0] for r in rec.roots_ab.tolist()],
-            "classification": rec.classification,
-            "n_solutions": rec.n_solutions,
-            "solutions": [s.tolist() for s in rec.feasibility.solutions],
-        })
-    return out
+def _csv_text(*chunk) -> str:
+    """The CSV rows of one chunk, after the header in the first chunk."""
+    return (",".join(SCAN_CSV_COLUMNS) + "\n" if chunk[0] == 0 else "") + "".join(
+        _CSV_ROW % (i, *p, ra, rb, *ea, *eb, ";".join(map(repr, r)), label, len(s),
+                    ";".join(" ".join(map(repr, mu)) for mu in s))
+        for i, p, ra, rb, ea, eb, r, label, s in _chunk_fields(*chunk))
+
+
+def _json_text(*chunk) -> str:
+    """The JSON items of one chunk, after "[" in the first chunk and "," in the others."""
+    text = json.dumps([{"record_index": i, "a_params": p[:3], "ap_params": p[3:],
+                        "rank_A": ra, "rank_B": rb, "eig_A": ea, "eig_B": eb,
+                        "roots_AB": [[x, 0.0] for x in r], "classification": label,
+                        "n_solutions": len(s), "solutions": s}
+                       for i, p, ra, rb, ea, eb, r, label, s in _chunk_fields(*chunk)],
+                      indent=2, sort_keys=True, allow_nan=False)
+    # text is "[", the items as "\n  item" joined by ",", then "\n]": keep the items.
+    return ("[" if chunk[0] == 0 else ",") + text[1:-2]
+
+
+def _write_chunks(stream, chunk_text, n, seed, ranges, zero_params) -> None:
+    for chunk in _scan_chunks(n, seed, ranges, zero_params):
+        stream.write(chunk_text(*chunk))
+        del chunk  # freed before the next chunk is drawn
+
+
+def scan_to_csv(stream, n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False):
+    """Write the records of ``moduli_scan(n, seed, ranges, zero_params)`` as CSV.
+
+    Columns ``SCAN_CSV_COLUMNS``, floats as their round-tripping repr; each chunk of the
+    chunk pipeline is written before the next is drawn, so memory does not grow with ``n``.
+    """
+    _write_chunks(stream, _csv_text, n, seed, ranges, zero_params)
+
+
+def scan_to_json(stream, n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False):
+    """Write the records as a strict JSON array, the mirror of :func:`scan_to_csv`.
+
+    The bytes of json.dumps(items, indent=2, sort_keys=True) of the whole
+    list: each chunk of the chunk pipeline is dumped alone and written
+    without its brackets before the next is drawn.
+    """
+    _write_chunks(stream, _json_text, n, seed, ranges, zero_params)
+    stream.write("\n]")

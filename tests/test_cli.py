@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import swphase
-from swphase import cli, composite, kernel, linalg
+from swphase import cli, composite, kernel, linalg, twoqubit
 from swphase.cli import main
 from swphase.linalg import matrix_to_json
 
@@ -539,6 +539,85 @@ class TestModuliScan:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+class TestModuliScanStreaming:
+    """The scan is written chunk by chunk: the bytes of one whole dump, --out only on success."""
+
+    N = 2 * twoqubit.SCAN_CHUNK + 3
+
+    @pytest.mark.parametrize("ranges", ["-1,2", "-3.14,3.14"])
+    def test_ranges_with_a_negative_bound_as_its_own_token(self, capsys, ranges):
+        args = ["moduli", "scan", "--n", "3", "--seed", "2"]
+        code, out, err = run(args + ["--ranges", ranges], capsys)
+        assert (code, err) == (0, "")
+        assert out == run(args + [f"--ranges={ranges}"], capsys)[1]
+        lo, hi = map(float, ranges.split(","))
+        params = [float(v) for row in out.splitlines()[1:] for v in row.split(",")[1:7]]
+        assert all(lo <= v < hi for v in params)
+
+    def test_ranges_token_in_a_fresh_process(self):
+        proc = run_fresh(["moduli", "scan", "--n", "2", "--ranges", "-1,2"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run_fresh(["moduli", "scan", "--n", "2", "--ranges=-1,2"]).stdout
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_out_file_across_chunks(self, tmp_path, capsys, fmt):
+        path = tmp_path / f"scan.{fmt}"
+        args = ["moduli", "scan", "--n", str(self.N), "--seed", "8", "--format", fmt]
+        code, out, _ = run(args, capsys)
+        assert code == 0 and run(args + ["--out", str(path)], capsys)[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        text = path.read_text(encoding="utf-8")
+        if fmt == "csv":
+            assert out == text and len(out.splitlines()) == self.N + 1
+        else:
+            # The streamed array has the bytes of one dump of the whole list;
+            # stdout ends with a newline, as every command's stdout does.
+            assert out == text + "\n" and text == cli._dump_json(json.loads(text))
+            assert [item["record_index"] for item in json.loads(text)] == list(range(self.N))
+
+    def test_out_to_a_device_is_written_in_place(self, capsys):
+        code, out, err = run(["moduli", "scan", "--n", "3", "--out", os.devnull], capsys)
+        assert (code, out, err) == (0, "", "")
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(["moduli", "scan", "--n", "3", "--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink() and target.read_text().startswith("record_index,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_failure_after_the_first_chunk(self, tmp_path, capsys, monkeypatch, fmt, to_file):
+        calls = []
+        original = twoqubit.ellipsoid_matrices
+
+        def fail_on_second_chunk(o):
+            calls.append(len(o))
+            if len(calls) == 2:
+                raise ValueError("injected failure")
+            return original(o)
+
+        monkeypatch.setattr(twoqubit, "ellipsoid_matrices", fail_on_second_chunk)
+        path = tmp_path / "scan.out"
+        argv = ["moduli", "scan", "--n", str(self.N), "--format", fmt]
+        code, out, err = run(argv + (["--out", str(path)] if to_file else []), capsys)
+        assert code == 2 and err == "error: injected failure\n"
+        assert calls == [twoqubit.SCAN_CHUNK] * 2
+        if to_file:
+            assert out == "" and list(tmp_path.iterdir()) == []
+        else:  # the first chunk was written before the second was drawn
+            assert len(out.splitlines()) >= twoqubit.SCAN_CHUNK
+
+    def test_failure_leaves_an_existing_out_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "scan.csv"
+        path.write_text("kept\n")
+        monkeypatch.setattr(twoqubit, "_chunk_stages", lambda *args, **kwargs: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            main(["moduli", "scan", "--n", "3", "--out", str(path)])
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+        assert path.read_text() == "kept\n"
 
 
 class TestOutputErrors:

@@ -49,8 +49,27 @@ class TestTracelessBasis:
         with pytest.raises(ValueError):
             basis[0, 0, 0] = 1.0
 
+    def test_dimension_one_is_the_empty_stack(self):
+        # The traceless 1x1 matrices are {0}: no basis element.
+        basis = traceless_orthonormal_basis(1)
+        assert basis.shape == (0, 1, 1) and basis.dtype == complex
+        assert traceless_orthonormal_basis(1) is basis and not basis.flags.writeable
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one_names_d(self, d):
+        with pytest.raises(ValueError, match=f"d={d}"):
+            traceless_orthonormal_basis(d)
+
 
 class TestFanoBlocks:
+    @pytest.mark.parametrize("dims", [BipartiteDims(1, 3), BipartiteDims(3, 1)],
+                             ids=["1x3", "3x1"])
+    def test_round_trip_with_a_trivial_factor(self, dims):
+        h = random_hermitian(3, seed=4)
+        blocks = fano_blocks(h, dims)
+        assert blocks.corr.shape == (dims.n_a**2 - 1, dims.n_b**2 - 1)
+        assert np.linalg.norm(fano_blocks_compose(blocks) - h) < 1e-12
+
     def test_round_trip(self):
         for dims in (DIMS22, BipartiteDims(2, 3)):
             for seed in range(50):

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +40,6 @@ from swphase.twoqubit import (
     moduli_feasibility,
     moduli_record,
     moduli_scan,
-    scan_record_row,
     scan_to_csv,
     scan_to_json,
 )
@@ -946,20 +947,18 @@ class TestModuliScan:
             np.testing.assert_array_equal(a.quadrics.a, b.quadrics.a)
 
     def test_csv_contract(self):
-        records = moduli_scan(8, seed=13)
         buf = io.StringIO()
-        scan_to_csv(records, buf)
+        scan_to_csv(buf, 8, seed=13)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == ",".join(SCAN_CSV_COLUMNS)
         assert len(lines) == 9
-        import csv
-
         for row in csv.reader(lines[1:]):
             assert len(row) == len(SCAN_CSV_COLUMNS)
 
     def test_json_mirror(self):
-        records = moduli_scan(3, seed=21)
-        data = scan_to_json(records)
+        buf = io.StringIO()
+        scan_to_json(buf, 3, seed=21)
+        data = json.loads(buf.getvalue())
         assert len(data) == 3
         for rec in data:
             assert set(rec) == {
@@ -1008,20 +1007,66 @@ def _record_with_solutions():
     return dataclasses.replace(rec, feasibility=feas)
 
 
-class TestScanFormatting:
-    """Rows and JSON records keep the bytes of per-scalar formatting."""
+def _solve_at_matrix_level(monkeypatch):
+    """Make the scan pipeline solve at MATRIX_LEVEL, where records have solutions."""
+    feasibility, reachable = twoqubit.moduli_feasibility, twoqubit._level_reachable
+    monkeypatch.setattr(twoqubit, "moduli_feasibility",
+                        lambda q: feasibility(q, level=MATRIX_LEVEL))
+    monkeypatch.setattr(twoqubit, "_level_reachable", lambda q, level: reachable(q, MATRIX_LEVEL))
 
-    @pytest.mark.parametrize("records", [
-        lambda: moduli_scan(300, 11, ranges=(-1, 2)),
-        lambda: moduli_scan(5, 0, zero_params=True),
-        lambda: [_record_with_solutions()],
+
+class TestScanFormatting:
+    """The chunk writers keep the bytes of per-scalar formatting of the records."""
+
+    @pytest.mark.parametrize("kwargs, with_solutions", [
+        ({"n": 2 * SCAN_CHUNK + 3, "seed": 11, "ranges": (-1.0, 2.0)}, False),
+        ({"n": 2 * SCAN_CHUNK + 3, "seed": 0, "zero_params": True}, False),
+        ({"n": 80, "seed": 3}, True),
     ], ids=["ranges", "zero_params", "solutions"])
-    def test_same_bytes_as_per_scalar_formatting(self, records):
-        records = records()
-        rows = [scan_record_row(rec) for rec in records]
-        assert rows == [_reference_row(rec) for rec in records]
-        want = json.dumps([_reference_json(rec) for rec in records], indent=2, sort_keys=True)
-        assert json.dumps(scan_to_json(records), indent=2, sort_keys=True) == want
+    def test_same_bytes_as_per_scalar_formatting(self, kwargs, with_solutions, monkeypatch):
+        if with_solutions:
+            _solve_at_matrix_level(monkeypatch)
+        records = moduli_scan(**kwargs)
+        if with_solutions:
+            want = _record_with_solutions()
+            assert records[79].n_solutions == 4
+            assert np.array_equal(records[79].feasibility.solutions, want.feasibility.solutions)
+        want_csv = io.StringIO()
+        csv.writer(want_csv, lineterminator="\n").writerows(
+            [SCAN_CSV_COLUMNS] + [_reference_row(rec) for rec in records])
+        want_json = json.dumps([_reference_json(rec) for rec in records], indent=2,
+                               sort_keys=True)
+        for writer, want in ((scan_to_csv, want_csv.getvalue()), (scan_to_json, want_json)):
+            got = io.StringIO()
+            writer(got, **kwargs)
+            assert got.getvalue() == want
+
+    def test_writers_check_arguments_before_writing(self):
+        for writer in (scan_to_csv, scan_to_json):
+            for kwargs in ({"n": 0}, {"n": 3, "ranges": (2.0, 1.0)}):
+                got = io.StringIO()
+                with pytest.raises(ValueError):
+                    writer(got, seed=1, **kwargs)
+                assert got.getvalue() == ""
+
+    def test_writer_memory_is_flat_in_n(self):
+        # The output goes to a sink that keeps nothing, so what the writer
+        # holds is the pipeline's working set: one chunk, whatever n is.
+        # The margin is below what 3 * SCAN_CHUNK more records would take as
+        # kept text (about 230 kB of CSV, 580 kB of JSON).
+        class Sink:
+            def write(self, text):
+                pass
+
+        for writer in (scan_to_csv, scan_to_json):
+            writer(Sink(), 3, seed=5)  # first-call caches out of the measurement
+            peaks = []
+            for n in (SCAN_CHUNK, 4 * SCAN_CHUNK):
+                tracemalloc.start()
+                writer(Sink(), n, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert peaks[1] <= peaks[0] + 128 * 1024, peaks
 
 
 def _scan_draws(n, seed, lo=-np.pi, hi=np.pi):
