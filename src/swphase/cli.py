@@ -9,15 +9,16 @@ output is strict).  The reports of ``kernel gen``, ``kernel verify`` and
 matrix object or a report holding one under ``"matrix"``, as ``kernel gen``
 writes, with or without a schema; any other schema is an input error.  The
 default seed is a fixed constant so documented invocations reproduce
-byte-for-byte.
+byte-for-byte.  Every output ends with a newline, and ``--out`` writes the
+bytes of stdout to a temporary file that replaces the target only on success.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -101,32 +102,33 @@ def _glue_ranges(argv) -> list:
     return out
 
 
-def _emit(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_out(path, write) -> None:
+    """Call write(fh) on stdout, or on a temporary file that replaces ``path`` on success.
 
-
-def _write_replacing(path: str, write) -> None:
-    """Call write(fh) on a temporary file beside ``path`` that replaces it on success.
-
-    On failure the temporary file is removed, so ``path`` is never left
-    half written.  A symbolic link is followed, and a ``path`` that exists
-    and is not a regular file, such as /dev/null, is written in place.
+    The temporary file sits beside ``path`` under a name unique to the call,
+    takes the permission bits of an existing regular ``path`` (a new one gets
+    0666 less the umask), and is removed on any failure, so ``path`` is never
+    left half written.  A symbolic link is followed, and a ``path`` that
+    exists and is not a regular file, such as /dev/null, is written in place.
     """
+    if path is None:
+        write(sys.stdout)
+        return
     path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             write(fh)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -135,8 +137,9 @@ def _write_replacing(path: str, write) -> None:
 
 
 def _dump_json(payload) -> str:
-    """Strict JSON: NaN or inf raise ValueError, which main turns into exit 2."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """Strict JSON text ending with a newline: NaN or inf raise ValueError, which main
+    turns into exit 2."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_matrix_file(path: str) -> np.ndarray:
@@ -275,7 +278,7 @@ def _cmd_kernel_gen(args) -> int:
         "spectrum": [float(v) for v in spectrum],
         "matrix": linalg.matrix_to_json(mat),
     })
-    _emit(_dump_json(payload), args.out)
+    _write_out(args.out, lambda fh: fh.write(_dump_json(payload)))
     return EXIT_OK
 
 
@@ -289,14 +292,14 @@ def _cmd_kernel_verify(args) -> int:
     payload.update({"schema": _SCHEMA, "n": n})
     if report.hermitian:
         payload["spectrum"] = [float(v) for v in np.sort(np.linalg.eigvalsh(mat))[::-1]]
-    _emit(_dump_json(payload), args.out)
+    _write_out(args.out, lambda fh: fh.write(_dump_json(payload)))
     return EXIT_OK if report.ok(args.tol) else EXIT_FAIL
 
 
 def _cmd_composite_verify(args) -> int:
     mat = _load_matrix_file(args.input)
     report = composite.verify_composite_master(mat, args.dims, args.tol)
-    _emit(_dump_json({**report.as_dict(), "schema": _SCHEMA}), args.out)
+    _write_out(args.out, lambda fh: fh.write(_dump_json({**report.as_dict(), "schema": _SCHEMA})))
     return EXIT_OK if report.admissible() else EXIT_FAIL
 
 
@@ -310,7 +313,7 @@ def _cmd_wigner_eval(args) -> int:
     except ValueError as exc:
         print(f"error: invalid inputs: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _emit(_dump_json({"w": value}), args.out)
+    _write_out(args.out, lambda fh: fh.write(_dump_json({"w": value})))
     return EXIT_OK
 
 
@@ -330,20 +333,17 @@ def _cmd_reconstruct(args) -> int:
             "frobenius_error": float(np.linalg.norm(estimate - rho.mat)),
         })
     if args.format == "json":
-        payload = {
+        text = _dump_json({
             "n": args.n,
             "seed": args.seed,
             "exact_residual": exact_residual,
             "ladder": ladder,
-        }
-        _emit(_dump_json(payload), args.out)
+        })
     else:
-        buf = io.StringIO()
-        buf.write("samples,frobenius_error\n")
-        for row in ladder:
-            buf.write(f"{row['samples']},{row['frobenius_error']!r}\n")
-        buf.write(f"exact,{exact_residual!r}\n")
-        _emit(buf.getvalue(), args.out)
+        text = "samples,frobenius_error\n" + "".join(
+            f"{row['samples']},{row['frobenius_error']!r}\n" for row in ladder
+        ) + f"exact,{exact_residual!r}\n"
+    _write_out(args.out, lambda fh: fh.write(text))
     return EXIT_OK
 
 
@@ -351,16 +351,8 @@ def _cmd_moduli_scan(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     write = twoqubit.scan_to_csv if args.format == "csv" else twoqubit.scan_to_json
-
-    def scan(stream):
-        write(stream, args.n, args.seed, ranges=args.ranges, zero_params=args.zero_params)
-
-    if args.out is None:
-        scan(sys.stdout)
-        if args.format == "json":  # as _emit, end the text on stdout with a newline
-            sys.stdout.write("\n")
-    else:
-        _write_replacing(args.out, scan)
+    _write_out(args.out, lambda fh: write(fh, args.n, args.seed, ranges=args.ranges,
+                                          zero_params=args.zero_params))
     return EXIT_OK
 
 

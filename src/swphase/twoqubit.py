@@ -540,9 +540,14 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
 
 
 def _feasibility_result(q: QuadricTriple, solutions: list) -> FeasibilityResult:
-    """The solutions of one pair with their label (see :class:`FeasibilityResult`)."""
-    label = "degenerate" if min(q.rank_a, q.rank_b) < 3 else "feasible" if solutions else "empty"
-    return FeasibilityResult(solutions=solutions, classification=label)
+    """The solutions of one pair with their label."""
+    return FeasibilityResult(solutions, *_scan_labels([q.rank_a], [q.rank_b], [len(solutions)]))
+
+
+def _scan_labels(rank_a, rank_b, n_solutions) -> list:
+    """The :class:`FeasibilityResult` label per record of stacked ranks and solution counts."""
+    return ["degenerate" if min(ra, rb) < 3 else "feasible" if k else "empty"
+            for ra, rb, k in zip(rank_a, rank_b, n_solutions)]
 
 
 def _level_reachable(q: QuadricTriple, level: float) -> np.ndarray:
@@ -729,21 +734,18 @@ def _scan_chunks(n: int, seed, ranges, zero_params: bool):
 
 def _chunk_records(start: int, params, q: QuadricTriple, roots: list, solved: dict) -> list:
     """The :class:`ScanRecord` of each record of a chunk, numbered from ``start``."""
-    records = []
-    for k, row in enumerate(roots):
-        qk = q[k]
-        feas = solved[k] if k in solved else _feasibility_result(qk, [])
-        records.append(ScanRecord(start + k, params[k, :3], params[k, 3:], qk,
-                                  np.array(row, dtype=float), feas))
-    return records
+    unsolved = _scan_labels(q.rank_a, q.rank_b, [0] * len(roots))
+    return [ScanRecord(start + k, params[k, :3], params[k, 3:], q[k], np.array(row, dtype=float),
+                       solved.get(k, FeasibilityResult([], label)))
+            for k, (row, label) in enumerate(zip(roots, unsolved))]
 
 
 def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = True) -> ScanRecord:
     """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
 
-    ``solve=False`` skips the solver for callers that need only the
-    quadrics and roots; the record then holds no solutions, and its label
-    is not a verdict.
+    ``solve=False`` skips the solver.  Both settings return equal records: at the
+    scan's level 1 the early exit of :func:`moduli_feasibility` settles every
+    record before a solve, because A + B <= (4/3) I.
     """
     a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
     if a.shape != (3,) or ap.shape != (3,):
@@ -774,15 +776,14 @@ SCAN_CSV_COLUMNS = (
 
 def _chunk_fields(start: int, params, q: QuadricTriple, roots: list, solved: dict):
     """Per record of a chunk, from a few tolist() calls: index, params, rank_A, rank_B, eig_A,
-    eig_B (descending), roots, label and solutions (as :func:`_feasibility_result` if unsolved).
-    """
+    eig_B (descending), roots, label (:func:`_scan_labels`) and solutions."""
     rank_a, rank_b = q.rank_a.tolist(), q.rank_b.tolist()
-    labels = ["degenerate" if min(ra, rb) < 3 else "empty" for ra, rb in zip(rank_a, rank_b)]
-    sols = [[]] * len(labels)
+    sols = [[]] * len(rank_a)
     for k, feas in solved.items():
-        labels[k], sols[k] = feas.classification, [mu.tolist() for mu in feas.solutions]
-    return zip(range(start, start + len(labels)), params.tolist(), rank_a, rank_b,
-               q.eig_a[:, ::-1].tolist(), q.eig_b[:, ::-1].tolist(), roots, labels, sols)
+        sols[k] = [mu.tolist() for mu in feas.solutions]
+    return zip(range(start, start + len(sols)), params.tolist(), rank_a, rank_b,
+               q.eig_a[:, ::-1].tolist(), q.eig_b[:, ::-1].tolist(), roots,
+               _scan_labels(rank_a, rank_b, map(len, sols)), sols)
 
 
 # One CSV row: no field holds a comma, a quote or a line break, so none is quoted.
@@ -827,9 +828,8 @@ def scan_to_csv(stream, n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool 
 def scan_to_json(stream, n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False):
     """Write the records as a strict JSON array, the mirror of :func:`scan_to_csv`.
 
-    The bytes of json.dumps(items, indent=2, sort_keys=True) of the whole
-    list: each chunk of the chunk pipeline is dumped alone and written
-    without its brackets before the next is drawn.
+    The bytes of json.dumps(items, indent=2, sort_keys=True) of the whole list, then a
+    newline: each chunk is dumped alone and written without its brackets before the next.
     """
     _write_chunks(stream, _json_text, n, seed, ranges, zero_params)
-    stream.write("\n]")
+    stream.write("\n]\n")

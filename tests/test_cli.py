@@ -1,5 +1,7 @@
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -24,13 +26,14 @@ def write_matrix(path, mat):
     return str(path)
 
 
-def run_fresh(argv) -> subprocess.CompletedProcess:
-    """Run `python -m swphase argv` in a fresh interpreter on the tested sources."""
+def run_fresh(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m swphase argv` in a fresh interpreter on the tested sources;
+    ``kwargs`` go to subprocess.run."""
     src = str(Path(swphase.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "swphase", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
 
 
 class TestParserReuse:
@@ -142,7 +145,7 @@ class TestKernelGen:
         assert out == cli._dump_json({
             **comp.report.as_dict(), "schema": 1, "n": 4, "seed": 3,
             "spectrum": [float(v) for v in comp.kernel.spectrum],
-            "matrix": matrix_to_json(comp.mat)}) + "\n"
+            "matrix": matrix_to_json(comp.mat)})
 
     def test_gen_prints_the_constructor_report(self, capsys, count_calls):
         master = count_calls(kernel, "verify_master")
@@ -154,7 +157,7 @@ class TestKernelGen:
         assert out == cli._dump_json({
             **ker.report.as_dict(), "schema": 1, "n": 4, "seed": 7,
             "spectrum": [float(v) for v in spec.pi],
-            "matrix": matrix_to_json(ker.mat)}) + "\n"
+            "matrix": matrix_to_json(ker.mat)})
 
     @pytest.mark.parametrize("argv", [
         ["--n", "1000000"],
@@ -569,12 +572,11 @@ class TestModuliScanStreaming:
         assert code == 0 and run(args + ["--out", str(path)], capsys)[0] == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
         text = path.read_text(encoding="utf-8")
+        assert out == text
         if fmt == "csv":
-            assert out == text and len(out.splitlines()) == self.N + 1
-        else:
-            # The streamed array has the bytes of one dump of the whole list;
-            # stdout ends with a newline, as every command's stdout does.
-            assert out == text + "\n" and text == cli._dump_json(json.loads(text))
+            assert len(out.splitlines()) == self.N + 1
+        else:  # the streamed array has the bytes of one dump of the whole list
+            assert text == cli._dump_json(json.loads(text))
             assert [item["record_index"] for item in json.loads(text)] == list(range(self.N))
 
     def test_out_to_a_device_is_written_in_place(self, capsys):
@@ -631,6 +633,85 @@ class TestOutputErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# Each command that takes --out, as argv without --out; {kernel} and {state} name input
+# files.  The kernel is composite, so every command exits 0.
+OUT_COMMANDS = {
+    "kernel-gen": ["kernel", "gen", "--n", "4", "--seed", "7"],
+    "kernel-verify": ["kernel", "verify", "{kernel}"],
+    "composite-verify": ["composite", "verify", "{kernel}", "--dims", "2x2"],
+    "wigner-eval": ["wigner", "eval", "{state}", "{kernel}"],
+    "reconstruct-json": ["reconstruct", "--n", "4", "--samples", "10,100"],
+    "reconstruct-csv": ["reconstruct", "--n", "4", "--samples", "10,100", "--format", "csv"],
+    "moduli-scan-csv": ["moduli", "scan", "--n", "5"],
+    "moduli-scan-json": ["moduli", "scan", "--n", "5", "--format", "json"],
+}
+
+
+def _out_argv(command: str, inputs: Path) -> list:
+    """The argv of OUT_COMMANDS[command], with its input files written to ``inputs``."""
+    inputs.mkdir()
+    comp = composite.make_composite_kernel(linalg.BipartiteDims(2, 2), 3)
+    files = {"kernel": write_matrix(inputs / "kernel.json", comp.mat),
+             "state": write_matrix(inputs / "state.json", linalg.random_density(4, 1).mat)}
+    return [arg.format(**files) for arg in OUT_COMMANDS[command]]
+
+
+def _limit_file_size():
+    """In the child: files may not grow past 16 bytes, and a write past it fails with EFBIG."""
+    import resource
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+class TestOutFile:
+    """Every command writes --out through one writer: the stdout bytes, replaced on success."""
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, command):
+        argv, path = _out_argv(command, tmp_path / "in"), tmp_path / "out.txt"
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "") and out.endswith("\n")
+        assert run(argv + ["--out", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+    def test_failed_write_keeps_the_old_file(self, tmp_path, command):
+        argv, out_dir = _out_argv(command, tmp_path / "in"), tmp_path / "out"
+        out_dir.mkdir()
+        path = out_dir / "out.txt"
+        path.write_text("old\n")
+        proc = run_fresh(argv + ["--out", str(path)], preexec_fn=_limit_file_size)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert [p.name for p in out_dir.iterdir()] == ["out.txt"]
+        assert path.read_text() == "old\n"
+
+    def test_target_mode(self, tmp_path, capsys, command):
+        argv, out_dir = _out_argv(command, tmp_path / "in"), tmp_path / "out"
+        out_dir.mkdir()
+        kept, new = out_dir / "kept.txt", out_dir / "new.txt"
+        kept.write_text("old\n")
+        kept.chmod(0o600)
+        for path in (kept, new):
+            assert run(argv + ["--out", str(path)], capsys)[0] == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert kept.read_bytes() == new.read_bytes() != b"old\n"
+
+    def test_stale_temporary_file_of_the_same_pid(self, tmp_path, capsys, command):
+        argv, out_dir = _out_argv(command, tmp_path / "in"), tmp_path / "out"
+        out_dir.mkdir()
+        path, stale = out_dir / "out.txt", out_dir / f"out.txt.{os.getpid()}.tmp"
+        stale.write_text("stale\n")
+        code, out, _ = run(argv, capsys)
+        assert run(argv + ["--out", str(path)], capsys) == (code, "", "")
+        assert path.read_text() == out and stale.read_text() == "stale\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [path.name, stale.name]
 
 
 class TestRuntimeDependencies:

@@ -1035,7 +1035,7 @@ class TestScanFormatting:
         csv.writer(want_csv, lineterminator="\n").writerows(
             [SCAN_CSV_COLUMNS] + [_reference_row(rec) for rec in records])
         want_json = json.dumps([_reference_json(rec) for rec in records], indent=2,
-                               sort_keys=True)
+                               sort_keys=True) + "\n"
         for writer, want in ((scan_to_csv, want_csv.getvalue()), (scan_to_json, want_json)):
             got = io.StringIO()
             writer(got, **kwargs)
