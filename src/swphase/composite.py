@@ -23,7 +23,6 @@ from .linalg import (
     BipartiteDims,
     DensityMatrix,
     as_complex_matrix,
-    kron,
     partial_trace,
     random_hermitian,
     _check_hermitian,
@@ -132,15 +131,30 @@ def fano_blocks(x, dims: BipartiteDims) -> FanoBlocks:
 
 
 def fano_blocks_compose(blocks: FanoBlocks) -> np.ndarray:
-    """Reassemble the matrix from its blocks."""
+    """Reassemble the matrix from its blocks.
+
+    The identity and local terms are placed on the indices where
+    I_A ⊗ I_B, X_A ⊗ I_B and I_A ⊗ X_B are nonzero (the diagonal, the n_b
+    strided slices ``[k::n_b, k::n_b]`` and the n_a diagonal blocks),
+    instead of being built as Kronecker products.  Every entry gets the
+    same factors added in the same order as the Kronecker formula
+    c (I_A ⊗ I_B)/sqrt(N) + X_A ⊗ I_B/sqrt(n_b) + I_A ⊗ X_B/sqrt(n_a) + corr
+    summed left to right, which is the condition for bit-identical output.
+    """
     dims = blocks.dims
-    fa = traceless_orthonormal_basis(dims.n_a)
-    fb = traceless_orthonormal_basis(dims.n_b)
-    ia = np.eye(dims.n_a) / np.sqrt(dims.n_a)
-    ib = np.eye(dims.n_b) / np.sqrt(dims.n_b)
-    m = blocks.identity_coeff * kron(ia, ib)
-    m += kron(np.einsum("a,aij->ij", blocks.local_a, fa), ib)
-    m += kron(ia, np.einsum("b,bij->ij", blocks.local_b, fb))
+    n_a, n_b = dims.n_a, dims.n_b
+    fa = traceless_orthonormal_basis(n_a)
+    fb = traceless_orthonormal_basis(n_b)
+    ia = 1.0 / np.sqrt(n_a)
+    ib = 1.0 / np.sqrt(n_b)
+    m = np.zeros((dims.total, dims.total), dtype=complex)
+    np.fill_diagonal(m, blocks.identity_coeff * (ia * ib))
+    x_a = np.einsum("a,aij->ij", blocks.local_a, fa) * ib
+    for k in range(n_b):
+        m[k::n_b, k::n_b] += x_a
+    x_b = ia * np.einsum("b,bij->ij", blocks.local_b, fb)
+    for i in range(n_a):
+        m[i * n_b:(i + 1) * n_b, i * n_b:(i + 1) * n_b] += x_b
     m += np.einsum("ab,aij,bkl->ikjl", blocks.corr, fa, fb).reshape(dims.total, dims.total)
     return m
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -71,12 +73,34 @@ class TestFanoBlocks:
         assert np.linalg.norm(fano_blocks_compose(blocks) - h) < 1e-12
 
     def test_round_trip(self):
-        for dims in (DIMS22, BipartiteDims(2, 3)):
-            for seed in range(50):
+        # 2x3 and 3x2 tell the strides n_a and n_b apart; 8x8 is the
+        # benchmark's tail op.
+        cases = [(DIMS22, 50), (BipartiteDims(2, 3), 50), (BipartiteDims(3, 2), 50), (BipartiteDims(8, 8), 3)]
+        for dims, n_seeds in cases:
+            for seed in range(n_seeds):
                 h = random_hermitian(dims.total, seed=seed)
                 blocks = fano_blocks(h, dims)
                 back = fano_blocks_compose(blocks)
                 assert np.linalg.norm(back - h) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0], ids=["pos", "neg", "zero"])
+    @pytest.mark.parametrize("na,nb", [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (8, 8)])
+    def test_compose_is_bitwise_the_kronecker_formula(self, na, nb, sign):
+        dims = BipartiteDims(na, nb)
+        drawn = fano_blocks(random_hermitian(dims.total, seed=na * 10 + nb), dims)
+        blocks = dataclasses.replace(drawn, identity_coeff=sign * abs(drawn.identity_coeff))
+        fa = traceless_orthonormal_basis(na)
+        fb = traceless_orthonormal_basis(nb)
+        ia = np.eye(na) / np.sqrt(na)
+        ib = np.eye(nb) / np.sqrt(nb)
+        want = blocks.identity_coeff * kron(ia, ib)
+        want += kron(np.einsum("a,aij->ij", blocks.local_a, fa), ib)
+        want += kron(ia, np.einsum("b,bij->ij", blocks.local_b, fb))
+        want += np.einsum("ab,aij,bkl->ikjl", blocks.corr, fa, fb).reshape(dims.total, dims.total)
+        got = fano_blocks_compose(blocks)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # The uint64 view tells signed zeros and last-bit differences apart.
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_pauli_coefficient_2x2(self):
         # (I + sigma_z ⊗ I)/4 on F_z = sigma_z / sqrt(2): tr(x (F_z ⊗ I)) / sqrt(2) = 1/2
