@@ -26,17 +26,32 @@ exp(x) = cos(|k|/2) I + sin(|k|/2)/(|k|/2) x (Rodrigues).  No factor of
 :func:`kak_element` needs an eigensolver.  The adjoint map is
 O = L^dagger (a kron conj(a)) L, with L the flattened generators.
 
+The ellipsoid matrices read only the 6x3 block of O that takes the torus
+(sigma_30, sigma_03, sigma_33 = diag(S[alpha])) to the six local products
+sigma_M: for g = exp(a) exp(a') its entries are
+(1/4) sum_j S[alpha, j] T[M, j] with T[M, j] = (g^dagger sigma_M g)[j, j].
+With p and p' the phases of the two planes, T is bilinear in the phase
+products conj(p) x p and conj(p') x p' with a constant 16 x 24 x 16
+coefficient array, so the 24 numbers T of a record give its quadric pair
+with neither g nor O built.  The scan pipeline takes its quadrics from this
+phase-bilinear form; they equal
+``ellipsoid_matrices(adjoint_matrix(abelian_factor(a, a')))`` to roundoff,
+and bit for bit at the origin.
+
 Batch axes
 ----------
 The abelian factor, the adjoint map and the ellipsoid matrices take a
 leading batch axis: parameters (..., 3) give factors (..., 4, 4), adjoint
 matrices (..., 15, 15) and a :class:`QuadricTriple` of stacks (..., 3, 3).
 Every check runs on every matrix of a stack and its error names the first
-failing stack index.  The scan's chunk pipeline runs these stages once per
-chunk of ``SCAN_CHUNK`` records for :func:`moduli_scan` and the writers
-:func:`scan_to_csv` and :func:`scan_to_json`; only the closed-form pencil
-matrices, the roots and the solver run record by record, and
-:func:`moduli_record` is the batch-of-one case of the same pipeline.
+failing stack index.  The scan's chunk pipeline builds the quadric pairs
+of a chunk of ``SCAN_CHUNK`` records at once, in the phase-bilinear form
+above, for :func:`moduli_scan` and the writers :func:`scan_to_csv` and
+:func:`scan_to_json`.  Its contractions run record by record inside one
+stacked product, so a record's bits do not depend on the chunk.  Only the
+closed-form pencil matrices, the roots and the solver run record by
+record in Python, and :func:`moduli_record` is the batch-of-one case of
+the same pipeline.
 
 Dependencies
 ------------
@@ -133,7 +148,26 @@ _PLANE_FRAMES_H = {plane: v.conj().T for plane, v in _PLANE_FRAMES.items()}
 # L and L^dagger of adjoint_matrix: column n of L is l_n flattened row-major.
 _LAMBDA_COLS = LAMBDA.reshape(15, 16).T.copy()
 _LAMBDA_ROWS_H = LAMBDA.reshape(15, 16).conj()
+
+
+def _phase_bilinear_constant() -> np.ndarray:
+    """The constant K of :func:`_abelian_quadrics`, shape (16, 24 * 16).
+
+    With V, V' the frames of A_PLANE and A_PRIME_PLANE, W = V'^dagger V and
+    N_M = V^dagger sigma_M V over the six local products M, the entry
+    [(r, s), (M, j, t, u)] is V'[j, r] conj(V'[j, s]) W[r, t] N_M[t, u] conj(W[s, u]).
+    """
+    v, vp = _PLANE_FRAMES[A_PLANE], _PLANE_FRAMES[A_PRIME_PLANE]
+    w = vp.conj().T @ v
+    n = v.conj().T @ SIGMA[list(LOCAL_A + LOCAL_B)] @ v
+    return np.einsum("jr,js,rt,Mtu,su->rsMjtu", vp, vp.conj(), w, n, w.conj()).reshape(16, 384)
+
+
+_PHASE_BILINEAR = _phase_bilinear_constant()
+# The torus signs S^T / 4: the adjoint block behind A and B is T @ _TORUS_COLUMNS.
+_TORUS_COLUMNS = _PLANE_SIGNS.T / 4.0
 for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _LAMBDA_COLS, _LAMBDA_ROWS_H,
+                _PHASE_BILINEAR, _TORUS_COLUMNS,
                 *_PLANE_FRAMES.values(), *_PLANE_FRAMES_H.values()):
     _shared.flags.writeable = False
 
@@ -344,10 +378,43 @@ def ellipsoid_matrices(o) -> QuadricTriple:
     om = np.asarray(o, dtype=float)
     if om.ndim < 2 or om.shape[-2:] != (15, 15):
         raise ValueError(f"expected a 15x15 adjoint matrix or a stack of them, got shape {om.shape}")
-    sub = om[_QUADRIC_BLOCKS].reshape(om.shape[:-2] + (2, 3, 3))
+    return _quadric_pair(om[_QUADRIC_BLOCKS].reshape(om.shape[:-2] + (2, 3, 3)))
+
+
+def _quadric_pair(sub: np.ndarray) -> QuadricTriple:
+    """A = (4/3) S_A^T S_A and B likewise, symmetrized, from blocks S stacked (..., 2, 3, 3)."""
     q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
     q = (q + q.swapaxes(-1, -2)) / 2.0
     return QuadricTriple(a=q[..., 0, :, :], b=q[..., 1, :, :])
+
+
+def _abelian_quadrics(params: np.ndarray) -> QuadricTriple:
+    """The quadric pairs of parameter rows (m, 6), a then a', in closed form.
+
+    Equal to ``ellipsoid_matrices(adjoint_matrix(abelian_factor(a, a')))`` to
+    roundoff, with neither the factor nor the adjoint map built (module
+    docstring): g = V diag(p) V^dagger V' diag(p') V'^dagger, so the diagonal
+    T[M, j] = (g^dagger sigma_M g)[j, j] is T = F' K F with the phase
+    products F = conj(p) x p, F' = conj(p') x p' and K of
+    :func:`_phase_bilinear_constant`, and S = T @ ``_TORUS_COLUMNS`` is the
+    adjoint block of :func:`ellipsoid_matrices`.  Each record is contracted
+    on its own, (1, 16) @ K then (24, 16) @ (16, 1), so its bits do not
+    depend on m; one GEMM over the stack would make them depend on it.
+    The checks are those of the adjoint route, on what is computed here:
+    finite parameters, phases of unit modulus (``input is not unitary``), a
+    real T, then every check of :class:`QuadricTriple`.
+    """
+    if not np.isfinite(params).all():
+        raise ValueError("abelian parameters must be finite")
+    m = len(params)
+    # An overflowing phase sum gives NaN phases, which the unitarity check reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.exp(0.5j * (params.reshape(m, 2, 3) @ _PLANE_SIGNS))
+    _check_each(~(np.abs(np.abs(p) - 1.0) <= DEFAULT_TOL).all(axis=(1, 2)), "input is not unitary")
+    f = (p.conj()[:, :, :, None] * p[:, :, None, :]).reshape(m, 2, 16)
+    t = (f[:, 1, None] @ _PHASE_BILINEAR).reshape(m, 24, 16) @ f[:, 0, :, None]
+    _check_each(np.abs(t.imag).max(axis=(1, 2)) > 1e-12, "local-by-torus block came out non-real")
+    return _quadric_pair((t.real.reshape(m, 6, 4) @ _TORUS_COLUMNS).reshape(m, 2, 3, 3))
 
 
 def _cholesky_congruence(a: list, c: list) -> list:
@@ -703,7 +770,7 @@ def _chunk_stages(params: np.ndarray, solve: bool) -> tuple:
     ``solved`` maps the records that the early exit of :func:`moduli_feasibility`
     (default level, run over the stack) does not settle to the solver's results.
     """
-    q = ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+    q = _abelian_quadrics(params)
     reachable = np.flatnonzero(_level_reachable(q, 1.0)).tolist() if solve else []
     return q, _pencil_roots(q), {k: moduli_feasibility(q[k]) for k in reachable}
 
@@ -743,9 +810,14 @@ def _chunk_records(start: int, params, q: QuadricTriple, roots: list, solved: di
 def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = True) -> ScanRecord:
     """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
 
-    ``solve=False`` skips the solver.  Both settings return equal records: at the
-    scan's level 1 the early exit of :func:`moduli_feasibility` settles every
-    record before a solve, because A + B <= (4/3) I.
+    The quadric pair comes from the phase-bilinear closed form (module
+    docstring) and equals ``ellipsoid_matrices(adjoint_matrix(abelian_factor(
+    a_params, a_prime_params)))`` to roundoff.  Parameters must be finite;
+    parameters whose phase sums overflow fail the unitarity check with a
+    ValueError and no warning.  ``solve=False`` skips the solver.  Both
+    settings return equal records: at the scan's level 1 the early exit of
+    :func:`moduli_feasibility` settles every record before a solve, because
+    A + B <= (4/3) I.
     """
     a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
     if a.shape != (3,) or ap.shape != (3,):
@@ -761,7 +833,9 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False)
     child i of SeedSequence(seed), so a record does not depend on ``n``;
     ``zero_params`` pins every draw to the origin.  The records come from
     the chunk pipeline (:func:`_scan_chunks`) and equal :func:`moduli_record`
-    bit for bit.  :func:`scan_to_csv` and :func:`scan_to_json` stream them.
+    bit for bit; their quadrics come from the phase-bilinear closed form and
+    equal the adjoint route of :func:`ellipsoid_matrices` to roundoff.
+    :func:`scan_to_csv` and :func:`scan_to_json` stream them.
     """
     return [rec for chunk in _scan_chunks(n, seed, ranges, zero_params)
             for rec in _chunk_records(*chunk)]

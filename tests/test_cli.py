@@ -534,8 +534,9 @@ class TestModuliScan:
         run(args + ["--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # 8e307,8.5e307: finite draws whose phase sums overflow fail the unitarity check.
     @pytest.mark.parametrize("ranges", ["-inf,inf", "-inf,0", "-1e308,1e308", "0,nan", "2,1",
-                                        "abc"])
+                                        "abc", "8e307,8.5e307"])
     def test_bad_ranges_exit_2_with_one_error_line(self, ranges):
         proc = run_fresh(["moduli", "scan", "--n", "2", f"--ranges={ranges}"])
         assert proc.returncode == 2
@@ -593,15 +594,15 @@ class TestModuliScanStreaming:
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_failure_after_the_first_chunk(self, tmp_path, capsys, monkeypatch, fmt, to_file):
         calls = []
-        original = twoqubit.ellipsoid_matrices
+        original = twoqubit._abelian_quadrics
 
-        def fail_on_second_chunk(o):
-            calls.append(len(o))
+        def fail_on_second_chunk(params):
+            calls.append(len(params))
             if len(calls) == 2:
                 raise ValueError("injected failure")
-            return original(o)
+            return original(params)
 
-        monkeypatch.setattr(twoqubit, "ellipsoid_matrices", fail_on_second_chunk)
+        monkeypatch.setattr(twoqubit, "_abelian_quadrics", fail_on_second_chunk)
         path = tmp_path / "scan.out"
         argv = ["moduli", "scan", "--n", str(self.N), "--format", fmt]
         code, out, err = run(argv + (["--out", str(path)] if to_file else []), capsys)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,8 +127,9 @@ class TestLambdaBasis:
                     "m,mab->ab", -np.einsum("ab,mba->m", c, span).real, span)
                 assert np.linalg.norm(c - proj) < 1e-13
 
-    @pytest.mark.parametrize("shared", [PAULI, SIGMA, LAMBDA, K_TWISTED],
-                             ids=["PAULI", "SIGMA", "LAMBDA", "K_TWISTED"])
+    @pytest.mark.parametrize("shared", [PAULI, SIGMA, LAMBDA, K_TWISTED,
+                                        twoqubit._PHASE_BILINEAR.reshape(16, 24, 16)],
+                             ids=["PAULI", "SIGMA", "LAMBDA", "K_TWISTED", "_PHASE_BILINEAR"])
     def test_shared_arrays_read_only(self, shared):
         before = shared.copy()
         with pytest.raises(ValueError, match="read-only"):
@@ -361,6 +363,78 @@ class TestEllipsoidMatrices:
             q = ellipsoid_matrices(adjoint_matrix(abelian_factor(chunk[:, :3], chunk[:, 3:])))
             worst = max(worst, np.linalg.eigvalsh(q.a + q.b)[:, -1].max())
         assert 4.0 / 3.0 - 1e-12 <= worst <= 4.0 / 3.0 + 1e-12
+
+
+def _adjoint_route(params):
+    """The quadrics of parameter rows (m, 6) through the factor and the 15x15 adjoint map."""
+    return ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+
+
+_QUADRIC_FIELDS = ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b")
+
+
+class TestPhaseBilinearQuadrics:
+    """The scan pipeline's closed-form quadrics against the adjoint route."""
+
+    @pytest.mark.parametrize("m", [1, 22, SCAN_CHUNK + 1])
+    def test_matches_the_adjoint_route(self, m):
+        params = np.random.default_rng(m).uniform(-np.pi, np.pi, (m, 6))
+        got, want = twoqubit._abelian_quadrics(params), _adjoint_route(params)
+        for name in ("a", "b", "eig_a", "eig_b", "eig_ab"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-14)
+        assert np.array_equal(got.rank_a, want.rank_a) and np.array_equal(got.rank_b, want.rank_b)
+
+    def test_matches_the_adjoint_route_on_the_grid(self):
+        # Rank-deficient records, shared null directions and touching conics.
+        index = np.arange(6 ** 6)
+        params = _GRID_VALUES[index[:, None] // 6 ** np.arange(6) % 6]
+        for chunk in np.split(params, 6):
+            got, want = twoqubit._abelian_quadrics(chunk), _adjoint_route(chunk)
+            np.testing.assert_allclose(got.a, want.a, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-14)
+            assert np.array_equal(got.rank_a, want.rank_a)
+            assert np.array_equal(got.rank_b, want.rank_b)
+
+    def test_bit_identical_at_zero_parameters(self):
+        params = np.zeros((3, 6))
+        got, want = twoqubit._abelian_quadrics(params), _adjoint_route(params)
+        for name in _QUADRIC_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        np.testing.assert_array_equal(got.a[0], np.diag([4.0 / 3.0, 0.0, 0.0]))
+
+    def test_record_bits_do_not_depend_on_the_batch(self):
+        params = np.random.default_rng(5).uniform(-np.pi, np.pi, (SCAN_CHUNK + 1, 6))
+        stack = twoqubit._abelian_quadrics(params)
+        for k in (0, 1, 21, SCAN_CHUNK):
+            single = twoqubit._abelian_quadrics(params[k:k + 1])
+            for name in _QUADRIC_FIELDS:
+                assert np.array_equal(getattr(stack[k], name), getattr(single, name)[0]), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    def test_rejects_non_finite(self, bad):
+        params = np.zeros((4, 6))
+        params[2, 4] = bad
+        with pytest.raises(ValueError, match=r"^abelian parameters must be finite$"):
+            twoqubit._abelian_quadrics(params)
+
+    def test_overflowing_phase_sums_fail_the_unitarity_check(self):
+        params = np.zeros((4, 6))
+        params[2, :3] = 8e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^input is not unitary at stack index \[2\]$"):
+                twoqubit._abelian_quadrics(params)
+            # Finite in each parameter, too large in the sum of a phase.
+            with pytest.raises(ValueError, match=r"^input is not unitary at stack index \[0\]$"):
+                moduli_record(0, [8e307] * 3, [8e307] * 3)
+
+    def test_non_real_block_raises(self, monkeypatch):
+        monkeypatch.setattr(twoqubit, "_PHASE_BILINEAR",
+                            twoqubit._PHASE_BILINEAR * np.exp(1e-9j))
+        params = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 6))
+        with pytest.raises(ValueError,
+                           match=r"^local-by-torus block came out non-real at stack index \[0\]$"):
+            twoqubit._abelian_quadrics(params)
 
 
 def _det_poly_roots(qa, qb):
