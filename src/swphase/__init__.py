@@ -21,7 +21,6 @@ from .linalg import (
 from .kernel import (
     KernelSpectrum,
     SWKernel,
-    covariance_check,
     kernel_from_spectrum,
     phase_space_norm_mc,
     reconstruct_exact,

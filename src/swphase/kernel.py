@@ -40,7 +40,6 @@ __all__ = [
     "reconstruct_mc",
     "phase_space_norm_mc",
     "verify_master",
-    "covariance_check",
 ]
 
 # The tolerance of every verdict on purities and reports (and the CLI's --tol);
@@ -224,18 +223,24 @@ def _spectrum_values(spec, n: int) -> np.ndarray:
 
 
 def _q_factors(a: np.ndarray) -> np.ndarray:
-    """Q factors of a stack (..., n, n) of full-rank matrices, A = Q R.
+    """Q factors of a stack (..., n, m), m <= n, of full-rank matrices, A = Q R with
+    Q of shape (..., n, m) (the reduced factorization).
 
-    Up to ``_GS_MAX_N`` the columns of ``a`` are orthonormalized in place by
-    classical Gram-Schmidt run twice, vectorized over the stack (CGS2: "twice
-    is enough", Giraud et al., Numer. Math. 101, 2005), and ``a`` is returned;
-    R then has a positive real diagonal.  Above it a new array holds the Q
-    of ``np.linalg.qr``, whose R diagonal carries arbitrary phases.
+    The row count n picks the method.  Up to ``_GS_MAX_N`` the columns of ``a``
+    are orthonormalized in place by classical Gram-Schmidt run twice, vectorized
+    over the stack (CGS2: "twice is enough", Giraud et al., Numer. Math. 101,
+    2005), and ``a`` is returned; R then has a positive real diagonal.  Above it
+    a new array holds the reduced Q of ``np.linalg.qr``, whose R diagonal
+    carries arbitrary phases.  Column j of Q depends on the first j + 1 columns
+    of ``a`` alone, so the Q of the first m columns is the first m columns of
+    the full one (for LAPACK, up to those phases).  :func:`_orbit_chunks`
+    passes m = n - 1: by completeness, sum_j u_j u_j^dagger = I, the last
+    column is fixed by the others in U D U^dagger, so it is never formed.
     """
-    n = a.shape[-1]
+    n, m = a.shape[-2:]
     if n > _GS_MAX_N:
         return np.linalg.qr(a)[0]
-    for j in range(n):
+    for j in range(m):
         v, q = a[..., j], a[..., :j]
         for _ in range(2 if j else 0):
             h = np.einsum("...ij,...i->...j", q, v.conj())  # conj(Q^dagger v)
@@ -257,16 +262,24 @@ def _orbit_chunks(n: int, spec, samples: int, seed):
     det = 1 fix of :func:`linalg.haar_unitaries`: all of them cancel in
     U D U^dagger, so none is applied (Mezzadri, math-ph/0609050, section 5).
 
+    The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
+    U D U^dagger = d_n I + U' diag(d_j - d_n) U'^dagger with U' the first
+    n - 1 columns.  Only the first n - 1 columns of each draw are
+    orthonormalized: the last column of Q is never formed.  Every sample still
+    draws all n^2 normals, so the stream is that of the full draw.
+
     Each yielded stack is a view of a buffer that the next chunk overwrites:
     a caller that keeps one past the next step must copy it.  The normals
-    and the complex stack go into buffers allocated once, and conj(U) into
-    the spent normals.  Up to ``_GS_MAX_N`` the orbit has a third buffer;
+    and the complex stack go into buffers allocated once, conj(U')
+    diag(d_j - d_n) into the spent normals, and d_n onto the orbit's
+    diagonal in place.  Up to ``_GS_MAX_N`` the orbit has a third buffer;
     above it the orbit goes into the spent complex stack, so a chunk holds
     no more than the Q and R that LAPACK allocates for it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     pi = _spectrum_values(spec, n)
+    shift = pi[:-1] - pi[-1]
     rng = np.random.default_rng(seed)
     step = min(samples, max(1, _MC_CHUNK_BYTES // (16 * n * n)))
     draw = np.empty((step, 2, n, n))
@@ -274,11 +287,13 @@ def _orbit_chunks(n: int, spec, samples: int, seed):
     orbit = np.empty_like(z) if n <= _GS_MAX_N else z
     for start in range(0, samples, step):
         k = min(step, samples - start)
-        u = _q_factors(_ginibre(n, rng, draw=draw[:k], out=z[:k]))
-        uc = draw[:k].reshape(k, 2 * n * n).view(complex).reshape(k, n, n)
+        u = _q_factors(_ginibre(n, rng, draw=draw[:k], out=z[:k])[..., :-1])
+        uc = draw[:k].reshape(-1).view(complex)[:k * n * (n - 1)].reshape(k, n, n - 1)
         np.conjugate(u, out=uc)
-        u *= pi
-        yield np.matmul(u, uc.swapaxes(-1, -2), out=orbit[:k])
+        uc *= shift  # contiguous, unlike a Gram-Schmidt U'
+        out = np.matmul(u, uc.swapaxes(-1, -2), out=orbit[:k])
+        out.reshape(k, n * n)[:, ::n + 1] += pi[-1]
+        yield out
 
 
 def haar_second_moment_coefficients(n: int, tr_delta: float, tr_delta_sq: float):
@@ -376,16 +391,3 @@ def verify_master(x, n: int, tol: float = PURITY_TOL) -> MasterReport:
         trace_residual=float(abs(tr.real - 1.0) + abs(tr.imag)),
         purity_residual=float(abs(purity.real - n) + abs(purity.imag)),
     )
-
-
-def covariance_check(delta: SWKernel, rho: DensityMatrix, u) -> float:
-    """Residual |tr(rho U Delta U†) - tr(U† rho U Delta)|.
-
-    Zero up to roundoff for any unitary: an executable witness that moving
-    the kernel along the orbit is the same as countermoving the state.
-    """
-    um = as_complex_matrix(u)
-    _check_unitary(um)
-    lhs = np.trace(rho.mat @ (um @ delta.mat @ um.conj().T))
-    rhs = np.trace((um.conj().T @ rho.mat @ um) @ delta.mat)
-    return float(abs(lhs - rhs))

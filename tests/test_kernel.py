@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swphase import kernel
-from swphase.linalg import _haar_from_rng, haar_unitaries, haar_unitary, random_density
+from swphase.linalg import _ginibre, _haar_from_rng, haar_unitaries, haar_unitary, random_density
 from swphase.kernel import (
     _GS_MAX_N,
     _MC_CHUNK_BYTES,
@@ -12,7 +12,6 @@ from swphase.kernel import (
     _q_factors,
     KernelSpectrum,
     SWKernel,
-    covariance_check,
     haar_second_moment_coefficients,
     kernel_from_spectrum,
     phase_space_norm_mc,
@@ -316,13 +315,14 @@ class TestOrbitChunks:
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
-    @pytest.mark.parametrize("n", [4, 32])
+    @pytest.mark.parametrize("n", [2, 4, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
-        # Three chunks and one sample.  Gram-Schmidt (n = 4) keeps the draw,
-        # the complex stack and the orbit in three reused buffers; LAPACK
-        # (n = 32) adds its Q, R and workspace.  Fresh stacks per chunk, or an
-        # orbit kept beside the next draw, take the peak past the bound.
-        bound = {4: 4.5, 32: 6.5}[n]
+        # Three chunks and one sample.  Gram-Schmidt (n = 2, one column, and
+        # n = 4) keeps the draw, the complex stack and the orbit in three
+        # reused buffers; LAPACK (n = 32) adds its Q, R and workspace.  Fresh
+        # stacks per chunk, or an orbit kept beside the next draw, take the
+        # peak past the bound.
+        bound = {2: 4.5, 4: 4.5, 32: 6.5}[n]
         rho = random_density(n, 1)
         spec = solve_kernel_spectrum(n, "random", seed=2)
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
@@ -338,20 +338,32 @@ class TestOrbitChunks:
     def test_q_factors_orthonormal_when_ill_conditioned(self, n):
         # Condition numbers 1, 1e4 and 1e8: one Gram-Schmidt pass loses
         # orthogonality as cond^2 * eps (4e-4 at n = 4, 3e-3 at n = 8 here);
-        # two passes keep it at eps.
+        # two passes keep it at eps.  Square, and n x (n - 1) as the orbit
+        # sampler takes it (cond 1 at n = 2, one column).
         assert n <= _GS_MAX_N
         u = haar_unitaries(n, 3, seed=n)
-        v = haar_unitaries(n, 3, seed=n + 100)
-        s = np.stack([np.geomspace(1.0, 10.0**-e, n) for e in (0, 4, 8)])
-        a = (u * s[:, None, :]) @ v
-        q = _q_factors(a.copy())
-        gram = q.conj().swapaxes(-1, -2) @ q
-        assert np.abs(gram - np.eye(n)).max() <= 1e-13
-        # Q R = A with R upper triangular and a positive real diagonal.
-        r = q.conj().swapaxes(-1, -2) @ a
-        assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(a).max()
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        assert np.all(d.real > 0) and np.abs(d.imag).max() <= 1e-13
+        for m in (n, n - 1):
+            v = haar_unitaries(m, 3, seed=n + 100)
+            s = np.stack([np.geomspace(1.0, 10.0**-e, m) for e in (0, 4, 8)])
+            a = (u[..., :m] * s[:, None, :]) @ v
+            q = _q_factors(a.copy())
+            assert q.shape == (3, n, m)
+            gram = q.conj().swapaxes(-1, -2) @ q
+            assert np.abs(gram - np.eye(m)).max() <= 1e-13
+            # Q R = A with R upper triangular and a positive real diagonal.
+            r = q.conj().swapaxes(-1, -2) @ a
+            assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(a).max()
+            d = np.diagonal(r, axis1=-2, axis2=-1)
+            assert np.all(d.real > 0) and np.abs(d.imag).max() <= 1e-13
+
+    def test_q_factors_lapack_reduced(self):
+        n = _GS_MAX_N + 1
+        a = _ginibre(n, np.random.default_rng(9), 3)[..., :-1]
+        q = _q_factors(a)
+        assert q.shape == (3, n, n - 1)
+        assert np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(n - 1)).max() <= 1e-13
+        # Q spans the columns of A: A = Q Q^dagger A.
+        assert np.abs(q @ (q.conj().swapaxes(-1, -2) @ a) - a).max() <= 1e-13 * np.abs(a).max()
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     def test_input_errors_shared(self, estimator):
@@ -385,19 +397,3 @@ class TestVerifyMaster:
         noise = noise / np.linalg.norm(noise)
         report = verify_master(ker.mat + 1e-6 * noise, 4)
         assert 1e-8 < report.trace_residual + report.purity_residual < 1e-4
-
-
-class TestCovariance:
-    def test_identity_exact_zero(self):
-        rho = random_density(4, 0)
-        ker = kernel_from_spectrum(solve_kernel_spectrum(4, "random", seed=1),
-                                   haar_unitary(4, 2))
-        assert covariance_check(ker, rho, np.eye(4)) == 0.0
-
-    def test_sweep(self):
-        rho = random_density(4, 3)
-        ker = kernel_from_spectrum(solve_kernel_spectrum(4, "random", seed=4),
-                                   haar_unitary(4, 5))
-        worst = max(covariance_check(ker, rho, haar_unitary(4, s))
-                    for s in range(1000))
-        assert worst < 1e-12

@@ -29,16 +29,14 @@ def _rand_complex(n, seed):
 
 
 def _unitarity_sites():
-    from swphase.kernel import covariance_check, kernel_from_spectrum, solve_kernel_spectrum
+    from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
     from swphase.twoqubit import adjoint_matrix, kernel_from_moduli
 
-    rho, spec = random_density(4, 0), solve_kernel_spectrum(4)
+    spec = solve_kernel_spectrum(4)
     return {
         "adjoint_matrix": adjoint_matrix,
         "kernel_from_moduli": lambda u: kernel_from_moduli(u, [0.0, 0.0, 1.0]),
         "kernel_from_spectrum": lambda u: kernel_from_spectrum(spec, u),
-        "covariance_check": lambda u: covariance_check(
-            kernel_from_spectrum(spec, np.eye(4)), rho, u),
     }
 
 
