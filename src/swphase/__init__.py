@@ -3,8 +3,9 @@
 Subpackages by concern: ``linalg`` (dense complex primitives), ``kernel``
 (elementary SW kernels and Wigner pairing), ``composite`` (bipartite
 admissibility and reduction), ``twoqubit`` (su(4) structure and the
-two-qubit moduli bundle), ``reports`` (two-qubit Fano block norms and the
-convention audit), ``cli`` (command-line front end).
+two-qubit moduli bundle), ``reports`` (two-qubit Fano block norms,
+isotropy dimensions and the convention audit), ``cli`` (command-line front
+end).
 """
 
 from .linalg import (
@@ -38,15 +39,13 @@ from .composite import (
     verify_composite_master,
 )
 from .twoqubit import (
-    adjoint_matrix,
+    abelian_quadrics,
     char_cubic_roots,
-    ellipsoid_matrices,
-    isotropy_dim,
     kak_element,
     kernel_from_moduli,
     moduli_feasibility,
     moduli_scan,
 )
-from .reports import convention_report
+from .reports import convention_report, isotropy_dim
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Research reports on two-qubit kernels: Fano block norms and the convention audit.
+"""Research reports on two-qubit kernels: Fano block norms, isotropy and the convention audit.
 
 These reports measure and print; the admissibility verdicts themselves come
 from the matrix-level checks of :mod:`swphase.composite`.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteDims, as_complex_matrix, haar_unitary
+from .linalg import BipartiteDims, as_complex_matrix, haar_unitary, _check_hermitian
 from .kernel import PURITY_TOL, kernel_from_spectrum, solve_kernel_spectrum, _residual_error
 from .composite import (
     block_norm_targets,
@@ -52,6 +52,7 @@ __all__ = [
     "twoqubit_constraint_values",
     "torus_factor_dependence",
     "cross_commutator_report",
+    "isotropy_dim",
     "convention_report",
 ]
 
@@ -209,6 +210,30 @@ def cross_commutator_report() -> dict:
         "weight_abelian_planes": weight(LAMBDA[list(A_PLANE + A_PRIME_PLANE)]),
         "weight_local": weight(LAMBDA[list(LOCAL_A + LOCAL_B)]),
     }
+
+
+_ISOTROPY_SPANS = {"lu_local": LAMBDA[list(LOCAL_A + LOCAL_B)], "full_su4": LAMBDA,
+                   "k_twisted": K_TWISTED}
+
+
+def isotropy_dim(delta, algebra: str = "lu_local") -> int:
+    """Dimension of the subalgebra commuting with a Hermitian matrix.
+
+    Builds X -> [X, delta] on the chosen generator span (6-dimensional
+    local block, full 15-dimensional algebra, or the twisted 6-dimensional
+    su(2)+su(2)) and counts singular values below 1e-9.  The orbit
+    (phase-space) dimension is dim(algebra) minus this number.
+    """
+    m = as_complex_matrix(delta)
+    if m.shape[0] != 4:
+        raise ValueError("expected a 4x4 matrix")
+    _check_hermitian(m)
+    gens = _ISOTROPY_SPANS.get(algebra)
+    if gens is None:
+        raise ValueError(f"algebra must be one of {tuple(_ISOTROPY_SPANS)}")
+    flat = (gens @ m - m @ gens).reshape(len(gens), -1)
+    svals = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), compute_uv=False)
+    return int(np.sum(svals < 1e-9))
 
 
 def convention_report(seed=0) -> dict:

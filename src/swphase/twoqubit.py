@@ -6,11 +6,11 @@ associated su(4) generator basis, splits it into two commuting su(2)
 triples, two abelian 3-planes and a maximal torus, and builds the
 machinery that turns the composite admissibility constraints into a bundle
 of a unit 2-sphere and two ellipsoids over the abelian group factor: the
-adjoint 15x15 rotation, the ellipsoid matrices, the roots of det(t A + B)
-from the symmetric-definite pencil (A, A + B), and a closed-form solver
-(conic pencil, line pairs) for the points where sphere and both ellipsoids
-meet.  The Fano block norms of a two-qubit kernel and the convention audit
-live in :mod:`swphase.reports`.
+ellipsoid matrices of each fibre, the roots of det(t A + B) from the
+symmetric-definite pencil (A, A + B), and a closed-form solver (conic
+pencil, line pairs) for the points where sphere and both ellipsoids meet.
+The Fano block norms of a two-qubit kernel, the isotropy dimension and the
+convention audit live in :mod:`swphase.reports`.
 
 Closed forms
 ------------
@@ -23,30 +23,28 @@ V^dagger with a +-1 sign table S.  The twisted block K_TWISTED is two
 commuting triples of pairwise anticommuting signed Pauli products, so
 x = sum_i k_i K_i over one triple squares to -(|k|/2)^2 I and
 exp(x) = cos(|k|/2) I + sin(|k|/2)/(|k|/2) x (Rodrigues).  No factor of
-:func:`kak_element` needs an eigensolver.  The adjoint map is
-O = L^dagger (a kron conj(a)) L, with L the flattened generators.
+:func:`kak_element` needs an eigensolver.
 
-The ellipsoid matrices read only the 6x3 block of O that takes the torus
-(sigma_30, sigma_03, sigma_33 = diag(S[alpha])) to the six local products
-sigma_M: for g = exp(a) exp(a') its entries are
-(1/4) sum_j S[alpha, j] T[M, j] with T[M, j] = (g^dagger sigma_M g)[j, j].
-With p and p' the phases of the two planes, T is bilinear in the phase
-products conj(p) x p and conj(p') x p' with a constant 16 x 24 x 16
-coefficient array, so the 24 numbers T of a record give its quadric pair
-with neither g nor O built.  The scan pipeline takes its quadrics from this
-phase-bilinear form; they equal
-``ellipsoid_matrices(adjoint_matrix(abelian_factor(a, a')))`` to roundoff,
-and bit for bit at the origin.
+The fibre over g = exp(a) exp(a') carries A = (4/3) S_A^T S_A and
+B = (4/3) S_B^T S_B, with S_A and S_B the blocks of the adjoint action
+O[m, n] = -tr(g l_n g^dagger l_m) that take the torus (sigma_30, sigma_03,
+sigma_33 = diag(S[alpha])) to the local products sigma_M of each qubit.
+Their entries are (1/4) sum_j S[alpha, j] T[M, j] with
+T[M, j] = (g^dagger sigma_M g)[j, j].  With p and p' the phases of the two
+planes, T is bilinear in the phase products conj(p) x p and conj(p') x p'
+with a constant 16 x 24 x 16 coefficient array, so
+:func:`abelian_quadrics` takes the 24 numbers T of a record to its quadric
+pair with neither g nor the 15x15 adjoint map built.
 
 Batch axes
 ----------
-The abelian factor, the adjoint map and the ellipsoid matrices take a
-leading batch axis: parameters (..., 3) give factors (..., 4, 4), adjoint
-matrices (..., 15, 15) and a :class:`QuadricTriple` of stacks (..., 3, 3).
-Every check runs on every matrix of a stack and its error names the first
-failing stack index.  The scan's chunk pipeline builds the quadric pairs
-of a chunk of ``SCAN_CHUNK`` records at once, in the phase-bilinear form
-above, for :func:`moduli_scan` and the writers :func:`scan_to_csv` and
+:func:`abelian_factor` and :func:`abelian_quadrics` take leading batch
+axes: parameters (..., 3) give factors (..., 4, 4) and a
+:class:`QuadricTriple` of stacks (..., 3, 3).  Every check runs on every
+record of a stack and its error names the first failing stack index.  The
+scan's chunk pipeline builds the quadric pairs of a chunk of
+``SCAN_CHUNK`` records in one :func:`abelian_quadrics` call, for
+:func:`moduli_scan` and the writers :func:`scan_to_csv` and
 :func:`scan_to_json`.  Its contractions run record by record inside one
 stacked product, so a record's bits do not depend on the chunk.  Only the
 closed-form pencil matrices, the roots and the solver run record by
@@ -75,7 +73,6 @@ from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
     _check_each,
-    _check_hermitian,
     _check_unitary,
     _frobenius,
 )
@@ -84,9 +81,9 @@ from .kernel import SWKernel, _orbit_kernel
 __all__ = [
     "KERNEL_COEFF", "SIGMA", "FANO_ORDER", "LAMBDA", "LOCAL_A", "LOCAL_B",
     "A_PLANE", "A_PRIME_PLANE", "TORUS", "K_TWISTED",
-    "KakElement", "abelian_factor", "kak_element", "adjoint_matrix",
-    "QuadricTriple", "ellipsoid_matrices", "char_cubic_roots", "kernel_from_moduli",
-    "FeasibilityResult", "MATRIX_LEVEL", "moduli_feasibility", "isotropy_dim",
+    "KakElement", "abelian_factor", "kak_element",
+    "QuadricTriple", "abelian_quadrics", "char_cubic_roots", "kernel_from_moduli",
+    "FeasibilityResult", "MATRIX_LEVEL", "moduli_feasibility",
     "ScanRecord", "SCAN_CHUNK", "moduli_record", "moduli_scan",
     "SCAN_CSV_COLUMNS", "scan_to_csv", "scan_to_json",
 ]
@@ -145,13 +142,10 @@ def _joint_frame(plane) -> np.ndarray:
 # The frame V of A_PLANE, A_PRIME_PLANE and TORUS (where V = I), and V^dagger.
 _PLANE_FRAMES = {plane: _joint_frame(plane) for plane in (A_PLANE, A_PRIME_PLANE, TORUS)}
 _PLANE_FRAMES_H = {plane: v.conj().T for plane, v in _PLANE_FRAMES.items()}
-# L and L^dagger of adjoint_matrix: column n of L is l_n flattened row-major.
-_LAMBDA_COLS = LAMBDA.reshape(15, 16).T.copy()
-_LAMBDA_ROWS_H = LAMBDA.reshape(15, 16).conj()
 
 
 def _phase_bilinear_constant() -> np.ndarray:
-    """The constant K of :func:`_abelian_quadrics`, shape (16, 24 * 16).
+    """The constant K of :func:`abelian_quadrics`, shape (16, 24 * 16).
 
     With V, V' the frames of A_PLANE and A_PRIME_PLANE, W = V'^dagger V and
     N_M = V^dagger sigma_M V over the six local products M, the entry
@@ -164,10 +158,9 @@ def _phase_bilinear_constant() -> np.ndarray:
 
 
 _PHASE_BILINEAR = _phase_bilinear_constant()
-# The torus signs S^T / 4: the adjoint block behind A and B is T @ _TORUS_COLUMNS.
+# The torus signs S^T / 4: the adjoint blocks behind A and B are T @ _TORUS_COLUMNS.
 _TORUS_COLUMNS = _PLANE_SIGNS.T / 4.0
-for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _LAMBDA_COLS, _LAMBDA_ROWS_H,
-                _PHASE_BILINEAR, _TORUS_COLUMNS,
+for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _PHASE_BILINEAR, _TORUS_COLUMNS,
                 *_PLANE_FRAMES.values(), *_PLANE_FRAMES_H.values()):
     _shared.flags.writeable = False
 
@@ -251,27 +244,6 @@ def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
     factor_t = _plane_exp(t_params, TORUS)
     return KakElement(k_params, a_params, a_prime_params, t_params,
                       factor_k, factor_a, factor_t)
-
-
-def adjoint_matrix(a) -> np.ndarray:
-    """Adjoint action of a unitary on the generator basis, as a real 15x15 matrix.
-
-    Entries O[m, n] = -tr(a l_n a^dagger l_m), i.e. column n holds the
-    coordinates of a l_n a^dagger, so coefficient vectors transform as
-    x -> O x and adjoint(a1 a2) = adjoint(a1) adjoint(a2).  O is orthogonal.
-    With L the 16x15 matrix whose columns are the flattened generators this
-    is O = L^dagger (a kron conj(a)) L: the first product is one GEMM over the
-    whole stack.  A stack of unitaries (..., 4, 4) gives a stack (..., 15, 15).
-    """
-    am = np.asarray(a, dtype=complex)
-    if am.ndim < 2 or am.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 unitary or a stack of them, got shape {am.shape}")
-    _check_unitary(am)
-    # Rows (..., i, l), columns (j, k): a[i, j] conj(a[l, k]).
-    kron = (am[..., :, None, :, None] * am.conj()[..., None, :, None, :]).reshape(-1, 16)
-    o = _LAMBDA_ROWS_H @ (kron @ _LAMBDA_COLS).reshape(am.shape[:-2] + (16, 15))
-    _check_each(np.abs(o.imag).max(axis=(-2, -1)) > 1e-12, "adjoint matrix came out non-real")
-    return o.real
 
 
 # Eigenvalue floor below which a quadric counts as rank-deficient (the
@@ -361,60 +333,48 @@ def _check_pair(bad: np.ndarray, message: str) -> None:
             _check_each(bad_k, f"{name} {message}")
 
 
-# The sub-blocks S of O behind A and B, stacked: local rows, torus columns.
-_QUADRIC_BLOCKS = (...,) + np.ix_(LOCAL_A + LOCAL_B, TORUS)
+def abelian_quadrics(a_params, a_prime_params) -> QuadricTriple:
+    """The quadric pair of the fibre over exp(a) exp(a'), batched, in closed form.
 
-
-def ellipsoid_matrices(o) -> QuadricTriple:
-    """Ellipsoid matrices from the adjoint rotation.
-
-    With S the sub-block of O taking torus coordinates (generator numbers
-    3, 6, 15, in that order) to the A-local coordinates (numbers 1..3),
-    A := (4/3) S^T S; B likewise over the B-local rows (numbers 4..6).
-    Entry [alpha, beta] is (4/3) times the A-local overlap of the rotated
-    torus directions alpha and beta.  A stack (..., 15, 15) gives a triple
-    of stacks (..., 3, 3).
+    Parameters of equal shape (..., 3) give a :class:`QuadricTriple` of
+    stacks (..., 3, 3); shape (3,) gives one pair.  A = (4/3) S_A^T S_A and
+    B = (4/3) S_B^T S_B, each symmetrized, where S is the local-by-torus
+    block of the adjoint action of g = V diag(p) V^dagger V' diag(p') V'^dagger
+    (module docstring): its diagonal T[M, j] = (g^dagger sigma_M g)[j, j] is
+    T = F' K F with the phase products F = conj(p) x p, F' = conj(p') x p'
+    and K of :func:`_phase_bilinear_constant`, and S = T @ ``_TORUS_COLUMNS``.
+    The factor is exactly the identity at the origin, and so is that block:
+    A = diag(4/3, 0, 0) and B = diag(0, 4/3, 0) bit for bit.  Each record
+    is contracted on its own, (1, 16) @ K then (24, 16) @ (16, 1), so its
+    bits do not depend on the batch; one GEMM over the stack would make
+    them depend on it.  Checked, in order: the shapes, finite parameters,
+    phases of unit modulus (``input is not unitary``, which also catches
+    phase sums that overflow, without a warning), a real T, then every check
+    of :class:`QuadricTriple`.
     """
-    om = np.asarray(o, dtype=float)
-    if om.ndim < 2 or om.shape[-2:] != (15, 15):
-        raise ValueError(f"expected a 15x15 adjoint matrix or a stack of them, got shape {om.shape}")
-    return _quadric_pair(om[_QUADRIC_BLOCKS].reshape(om.shape[:-2] + (2, 3, 3)))
-
-
-def _quadric_pair(sub: np.ndarray) -> QuadricTriple:
-    """A = (4/3) S_A^T S_A and B likewise, symmetrized, from blocks S stacked (..., 2, 3, 3)."""
-    q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
-    q = (q + q.swapaxes(-1, -2)) / 2.0
-    return QuadricTriple(a=q[..., 0, :, :], b=q[..., 1, :, :])
-
-
-def _abelian_quadrics(params: np.ndarray) -> QuadricTriple:
-    """The quadric pairs of parameter rows (m, 6), a then a', in closed form.
-
-    Equal to ``ellipsoid_matrices(adjoint_matrix(abelian_factor(a, a')))`` to
-    roundoff, with neither the factor nor the adjoint map built (module
-    docstring): g = V diag(p) V^dagger V' diag(p') V'^dagger, so the diagonal
-    T[M, j] = (g^dagger sigma_M g)[j, j] is T = F' K F with the phase
-    products F = conj(p) x p, F' = conj(p') x p' and K of
-    :func:`_phase_bilinear_constant`, and S = T @ ``_TORUS_COLUMNS`` is the
-    adjoint block of :func:`ellipsoid_matrices`.  Each record is contracted
-    on its own, (1, 16) @ K then (24, 16) @ (16, 1), so its bits do not
-    depend on m; one GEMM over the stack would make them depend on it.
-    The checks are those of the adjoint route, on what is computed here:
-    finite parameters, phases of unit modulus (``input is not unitary``), a
-    real T, then every check of :class:`QuadricTriple`.
-    """
+    a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
+    if a.shape != ap.shape or a.shape[-1:] != (3,):
+        raise ValueError(f"expected parameter stacks (..., 3) of equal shape, got {a.shape}"
+                         f" and {ap.shape}")
+    params = np.concatenate([a, ap], axis=-1)
     if not np.isfinite(params).all():
         raise ValueError("abelian parameters must be finite")
+    batch = a.shape[:-1]
+    params = params.reshape(-1, 2, 3)
     m = len(params)
     # An overflowing phase sum gives NaN phases, which the unitarity check reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.exp(0.5j * (params.reshape(m, 2, 3) @ _PLANE_SIGNS))
-    _check_each(~(np.abs(np.abs(p) - 1.0) <= DEFAULT_TOL).all(axis=(1, 2)), "input is not unitary")
+        p = np.exp(0.5j * (params @ _PLANE_SIGNS))
+    _check_each(~(np.abs(np.abs(p) - 1.0) <= DEFAULT_TOL).all(axis=(1, 2)).reshape(batch),
+                "input is not unitary")
     f = (p.conj()[:, :, :, None] * p[:, :, None, :]).reshape(m, 2, 16)
     t = (f[:, 1, None] @ _PHASE_BILINEAR).reshape(m, 24, 16) @ f[:, 0, :, None]
-    _check_each(np.abs(t.imag).max(axis=(1, 2)) > 1e-12, "local-by-torus block came out non-real")
-    return _quadric_pair((t.real.reshape(m, 6, 4) @ _TORUS_COLUMNS).reshape(m, 2, 3, 3))
+    _check_each((np.abs(t.imag).max(axis=(1, 2)) > 1e-12).reshape(batch),
+                "local-by-torus block came out non-real")
+    sub = (t.real.reshape(m, 6, 4) @ _TORUS_COLUMNS).reshape(m, 2, 3, 3)
+    q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
+    q = ((q + q.swapaxes(-1, -2)) / 2.0).reshape(batch + (2, 3, 3))
+    return QuadricTriple(a=q[..., 0, :, :], b=q[..., 1, :, :])
 
 
 def _cholesky_congruence(a: list, c: list) -> list:
@@ -715,30 +675,6 @@ def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return np.array(coeffs).reshape(-1, 3) @ basis
 
 
-_ISOTROPY_SPANS = {"lu_local": LAMBDA[list(LOCAL_A + LOCAL_B)], "full_su4": LAMBDA,
-                   "k_twisted": K_TWISTED}
-
-
-def isotropy_dim(delta, algebra: str = "lu_local") -> int:
-    """Dimension of the subalgebra commuting with a Hermitian matrix.
-
-    Builds X -> [X, delta] on the chosen generator span (6-dimensional
-    local block, full 15-dimensional algebra, or the twisted 6-dimensional
-    su(2)+su(2)) and counts singular values below 1e-9.  The orbit
-    (phase-space) dimension is dim(algebra) minus this number.
-    """
-    m = as_complex_matrix(delta)
-    if m.shape[0] != 4:
-        raise ValueError("expected a 4x4 matrix")
-    _check_hermitian(m)
-    gens = _ISOTROPY_SPANS.get(algebra)
-    if gens is None:
-        raise ValueError(f"algebra must be one of {tuple(_ISOTROPY_SPANS)}")
-    flat = (gens @ m - m @ gens).reshape(len(gens), -1)
-    svals = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), compute_uv=False)
-    return int(np.sum(svals < 1e-9))
-
-
 @dataclass(frozen=True, eq=False)
 class ScanRecord:
     """One moduli-scan draw: abelian parameters, quadrics, their pencil roots, solutions."""
@@ -770,7 +706,7 @@ def _chunk_stages(params: np.ndarray, solve: bool) -> tuple:
     ``solved`` maps the records that the early exit of :func:`moduli_feasibility`
     (default level, run over the stack) does not settle to the solver's results.
     """
-    q = _abelian_quadrics(params)
+    q = abelian_quadrics(params[:, :3], params[:, 3:])
     reachable = np.flatnonzero(_level_reachable(q, 1.0)).tolist() if solve else []
     return q, _pencil_roots(q), {k: moduli_feasibility(q[k]) for k in reachable}
 
@@ -810,14 +746,12 @@ def _chunk_records(start: int, params, q: QuadricTriple, roots: list, solved: di
 def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = True) -> ScanRecord:
     """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
 
-    The quadric pair comes from the phase-bilinear closed form (module
-    docstring) and equals ``ellipsoid_matrices(adjoint_matrix(abelian_factor(
-    a_params, a_prime_params)))`` to roundoff.  Parameters must be finite;
-    parameters whose phase sums overflow fail the unitarity check with a
-    ValueError and no warning.  ``solve=False`` skips the solver.  Both
-    settings return equal records: at the scan's level 1 the early exit of
-    :func:`moduli_feasibility` settles every record before a solve, because
-    A + B <= (4/3) I.
+    The quadric pair is that of :func:`abelian_quadrics` on the batch of one
+    record.  Parameters must be finite; parameters whose phase sums overflow
+    fail the unitarity check with a ValueError and no warning.
+    ``solve=False`` skips the solver.  Both settings return equal records:
+    at the scan's level 1 the early exit of :func:`moduli_feasibility`
+    settles every record before a solve, because A + B <= (4/3) I.
     """
     a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
     if a.shape != (3,) or ap.shape != (3,):
@@ -832,9 +766,9 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False)
     Record i draws its abelian parameters uniformly from ``ranges`` with
     child i of SeedSequence(seed), so a record does not depend on ``n``;
     ``zero_params`` pins every draw to the origin.  The records come from
-    the chunk pipeline (:func:`_scan_chunks`) and equal :func:`moduli_record`
-    bit for bit; their quadrics come from the phase-bilinear closed form and
-    equal the adjoint route of :func:`ellipsoid_matrices` to roundoff.
+    the chunk pipeline (:func:`_scan_chunks`), whose quadrics come from one
+    :func:`abelian_quadrics` call per chunk, and equal :func:`moduli_record`
+    bit for bit.
     :func:`scan_to_csv` and :func:`scan_to_json` stream them.
     """
     return [rec for chunk in _scan_chunks(n, seed, ranges, zero_params)

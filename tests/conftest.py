@@ -2,11 +2,16 @@
 
 Hypothesis runs under a derandomized profile: every run draws the same
 examples, so the suite stays reproducible and its time stays fixed, and no
-example database is written.
+example database is written.  The fixtures ``adjoint_oracle`` and
+``oracle_quadrics`` hold the one test-side reference of the quadric builder:
+the adjoint map and the ellipsoid pair written from their definition.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from swphase.twoqubit import LAMBDA, LOCAL_A, LOCAL_B, TORUS, QuadricTriple
 
 settings.register_profile("swphase", derandomize=True, database=None, deadline=None,
                           max_examples=50)
@@ -31,3 +36,34 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+
+def _adjoint_per_generator(g):
+    """O[..., m, n] = -tr(g l_n g^dagger l_m) over unitaries (..., 4, 4), one generator pair
+    at a time: column n holds the coordinates of g l_n g^dagger."""
+    rotated = g[..., None, :, :] @ LAMBDA @ g.conj().swapaxes(-1, -2)[..., None, :, :]
+    return -np.einsum("...nab,mba->...mn", rotated, LAMBDA, optimize=True).real
+
+
+def _quadrics_from_definition(g):
+    """A = (4/3) S_A^T S_A and B = (4/3) S_B^T S_B per unitary of a stack, where S_A (S_B)
+    holds the rows of the adjoint map for the local generators of qubit A (B) and its
+    columns for the torus."""
+    o = _adjoint_per_generator(g)[..., list(TORUS)]
+    s_a, s_b = o[..., list(LOCAL_A), :], o[..., list(LOCAL_B), :]
+    return QuadricTriple(a=(4.0 / 3.0) * s_a.swapaxes(-1, -2) @ s_a,
+                         b=(4.0 / 3.0) * s_b.swapaxes(-1, -2) @ s_b)
+
+
+@pytest.fixture(scope="session")
+def adjoint_oracle():
+    """adjoint_oracle(g): the adjoint map from its definition."""
+    return _adjoint_per_generator
+
+
+@pytest.fixture(scope="session")
+def oracle_quadrics():
+    """oracle_quadrics(g): the quadric pairs of a stack of unitaries from the definition,
+    the reference of twoqubit.abelian_quadrics, with which it shares no code."""
+    return _quadrics_from_definition

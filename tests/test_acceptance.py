@@ -41,11 +41,8 @@ from swphase.twoqubit import (
     MATRIX_LEVEL,
     TORUS,
     QuadricTriple,
-    abelian_factor,
-    adjoint_matrix,
+    abelian_quadrics,
     char_cubic_roots,
-    ellipsoid_matrices,
-    isotropy_dim,
     kernel_from_moduli,
     moduli_feasibility,
     moduli_record,
@@ -54,6 +51,7 @@ from swphase.twoqubit import (
 from swphase.reports import (
     convention_report,
     elementary_constraint_value,
+    isotropy_dim,
     twoqubit_constraint_values,
 )
 
@@ -73,13 +71,13 @@ def _report(number, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def quadric_batch():
-    """Parameters and ellipsoid matrices of 10^4 random abelian factors."""
+    """Parameters and ellipsoid matrices (abelian_quadrics) of 10^4 random abelian factors."""
     n_draws = 10_000
     rng = np.random.default_rng(606)
     a_params = rng.uniform(-np.pi, np.pi, (n_draws, 3))
     ap_params = rng.uniform(-np.pi, np.pi, (n_draws, 3))
-    quadrics = [ellipsoid_matrices(adjoint_matrix(abelian_factor(
-        a_params[lo:lo + 1000], ap_params[lo:lo + 1000]))) for lo in range(0, n_draws, 1000)]
+    quadrics = [abelian_quadrics(a_params[lo:lo + 1000], ap_params[lo:lo + 1000])
+                for lo in range(0, n_draws, 1000)]
     qa = np.concatenate([q.a for q in quadrics])
     qb = np.concatenate([q.b for q in quadrics])
     return a_params, ap_params, qa, qb
@@ -235,16 +233,28 @@ def test_criterion_07_lambda_basis_algebra():
             f"orthonormality, abelian blocks, closures: worst {worst:.2e} < 1e-13")
 
 
-def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
+def _plane_expm(params, plane):
+    """scipy's expm of the generator sums sum_k params[r, k] LAMBDA[plane[k]]."""
+    return scipy.linalg.expm(np.einsum("rk,kab->rab", params, LAMBDA[list(plane)]))
+
+
+def test_criterion_08_adjoint_and_ellipsoids(quadric_batch, adjoint_oracle, oracle_quadrics):
+    # The adjoint map and the quadrics from their definition (tests/conftest.py),
+    # on factors from scipy's expm: nothing here shares code with abelian_quadrics.
     rng = np.random.default_rng(17)
     params = rng.uniform(-np.pi, np.pi, (100, 2, 3))
-    el1 = scipy.linalg.expm(np.einsum("rk,kab->rab", params[:, 0], LAMBDA[list(A_PLANE)]))
-    el2 = scipy.linalg.expm(np.einsum("rk,kab->rab", params[:, 1], LAMBDA[list(A_PRIME_PLANE)]))
-    o1 = adjoint_matrix(el1)
-    o2 = adjoint_matrix(el2)
+    el1, el2 = _plane_expm(params[:, 0], A_PLANE), _plane_expm(params[:, 1], A_PRIME_PLANE)
+    o1 = adjoint_oracle(el1)
+    o2 = adjoint_oracle(el2)
     worst_orth = np.linalg.norm(o1 @ o1.transpose(0, 2, 1) - np.eye(15), axis=(1, 2)).max()
-    worst_hom = np.linalg.norm(adjoint_matrix(el1 @ el2) - o1 @ o2, axis=(1, 2)).max()
-    _, _, qa, qb = quadric_batch
+    worst_hom = np.linalg.norm(adjoint_oracle(el1 @ el2) - o1 @ o2, axis=(1, 2)).max()
+    a_params, ap_params, qa, qb = quadric_batch
+    worst_oracle = 0.0
+    for lo in range(0, len(qa), 1000):
+        want = oracle_quadrics(_plane_expm(a_params[lo:lo + 1000], A_PLANE)
+                               @ _plane_expm(ap_params[lo:lo + 1000], A_PRIME_PLANE))
+        worst_oracle = max(worst_oracle, np.abs(qa[lo:lo + 1000] - want.a).max(),
+                           np.abs(qb[lo:lo + 1000] - want.b).max())
     eig_a = np.linalg.eigvalsh(qa)
     eig_b = np.linalg.eigvalsh(qb)
     # A + B <= (4/3) I is why MATRIX_LEVEL is 4/15 and the unit level unreachable
@@ -253,13 +263,15 @@ def test_criterion_08_adjoint_and_ellipsoids(quadric_batch):
               and eig_a[:, -1].max() < 4.0 / 3.0 + 1e-12
               and eig_b[:, -1].max() < 4.0 / 3.0 + 1e-12
               and max_ab <= 4.0 / 3.0 + 1e-12)
-    q_ref = ellipsoid_matrices(np.eye(15))
+    q_ref = abelian_quadrics(np.zeros(3), np.zeros(3))
     ref_ok = (np.array_equal(q_ref.a, np.diag([4.0 / 3.0, 0.0, 0.0]))
               and np.array_equal(q_ref.b, np.diag([0.0, 4.0 / 3.0, 0.0])))
-    ok = worst_orth < 1e-12 and worst_hom < 1e-12 and psd_ok and ref_ok
+    ok = (worst_orth < 1e-12 and worst_hom < 1e-12 and worst_oracle <= 1e-14 and psd_ok
+          and ref_ok)
     _report(8, "adjoint rotation and ellipsoid window", ok,
             f"orthogonality {worst_orth:.2e}, homomorphism {worst_hom:.2e} < 1e-12"
-            f" on 100 factors; 0 <= A,B and A + B <= 4/3 (max {max_ab:.6f}) on 10^4"
+            f" on 100 factors; abelian_quadrics within {worst_oracle:.1e} <= 1e-14 of the"
+            f" definition, 0 <= A,B and A + B <= 4/3 (max {max_ab:.6f}) on 10^4"
             f" draws; identity reference"
             f" exact: {ref_ok}")
 

@@ -594,15 +594,15 @@ class TestModuliScanStreaming:
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_failure_after_the_first_chunk(self, tmp_path, capsys, monkeypatch, fmt, to_file):
         calls = []
-        original = twoqubit._abelian_quadrics
+        original = twoqubit.abelian_quadrics
 
-        def fail_on_second_chunk(params):
-            calls.append(len(params))
+        def fail_on_second_chunk(a_params, a_prime_params):
+            calls.append(len(a_params))
             if len(calls) == 2:
                 raise ValueError("injected failure")
-            return original(params)
+            return original(a_params, a_prime_params)
 
-        monkeypatch.setattr(twoqubit, "_abelian_quadrics", fail_on_second_chunk)
+        monkeypatch.setattr(twoqubit, "abelian_quadrics", fail_on_second_chunk)
         path = tmp_path / "scan.out"
         argv = ["moduli", "scan", "--n", str(self.N), "--format", fmt]
         code, out, err = run(argv + (["--out", str(path)] if to_file else []), capsys)

@@ -30,11 +30,10 @@ def _rand_complex(n, seed):
 
 def _unitarity_sites():
     from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
-    from swphase.twoqubit import adjoint_matrix, kernel_from_moduli
+    from swphase.twoqubit import kernel_from_moduli
 
     spec = solve_kernel_spectrum(4)
     return {
-        "adjoint_matrix": adjoint_matrix,
         "kernel_from_moduli": lambda u: kernel_from_moduli(u, [0.0, 0.0, 1.0]),
         "kernel_from_spectrum": lambda u: kernel_from_spectrum(spec, u),
     }
@@ -42,8 +41,7 @@ def _unitarity_sites():
 
 def _hermiticity_sites():
     from swphase.composite import fano_blocks
-    from swphase.reports import twoqubit_constraint_values
-    from swphase.twoqubit import isotropy_dim
+    from swphase.reports import isotropy_dim, twoqubit_constraint_values
 
     return {
         "twoqubit_constraint_values": twoqubit_constraint_values,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from swphase.linalg import BipartiteDims, haar_unitary, haar_unitaries, random_hermitian
+from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import (
     fano_blocks,
@@ -23,7 +23,6 @@ from swphase.twoqubit import (
     A_PRIME_PLANE,
     K_TWISTED,
     LAMBDA,
-    LOCAL_A,
     MATRIX_LEVEL,
     PAULI,
     SCAN_CHUNK,
@@ -32,10 +31,8 @@ from swphase.twoqubit import (
     TORUS,
     QuadricTriple,
     abelian_factor,
-    adjoint_matrix,
+    abelian_quadrics,
     char_cubic_roots,
-    ellipsoid_matrices,
-    isotropy_dim,
     kak_element,
     kernel_from_moduli,
     moduli_feasibility,
@@ -48,6 +45,7 @@ from swphase.reports import (
     convention_report,
     cross_commutator_report,
     elementary_constraint_value,
+    isotropy_dim,
     torus_factor_dependence,
     twoqubit_constraint_values,
 )
@@ -55,20 +53,22 @@ from swphase.reports import (
 DIMS22 = BipartiteDims(2, 2)
 
 
+def _random_params(seed):
+    """a then a', uniform in [-pi, pi)^3 each."""
+    return np.random.default_rng(seed).uniform(-np.pi, np.pi, (2, 3))
+
+
 def _random_abelian_factor(seed):
-    rng = np.random.default_rng(seed)
-    return abelian_factor(rng.uniform(-np.pi, np.pi, 3), rng.uniform(-np.pi, np.pi, 3))
+    return abelian_factor(*_random_params(seed))
+
+
+def _random_quadrics(seed):
+    return abelian_quadrics(*_random_params(seed))
 
 
 def _exp_generators(params, rows):
     """Independent reference: scipy expm of sum_i params[..., i] LAMBDA[rows[i]]."""
     return scipy.linalg.expm(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
-
-
-def _adjoint_per_generator(a):
-    """Reference adjoint map, one generator pair at a time: -tr(a l_n a^dagger l_m)."""
-    rotated = a[..., None, :, :] @ LAMBDA @ a.conj().swapaxes(-1, -2)[..., None, :, :]
-    return -np.einsum("...nab,mba->...mn", rotated, LAMBDA).real
 
 
 class TestLambdaBasis:
@@ -296,51 +296,15 @@ class TestKakElement:
             assert np.array_equal(v.conj().T @ SIGMA[row] @ v, np.diag(signs))
 
 
-class TestAdjointMatrix:
-    def test_identity(self):
-        np.testing.assert_array_equal(adjoint_matrix(np.eye(4)), np.eye(15))
-
-    def test_orthogonal(self):
-        for seed in range(100):
-            o = adjoint_matrix(haar_unitary(4, seed))
-            assert np.linalg.norm(o @ o.T - np.eye(15)) < 1e-12
-        stack = adjoint_matrix(haar_unitaries(4, 60, seed=7).reshape(3, 20, 4, 4))
-        assert stack.shape == (3, 20, 15, 15)
-        gram = stack @ stack.swapaxes(-1, -2)
-        assert np.linalg.norm(gram - np.eye(15), axis=(-2, -1)).max() < 1e-12
-
-    def test_homomorphism(self):
-        for seed in range(20):
-            u1 = haar_unitary(4, seed)
-            u2 = haar_unitary(4, seed + 500)
-            lhs = adjoint_matrix(u1 @ u2)
-            rhs = adjoint_matrix(u1) @ adjoint_matrix(u2)
-            assert np.linalg.norm(lhs - rhs) < 1e-12
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            adjoint_matrix(np.diag([1.0, 2.0, 1.0, 1.0]))
-
-    @pytest.mark.parametrize("shape", [(), (7,), (2, 5)], ids=str)
-    def test_matches_per_generator_formula(self, shape):
-        u = haar_unitaries(4, int(np.prod(shape)), seed=len(shape)).reshape(shape + (4, 4))
-        o = adjoint_matrix(u)
-        assert o.shape == shape + (15, 15)
-        np.testing.assert_allclose(o, _adjoint_per_generator(u), rtol=0, atol=1e-14)
-        abelian = _random_abelian_factor(3)
-        np.testing.assert_allclose(adjoint_matrix(abelian), _adjoint_per_generator(abelian),
-                                   rtol=0, atol=1e-14)
-
-
 class TestEllipsoidMatrices:
     def test_identity_reference_case(self):
-        q = ellipsoid_matrices(np.eye(15))
+        q = abelian_quadrics(np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(q.a, np.diag([4.0 / 3.0, 0.0, 0.0]))
         np.testing.assert_array_equal(q.b, np.diag([0.0, 4.0 / 3.0, 0.0]))
 
     def test_psd_window_and_trace_bound(self):
         for seed in range(200):
-            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed)))
+            q = _random_quadrics(seed)
             for m in (q.a, q.b):
                 w = np.linalg.eigvalsh(m)
                 assert w[0] > -1e-12
@@ -348,11 +312,10 @@ class TestEllipsoidMatrices:
                 assert np.trace(m) < 4.0 + 1e-12
 
     def test_symmetry_residual(self):
-        for seed in range(50):
-            o = adjoint_matrix(_random_abelian_factor(seed))
-            sub = o[np.ix_(LOCAL_A, TORUS)]
-            raw = (4.0 / 3.0) * sub.T @ sub
-            assert np.linalg.norm(raw - raw.T) < 1e-13
+        # symmetrized in the builder: exactly symmetric, not only within the 1e-13 check
+        q = abelian_quadrics(*np.random.default_rng(50).uniform(-np.pi, np.pi, (2, 50, 3)))
+        for m in (q.a, q.b):
+            assert np.array_equal(m, m.swapaxes(-1, -2))
 
     def test_sum_bound_on_the_grid(self):
         # A + B <= (4/3) I on all 6^6 grid records; the identity fibre attains it
@@ -360,70 +323,74 @@ class TestEllipsoidMatrices:
         params = _GRID_VALUES[index[:, None] // 6 ** np.arange(6) % 6]
         worst = 0.0
         for chunk in np.split(params, 6):
-            q = ellipsoid_matrices(adjoint_matrix(abelian_factor(chunk[:, :3], chunk[:, 3:])))
+            q = abelian_quadrics(chunk[:, :3], chunk[:, 3:])
             worst = max(worst, np.linalg.eigvalsh(q.a + q.b)[:, -1].max())
         assert 4.0 / 3.0 - 1e-12 <= worst <= 4.0 / 3.0 + 1e-12
-
-
-def _adjoint_route(params):
-    """The quadrics of parameter rows (m, 6) through the factor and the 15x15 adjoint map."""
-    return ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
 
 
 _QUADRIC_FIELDS = ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b")
 
 
 class TestPhaseBilinearQuadrics:
-    """The scan pipeline's closed-form quadrics against the adjoint route."""
+    """abelian_quadrics against the adjoint map from its definition (the oracle_quadrics fixture)."""
 
     @pytest.mark.parametrize("m", [1, 22, SCAN_CHUNK + 1])
-    def test_matches_the_adjoint_route(self, m):
+    def test_matches_the_adjoint_route(self, m, oracle_quadrics):
         params = np.random.default_rng(m).uniform(-np.pi, np.pi, (m, 6))
-        got, want = twoqubit._abelian_quadrics(params), _adjoint_route(params)
+        a, ap = params[:, :3], params[:, 3:]
+        got, want = abelian_quadrics(a, ap), oracle_quadrics(abelian_factor(a, ap))
         for name in ("a", "b", "eig_a", "eig_b", "eig_ab"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-14)
         assert np.array_equal(got.rank_a, want.rank_a) and np.array_equal(got.rank_b, want.rank_b)
 
-    def test_matches_the_adjoint_route_on_the_grid(self):
+    def test_matches_the_adjoint_route_on_the_grid(self, oracle_quadrics):
         # Rank-deficient records, shared null directions and touching conics.
         index = np.arange(6 ** 6)
         params = _GRID_VALUES[index[:, None] // 6 ** np.arange(6) % 6]
         for chunk in np.split(params, 6):
-            got, want = twoqubit._abelian_quadrics(chunk), _adjoint_route(chunk)
+            a, ap = chunk[:, :3], chunk[:, 3:]
+            got, want = abelian_quadrics(a, ap), oracle_quadrics(abelian_factor(a, ap))
             np.testing.assert_allclose(got.a, want.a, rtol=0, atol=1e-14)
             np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-14)
             assert np.array_equal(got.rank_a, want.rank_a)
             assert np.array_equal(got.rank_b, want.rank_b)
 
-    def test_bit_identical_at_zero_parameters(self):
-        params = np.zeros((3, 6))
-        got, want = twoqubit._abelian_quadrics(params), _adjoint_route(params)
+    def test_bit_identical_at_zero_parameters(self, oracle_quadrics):
+        zeros = np.zeros((3, 3))
+        got, want = abelian_quadrics(zeros, zeros), oracle_quadrics(abelian_factor(zeros, zeros))
         for name in _QUADRIC_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         np.testing.assert_array_equal(got.a[0], np.diag([4.0 / 3.0, 0.0, 0.0]))
 
     def test_record_bits_do_not_depend_on_the_batch(self):
         params = np.random.default_rng(5).uniform(-np.pi, np.pi, (SCAN_CHUNK + 1, 6))
-        stack = twoqubit._abelian_quadrics(params)
+        a, ap = params[:, :3], params[:, 3:]
+        stack = abelian_quadrics(a, ap)
         for k in (0, 1, 21, SCAN_CHUNK):
-            single = twoqubit._abelian_quadrics(params[k:k + 1])
+            single = abelian_quadrics(a[k:k + 1], ap[k:k + 1])
             for name in _QUADRIC_FIELDS:
                 assert np.array_equal(getattr(stack[k], name), getattr(single, name)[0]), name
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
     def test_rejects_non_finite(self, bad):
-        params = np.zeros((4, 6))
-        params[2, 4] = bad
+        a, ap = np.zeros((4, 3)), np.zeros((4, 3))
+        ap[2, 1] = bad
         with pytest.raises(ValueError, match=r"^abelian parameters must be finite$"):
-            twoqubit._abelian_quadrics(params)
+            abelian_quadrics(a, ap)
 
     def test_overflowing_phase_sums_fail_the_unitarity_check(self):
-        params = np.zeros((4, 6))
-        params[2, :3] = 8e307
+        a, ap = np.zeros((4, 3)), np.zeros((4, 3))
+        a[2] = 8e307
+        stacked = np.zeros((2, 5, 3))
+        stacked[1, 2] = 8e307
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^input is not unitary at stack index \[2\]$"):
-                twoqubit._abelian_quadrics(params)
+                abelian_quadrics(a, ap)
+            with pytest.raises(ValueError, match=r"^input is not unitary at stack index \[1, 2\]$"):
+                abelian_quadrics(stacked, np.zeros((2, 5, 3)))
+            with pytest.raises(ValueError, match=r"^input is not unitary$"):
+                abelian_quadrics(a[2], ap[2])
             # Finite in each parameter, too large in the sum of a phase.
             with pytest.raises(ValueError, match=r"^input is not unitary at stack index \[0\]$"):
                 moduli_record(0, [8e307] * 3, [8e307] * 3)
@@ -434,7 +401,7 @@ class TestPhaseBilinearQuadrics:
         params = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 6))
         with pytest.raises(ValueError,
                            match=r"^local-by-torus block came out non-real at stack index \[0\]$"):
-            twoqubit._abelian_quadrics(params)
+            abelian_quadrics(params[:, :3], params[:, 3:])
 
 
 def _det_poly_roots(qa, qb):
@@ -457,7 +424,7 @@ class TestCharCubicRoots:
 
     def test_cubic_path_matches_eigenvalue_path(self):
         for seed in range(30):
-            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 3000)))
+            q = _random_quadrics(seed + 3000)
             roots_ab = char_cubic_roots(q)
             gold_a = np.sort(_det_poly_roots(np.eye(3), q.a).real)
             np.testing.assert_allclose(np.sort(-q.eig_a), gold_a, atol=1e-10)
@@ -481,13 +448,12 @@ class TestCharCubicRoots:
     @pytest.mark.parametrize("a, a_prime", [((0, 1 / 2, 0), (1 / 2, 1 / 2, -1)),
                                             ((0, 1 / 2, 1 / 4), (1 / 2, 0, -1 / 2))])
     def test_singular_pencil_has_no_roots(self, a, a_prime):
-        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array(a),
-                                                             np.pi * np.array(a_prime))))
+        q = abelian_quadrics(np.pi * np.array(a), np.pi * np.array(a_prime))
         assert char_cubic_roots(q).shape == (0,)
         assert q.eig_ab[0] <= 1e-8
 
     def test_identity_fibre(self):
-        q = ellipsoid_matrices(np.eye(15))
+        q = abelian_quadrics(np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(np.sort(-q.eig_a), [-4.0 / 3.0, 0.0, 0.0], atol=1e-14)
         assert (q.rank_a, q.rank_b) == (1, 1)
         assert char_cubic_roots(q).shape == (0,)
@@ -496,7 +462,7 @@ class TestCharCubicRoots:
         # multiples of pi/4 and pi/2: many records share a null direction of A and B
         grid = np.pi * np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
         params = np.random.default_rng(15).choice(grid, size=(3000, 6))
-        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+        q = abelian_quadrics(params[:, :3], params[:, 3:])
         roots = [char_cubic_roots(q[k]) for k in range(len(params))]
         assert all(np.all(np.imag(r) == 0.0) and np.all(np.real(r) <= 0.0) for r in roots)
         # rank_A roots, none on a singular pencil
@@ -517,7 +483,7 @@ class TestCharCubicRoots:
 
     def test_negative_root_sweep(self):
         for seed in range(200):
-            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 7000)))
+            q = _random_quadrics(seed + 7000)
             if min(q.rank_a, q.rank_b) < 3:
                 continue
             assert (-q.eig_a).min() < -1e-9
@@ -569,7 +535,7 @@ class TestKernelFromModuli:
 
 class TestModuliFeasibility:
     def test_identity_case_empty(self):
-        result = moduli_feasibility(ellipsoid_matrices(np.eye(15)))
+        result = moduli_feasibility(abelian_quadrics(np.zeros(3), np.zeros(3)))
         assert result.solutions == []
         assert result.classification == "degenerate"
 
@@ -577,7 +543,7 @@ class TestModuliFeasibility:
         # sub-blocks of an orthogonal matrix: A + B <= (4/3) I, so the two
         # unit-level ellipsoid equations can never hold at once
         for seed in range(100):
-            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed)))
+            q = _random_quadrics(seed)
             top = np.linalg.eigvalsh(q.a + q.b)[-1]
             assert top <= 4.0 / 3.0 + 1e-12
             assert moduli_feasibility(q).solutions == []
@@ -601,8 +567,7 @@ class TestModuliFeasibility:
 
         found = 0
         for seed in range(12):
-            factor = _random_abelian_factor(seed)
-            q = ellipsoid_matrices(adjoint_matrix(factor))
+            factor, q = _random_abelian_factor(seed), _random_quadrics(seed)
             result = moduli_feasibility(q, level=MATRIX_LEVEL)
             for mu in result.solutions:
                 found += 1
@@ -628,7 +593,7 @@ class TestModuliFeasibility:
 
     def test_identity_fibre_matrix_level(self):
         # A = diag(4/3, 0, 0), B = diag(0, 4/3, 0): mu_1^2 = mu_2^2 = 1/5
-        q = ellipsoid_matrices(np.eye(15))
+        q = abelian_quadrics(np.zeros(3), np.zeros(3))
         sols = moduli_feasibility(q, level=MATRIX_LEVEL).solutions
         assert len(sols) == 8
         for mu in sols:
@@ -651,7 +616,7 @@ class TestModuliFeasibility:
     def test_exchange_gives_same_solutions_and_label(self):
         labels = set()
         for seed in range(60):
-            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 11_000)))
+            q = _random_quadrics(seed + 11_000)
             got = moduli_feasibility(q, level=MATRIX_LEVEL)
             swapped = moduli_feasibility(QuadricTriple(a=q.b, b=q.a), level=MATRIX_LEVEL)
             assert got.classification == swapped.classification
@@ -675,8 +640,7 @@ class TestModuliFeasibility:
         # point counts once.  Every record has solutions, exact to
         # roundoff, the last one too: a tangency whose Brickman margin is
         # +2.1e-11.
-        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array(a),
-                                                             np.pi * np.array(a_prime))))
+        q = abelian_quadrics(np.pi * np.array(a), np.pi * np.array(a_prime))
         assert min(q.rank_a, q.rank_b) < 3
         got = moduli_feasibility(q, level=level)
         assert got.classification == "degenerate"
@@ -692,8 +656,7 @@ class TestModuliFeasibility:
         # The double root comes out as one candidate whatever its last bits:
         # with two candidates about sqrt(eps) apart, around _DEDUP_TOL,
         # 1-ulp noise gave 4, 6 or 8 solutions here.
-        q = ellipsoid_matrices(adjoint_matrix(abelian_factor(np.pi * np.array([0, 0, 0.25]),
-                                                             np.pi * np.array([0, 0.25, 0]))))
+        q = abelian_quadrics(np.pi * np.array([0, 0, 0.25]), np.pi * np.array([0, 0.25, 0]))
         rng = np.random.default_rng(38)
         for _ in range(200):
             noisy = QuadricTriple(a=_ulp_noise(q.a, rng), b=_ulp_noise(q.b, rng))
@@ -701,7 +664,7 @@ class TestModuliFeasibility:
 
     def test_label_degenerate_on_identity_fibre(self):
         # rank 1/1 quadrics: degenerate even though 8 solutions exist
-        result = moduli_feasibility(ellipsoid_matrices(np.eye(15)), level=MATRIX_LEVEL)
+        result = moduli_feasibility(abelian_quadrics(np.zeros(3), np.zeros(3)), level=MATRIX_LEVEL)
         assert result.n_solutions == 8
         assert result.classification == "degenerate"
 
@@ -724,8 +687,7 @@ class TestModuliFeasibility:
         # tr((Tr_B D)^2) = 1/2 + (45/8) mu A mu^T, and the B twin
         rng = np.random.default_rng(17)
         for seed in range(25):
-            factor = _random_abelian_factor(seed + 4000)
-            q = ellipsoid_matrices(adjoint_matrix(factor))
+            factor, q = _random_abelian_factor(seed + 4000), _random_quadrics(seed + 4000)
             mu = rng.standard_normal(3)
             mu /= np.linalg.norm(mu)
             ker = kernel_from_moduli(factor, mu)
@@ -801,7 +763,7 @@ class TestSolverGuards:
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_level_must_be_positive_and_finite(self, level):
-        q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(3)))
+        q = _random_quadrics(3)
         with pytest.raises(ValueError, match="level must be positive and finite"):
             moduli_feasibility(q, level=level)
 
@@ -854,7 +816,7 @@ class TestSolverParity:
     def test_matches_qz_reference(self, level):
         labels = set()
         for seed in range(300):
-            q = ellipsoid_matrices(adjoint_matrix(_random_abelian_factor(seed + 30_000)))
+            q = _random_quadrics(seed + 30_000)
             got, want = moduli_feasibility(q, level=level), _qz_reference(q, level)
             assert got.n_solutions == len(want)
             if min(q.rank_a, q.rank_b) < 3:
@@ -877,7 +839,7 @@ def _grid_quadrics(n, seed):
     """The quadrics of n distinct grid records, drawn with a seed."""
     index = np.random.default_rng(seed).choice(6 ** 6, size=n, replace=False)
     params = _GRID_VALUES[index[:, None] // 6 ** np.arange(6) % 6]
-    return ellipsoid_matrices(adjoint_matrix(abelian_factor(params[:, :3], params[:, 3:])))
+    return abelian_quadrics(params[:, :3], params[:, 3:])
 
 
 def _dsygvd_roots(q):
@@ -990,7 +952,7 @@ class TestModuliScan:
         assert rec.n_solutions == 0
         np.testing.assert_array_equal(rec.quadrics.a, np.diag([4.0 / 3.0, 0, 0]))
 
-    def test_closed_form_change_is_roundoff(self):
+    def test_closed_form_change_is_roundoff(self, oracle_quadrics):
         # The closed-form front end against the eigensolver route it replaced
         # (the exponential of the generator sums, then the per-generator adjoint).
         # The roots are compared relative to the largest root of the record:
@@ -999,8 +961,7 @@ class TestModuliScan:
         records = moduli_scan(1000, 7)
         a = np.stack([rec.a_params for rec in records])
         ap = np.stack([rec.a_prime_params for rec in records])
-        ref = ellipsoid_matrices(_adjoint_per_generator(
-            _exp_generators(a, A_PLANE) @ _exp_generators(ap, A_PRIME_PLANE)))
+        ref = oracle_quadrics(_exp_generators(a, A_PLANE) @ _exp_generators(ap, A_PRIME_PLANE))
         for k, rec in enumerate(records):
             want, feas = ref[k], moduli_feasibility(ref[k])
             assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (want.rank_a, want.rank_b)
@@ -1189,25 +1150,37 @@ class TestBatchParity:
             _assert_same_record(got, want)
 
     def test_batched_stages_equal_single_calls(self):
-        rng = np.random.default_rng(12)
-        a, ap = rng.uniform(-np.pi, np.pi, (2, 6, 3))
-        factors = abelian_factor(a, ap)
-        adj = adjoint_matrix(factors)
-        quads = ellipsoid_matrices(adj)
-        assert factors.shape == (6, 4, 4) and adj.shape == (6, 15, 15)
-        assert quads.a.shape == quads.b.shape == (6, 3, 3) and quads.eig_a.shape == (6, 3)
-        for k in range(6):
-            assert np.array_equal(factors[k], abelian_factor(a[k], ap[k]))
-            assert np.array_equal(adj[k], adjoint_matrix(factors[k]))
-            single = ellipsoid_matrices(adj[k])
-            for name in ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b"):
-                assert np.array_equal(getattr(quads[k], name), getattr(single, name))
+        a, ap = np.random.default_rng(12).uniform(-np.pi, np.pi, (2, 10, 3))
+        flat_factors, flat_quads = abelian_factor(a, ap), abelian_quadrics(a, ap)
+        singles = [(abelian_factor(a[k], ap[k]), abelian_quadrics(a[k], ap[k])) for k in range(10)]
+        # Batch shapes (), (7,) and (2, 5): bit-equal to the flattened call and to one call per record.
+        for shape in ((), (7,), (2, 5)):
+            n = int(np.prod(shape))
+            sa, sap = a[:n].reshape(shape + (3,)), ap[:n].reshape(shape + (3,))
+            factors, quads = abelian_factor(sa, sap), abelian_quadrics(sa, sap)
+            assert factors.shape == shape + (4, 4)
+            assert quads.a.shape == quads.b.shape == shape + (3, 3)
+            assert quads.eig_a.shape == shape + (3,) and quads.rank_a.shape == shape
+            factors = factors.reshape(n, 4, 4)
+            assert np.array_equal(factors, flat_factors[:n])
+            for name in _QUADRIC_FIELDS:
+                field = getattr(quads, name)
+                field = field.reshape((n,) + field.shape[len(shape):])
+                assert np.array_equal(field, getattr(flat_quads, name)[:n]), (shape, name)
+                for k, (factor, single) in enumerate(singles[:n]):
+                    assert np.array_equal(factors[k], factor)
+                    assert np.array_equal(field[k], getattr(single, name)), (shape, name, k)
+        single = singles[0][1]
         # the one stacked eigensolver call gives the bits of a separate one on A + B
-        assert np.array_equal(quads.eig_ab, np.linalg.eigvalsh(quads.a + quads.b))
+        assert np.array_equal(flat_quads.eig_ab, np.linalg.eigvalsh(flat_quads.a + flat_quads.b))
         with pytest.raises(ValueError, match="one quadric pair"):
-            char_cubic_roots(quads)
+            char_cubic_roots(flat_quads)
         with pytest.raises(TypeError):
             single[0]
+        # a and a' must be stacks (..., 3) of one shape
+        for bad in ((a, ap[:4]), (a[0], ap), (a[:, :2], ap[:, :2]), (a.reshape(2, 5, 3), ap)):
+            with pytest.raises(ValueError, match=r"^expected parameter stacks \(\.\.\., 3\)"):
+                abelian_quadrics(*bad)
 
     def test_roots_computed_once_per_record(self, monkeypatch):
         # one batched roots call per scan chunk, none from the solver
@@ -1226,15 +1199,15 @@ class TestBatchParity:
         assert len(calls) == 3
 
     def test_non_unitary_factor_in_stack_raises(self):
-        stack = abelian_factor(*np.random.default_rng(1).uniform(-np.pi, np.pi, (2, 5, 3)))
-        stack[3] = stack[3] * (1.0 + 1e-9)
+        # A phase sum that overflows makes the factor of record 3 non-unitary.
+        a, ap = np.random.default_rng(1).uniform(-np.pi, np.pi, (2, 5, 3))
+        a[3] = 8e307
         with pytest.raises(ValueError, match=r"not unitary at stack index \[3\]"):
-            adjoint_matrix(stack)
-        adjoint_matrix(np.delete(stack, 3, axis=0))
+            abelian_quadrics(a, ap)
+        abelian_quadrics(np.delete(a, 3, axis=0), np.delete(ap, 3, axis=0))
 
     def test_non_symmetric_quadric_in_stack_raises(self):
-        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
-            *np.random.default_rng(2).uniform(-np.pi, np.pi, (2, 5, 3)))))
+        quads = abelian_quadrics(*np.random.default_rng(2).uniform(-np.pi, np.pi, (2, 5, 3)))
         a = quads.a.copy()
         a[2, 0, 1] += 1e-12
         with pytest.raises(ValueError, match=r"a is not symmetric at stack index \[2\]"):
@@ -1244,8 +1217,7 @@ class TestBatchParity:
         QuadricTriple(a=np.delete(a, 2, axis=0), b=np.delete(quads.b, 2, axis=0))
 
     def test_non_psd_quadric_in_stack_raises(self):
-        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
-            *np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 5, 3)))))
+        quads = abelian_quadrics(*np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 5, 3)))
         b = quads.b.copy()
         b[4] -= (np.linalg.eigvalsh(b[4])[0] + 1e-6) * np.eye(3)
         with pytest.raises(ValueError, match=r"b is not positive semidefinite at stack index \[4\]"):
@@ -1253,14 +1225,13 @@ class TestBatchParity:
         QuadricTriple(a=np.delete(quads.a, 4, axis=0), b=np.delete(b, 4, axis=0))
 
     def test_stack_shapes_must_match(self):
-        q = ellipsoid_matrices(np.eye(15))
+        q = abelian_quadrics(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="differ in shape"):
             QuadricTriple(a=np.stack([q.a, q.a]), b=q.b)
 
     @pytest.mark.parametrize("check", ["symmetric", "positive semidefinite"])
     def test_stacked_check_names_a_before_b(self, check):
-        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
-            *np.random.default_rng(4).uniform(-np.pi, np.pi, (2, 6, 3)))))
+        quads = abelian_quadrics(*np.random.default_rng(4).uniform(-np.pi, np.pi, (2, 6, 3)))
         a, b = quads.a.copy(), quads.b.copy()
         if check == "symmetric":
             a[3, 0, 1] += 1e-12
@@ -1284,8 +1255,7 @@ class TestBatchParity:
                 QuadricTriple(a=a, b=b)
 
     def test_non_finite_quadric_raises(self):
-        quads = ellipsoid_matrices(adjoint_matrix(abelian_factor(
-            *np.random.default_rng(5).uniform(-np.pi, np.pi, (2, 5, 3)))))
+        quads = abelian_quadrics(*np.random.default_rng(5).uniform(-np.pi, np.pi, (2, 5, 3)))
         for bad in (np.nan, np.inf, -np.inf):
             a = quads.a[0].copy()
             a[1, 1] = bad
