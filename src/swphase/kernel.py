@@ -24,7 +24,6 @@ from .linalg import (
     as_complex_matrix,
     hermiticity_defect,
     _check_unitary,
-    _ginibre,
 )
 
 __all__ = [
@@ -46,14 +45,18 @@ __all__ = [
 # algebraic identities (Hermiticity, unit trace) keep linalg.DEFAULT_TOL.
 PURITY_TOL = 1e-10
 
-# Bytes of one complex n x n stack per pass of the Monte-Carlo estimators.
-# It bounds their memory only: the sample stream does not depend on it.
+# Bytes of the complex (k, n, n) stack of one pass of the Monte-Carlo
+# estimators, which take k = _MC_CHUNK_BYTES // (16 n^2) samples a pass.  It
+# bounds their memory only: the sample stream does not depend on it.
 _MC_CHUNK_BYTES = 1 << 20
 
-# Largest n whose orbit sampler takes Q factors by Gram-Schmidt over the
-# stack instead of one LAPACK QR per matrix.  At one BLAS thread a 1 MiB
-# chunk of reconstruct_mc took 0.64x LAPACK's time at n = 4 and 0.88x at
-# n = 8, but 1.0-1.3x at n = 9 to 12 and 2.0x at n = 32.
+# Largest n whose orbit sampler orthonormalizes its frames by Gram-Schmidt
+# over the stack and contracts them with rho by two GEMMs per chunk instead
+# of one LAPACK QR and one orbit point per sample (_orbit_sums).  At one BLAS
+# thread, per 1 MiB chunk of n - 1 rows: the Q step took 2.5-3.3 ms by
+# Gram-Schmidt against 6.6-12 ms by LAPACK at n = 4, but 17-18 against
+# 4.9-8.6 ms at n = 32; the frame contraction took 1.1 ms against 2.8-3.7 ms
+# for the orbit points at n = 4, but 1.6 against 1.2 ms at n = 32.
 _GS_MAX_N = 8
 
 
@@ -223,77 +226,104 @@ def _spectrum_values(spec, n: int) -> np.ndarray:
 
 
 def _q_factors(a: np.ndarray) -> np.ndarray:
-    """Q factors of a stack (..., n, m), m <= n, of full-rank matrices, A = Q R with
-    Q of shape (..., n, m) (the reduced factorization).
+    """Orthonormalize the rows of a stack (..., m, n), m <= n, of full-rank row sets.
 
-    The row count n picks the method.  Up to ``_GS_MAX_N`` the columns of ``a``
-    are orthonormalized in place by classical Gram-Schmidt run twice, vectorized
-    over the stack (CGS2: "twice is enough", Giraud et al., Numer. Math. 101,
-    2005), and ``a`` is returned; R then has a positive real diagonal.  Above it
-    a new array holds the reduced Q of ``np.linalg.qr``, whose R diagonal
-    carries arbitrary phases.  Column j of Q depends on the first j + 1 columns
-    of ``a`` alone, so the Q of the first m columns is the first m columns of
-    the full one (for LAPACK, up to those phases).  :func:`_orbit_chunks`
-    passes m = n - 1: by completeness, sum_j u_j u_j^dagger = I, the last
-    column is fixed by the others in U D U^dagger, so it is never formed.
+    Row j of the result is the unit vector that Gram-Schmidt makes of rows
+    0..j (for LAPACK, up to a phase): with A the matrix whose columns are the
+    rows of ``a``, the rows of the result are the columns of the reduced Q of
+    A = Q R.  The row length
+    n picks the method.  Up to ``_GS_MAX_N`` the rows are orthonormalized in
+    place by classical Gram-Schmidt run twice, vectorized over the stack
+    (CGS2: "twice is enough", Giraud et al., Numer. Math. 101, 2005), and
+    ``a`` is returned; R then has a positive real diagonal, and each
+    matrix's bits do not depend on the rest of the stack.  Above it the
+    result is a transposed view of the reduced Q that ``np.linalg.qr``
+    returns for A (C-ordered as (..., n, m)), whose R diagonal carries
+    arbitrary phases.
     """
-    n, m = a.shape[-2:]
+    n = a.shape[-1]
     if n > _GS_MAX_N:
-        return np.linalg.qr(a)[0]
-    for j in range(m):
-        v, q = a[..., j], a[..., :j]
+        return np.linalg.qr(a.swapaxes(-1, -2))[0].swapaxes(-1, -2)
+    for j in range(a.shape[-2]):
+        v, q = a[..., j, :], a[..., :j, :]
         for _ in range(2 if j else 0):
-            h = np.einsum("...ij,...i->...j", q, v.conj())  # conj(Q^dagger v)
-            v -= np.einsum("...ij,...j->...i", q, np.conjugate(h, out=h))
+            h = np.einsum("...ji,...i->...j", q, v.conj())  # conj(Q^dagger v)
+            v -= np.einsum("...ji,...j->...i", q, np.conjugate(h, out=h))
         sq = np.einsum("...i,...i->...", v.real, v.real)
         sq += np.einsum("...i,...i->...", v.imag, v.imag)
         v /= np.sqrt(sq)[..., None]
     return a
 
 
-def _orbit_chunks(n: int, spec, samples: int, seed):
-    """Orbit points U D U^dagger for Haar U, in (k, n, n) stacks of at most ``_MC_CHUNK_BYTES``.
+def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float:
+    """Sum of the pairings w_k = tr(rho O_k) over Haar orbit points O_k = U_k D U_k^dagger;
+    given an (n, n) complex ``acc``, also add sum_k w_k O_k into it.
 
-    U is the Q factor (:func:`_q_factors`) of a complex Ginibre draw from the
-    stream that :func:`linalg.haar_unitaries` uses, which does not depend on
-    the chunk.  Up to ``_GS_MAX_N`` Gram-Schmidt gives R a positive diagonal,
-    so Q is Haar outright; above it, LAPACK's Q differs from that one by a
-    diagonal unitary on the right, and so do the 1/sqrt(2) scale and the
-    det = 1 fix of :func:`linalg.haar_unitaries`: all of them cancel in
-    U D U^dagger, so none is applied (Mezzadri, math-ph/0609050, section 5).
+    Each sample draws 2 n (n - 1) standard normals: the (re, im) pairs of the
+    first n - 1 columns of a complex Ginibre matrix G = U R, column j in row j
+    of a reused (k, n - 1, n) complex chunk, k = ``_MC_CHUNK_BYTES`` // (16 n^2).
+    A sample's normals are contiguous, so the stream does not depend on the
+    chunk.  The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
 
-    The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
-    U D U^dagger = d_n I + U' diag(d_j - d_n) U'^dagger with U' the first
-    n - 1 columns.  Only the first n - 1 columns of each draw are
-    orthonormalized: the last column of Q is never formed.  Every sample still
-    draws all n^2 normals, so the stream is that of the full draw.
+        O = d_n I + sum_{j<n} (d_j - d_n) u_j u_j^dagger,
 
-    Each yielded stack is a view of a buffer that the next chunk overwrites:
-    a caller that keeps one past the next step must copy it.  The normals
-    and the complex stack go into buffers allocated once, conj(U')
-    diag(d_j - d_n) into the spent normals, and d_n onto the orbit's
-    diagonal in place.  Up to ``_GS_MAX_N`` the orbit has a third buffer;
-    above it the orbit goes into the spent complex stack, so a chunk holds
-    no more than the Q and R that LAPACK allocates for it.
+    and the last column of G or U is never drawn or formed.  The phases of
+    diag R, the 1/sqrt(2) scale and the det = 1 fix of
+    :func:`linalg.haar_unitaries` all cancel in O, so none is applied
+    (Mezzadri, math-ph/0609050, section 5).
+
+    :func:`_q_factors` turns the chunk into frames F, which are contracted
+    one of two ways at the ``_GS_MAX_N`` cut.  Up to it no orbit point is
+    formed.  With the chunk's k (n - 1) frame rows as one matrix, the GEMM
+    P = F rho^T gives every u^dagger rho u, so w_k = d_n tr(rho) +
+    sum_j (d_j - d_n) u_kj^dagger rho u_kj; a second GEMM, F^T times
+    c * conj(F) with c_kj = w_k (d_j - d_n) written into P's buffer, gives
+    sum_k w_k O_k less d_n (sum_k w_k) I.  Above it the orbit stack of
+    U' diag(d_j - d_n) U'^dagger is formed, with conj(U') diag(d_j - d_n) in
+    the spent draw, and paired by two matrix-vector products on its (k, n^2)
+    view.  The two GEMMs cost 2 n^2 (n - 1) multiply-adds per sample, twice
+    the orbit stack's n^2 (n - 1), but avoid the per-matrix overhead of a
+    stacked matmul, which dominates at small n.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    n = rho.dim
     pi = _spectrum_values(spec, n)
     shift = pi[:-1] - pi[-1]
+    base = pi[-1] * np.trace(rho.mat).real
+    rho_t = rho.mat.T.copy()  # tr(rho O) = vec(O) . vec(rho^T)
     rng = np.random.default_rng(seed)
     step = min(samples, max(1, _MC_CHUNK_BYTES // (16 * n * n)))
-    draw = np.empty((step, 2, n, n))
-    z = np.empty((step, n, n), dtype=complex)
-    orbit = np.empty_like(z) if n <= _GS_MAX_N else z
+    draw = np.empty((step, n - 1, n), dtype=complex)
+    spare = np.empty(step * n * n, dtype=complex)  # P, or the orbit stack
+    total = 0.0
     for start in range(0, samples, step):
         k = min(step, samples - start)
-        u = _q_factors(_ginibre(n, rng, draw=draw[:k], out=z[:k])[..., :-1])
-        uc = draw[:k].reshape(-1).view(complex)[:k * n * (n - 1)].reshape(k, n, n - 1)
-        np.conjugate(u, out=uc)
-        uc *= shift  # contiguous, unlike a Gram-Schmidt U'
-        out = np.matmul(u, uc.swapaxes(-1, -2), out=orbit[:k])
-        out.reshape(k, n * n)[:, ::n + 1] += pi[-1]
-        yield out
+        g = draw[:k]
+        rng.standard_normal(out=g.view(float))
+        f = _q_factors(g)
+        if n <= _GS_MAX_N:
+            rows, p = f.reshape(-1, n), spare[:g.size].reshape(-1, n)
+            np.matmul(rows, rho_t, out=p)  # row (k, j): (rho u_kj)^T
+            # Re u^dagger rho u, as a dot product of the float views.
+            x = np.einsum("ij,ij->i", rows.view(float), p.view(float))
+            w = base + x.reshape(k, n - 1) @ shift
+            if acc is not None:
+                np.conjugate(rows, out=p)
+                p *= (w[:, None] * shift).reshape(-1, 1)
+                acc += rows.T @ p
+        else:
+            uc = np.conjugate(f, out=g)  # the draw is spent
+            uc *= shift[:, None]
+            orbit = spare[:k * n * n].reshape(k, n, n)
+            orbit = np.matmul(f.swapaxes(-1, -2), uc, out=orbit).reshape(k, n * n)
+            w = base + (orbit @ rho_t.reshape(-1)).real
+            if acc is not None:
+                acc += (w @ orbit).reshape(n, n)
+        total += w.sum()
+    if acc is not None:
+        acc.reshape(-1)[::n + 1] += pi[-1] * total
+    return total
 
 
 def haar_second_moment_coefficients(n: int, tr_delta: float, tr_delta_sq: float):
@@ -337,12 +367,9 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     sample stream does not depend on it.
     """
     n = rho.dim
-    vec = rho.mat.T.reshape(-1)  # tr(rho O) = vec(O) . vec(rho^T)
-    acc = np.zeros(n * n, dtype=complex)
-    for orbit in _orbit_chunks(n, spec, samples, seed):
-        flat = orbit.reshape(len(orbit), n * n)
-        acc += (flat @ vec).real @ flat
-    return n * acc.reshape(n, n) / samples
+    acc = np.zeros((n, n), dtype=complex)
+    _orbit_sums(rho, spec, samples, seed, acc)
+    return n * acc / samples
 
 
 def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed) -> float:
@@ -351,12 +378,7 @@ def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed) -> float:
     Estimates (N / samples) * sum_k tr(rho U_k D U_k†), which converges to
     tr(rho) = 1: the finite-norm axiom under the total-measure-N convention.
     """
-    n = rho.dim
-    vec = rho.mat.T.reshape(-1)
-    total = 0.0
-    for orbit in _orbit_chunks(n, spec, samples, seed):
-        total += (orbit.reshape(len(orbit), n * n) @ vec).real.sum()
-    return n * total / samples
+    return rho.dim * _orbit_sums(rho, spec, samples, seed) / samples
 
 
 @dataclass(frozen=True)

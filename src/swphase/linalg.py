@@ -181,20 +181,11 @@ def is_hermitian(x, tol: float = DEFAULT_TOL) -> bool:
     return hermiticity_defect(x) <= tol
 
 
-def _ginibre(n: int, rng: np.random.Generator, size: int | None = None, *,
-             draw: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Unscaled complex Ginibre matrices, batched when ``size`` is given.  Each is one
-    (2, n, n) draw, real part first, filled in C order: sample k does not depend on size.
-
-    A float ``draw`` buffer of shape (k, 2, n, n) takes the normals in place of a new
-    array (k samples, whatever ``size``), and a complex ``out`` stack of shape (k, n, n)
-    takes the result; both are overwritten.
-    """
-    if draw is None:
-        draw = rng.standard_normal((2, n, n) if size is None else (size, 2, n, n))
-    else:
-        rng.standard_normal(out=draw)
-    z = np.empty(draw.shape[:-3] + (n, n), dtype=complex) if out is None else out
+    (2, n, n) draw, real part first, filled in C order: sample k does not depend on size."""
+    draw = rng.standard_normal((2, n, n) if size is None else (size, 2, n, n))
+    z = np.empty(draw.shape[:-3] + (n, n), dtype=complex)
     z.real = draw[..., 0, :, :]
     z.imag = draw[..., 1, :, :]
     return z

@@ -700,13 +700,13 @@ class ScanRecord:
 SCAN_CHUNK = 256
 
 
-def _chunk_stages(params: np.ndarray, solve: bool) -> tuple:
-    """(quadrics, roots, solved) for parameter rows (m, 6), a then a', each stage once.
+def _chunk_stages(a: np.ndarray, ap: np.ndarray, solve: bool) -> tuple:
+    """(quadrics, roots, solved) for parameter stacks a and a' (m, 3), each stage once.
 
     ``solved`` maps the records that the early exit of :func:`moduli_feasibility`
     (default level, run over the stack) does not settle to the solver's results.
     """
-    q = abelian_quadrics(params[:, :3], params[:, 3:])
+    q = abelian_quadrics(a, ap)
     reachable = np.flatnonzero(_level_reachable(q, 1.0)).tolist() if solve else []
     return q, _pencil_roots(q), {k: moduli_feasibility(q[k]) for k in reachable}
 
@@ -732,13 +732,13 @@ def _scan_chunks(n: int, seed, ranges, zero_params: bool):
         else:
             params = np.array([np.random.default_rng(child).uniform(lo, hi, 6)
                                for child in parent.spawn(m)])
-        yield (start, params, *_chunk_stages(params, solve=True))
+        yield (start, params, *_chunk_stages(params[:, :3], params[:, 3:], solve=True))
 
 
-def _chunk_records(start: int, params, q: QuadricTriple, roots: list, solved: dict) -> list:
+def _chunk_records(start: int, a, ap, q: QuadricTriple, roots: list, solved: dict) -> list:
     """The :class:`ScanRecord` of each record of a chunk, numbered from ``start``."""
     unsolved = _scan_labels(q.rank_a, q.rank_b, [0] * len(roots))
-    return [ScanRecord(start + k, params[k, :3], params[k, 3:], q[k], np.array(row, dtype=float),
+    return [ScanRecord(start + k, a[k], ap[k], q[k], np.array(row, dtype=float),
                        solved.get(k, FeasibilityResult([], label)))
             for k, (row, label) in enumerate(zip(roots, unsolved))]
 
@@ -753,11 +753,12 @@ def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = Tru
     at the scan's level 1 the early exit of :func:`moduli_feasibility`
     settles every record before a solve, because A + B <= (4/3) I.
     """
-    a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
+    # Copies, so that the record does not share the caller's arrays.
+    a, ap = np.array(a_params, dtype=float), np.array(a_prime_params, dtype=float)
     if a.shape != (3,) or ap.shape != (3,):
         raise ValueError("expected parameter shapes (3,), (3,)")
-    params = np.concatenate([a, ap])[None]
-    return _chunk_records(record_index, params, *_chunk_stages(params, solve))[0]
+    a, ap = a[None], ap[None]
+    return _chunk_records(record_index, a, ap, *_chunk_stages(a, ap, solve))[0]
 
 
 def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False) -> list:
@@ -771,8 +772,8 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False)
     bit for bit.
     :func:`scan_to_csv` and :func:`scan_to_json` stream them.
     """
-    return [rec for chunk in _scan_chunks(n, seed, ranges, zero_params)
-            for rec in _chunk_records(*chunk)]
+    return [rec for start, params, *stages in _scan_chunks(n, seed, ranges, zero_params)
+            for rec in _chunk_records(start, params[:, :3], params[:, 3:], *stages)]
 
 
 SCAN_CSV_COLUMNS = (

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from swphase import kernel
-from swphase.linalg import _ginibre, _haar_from_rng, haar_unitaries, haar_unitary, random_density
+from swphase.linalg import _ginibre, haar_unitaries, haar_unitary, random_density
 from swphase.kernel import (
     _GS_MAX_N,
     _MC_CHUNK_BYTES,
-    _orbit_chunks,
     _q_factors,
     KernelSpectrum,
     SWKernel,
@@ -241,6 +240,28 @@ class TestReconstructExact:
         assert np.linalg.norm(rec - rho.mat) > 1e-3
 
 
+# The Haar error law of reconstruct_mc: each sample X_k = n w_k U_k D U_k^dagger
+# is unbiased with E|X_k|_F^2 = n^2 tr(rho^2), so E|rho_hat - rho|_F^2 =
+# (n^2 - 1) tr(rho^2) / S exactly (ROADMAP item 6), and r = err^2 / law has
+# mean 1.  With C the covariance of one sample, Var r = 2 tr(C^2) / tr(C)^2
+# + O(1/S) <= 2 + O(1/S) (measured 0.62, 0.14 and 0.03 at n = 2, 4 and 9,
+# S = 200).  The band on the mean of r over R seeded repeats is
+# LAW_Z * sqrt(2 / R): by the central limit theorem a sampler with the right
+# law leaves it with probability below 7e-6 per n.
+LAW_Z = 4.5
+LAW_REPEATS = 100
+
+
+def _law_deviation(n: int, samples: int) -> float:
+    """Mean of err^2 / law over LAW_REPEATS seeded runs, less 1, in units of the band."""
+    rho = random_density(n, 60 + n)
+    spec = solve_kernel_spectrum(n, "random", seed=70 + n)
+    law = (n * n - 1) * np.trace(rho.mat @ rho.mat).real / samples
+    err2 = [np.linalg.norm(reconstruct_mc(rho, spec, samples, seed=(80, n, k)) - rho.mat)**2
+            for k in range(LAW_REPEATS)]
+    return (np.mean(err2) / law - 1.0) / (LAW_Z * np.sqrt(2.0 / LAW_REPEATS))
+
+
 class TestReconstructMC:
     def test_single_sample_bit_reproducible(self):
         rho = random_density(4, 0)
@@ -257,6 +278,22 @@ class TestReconstructMC:
         err_large = np.linalg.norm(reconstruct_mc(rho, spec, 50_000, seed=5) - exact)
         assert err_large < err_small
 
+    # n = 2 and 4 take Gram-Schmidt frames, n = 9 LAPACK's.
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_error_follows_haar_law(self, n):
+        assert abs(_law_deviation(n, 200)) < 1.0
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_haar_law_rejects_a_real_draw(self, n, monkeypatch):
+        # A real Ginibre draw gives frames Haar on O(n), not U(n): against a
+        # complex rho the estimate is biased, and its error stops falling.
+        def real_frames(a):
+            a.imag = 0.0
+            return _q_factors(a)
+
+        monkeypatch.setattr(kernel, "_q_factors", real_frames)
+        assert _law_deviation(n, 200) > 1.0
+
     def test_norm_estimate(self):
         rho = random_density(4, 4)
         spec = solve_kernel_spectrum(4, "random", seed=5)
@@ -272,31 +309,48 @@ class TestOrbitChunks:
         (4, CHUNK_N4 + 7),
     ])
     def test_equals_haar_orbit(self, n, samples):
+        # Rebuild every sample from the documented draw: sample k's first n - 1
+        # Ginibre columns as (re, im) pairs, column j in row j.  An extra column
+        # makes G square, so the reference U D U^dagger takes all n columns of a
+        # LAPACK Q (whose diag R phases cancel in it) and not the completeness
+        # identity that the estimators use.
+        rho = random_density(n, n + 50)
         spec = solve_kernel_spectrum(n, "random", seed=n)
-        # Each stack is overwritten by the next one, so keep copies.
-        chunks = [c.copy() for c in _orbit_chunks(n, spec, samples, seed=17)]
-        assert sum(len(c) for c in chunks) == samples
-        assert max(c.nbytes for c in chunks) <= _MC_CHUNK_BYTES
-        rng = np.random.default_rng(17)
-        u = np.stack([_haar_from_rng(n, rng) for _ in range(samples)])
-        want = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
-        assert np.abs(np.concatenate(chunks) - want).max() < 1e-13
+        x = np.random.default_rng(17).standard_normal((samples, n - 1, n, 2))
+        last = np.random.default_rng(18).standard_normal((samples, n, 1, 2))
+        g = np.concatenate([(x[..., 0] + 1j * x[..., 1]).swapaxes(-1, -2),
+                            last[..., 0] + 1j * last[..., 1]], axis=-1)
+        u = np.linalg.qr(g)[0]
+        orbit = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
+        w = np.einsum("kij,ji->k", orbit, rho.mat).real
+        want = n * np.einsum("k,kij->ij", w, orbit) / samples
+        assert np.abs(reconstruct_mc(rho, spec, samples, seed=17) - want).max() < 1e-13
+        assert abs(phase_space_norm_mc(rho, spec, samples, seed=17) - n * w.sum() / samples) < 1e-13
 
     def test_stream_does_not_depend_on_chunk(self, monkeypatch):
         # One chunk, 64 samples a chunk (does not divide 1000), one sample a chunk.
         rho = random_density(4, 3)
         spec = solve_kernel_spectrum(4, "random", seed=4)
-        counts, orbits, estimates = [], [], []
+        counts, frames, estimates = [], [], []
         for chunk_bytes in (_MC_CHUNK_BYTES, 16 * 16 * 64 + 5, 1):
             monkeypatch.setattr(kernel, "_MC_CHUNK_BYTES", chunk_bytes)
-            chunks = [c.copy() for c in _orbit_chunks(4, spec, 1000, seed=8)]
-            counts.append(len(chunks))
-            orbits.append(np.concatenate(chunks))
+            chunks = []
+
+            def recording(a):
+                # Each chunk's frames overwrite the last ones, so keep copies.
+                q = _q_factors(a)
+                chunks.append(q.copy())
+                return q
+
+            monkeypatch.setattr(kernel, "_q_factors", recording)
             estimates.append((reconstruct_mc(rho, spec, 1000, seed=8),
                               phase_space_norm_mc(rho, spec, 1000, seed=8)))
+            counts.append(len(chunks) // 2)
+            frames.append(np.concatenate(chunks[:counts[-1]]))
+            assert np.array_equal(np.concatenate(chunks[counts[-1]:]), frames[-1])
         assert counts == [1, 16, 1000]
-        for orbit, (rec, norm) in zip(orbits[1:], estimates[1:]):
-            assert np.array_equal(orbit, orbits[0])
+        for frame, (rec, norm) in zip(frames[1:], estimates[1:]):
+            assert np.array_equal(frame, frames[0])
             assert np.abs(rec - estimates[0][0]).max() < 1e-14
             assert abs(norm - estimates[0][1]) < 1e-14
 
@@ -317,12 +371,13 @@ class TestOrbitChunks:
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     @pytest.mark.parametrize("n", [2, 4, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
-        # Three chunks and one sample.  Gram-Schmidt (n = 2, one column, and
-        # n = 4) keeps the draw, the complex stack and the orbit in three
-        # reused buffers; LAPACK (n = 32) adds its Q, R and workspace.  Fresh
-        # stacks per chunk, or an orbit kept beside the next draw, take the
-        # peak past the bound.
-        bound = {2: 4.5, 4: 4.5, 32: 6.5}[n]
+        # Three chunks and one sample.  Gram-Schmidt (n = 2, one row, and
+        # n = 4) keeps the draw and the frame product in two reused buffers
+        # and forms no orbit stack: one (k, n, n) stack more takes n = 4
+        # (2.5 chunks measured) past its bound.  LAPACK (n = 32) fills the
+        # second buffer with the orbit stack and adds its Q, R and input
+        # copy.  Fresh stacks per chunk take the peak past the bound.
+        bound = {2: 3.0, 4: 3.0, 32: 6.5}[n]
         rho = random_density(n, 1)
         spec = solve_kernel_spectrum(n, "random", seed=2)
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
@@ -338,32 +393,33 @@ class TestOrbitChunks:
     def test_q_factors_orthonormal_when_ill_conditioned(self, n):
         # Condition numbers 1, 1e4 and 1e8: one Gram-Schmidt pass loses
         # orthogonality as cond^2 * eps (4e-4 at n = 4, 3e-3 at n = 8 here);
-        # two passes keep it at eps.  Square, and n x (n - 1) as the orbit
-        # sampler takes it (cond 1 at n = 2, one column).
+        # two passes keep it at eps.  Square, and n - 1 rows of length n as the
+        # orbit sampler takes them (cond 1 at n = 2, one row).
         assert n <= _GS_MAX_N
         u = haar_unitaries(n, 3, seed=n)
         for m in (n, n - 1):
             v = haar_unitaries(m, 3, seed=n + 100)
             s = np.stack([np.geomspace(1.0, 10.0**-e, m) for e in (0, 4, 8)])
-            a = (u[..., :m] * s[:, None, :]) @ v
+            a = ((u[..., :m] * s[:, None, :]) @ v).swapaxes(-1, -2)  # rows: the columns of A
             q = _q_factors(a.copy())
-            assert q.shape == (3, n, m)
-            gram = q.conj().swapaxes(-1, -2) @ q
+            assert q.shape == (3, m, n)
+            gram = q.conj() @ q.swapaxes(-1, -2)
             assert np.abs(gram - np.eye(m)).max() <= 1e-13
-            # Q R = A with R upper triangular and a positive real diagonal.
-            r = q.conj().swapaxes(-1, -2) @ a
+            # A = Q R with R upper triangular and a positive real diagonal,
+            # Q and A the matrices whose columns are the rows of q and a.
+            r = q.conj() @ a.swapaxes(-1, -2)
             assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(a).max()
             d = np.diagonal(r, axis1=-2, axis2=-1)
             assert np.all(d.real > 0) and np.abs(d.imag).max() <= 1e-13
 
     def test_q_factors_lapack_reduced(self):
         n = _GS_MAX_N + 1
-        a = _ginibre(n, np.random.default_rng(9), 3)[..., :-1]
+        a = _ginibre(n, np.random.default_rng(9), 3)[..., :-1, :]
         q = _q_factors(a)
-        assert q.shape == (3, n, n - 1)
-        assert np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(n - 1)).max() <= 1e-13
-        # Q spans the columns of A: A = Q Q^dagger A.
-        assert np.abs(q @ (q.conj().swapaxes(-1, -2) @ a) - a).max() <= 1e-13 * np.abs(a).max()
+        assert q.shape == (3, n - 1, n)
+        assert np.abs(q.conj() @ q.swapaxes(-1, -2) - np.eye(n - 1)).max() <= 1e-13
+        # The rows of q span those of a: a = (a q^dagger) q.
+        assert np.abs((a @ q.conj().swapaxes(-1, -2)) @ q - a).max() <= 1e-13 * np.abs(a).max()
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     def test_input_errors_shared(self, estimator):

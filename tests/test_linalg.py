@@ -219,14 +219,6 @@ class TestGinibre:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_buffers_keep_the_stream(self):
-        n, k = 3, 5
-        draw, out = np.empty((k, 2, n, n)), np.empty((k, n, n), dtype=complex)
-        rng = np.random.default_rng(11)
-        got = np.concatenate([_ginibre(n, rng, draw=draw, out=out).copy(),
-                              _ginibre(n, rng, draw=draw[:2], out=out[:2]).copy()])
-        assert np.array_equal(got, _ginibre(n, np.random.default_rng(11), k + 2))
-
 
 class TestRandomDensity:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
