@@ -50,13 +50,13 @@ PURITY_TOL = 1e-10
 # bounds their memory only: the sample stream does not depend on it.
 _MC_CHUNK_BYTES = 1 << 20
 
-# Largest n whose orbit sampler orthonormalizes its frames by Gram-Schmidt
-# over the stack and contracts them with rho by two GEMMs per chunk instead
-# of one LAPACK QR and one orbit point per sample (_orbit_sums).  At one BLAS
-# thread, per 1 MiB chunk of n - 1 rows: the Q step took 2.5-3.3 ms by
-# Gram-Schmidt against 6.6-12 ms by LAPACK at n = 4, but 17-18 against
-# 4.9-8.6 ms at n = 32; the frame contraction took 1.1 ms against 2.8-3.7 ms
-# for the orbit points at n = 4, but 1.6 against 1.2 ms at n = 32.
+# Largest n whose orbit sampler orthonormalizes its frames by Gram-Schmidt on
+# sample-last planes and contracts them with rho by per-plane GEMMs, instead of
+# one LAPACK QR and one orbit point per sample (_orbit_sums).  At one BLAS
+# thread (2-vCPU Xeon), per 1 MiB chunk, planes against LAPACK: the Q step took
+# 2.1-2.3 against 3.2-5.0 ms at n = 8, 2.7-2.8 against 3.0-4.0 ms at n = 9 and
+# 4.4-5.5 against 2.7-4.0 ms at n = 12; the contraction 0.5-0.7 against
+# 0.6-0.9, 0.6 against 0.7-1.1 and 0.55 against 0.5-0.7 ms.
 _GS_MAX_N = 8
 
 
@@ -225,34 +225,50 @@ def _spectrum_values(spec, n: int) -> np.ndarray:
     return pi
 
 
-def _q_factors(a: np.ndarray) -> np.ndarray:
-    """Orthonormalize the rows of a stack (..., m, n), m <= n, of full-rank row sets.
+def _q_factors(t: np.ndarray) -> np.ndarray:
+    """Orthonormalize the frames in a sample-last stack of planes (m, n, k), m <= n.
 
-    Row j of the result is the unit vector that Gram-Schmidt makes of rows
-    0..j (for LAPACK, up to a phase): with A the matrix whose columns are the
-    rows of ``a``, the rows of the result are the columns of the reduced Q of
-    A = Q R.  The row length
-    n picks the method.  Up to ``_GS_MAX_N`` the rows are orthonormalized in
-    place by classical Gram-Schmidt run twice, vectorized over the stack
-    (CGS2: "twice is enough", Giraud et al., Numer. Math. 101, 2005), and
-    ``a`` is returned; R then has a positive real diagonal, and each
-    matrix's bits do not depend on the rest of the stack.  Above it the
-    result is a transposed view of the reduced Q that ``np.linalg.qr``
-    returns for A (C-ordered as (..., n, m)), whose R diagonal carries
+    ``t[j, i, s]`` is component i of row j of sample s, whose m rows are full
+    rank; the result holds, in the same layout, the columns of the reduced Q
+    of A = Q R, A the n x m matrix whose columns are the sample's rows.  The
+    row length n picks the method.  Up to ``_GS_MAX_N`` a C-contiguous ``t``
+    is orthonormalized in place and returned, by classical Gram-Schmidt run
+    twice (CGS2: "twice is enough", Giraud et al., Numer. Math. 101, 2005):
+    h_l = sum_i conj(q_l[i]) v[i] for each earlier row l, v[i] -= q_l[i] h_l,
+    then v is scaled by 1 / sqrt(sum_i re^2 + im^2).  Every complex product
+    is one call on two length-k vectors (over a size-1 sample axis numpy may
+    pick another loop, which rounds differently) and sums run over i in a
+    fixed order, so a sample's bits do not depend on k or on its place in
+    the stack; R has a positive real diagonal.  Above the cut the result is
+    a view of the reduced Q of ``np.linalg.qr``, whose R diagonal has
     arbitrary phases.
     """
-    n = a.shape[-1]
+    m, n = t.shape[:2]
     if n > _GS_MAX_N:
-        return np.linalg.qr(a.swapaxes(-1, -2))[0].swapaxes(-1, -2)
-    for j in range(a.shape[-2]):
-        v, q = a[..., j, :], a[..., :j, :]
+        return np.linalg.qr(t.transpose(2, 1, 0))[0].transpose(2, 1, 0)
+    cv = np.empty(t.shape[1:], dtype=complex)  # conj(v), then v's squared parts
+    h = np.empty((m,) + t.shape[2:], dtype=complex)
+    p = h[-1]  # products; h_l is kept for l < j <= m - 1 only
+    for j, v in enumerate(t):
         for _ in range(2 if j else 0):
-            h = np.einsum("...ji,...i->...j", q, v.conj())  # conj(Q^dagger v)
-            v -= np.einsum("...ji,...j->...i", q, np.conjugate(h, out=h))
-        sq = np.einsum("...i,...i->...", v.real, v.real)
-        sq += np.einsum("...i,...i->...", v.imag, v.imag)
-        v /= np.sqrt(sq)[..., None]
-    return a
+            np.conjugate(v, out=cv)
+            for q, hl in zip(t[:j], h):  # conj(h_l) = sum_i q_l[i] conj(v[i])
+                np.multiply(q[0], cv[0], out=hl)
+                for i in range(1, n):
+                    hl += np.multiply(q[i], cv[i], out=p)
+            np.conjugate(h[:j], out=h[:j])
+            for q, hl in zip(t[:j], h):  # v -= q_l h_l
+                for i in range(n):
+                    v[i] -= np.multiply(q[i], hl, out=p)
+        sq = np.square(v.view(float), out=cv.view(float))
+        s = sq[0, 0::2] + sq[0, 1::2]
+        for i in range(1, n):
+            s += sq[i, 0::2]
+            s += sq[i, 1::2]
+        np.divide(1.0, np.sqrt(s, out=s), out=s)
+        v.real *= s
+        v.imag *= s
+    return t
 
 
 def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float:
@@ -272,18 +288,17 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     :func:`linalg.haar_unitaries` all cancel in O, so none is applied
     (Mezzadri, math-ph/0609050, section 5).
 
-    :func:`_q_factors` turns the chunk into frames F, which are contracted
-    one of two ways at the ``_GS_MAX_N`` cut.  Up to it no orbit point is
-    formed.  With the chunk's k (n - 1) frame rows as one matrix, the GEMM
-    P = F rho^T gives every u^dagger rho u, so w_k = d_n tr(rho) +
-    sum_j (d_j - d_n) u_kj^dagger rho u_kj; a second GEMM, F^T times
-    c * conj(F) with c_kj = w_k (d_j - d_n) written into P's buffer, gives
-    sum_k w_k O_k less d_n (sum_k w_k) I.  Above it the orbit stack of
-    U' diag(d_j - d_n) U'^dagger is formed, with conj(U') diag(d_j - d_n) in
-    the spent draw, and paired by two matrix-vector products on its (k, n^2)
-    view.  The two GEMMs cost 2 n^2 (n - 1) multiply-adds per sample, twice
-    the orbit stack's n^2 (n - 1), but avoid the per-matrix overhead of a
-    stacked matmul, which dominates at small n.
+    :func:`_q_factors` turns the chunk into frames, which are contracted
+    one of two ways at the ``_GS_MAX_N`` cut.  Up to it the chunk is copied
+    once into reused sample-last planes U_j (n, k), one per frame row j, and
+    no orbit point is formed: one GEMM per plane, P_j = rho U_j, written into
+    the spent draw, gives x_j = Re sum_i conj(U_j[i]) P_j[i] = u_j^dagger rho u_j
+    for every sample, so w = d_n tr(rho) + sum_j (d_j - d_n) x_j; then
+    C_j = conj(U_j) w (d_j - d_n), in the same buffer, and one GEMM per plane
+    adds sum_j U_j C_j^T, which is sum_k w_k O_k less d_n (sum_k w_k) I.
+    Above it the orbit stack of U' diag(d_j - d_n) U'^dagger is formed, with
+    conj(U') diag(d_j - d_n) in the spent draw, and paired by two
+    matrix-vector products on its (k, n^2) view.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -291,33 +306,40 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     pi = _spectrum_values(spec, n)
     shift = pi[:-1] - pi[-1]
     base = pi[-1] * np.trace(rho.mat).real
-    rho_t = rho.mat.T.copy()  # tr(rho O) = vec(O) . vec(rho^T)
+    rho_t = rho.mat.T.reshape(-1)  # tr(rho O) = vec(O) . vec(rho^T)
     rng = np.random.default_rng(seed)
     step = min(samples, max(1, _MC_CHUNK_BYTES // (16 * n * n)))
     draw = np.empty((step, n - 1, n), dtype=complex)
-    spare = np.empty(step * n * n, dtype=complex)  # P, or the orbit stack
+    spare = np.empty(draw.size if n <= _GS_MAX_N else step * n * n,
+                     dtype=complex)  # the planes, or the orbit stack
     total = 0.0
     for start in range(0, samples, step):
         k = min(step, samples - start)
         g = draw[:k]
         rng.standard_normal(out=g.view(float))
-        f = _q_factors(g)
         if n <= _GS_MAX_N:
-            rows, p = f.reshape(-1, n), spare[:g.size].reshape(-1, n)
-            np.matmul(rows, rho_t, out=p)  # row (k, j): (rho u_kj)^T
-            # Re u^dagger rho u, as a dot product of the float views.
-            x = np.einsum("ij,ij->i", rows.view(float), p.view(float))
-            w = base + x.reshape(k, n - 1) @ shift
+            u = spare[:g.size].reshape(n - 1, n, k)
+            np.copyto(u, g.transpose(1, 2, 0))
+            u = _q_factors(u)
+            p = np.matmul(rho.mat, u, out=g.reshape(n - 1, n, k))  # the draw is spent
+            # x_j = Re sum_i conj(U_j[i]) P_j[i], summed from the float views.
+            pf = np.multiply(p.view(float), u.view(float), out=p.view(float))
+            x = pf[:, 0, 0::2] + pf[:, 0, 1::2]
+            for i in range(1, n):
+                x += pf[:, i, 0::2]
+                x += pf[:, i, 1::2]
+            w = base + shift @ x
             if acc is not None:
-                np.conjugate(rows, out=p)
-                p *= (w[:, None] * shift).reshape(-1, 1)
-                acc += rows.T @ p
+                np.conjugate(u, out=p)
+                p *= (shift[:, None] * w)[:, None, :]
+                acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
         else:
+            f = _q_factors(g.transpose(1, 2, 0)).transpose(2, 0, 1)
             uc = np.conjugate(f, out=g)  # the draw is spent
             uc *= shift[:, None]
             orbit = spare[:k * n * n].reshape(k, n, n)
             orbit = np.matmul(f.swapaxes(-1, -2), uc, out=orbit).reshape(k, n * n)
-            w = base + (orbit @ rho_t.reshape(-1)).real
+            w = base + (orbit @ rho_t).real
             if acc is not None:
                 acc += (w @ orbit).reshape(n, n)
         total += w.sum()

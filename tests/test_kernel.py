@@ -327,12 +327,14 @@ class TestOrbitChunks:
         assert np.abs(reconstruct_mc(rho, spec, samples, seed=17) - want).max() < 1e-13
         assert abs(phase_space_norm_mc(rho, spec, samples, seed=17) - n * w.sum() / samples) < 1e-13
 
-    def test_stream_does_not_depend_on_chunk(self, monkeypatch):
+    # Gram-Schmidt planes at n = 2, 4 and 8 (one, three and seven rows), LAPACK at 9.
+    @pytest.mark.parametrize("n", [2, 4, _GS_MAX_N, _GS_MAX_N + 1])
+    def test_stream_does_not_depend_on_chunk(self, n, monkeypatch):
         # One chunk, 64 samples a chunk (does not divide 1000), one sample a chunk.
-        rho = random_density(4, 3)
-        spec = solve_kernel_spectrum(4, "random", seed=4)
+        rho = random_density(n, 3)
+        spec = solve_kernel_spectrum(n, "random", seed=4)
         counts, frames, estimates = [], [], []
-        for chunk_bytes in (_MC_CHUNK_BYTES, 16 * 16 * 64 + 5, 1):
+        for chunk_bytes in (16 * n * n * 1000, 16 * n * n * 64 + 5, 1):
             monkeypatch.setattr(kernel, "_MC_CHUNK_BYTES", chunk_bytes)
             chunks = []
 
@@ -346,8 +348,9 @@ class TestOrbitChunks:
             estimates.append((reconstruct_mc(rho, spec, 1000, seed=8),
                               phase_space_norm_mc(rho, spec, 1000, seed=8)))
             counts.append(len(chunks) // 2)
-            frames.append(np.concatenate(chunks[:counts[-1]]))
-            assert np.array_equal(np.concatenate(chunks[counts[-1]:]), frames[-1])
+            # Frames are sample-last planes: join the chunks along the sample axis.
+            frames.append(np.concatenate(chunks[:counts[-1]], axis=-1))
+            assert np.array_equal(np.concatenate(chunks[counts[-1]:], axis=-1), frames[-1])
         assert counts == [1, 16, 1000]
         for frame, (rec, norm) in zip(frames[1:], estimates[1:]):
             assert np.array_equal(frame, frames[0])
@@ -369,15 +372,16 @@ class TestOrbitChunks:
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
-    @pytest.mark.parametrize("n", [2, 4, 32])
+    @pytest.mark.parametrize("n", [2, 3, 4, _GS_MAX_N, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
-        # Three chunks and one sample.  Gram-Schmidt (n = 2, one row, and
-        # n = 4) keeps the draw and the frame product in two reused buffers
-        # and forms no orbit stack: one (k, n, n) stack more takes n = 4
-        # (2.5 chunks measured) past its bound.  LAPACK (n = 32) fills the
-        # second buffer with the orbit stack and adds its Q, R and input
-        # copy.  Fresh stacks per chunk take the peak past the bound.
-        bound = {2: 3.0, 4: 3.0, 32: 6.5}[n]
+        # Three chunks and one sample.  Gram-Schmidt (n = 2, one row, up to
+        # n = 8, seven rows) keeps the draw and its planes in two reused
+        # buffers, the per-plane products in the spent draw, and forms no
+        # orbit stack (2.1-2.2 chunks measured): one (k, n, n) stack more
+        # takes it past its bound.  LAPACK (n = 32) fills the second buffer
+        # with the orbit stack and adds its Q, R and input copy.  Fresh
+        # stacks per chunk take the peak past the bound.
+        bound = {2: 3.0, 3: 3.0, 4: 3.0, _GS_MAX_N: 3.0, 32: 6.5}[n]
         rho = random_density(n, 1)
         spec = solve_kernel_spectrum(n, "random", seed=2)
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
@@ -401,7 +405,8 @@ class TestOrbitChunks:
             v = haar_unitaries(m, 3, seed=n + 100)
             s = np.stack([np.geomspace(1.0, 10.0**-e, m) for e in (0, 4, 8)])
             a = ((u[..., :m] * s[:, None, :]) @ v).swapaxes(-1, -2)  # rows: the columns of A
-            q = _q_factors(a.copy())
+            # Feed and read sample-last planes (m, n, 3).
+            q = _q_factors(a.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
             assert q.shape == (3, m, n)
             gram = q.conj() @ q.swapaxes(-1, -2)
             assert np.abs(gram - np.eye(m)).max() <= 1e-13
@@ -415,7 +420,7 @@ class TestOrbitChunks:
     def test_q_factors_lapack_reduced(self):
         n = _GS_MAX_N + 1
         a = _ginibre(n, np.random.default_rng(9), 3)[..., :-1, :]
-        q = _q_factors(a)
+        q = _q_factors(a.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert q.shape == (3, n - 1, n)
         assert np.abs(q.conj() @ q.swapaxes(-1, -2) - np.eye(n - 1)).max() <= 1e-13
         # The rows of q span those of a: a = (a q^dagger) q.
