@@ -76,7 +76,7 @@ print("=" * 72)
 print("4. What fails if the moment conditions fail")
 print("=" * 72)
 
-report = verify_master(np.eye(n) / n, n)
+report = verify_master(np.eye(n) / n)
 print(f"\nI/N as a kernel candidate: trace residual {report.trace_residual:.1e}, "
       f"purity residual {report.purity_residual:.3f}")
 print("The maximally mixed operator has the right trace but nowhere near")

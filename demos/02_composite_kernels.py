@@ -76,7 +76,7 @@ from swphase.kernel import SWKernel
 from swphase.composite import CompositeKernel
 from swphase.linalg import DensityMatrix
 
-product = CompositeKernel(SWKernel(kron(ka.mat, kb.mat), 4), dims)
+product = CompositeKernel(SWKernel(kron(ka.mat, kb.mat)), dims)
 rho_prod = DensityMatrix(kron(rho_a.mat, rho_b.mat))
 print(f"\nproduct state with product kernel factorizes: "
       f"{subsystem_wigner(rho_prod, product, 'A'):.9f} vs "

@@ -98,7 +98,7 @@ print("=" * 72)
 print("4. Solving the sphere + two ellipsoids system")
 print("=" * 72)
 
-res_unit = moduli_feasibility(q)
+res_unit = moduli_feasibility(q, level=1.0)
 print(f"\nat the quoted unit level: {res_unit.n_solutions} solutions")
 print("That is not an accident of this fibre: A + B <= (4/3) I makes the")
 print("two unit-level equations unsatisfiable together, at every fibre.")

@@ -190,12 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = kernel_sub.add_parser("gen", help="generate a random kernel")
     p_gen.add_argument("--n", type=int, required=True, help="system dimension")
     p_gen.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-    p_gen.add_argument("--composite", action="store_true",
-                       help="draw a composite-admissible kernel")
     p_gen.add_argument("--dims", type=_parse_dims, default=None,
-                       help="bipartition AxB (required with --composite, refused without)")
+                       help="bipartition AxB: draw a kernel admissible for it")
     p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--format", choices=["json"], default="json")
     p_gen.set_defaults(handler=_cmd_kernel_gen)
 
     p_ver = kernel_sub.add_parser("verify", help="verify a kernel matrix file")
@@ -236,10 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = mod_sub.add_parser("scan", help="random scan of the ellipsoid bundle")
     p_scan.add_argument("--n", type=int, required=True, help="number of records")
     p_scan.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-    p_scan.add_argument("--zero-params", action="store_true",
-                        help="evaluate every record at the origin")
     p_scan.add_argument("--ranges", type=_parse_ranges, default=(-np.pi, np.pi),
-                        help="uniform parameter box lo,hi")
+                        help="uniform parameter box lo,hi, lo <= hi; 0,0 is the origin")
     p_scan.add_argument("--out", default=None)
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     p_scan.set_defaults(handler=_cmd_moduli_scan)
@@ -254,17 +249,12 @@ def _check_n_limit(n: int) -> None:
 
 def _cmd_kernel_gen(args) -> int:
     _check_n_limit(args.n)
-    if args.composite:
-        dims = args.dims
-        if dims is None:
-            raise ValueError("--composite requires --dims AxB")
-        if dims.total != args.n:
-            raise ValueError(f"--dims {dims.n_a}x{dims.n_b} does not match --n {args.n}")
-        comp = composite.make_composite_kernel(dims, args.seed)
+    if args.dims is not None:
+        if args.dims.total != args.n:
+            raise ValueError(f"--dims {args.dims.n_a}x{args.dims.n_b} does not match --n {args.n}")
+        comp = composite.make_composite_kernel(args.dims, args.seed)
         mat, spectrum, report = comp.mat, comp.kernel.spectrum, comp.report
     else:
-        if args.dims is not None:
-            raise ValueError("--dims requires --composite")
         if args.n < 2:
             raise ValueError(f"no kernel spectrum exists at n={args.n}")
         spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
@@ -284,10 +274,10 @@ def _cmd_kernel_gen(args) -> int:
 
 def _cmd_kernel_verify(args) -> int:
     mat = _load_matrix_file(args.input)
-    n = mat.shape[0] if args.n is None else args.n
-    if n != mat.shape[0]:
-        raise ValueError(f"--n {args.n} does not match file dimension {mat.shape[0]}")
-    report = kernel.verify_master(mat, n, args.tol)
+    n = mat.shape[0]
+    if args.n not in (None, n):
+        raise ValueError(f"--n {args.n} does not match file dimension {n}")
+    report = kernel.verify_master(mat, tol=args.tol)
     payload = report.as_dict()
     payload.update({"schema": _SCHEMA, "n": n})
     if report.hermitian:
@@ -308,7 +298,7 @@ def _cmd_wigner_eval(args) -> int:
     kernel_mat = _load_matrix_file(args.kernel)
     try:
         rho = linalg.DensityMatrix(state_mat)
-        ker = kernel.SWKernel(kernel_mat, kernel_mat.shape[0])
+        ker = kernel.SWKernel(kernel_mat)
         value = kernel.wigner_value(rho, ker)
     except ValueError as exc:
         print(f"error: invalid inputs: {exc}", file=sys.stderr)
@@ -351,8 +341,7 @@ def _cmd_moduli_scan(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     write = twoqubit.scan_to_csv if args.format == "csv" else twoqubit.scan_to_json
-    _write_out(args.out, lambda fh: write(fh, args.n, args.seed, ranges=args.ranges,
-                                          zero_params=args.zero_params))
+    _write_out(args.out, lambda fh: write(fh, args.n, args.seed, ranges=args.ranges))
     return EXIT_OK
 
 

@@ -238,8 +238,8 @@ def _reductions(m, dims: BipartiteDims) -> tuple[dict, list]:
 def verify_composite_master(x, dims: BipartiteDims, tol: float = PURITY_TOL) -> CompositeReport:
     """Report all four admissibility residuals for a candidate matrix."""
     m = as_complex_matrix(x)
-    residuals = _reductions(m, dims)[1]  # checks dims before verify_master can
-    return CompositeReport(dims, verify_master(m, dims.total, tol), *map(abs, residuals), tol)
+    residuals = _reductions(m, dims)[1]  # checks dims
+    return CompositeReport(dims, verify_master(m, tol=tol), *map(abs, residuals), tol)
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:
@@ -251,7 +251,7 @@ def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
     reduced = delta._reduced[keep]
-    return SWKernel((reduced + reduced.conj().T) / 2.0, reduced.shape[0])
+    return SWKernel((reduced + reduced.conj().T) / 2.0)
 
 
 def subsystem_wigner(rho_ab: DensityMatrix, delta: CompositeKernel,
@@ -286,7 +286,7 @@ def make_composite_kernel(dims: BipartiteDims, seed) -> CompositeKernel:
         dims=dims,
     )
     mat = fano_blocks_compose(scaled)
-    return CompositeKernel(SWKernel((mat + mat.conj().T) / 2.0, n), dims)
+    return CompositeKernel(SWKernel((mat + mat.conj().T) / 2.0), dims)
 
 
 def dual_dim(dims: BipartiteDims) -> int:

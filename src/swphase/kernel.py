@@ -89,11 +89,10 @@ class KernelSpectrum:
             raise ValueError("spectrum must be a vector of length >= 2")
         if np.any(np.diff(pi) > 0):
             raise ValueError("spectrum must be sorted descending")
-        n = pi.size
         if not abs(pi.sum() - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"sum {pi.sum()} != 1")
-        if not abs((pi**2).sum() - n) <= DEFAULT_TOL:
-            raise ValueError(f"sum of squares {(pi ** 2).sum()} != {n}")
+        if not abs((pi**2).sum() - pi.size) <= DEFAULT_TOL:
+            raise ValueError(f"sum of squares {(pi ** 2).sum()} != {pi.size}")
 
     @property
     def n(self) -> int:
@@ -154,18 +153,17 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
 
 @dataclass(frozen=True, eq=False)
 class SWKernel:
-    """A Stratonovich-Weyl kernel: Hermitian with tr = 1 and tr^2 = N; ``report`` is the
+    """A Stratonovich-Weyl kernel: Hermitian N x N with tr = 1 and tr^2 = N; ``report`` is the
     :func:`verify_master` report that admitted it (purity to PURITY_TOL, the rest DEFAULT_TOL)."""
 
     mat: np.ndarray
-    n: int
     report: MasterReport = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
         object.__setattr__(self, "mat", m)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = verify_master(m, self.n)  # entries that overflow fail a test below
+            report = verify_master(m)  # entries that overflow fail a test below
         object.__setattr__(self, "report", report)
         if not report.hermiticity_defect <= DEFAULT_TOL:
             raise ValueError(f"kernel not Hermitian: defect {report.hermiticity_defect:.3e}")
@@ -173,6 +171,10 @@ class SWKernel:
             raise _residual_error("kernel trace", np.trace(m), 1, DEFAULT_TOL)
         if not report.purity_residual <= PURITY_TOL:
             raise _residual_error("kernel purity", np.trace(m @ m), self.n, PURITY_TOL)
+
+    @property
+    def n(self) -> int:
+        return self.mat.shape[0]
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -189,9 +191,8 @@ def _residual_error(name: str, value: complex, target: int, tol: float) -> Value
 def kernel_from_spectrum(spec: KernelSpectrum, u) -> SWKernel:
     """Conjugate diag(pi) by a unitary: the orbit point u diag(pi) u^dagger."""
     um = as_complex_matrix(u)
-    n = spec.n
-    if um.shape[0] != n:
-        raise ValueError(f"unitary is {um.shape[0]}x{um.shape[0]}, spectrum has n = {n}")
+    if um.shape[0] != spec.n:
+        raise ValueError(f"unitary is {um.shape[0]}x{um.shape[0]}, spectrum has n = {spec.n}")
     _check_unitary(um)
     return _orbit_kernel(um, spec.pi)
 
@@ -199,7 +200,7 @@ def kernel_from_spectrum(spec: KernelSpectrum, u) -> SWKernel:
 def _orbit_kernel(um: np.ndarray, pi) -> SWKernel:
     """The kernel at the orbit point um diag(pi) um^dagger, symmetrized; um is checked unitary."""
     mat = (um * pi) @ um.conj().T
-    return SWKernel((mat + mat.conj().T) / 2.0, um.shape[0])
+    return SWKernel((mat + mat.conj().T) / 2.0)
 
 
 def wigner_value(rho: DensityMatrix, delta: SWKernel) -> float:
@@ -218,10 +219,11 @@ def _pairing(rho: np.ndarray, delta: np.ndarray) -> float:
 
 
 def _spectrum_values(spec, n: int) -> np.ndarray:
-    """Eigenvalues of a KernelSpectrum or a raw array, checked against dimension n."""
+    """Eigenvalues of a KernelSpectrum or a raw array, checked against dimension n >= 2."""
     pi = spec.pi if isinstance(spec, KernelSpectrum) else np.asarray(spec, dtype=float)
-    if pi.size != n:
-        raise ValueError(f"dimension mismatch: state {n}, spectrum {pi.size}")
+    if n < 2 or pi.size != n:
+        raise ValueError("kernel spectra need n >= 2" if n < 2
+                         else f"dimension mismatch: state {n}, spectrum {pi.size}")
     return pi
 
 
@@ -421,17 +423,15 @@ class MasterReport:
         return asdict(self)
 
 
-def verify_master(x, n: int, tol: float = PURITY_TOL) -> MasterReport:
-    """Report |tr x - 1|, |tr x^2 - n|, each plus its |imaginary part|, and the Hermiticity
-    defect: the one master-equation check, which SWKernel keeps as ``report``."""
+def verify_master(x, *, tol: float = PURITY_TOL) -> MasterReport:
+    """Report |tr x - 1|, |tr x^2 - N| of an N x N x, each plus its |imaginary part|, and the
+    Hermiticity defect: the one master-equation check, which SWKernel keeps as ``report``."""
     m = as_complex_matrix(x)
-    if m.shape[0] != n:
-        raise ValueError(f"matrix is {m.shape[0]}x{m.shape[0]}, n = {n}")
     defect = hermiticity_defect(m)
     tr, purity = np.trace(m), np.trace(m @ m)
     return MasterReport(
         hermitian=defect <= tol,
         hermiticity_defect=float(defect),
         trace_residual=float(abs(tr.real - 1.0) + abs(tr.imag)),
-        purity_residual=float(abs(purity.real - n) + abs(purity.imag)),
+        purity_residual=float(abs(purity.real - m.shape[0]) + abs(purity.imag)),
     )

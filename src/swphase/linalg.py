@@ -61,6 +61,9 @@ class BipartiteDims:
     n_b: int
 
     def __post_init__(self):
+        dims = (self.n_a, self.n_b)
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+            raise TypeError(f"subsystem dimensions must be integers, got {dims!r}")
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError("subsystem dimensions must be positive")
 

@@ -62,6 +62,8 @@ _DIMS22 = BipartiteDims(2, 2)
 # orthonormal-basis weight 2 KERNEL_COEFF^2 |eta|^2 = (15/4) |eta|^2, so the
 # HS2 block norms are the fano_blocks norms times 1 / (2 KERNEL_COEFF^2) = 4/15.
 _HS2_WEIGHT = float(1.0 / (2.0 * KERNEL_COEFF**2))
+# The HS2 block targets, the same in every TwoQubitBlockReport (twoqubit_constraint_values).
+_TARGETS_HS2 = tuple(_HS2_WEIGHT * t for t in block_norm_targets(_DIMS22))
 
 
 def _hs2_block_norms(x) -> tuple:
@@ -83,26 +85,23 @@ def elementary_constraint_value(delta) -> float:
 
 @dataclass(frozen=True)
 class TwoQubitBlockReport:
-    """Measured Fano block norms of a two-qubit kernel and their targets.
+    """Measured Fano block norms of a two-qubit kernel; :meth:`as_dict` adds their targets.
 
     ``matrix_residuals`` holds |tr(Delta^2) - 4| and the two subsystem
     purity residuals |tr((Tr_B Delta)^2) - 2|, |tr((Tr_A Delta)^2) - 2|;
     these matrix-level values are the authoritative admissibility check.
-    The block targets are derived in :func:`twoqubit_constraint_values`.
+    The targets, the same for every kernel, are derived in :func:`twoqubit_constraint_values`.
     """
 
     measured: tuple
-    targets_pinned: tuple
-    targets_hs4: tuple
-    literature_values: tuple
     matrix_residuals: tuple
 
     def as_dict(self) -> dict:
         return {
             "measured_hs2": list(self.measured),
-            "targets_hs2": list(self.targets_pinned),
-            "targets_hs4": list(self.targets_hs4),
-            "literature_values": list(self.literature_values),
+            "targets_hs2": list(_TARGETS_HS2),
+            "targets_hs4": [t / 2.0 for t in _TARGETS_HS2],
+            "literature_values": [0.1, 0.1, 0.8],
             "matrix_residuals": {
                 "purity": self.matrix_residuals[0],
                 "eq8_a": self.matrix_residuals[1],
@@ -140,14 +139,7 @@ def _block_report(m: np.ndarray, measured: tuple, report) -> TwoQubitBlockReport
     if not report.full.trace_residual <= PURITY_TOL:
         raise _residual_error("kernel trace", np.trace(m), 1, PURITY_TOL)
     residuals = (report.full.purity_residual, report.purity_a_residual, report.purity_b_residual)
-    targets = tuple(_HS2_WEIGHT * t for t in block_norm_targets(_DIMS22))
-    return TwoQubitBlockReport(
-        measured=measured,
-        targets_pinned=targets,
-        targets_hs4=tuple(t / 2.0 for t in targets),
-        literature_values=(0.1, 0.1, 0.8),
-        matrix_residuals=residuals,
-    )
+    return TwoQubitBlockReport(measured=measured, matrix_residuals=residuals)
 
 
 def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,

@@ -167,17 +167,13 @@ for _shared in (PAULI, SIGMA, LAMBDA, K_TWISTED, _PLANE_SIGNS, _PHASE_BILINEAR, 
 
 @dataclass(frozen=True, eq=False)
 class KakElement:
-    """Group element factored as g = K * A * T.
+    """Group element factored as g = K * A * T, built by :func:`kak_element`.
 
     K exponentiates the twisted su(2)+su(2) block, A is the ordered product
     exp(a-block) exp(a'-block) of the two abelian 3-planes, T lies in the
     maximal torus.  All factors are special unitary.
     """
 
-    k_params: np.ndarray
-    a_params: np.ndarray
-    a_prime_params: np.ndarray
-    t_params: np.ndarray
     factor_k: np.ndarray
     factor_a: np.ndarray
     factor_t: np.ndarray
@@ -224,26 +220,23 @@ def abelian_factor(a_params, a_prime_params) -> np.ndarray:
     return _plane_exp(a, A_PLANE) @ _plane_exp(ap, A_PRIME_PLANE)
 
 
-def kak_element(k_params, a_params, a_prime_params, t_params) -> KakElement:
+def kak_element(k, a, a_prime, t) -> KakElement:
     """Build the factored group element from real coordinates.
 
-    ``k_params`` has length 6, the others length 3, all finite.  The A factor
+    ``k`` has length 6, the others length 3, all finite.  The A factor
     is :func:`abelian_factor`, the diagonal torus factor has the same closed
     form, and the K factor is the product of the Rodrigues forms of the two
     commuting triples of K_TWISTED.
     """
-    k_params, a_params, a_prime_params, t_params = (
-        np.asarray(x, dtype=float) for x in (k_params, a_params, a_prime_params, t_params))
-    if k_params.shape != (6,) or a_params.shape != (3,) \
-            or a_prime_params.shape != (3,) or t_params.shape != (3,):
+    k, a, a_prime, t = (np.asarray(x, dtype=float) for x in (k, a, a_prime, t))
+    if k.shape != (6,) or a.shape != (3,) or a_prime.shape != (3,) or t.shape != (3,):
         raise ValueError("expected parameter shapes (6,), (3,), (3,), (3,)")
-    if not np.isfinite(np.concatenate([k_params, a_params, a_prime_params, t_params])).all():
+    if not np.isfinite(np.concatenate([k, a, a_prime, t])).all():
         raise ValueError("KAK parameters must be finite")
-    factor_k = _triple_exp(k_params[:3], K_TWISTED[:3]) @ _triple_exp(k_params[3:], K_TWISTED[3:])
-    factor_a = abelian_factor(a_params, a_prime_params)
-    factor_t = _plane_exp(t_params, TORUS)
-    return KakElement(k_params, a_params, a_prime_params, t_params,
-                      factor_k, factor_a, factor_t)
+    factor_k = _triple_exp(k[:3], K_TWISTED[:3]) @ _triple_exp(k[3:], K_TWISTED[3:])
+    factor_a = abelian_factor(a, a_prime)
+    factor_t = _plane_exp(t, TORUS)
+    return KakElement(factor_k, factor_a, factor_t)
 
 
 # Eigenvalue floor below which a quadric counts as rank-deficient (the
@@ -302,9 +295,10 @@ class QuadricTriple:
         _check_pair(~np.isfinite(ab).all(axis=(-2, -1)), "has a non-finite entry")
         _check_pair(_frobenius(ab - ab.swapaxes(-1, -2)) > 1e-13, "is not symmetric")
         c = np.add(*pair, out=quad[2])
-        quad[3].reshape(-1, 3, 3)[...] = [
+        quad[3].reshape(-1, 3, 3)[...] = np.array([
             _cholesky_congruence(ak, ck)
-            for ak, ck in zip(pair[0].reshape(-1, 3, 3).tolist(), c.reshape(-1, 3, 3).tolist())]
+            for ak, ck in zip(pair[0].reshape(-1, 3, 3).tolist(), c.reshape(-1, 3, 3).tolist())
+        ]).reshape(-1, 3, 3)  # an empty list is an empty stack
         eig = np.linalg.eigvalsh(quad)
         eig, eig_ab, eig_pencil = eig[:2], eig[2], eig[3]
         _check_pair(eig[..., 0] < -1e-10, "is not positive semidefinite")
@@ -518,7 +512,7 @@ _PENCIL_COS.flags.writeable = _PENCIL_SIN.flags.writeable = False
 _SINGULAR_PENCIL_TOL = 1e-12
 
 
-def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResult:
+def moduli_feasibility(q: QuadricTriple, level: float) -> FeasibilityResult:
     """Solve mu mu^T = 1, mu A mu^T = level, mu B mu^T = level in closed form.
 
     Solutions are the real common points of the conics C_A = A - level I and
@@ -532,7 +526,8 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
     eigenvalue range of A or of B, or above lambda_max(A + B) / 2.  A
     degenerate pencil (A = B, a null direction shared by C_A and C_B, or a
     zero conic, A or B equal to level I), whose solutions can form a curve,
-    raises ValueError, as does a ``level`` that is not positive and finite.
+    raises ValueError, as does a ``level`` that is not positive and finite
+    or a stack of pairs.
 
     The pencil roots come from one 3x3 nonsymmetric eigenvalue call (see
     :func:`_singular_members`); its input is finite because
@@ -540,11 +535,12 @@ def moduli_feasibility(q: QuadricTriple, level: float = 1.0) -> FeasibilityResul
     split on Python floats, and the residuals and the dedup distances take
     one array product each over all candidate points.
 
-    The default ``level`` is the quoted unit normalization; pass
-    ``MATRIX_LEVEL`` to solve the system equivalent to the matrix-level
-    subsystem purity conditions (solutions then generate
-    composite-admissible kernels through :func:`kernel_from_moduli`).
+    Level 1 is the quoted unit normalization, which the scan uses.  At
+    ``MATRIX_LEVEL`` the system is the matrix-level subsystem purity
+    conditions: solutions give composite-admissible kernels (:func:`kernel_from_moduli`).
     """
+    if q.a.ndim != 2:
+        raise ValueError("moduli_feasibility takes one quadric pair; index the stack first")
     if not (level > 0.0 and math.isfinite(level)):
         raise ValueError(f"level must be positive and finite, got {level!r}")
     if not _level_reachable(q, level):
@@ -704,34 +700,30 @@ def _chunk_stages(a: np.ndarray, ap: np.ndarray, solve: bool) -> tuple:
     """(quadrics, roots, solved) for parameter stacks a and a' (m, 3), each stage once.
 
     ``solved`` maps the records that the early exit of :func:`moduli_feasibility`
-    (default level, run over the stack) does not settle to the solver's results.
+    (level 1, run over the stack) does not settle to the solver's results.
     """
     q = abelian_quadrics(a, ap)
     reachable = np.flatnonzero(_level_reachable(q, 1.0)).tolist() if solve else []
-    return q, _pencil_roots(q), {k: moduli_feasibility(q[k]) for k in reachable}
+    return q, _pencil_roots(q), {k: moduli_feasibility(q[k], 1.0) for k in reachable}
 
 
-def _scan_chunks(n: int, seed, ranges, zero_params: bool):
+def _scan_chunks(n: int, seed, ranges):
     """The scan's chunk pipeline: (start, params (m, 6), *_chunk_stages) per chunk.
 
     A chunk of ``SCAN_CHUNK`` records is drawn when the one before it has
     been consumed.  Successive spawns of one SeedSequence(seed) give child i
     of a single spawn(n); record i takes a then a' from one
-    uniform(lo, hi, 6) call of default_rng(child i).
+    uniform(lo, hi, 6) call of default_rng(child i), which is exactly lo when hi == lo.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = float(ranges[0]), float(ranges[1])
-    if not (lo < hi and np.isfinite(hi - lo)):
-        raise ValueError(f"ranges must satisfy lo < hi with hi - lo finite, got {lo!r},{hi!r}")
+    if not (lo <= hi and np.isfinite(hi - lo)):
+        raise ValueError(f"ranges must satisfy lo <= hi with hi - lo finite, got {lo!r},{hi!r}")
     parent = np.random.SeedSequence(seed)
     for start in range(0, n, SCAN_CHUNK):
-        m = min(SCAN_CHUNK, n - start)
-        if zero_params:
-            params = np.zeros((m, 6))
-        else:
-            params = np.array([np.random.default_rng(child).uniform(lo, hi, 6)
-                               for child in parent.spawn(m)])
+        params = np.array([np.random.default_rng(child).uniform(lo, hi, 6)
+                           for child in parent.spawn(min(SCAN_CHUNK, n - start))])
         yield (start, params, *_chunk_stages(params[:, :3], params[:, 3:], solve=True))
 
 
@@ -761,18 +753,18 @@ def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = Tru
     return _chunk_records(record_index, a, ap, *_chunk_stages(a, ap, solve))[0]
 
 
-def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False) -> list:
+def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi)) -> list:
     """Random scan of the moduli bundle, as a list of :class:`ScanRecord`.
 
-    Record i draws its abelian parameters uniformly from ``ranges`` with
-    child i of SeedSequence(seed), so a record does not depend on ``n``;
-    ``zero_params`` pins every draw to the origin.  The records come from
-    the chunk pipeline (:func:`_scan_chunks`), whose quadrics come from one
-    :func:`abelian_quadrics` call per chunk, and equal :func:`moduli_record`
-    bit for bit.
+    Record i draws its abelian parameters uniformly from ``ranges`` = (lo, hi),
+    lo <= hi, with child i of SeedSequence(seed), so a record does not depend
+    on ``n``; ranges (0, 0) puts every record at the origin.  The records come
+    from the chunk pipeline (:func:`_scan_chunks`), whose quadrics come from
+    one :func:`abelian_quadrics` call per chunk, and equal
+    :func:`moduli_record` bit for bit.
     :func:`scan_to_csv` and :func:`scan_to_json` stream them.
     """
-    return [rec for start, params, *stages in _scan_chunks(n, seed, ranges, zero_params)
+    return [rec for start, params, *stages in _scan_chunks(n, seed, ranges)
             for rec in _chunk_records(start, params[:, :3], params[:, 3:], *stages)]
 
 
@@ -819,26 +811,26 @@ def _json_text(*chunk) -> str:
     return ("[" if chunk[0] == 0 else ",") + text[1:-2]
 
 
-def _write_chunks(stream, chunk_text, n, seed, ranges, zero_params) -> None:
-    for chunk in _scan_chunks(n, seed, ranges, zero_params):
+def _write_chunks(stream, chunk_text, n, seed, ranges) -> None:
+    for chunk in _scan_chunks(n, seed, ranges):
         stream.write(chunk_text(*chunk))
         del chunk  # freed before the next chunk is drawn
 
 
-def scan_to_csv(stream, n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False):
-    """Write the records of ``moduli_scan(n, seed, ranges, zero_params)`` as CSV.
+def scan_to_csv(stream, n: int, seed, ranges=(-np.pi, np.pi)):
+    """Write the records of ``moduli_scan(n, seed, ranges)`` as CSV.
 
     Columns ``SCAN_CSV_COLUMNS``, floats as their round-tripping repr; each chunk of the
     chunk pipeline is written before the next is drawn, so memory does not grow with ``n``.
     """
-    _write_chunks(stream, _csv_text, n, seed, ranges, zero_params)
+    _write_chunks(stream, _csv_text, n, seed, ranges)
 
 
-def scan_to_json(stream, n: int, seed, ranges=(-np.pi, np.pi), zero_params: bool = False):
+def scan_to_json(stream, n: int, seed, ranges=(-np.pi, np.pi)):
     """Write the records as a strict JSON array, the mirror of :func:`scan_to_csv`.
 
     The bytes of json.dumps(items, indent=2, sort_keys=True) of the whole list, then a
     newline: each chunk is dumped alone and written without its brackets before the next.
     """
-    _write_chunks(stream, _json_text, n, seed, ranges, zero_params)
+    _write_chunks(stream, _json_text, n, seed, ranges)
     stream.write("\n]\n")

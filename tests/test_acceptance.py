@@ -140,7 +140,8 @@ def test_criterion_04_composite_axiom():
                             rep.purity_a_residual, rep.purity_b_residual)
             for keep, n_sub in (("A", dims.n_a), ("B", dims.n_b)):
                 red = reduce_kernel(comp, keep)
-                sub = verify_master(red.mat, n_sub)
+                assert red.n == n_sub
+                sub = verify_master(red.mat)
                 worst_reduced = max(worst_reduced, sub.trace_residual,
                                     sub.purity_residual)
     worst_two_path = 0.0
@@ -419,7 +420,7 @@ def test_criterion_11_convention_ledger():
                                     np.array([3.0, -2.0, 1.0]) / np.sqrt(14.0)).mat
     s_check = abs(elementary_constraint_value(elementary) - 1.0)
     measured = twoqubit_constraint_values(make_composite_kernel(DIMS22, 13).mat)
-    measured_ok = np.allclose(measured.measured, measured.targets_pinned,
+    measured_ok = np.allclose(measured.measured, measured.as_dict()["targets_hs2"],
                               atol=1e-10)
     ok = (s_dev < 1e-10 and s_check < 1e-10 and printed_both and documented
           and matrix_ok and measured_ok)

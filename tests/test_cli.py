@@ -46,7 +46,7 @@ class TestParserReuse:
             main(["moduli", "scan"])
         assert exc.value.code == 2
         outs = [capsys.readouterr().out]
-        calls = [["moduli", "scan", "--n", "3", "--zero-params"],
+        calls = [["moduli", "scan", "--n", "3", "--ranges", "0,0"],
                  ["moduli", "scan", "--n", "3", "--seed", "5"],
                  ["reconstruct", "--n", "4", "--samples", "100", "--format", "csv"]]
         for argv in calls:
@@ -58,7 +58,7 @@ class TestParserReuse:
 
 
     @pytest.mark.parametrize("argv", [
-        ["kernel", "gen", "--n", "4", "--composite", "--dims", "2y2"],
+        ["kernel", "gen", "--n", "4", "--dims", "2y2"],
         ["reconstruct", "--n", "4", "--samples", "0"],
         ["moduli", "scan"],
         ["moduli", "scan", "--n", "x"],
@@ -116,7 +116,7 @@ class TestKernelGen:
 
     def test_composite_gen(self, capsys):
         code, out, _ = run(
-            ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2",
+            ["kernel", "gen", "--n", "4", "--dims", "2x2",
              "--seed", "3"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -136,7 +136,7 @@ class TestKernelGen:
         master = count_calls(kernel, "verify_master")
         composite_calls = count_calls(composite, "verify_composite_master")
         code, out, _ = run(
-            ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2",
+            ["kernel", "gen", "--n", "4", "--dims", "2x2",
              "--seed", "3"], capsys)
         assert code == 0
         assert len(master) == 1
@@ -162,7 +162,7 @@ class TestKernelGen:
     @pytest.mark.parametrize("argv", [
         ["--n", "1000000"],
         ["--n", str(cli._MAX_KERNEL_N + 1)],
-        ["--n", "1000000", "--composite", "--dims", "1000x1000"],
+        ["--n", "1000000", "--dims", "1000x1000"],
     ])
     def test_huge_n_exit_2_before_allocating(self, capsys, monkeypatch, argv):
         def forbidden(*args, **kwargs):
@@ -176,20 +176,15 @@ class TestKernelGen:
         assert out == ""
         assert err.startswith("error: --n") and err.count("\n") == 1
 
-    def test_composite_needs_matching_dims(self, capsys):
-        code, _, err = run(
-            ["kernel", "gen", "--n", "4", "--composite", "--dims", "2x3"], capsys)
-        assert code == 2
-
-    def test_dims_without_composite_exit_2(self, tmp_path, capsys, count_calls):
-        # --dims names a bipartition, which only a composite kernel has: without
-        # --composite it is refused before any kernel is drawn or written.
-        drawn = count_calls(linalg, "haar_unitary")
+    def test_composite_needs_matching_dims(self, tmp_path, capsys, count_calls):
+        # --dims selects the composite draw; a bipartition that does not
+        # match --n is refused before any kernel is drawn or written.
+        drawn = count_calls(composite, "make_composite_kernel")
         out_path = tmp_path / "k.json"
-        code, out, err = run(["kernel", "gen", "--n", "4", "--dims", "2x2",
+        code, out, err = run(["kernel", "gen", "--n", "5", "--dims", "2x2",
                               "--out", str(out_path)], capsys)
         assert code == 2
-        assert (out, err) == ("", "error: --dims requires --composite\n")
+        assert (out, err) == ("", "error: --dims 2x2 does not match --n 5\n")
         assert drawn == [] and not out_path.exists()
 
     def test_output_file_deterministic(self, tmp_path, capsys):
@@ -260,7 +255,7 @@ class TestReportEnvelope:
 
     def test_composite_gen_pipes_into_composite_verify(self, tmp_path, capsys):
         path = tmp_path / "comp.json"
-        run(["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2", "--seed", "3",
+        run(["kernel", "gen", "--n", "4", "--dims", "2x2", "--seed", "3",
              "--out", str(path)], capsys)
         code, out, _ = run(["composite", "verify", str(path), "--dims", "2x2"], capsys)
         assert code == 0
@@ -286,7 +281,7 @@ class TestReportEnvelope:
         gen = tmp_path / "gen.json"
         comp = tmp_path / "comp.json"
         run(["kernel", "gen", "--n", "3", "--seed", "5", "--out", str(gen)], capsys)
-        run(["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2", "--seed", "5",
+        run(["kernel", "gen", "--n", "4", "--dims", "2x2", "--seed", "5",
              "--out", str(comp)], capsys)
         assert json.loads(gen.read_text())["schema"] == 1
         assert json.loads(comp.read_text())["schema"] == 1
@@ -302,7 +297,7 @@ class TestReportEnvelope:
     ], ids=["schema_1", "no_schema", "bare_matrix"])
     def test_readers_accept_schema_1_or_none(self, tmp_path, capsys, envelope):
         gen = tmp_path / "gen.json"
-        run(["kernel", "gen", "--n", "4", "--composite", "--dims", "2x2", "--seed", "5",
+        run(["kernel", "gen", "--n", "4", "--dims", "2x2", "--seed", "5",
              "--out", str(gen)], capsys)
         path = tmp_path / "in.json"
         path.write_text(json.dumps(envelope(json.loads(gen.read_text()))))
@@ -500,12 +495,13 @@ class TestReconstruct:
 
 class TestModuliScan:
     def test_zero_params_degenerate_record(self, capsys):
-        code, out, _ = run(
-            ["moduli", "scan", "--n", "1", "--zero-params", "--seed", "0"], capsys)
+        # --ranges 0,0 draws every record at the origin, a degenerate fibre.
+        code, out, _ = run(["moduli", "scan", "--n", "3", "--ranges", "0,0", "--seed", "0"], capsys)
         assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 2
-        assert lines[1].split(",")[16] == "degenerate"
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[1:7] == ["0.0"] * 6 and row[16] == "degenerate"
 
     def test_csv_contract(self, capsys):
         import csv as csvmod

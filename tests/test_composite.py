@@ -39,7 +39,7 @@ DIMS22 = BipartiteDims(2, 2)
 def _product_kernel():
     ka = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 1))
     kb = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 2))
-    return ka, kb, CompositeKernel(SWKernel(kron(ka.mat, kb.mat), 4), DIMS22)
+    return ka, kb, CompositeKernel(SWKernel(kron(ka.mat, kb.mat)), DIMS22)
 
 
 class TestTracelessBasis:
@@ -169,7 +169,7 @@ class TestReduceKernel:
         # an elementary kernel aligned with sigma_z ⊗ I is not composite-admissible
         mat = (np.eye(4) + np.sqrt(15) * np.diag([1.0, 1.0, -1.0, -1.0])) / 4.0
         with pytest.raises(CompositeAdmissibilityError) as err:
-            CompositeKernel(SWKernel(mat, 4), DIMS22)
+            CompositeKernel(SWKernel(mat), DIMS22)
         assert err.value.purity_a_residual > 1.0
 
 
@@ -225,7 +225,7 @@ class TestPartialTracesTakenOnce:
         skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         skew = 1e-14 * (skew - skew.conj().T)
         np.fill_diagonal(skew, 0.0)  # keeps the trace
-        comp = CompositeKernel(SWKernel(make_composite_kernel(dims, 11).mat + skew, n), dims)
+        comp = CompositeKernel(SWKernel(make_composite_kernel(dims, 11).mat + skew), dims)
         assert 0.0 < hermiticity_defect(comp.mat) <= 1e-12
         rho = random_density(n, 13)
         for keep, n_sub in (("A", dims.n_a), ("B", dims.n_b)):

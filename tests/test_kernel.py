@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swphase import kernel
-from swphase.linalg import _ginibre, haar_unitaries, haar_unitary, random_density
+from swphase.linalg import DensityMatrix, _ginibre, haar_unitaries, haar_unitary, random_density
 from swphase.kernel import (
     _GS_MAX_N,
     _MC_CHUNK_BYTES,
@@ -104,10 +104,10 @@ class TestKernelFromSpectrum:
     @pytest.mark.parametrize("entry", [1e-9j, np.nan], ids=["non_hermitian", "nan"])
     def test_sw_kernel_rejects_bad_entry(self, entry):
         mat = np.diag(GOLD_2).astype(complex)
-        SWKernel(mat, 2)
+        assert SWKernel(mat).n == 2
         mat[0, 1] = entry
         with pytest.raises(ValueError, match="not Hermitian"):
-            SWKernel(mat, 2)
+            SWKernel(mat)
 
 
 def _kernel16():
@@ -131,16 +131,16 @@ class TestSWKernelReport:
             comp.kernel,
         ]
         for ker in kernels:
-            assert ker.report == verify_master(ker.mat, ker.n)
+            assert ker.report == verify_master(ker.mat)
         assert comp.report.full is comp.kernel.report
 
     def test_imaginary_trace_is_rejected(self):
         # Hermiticity defect 8e-13 and Re tr = 1 pass; Im tr = 1.6e-12 does not.
         mat = _kernel16().mat + 1e-13j * np.eye(16)
-        assert verify_master(mat, 16).hermiticity_defect <= 1e-12
+        assert verify_master(mat).hermiticity_defect <= 1e-12
         assert abs(np.trace(mat).real - 1.0) <= 1e-12
         with pytest.raises(ValueError, match=r"^kernel trace has imaginary part 1\.600e-12$"):
-            SWKernel(mat, 16)
+            SWKernel(mat)
 
     def test_imaginary_purity_is_rejected(self):
         # Re tr(m^2) sits 0.99e-10 above 16, inside PURITY_TOL; the imaginary
@@ -151,11 +151,11 @@ class TestSWKernelReport:
         k = delta - np.eye(16) / 16.0
         k *= 4e-13 / np.linalg.norm(k)
         mat = s * delta + (1.0 - s) / 16.0 * np.eye(16) + 1j * k
-        report = verify_master(mat, 16)
+        report = verify_master(mat)
         assert report.hermiticity_defect <= 1e-12 and report.trace_residual <= 1e-12
         assert abs(np.trace(mat @ mat).real - 16.0) <= kernel.PURITY_TOL
         with pytest.raises(ValueError, match=r"^kernel purity has imaginary part 3\.\d+e-12$"):
-            SWKernel(mat, 16)
+            SWKernel(mat)
 
     @pytest.mark.parametrize("scale, message", [
         (1.1, r"^kernel trace 1\.1\d* != 1$"),
@@ -163,13 +163,13 @@ class TestSWKernelReport:
     ])
     def test_real_trace_message(self, scale, message):
         with pytest.raises(ValueError, match=message):
-            SWKernel(scale * _kernel16().mat, 16)
+            SWKernel(scale * _kernel16().mat)
 
     def test_overflow_rejected_without_warning(self):
         # The trace test rejects it; tr(m^2) overflows inside verify_master,
         # which must not warn (warnings are errors in this suite).
         with pytest.raises(ValueError, match=r"^kernel trace 2e\+200 != 1$"):
-            SWKernel(np.diag([1e200, 1e200]), 2)
+            SWKernel(np.diag([1e200, 1e200]))
 
 
 class TestWignerValue:
@@ -434,20 +434,38 @@ class TestOrbitChunks:
         with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
             estimator(rho, solve_kernel_spectrum(4), 0, seed=0)
 
+    @pytest.mark.parametrize("estimate", [
+        lambda rho, spec: reconstruct_exact(rho, spec),
+        lambda rho, spec: reconstruct_mc(rho, spec, 10, seed=0),
+        lambda rho, spec: phase_space_norm_mc(rho, spec, 10, seed=0),
+    ], ids=["exact", "mc", "norm_mc"])
+    def test_raw_spectrum_needs_n2(self, estimate):
+        # KernelSpectrum refuses n = 1, and so must a raw spectrum: at n = 1 the
+        # Monte-Carlo draw has no column and the closed form divides 0 by 0.
+        with pytest.raises(ValueError, match=r"^kernel spectra need n >= 2$"):
+            estimate(DensityMatrix(np.ones((1, 1))), np.ones(1))
+
 
 class TestVerifyMaster:
     def test_valid_kernel(self):
         spec = solve_kernel_spectrum(4, "random", seed=0)
         ker = kernel_from_spectrum(spec, haar_unitary(4, 1))
-        report = verify_master(ker.mat, 4)
+        report = verify_master(ker.mat)
         assert report.ok(1e-10)
 
     def test_maximally_mixed_purity_residual(self):
         n = 4
-        report = verify_master(np.eye(n) / n, n)
+        report = verify_master(np.eye(n) / n)
         assert report.hermitian
         assert report.trace_residual < 1e-14
         assert abs(report.purity_residual - (n - 1.0 / n)) < 1e-12
+
+    def test_tol_is_keyword_only(self):
+        # A second positional argument is refused: a size is never read as a tolerance.
+        with pytest.raises(TypeError):
+            verify_master(np.eye(4) / 4, 4)
+        skew = np.eye(2) / 2 + 1e-9 * np.array([[0, 1], [-1, 0]])
+        assert not verify_master(skew).hermitian and verify_master(skew, tol=1e-8).hermitian
 
     def test_perturbation_scale(self):
         from swphase.linalg import random_hermitian
@@ -456,5 +474,5 @@ class TestVerifyMaster:
         ker = kernel_from_spectrum(spec, haar_unitary(4, 8))
         noise = random_hermitian(4, 9)
         noise = noise / np.linalg.norm(noise)
-        report = verify_master(ker.mat + 1e-6 * noise, 4)
+        report = verify_master(ker.mat + 1e-6 * noise)
         assert 1e-8 < report.trace_residual + report.purity_residual < 1e-4

@@ -103,6 +103,23 @@ class TestKron:
                         assert abs(k[i * 3 + l, j * 3 + m] - a[i, j] * b[l, m]) < 1e-15
 
 
+class TestBipartiteDims:
+    def test_numpy_integers_accepted(self):
+        assert BipartiteDims(np.int64(2), np.int32(3)).total == 6
+
+    @pytest.mark.parametrize("dims, error, message", [
+        ((2.0, 2.0), TypeError, "must be integers"),
+        ((2, 3.0), TypeError, "must be integers"),
+        ((True, 2), TypeError, "must be integers"),
+        ((2, np.bool_(True)), TypeError, "must be integers"),
+        ((0, 2), ValueError, "must be positive"),
+        ((2, -1), ValueError, "must be positive"),
+    ])
+    def test_rejected_when_built(self, dims, error, message):
+        with pytest.raises(error, match=message):
+            BipartiteDims(*dims)
+
+
 class TestPartialTrace:
     def test_defining_identity(self):
         dims = BipartiteDims(2, 2)

@@ -61,7 +61,7 @@ def test_partial_trace_duality(n_a, n_b, data):
 def test_master_equations_random_kernel(n, seed):
     """U diag(pi) U^dagger has unit trace and purity n for a random spectrum and Haar U."""
     spec = solve_kernel_spectrum(n, "random", seed=seed)
-    report = verify_master(kernel_from_spectrum(spec, haar_unitary(n, seed)).mat, n)
+    report = verify_master(kernel_from_spectrum(spec, haar_unitary(n, seed)).mat)
     assert report.hermitian
     assert max(report.hermiticity_defect, report.trace_residual,
                report.purity_residual) <= PURITY_TOL

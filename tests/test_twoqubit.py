@@ -187,16 +187,16 @@ class TestElementaryConstraint:
 class TestTwoQubitConstraintValues:
     def test_composite_kernel_hits_pinned_targets(self):
         report = twoqubit_constraint_values(make_composite_kernel(DIMS22, 4).mat)
-        np.testing.assert_allclose(report.measured, report.targets_pinned, atol=1e-10)
+        np.testing.assert_allclose(report.measured, report.as_dict()["targets_hs2"], atol=1e-10)
         assert max(report.matrix_residuals) < 1e-10
 
     def test_literature_triple_recorded_not_adopted(self):
-        report = twoqubit_constraint_values(make_composite_kernel(DIMS22, 5).mat)
-        assert report.literature_values == (0.1, 0.1, 0.8)
-        assert report.targets_pinned != report.literature_values
+        blocks = twoqubit_constraint_values(make_composite_kernel(DIMS22, 5).mat).as_dict()
+        assert blocks["literature_values"] == [0.1, 0.1, 0.8]
+        assert blocks["targets_hs2"] != blocks["literature_values"]
         # candidate translations both sum consistently with their conventions
-        assert abs(sum(report.targets_pinned) - 1.0) < 1e-12
-        assert abs(sum(report.targets_hs4) - 0.5) < 1e-12
+        assert abs(sum(blocks["targets_hs2"]) - 1.0) < 1e-12
+        assert abs(sum(blocks["targets_hs4"]) - 0.5) < 1e-12
 
     def test_product_kernel(self):
         from swphase.linalg import kron
@@ -205,7 +205,7 @@ class TestTwoQubitConstraintValues:
         kb = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 1))
         report = twoqubit_constraint_values(kron(ka.mat, kb.mat))
         assert max(report.matrix_residuals) < 1e-12
-        np.testing.assert_allclose(report.measured, report.targets_pinned, atol=1e-12)
+        np.testing.assert_allclose(report.measured, report.as_dict()["targets_hs2"], atol=1e-12)
 
 
 class TestKakElement:
@@ -535,7 +535,7 @@ class TestKernelFromModuli:
 
 class TestModuliFeasibility:
     def test_identity_case_empty(self):
-        result = moduli_feasibility(abelian_quadrics(np.zeros(3), np.zeros(3)))
+        result = moduli_feasibility(abelian_quadrics(np.zeros(3), np.zeros(3)), level=1.0)
         assert result.solutions == []
         assert result.classification == "degenerate"
 
@@ -546,7 +546,7 @@ class TestModuliFeasibility:
             q = _random_quadrics(seed)
             top = np.linalg.eigvalsh(q.a + q.b)[-1]
             assert top <= 4.0 / 3.0 + 1e-12
-            assert moduli_feasibility(q).solutions == []
+            assert moduli_feasibility(q, level=1.0).solutions == []
 
     def test_solutions_on_generic_quadrics(self):
         from scipy.stats import special_ortho_group
@@ -555,7 +555,7 @@ class TestModuliFeasibility:
         rb = special_ortho_group.rvs(3, random_state=2)
         q = QuadricTriple(a=ra @ np.diag([1.25, 0.8, 0.85]) @ ra.T,
                           b=rb @ np.diag([0.7, 1.3, 1.05]) @ rb.T)
-        result = moduli_feasibility(q)
+        result = moduli_feasibility(q, level=1.0)
         assert result.n_solutions == 4  # two antipodal pairs
         for mu in result.solutions:
             assert abs(np.linalg.norm(mu) - 1.0) < 1e-10
@@ -680,7 +680,8 @@ class TestModuliFeasibility:
         rec = moduli_scan(200, seed=3)[79]
         assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (3, 3)
         assert rec.n_solutions == 0
-        assert rec.classification == moduli_feasibility(rec.quadrics).classification == "empty"
+        assert rec.classification == "empty"
+        assert moduli_feasibility(rec.quadrics, level=1.0).classification == "empty"
 
     def test_bundle_matrix_bridge_identity(self):
         # for every unit mu (solution or not):
@@ -766,6 +767,8 @@ class TestSolverGuards:
         q = _random_quadrics(3)
         with pytest.raises(ValueError, match="level must be positive and finite"):
             moduli_feasibility(q, level=level)
+        with pytest.raises(TypeError):  # the level has no default
+            moduli_feasibility(q)
 
     def test_exact_shared_null_direction_raises_degenerate_pencil(self):
         # diagonal quadrics sharing the eigenvalue level: alpha = beta = 0 exactly
@@ -945,9 +948,10 @@ class TestIsotropyDim:
 
 class TestModuliScan:
     def test_zero_params_single_record(self):
-        records = moduli_scan(1, seed=0, zero_params=True)
+        records = moduli_scan(1, seed=0, ranges=(0.0, 0.0))
         assert len(records) == 1
         rec = records[0]
+        assert not (rec.a_params.any() or rec.a_prime_params.any())
         assert rec.classification == "degenerate"
         assert rec.n_solutions == 0
         np.testing.assert_array_equal(rec.quadrics.a, np.diag([4.0 / 3.0, 0, 0]))
@@ -963,7 +967,7 @@ class TestModuliScan:
         ap = np.stack([rec.a_prime_params for rec in records])
         ref = oracle_quadrics(_exp_generators(a, A_PLANE) @ _exp_generators(ap, A_PRIME_PLANE))
         for k, rec in enumerate(records):
-            want, feas = ref[k], moduli_feasibility(ref[k])
+            want, feas = ref[k], moduli_feasibility(ref[k], level=1.0)
             assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (want.rank_a, want.rank_b)
             assert (rec.classification, rec.n_solutions) == (feas.classification,
                                                              feas.n_solutions)
@@ -1046,7 +1050,7 @@ def _solve_at_matrix_level(monkeypatch):
     """Make the scan pipeline solve at MATRIX_LEVEL, where records have solutions."""
     feasibility, reachable = twoqubit.moduli_feasibility, twoqubit._level_reachable
     monkeypatch.setattr(twoqubit, "moduli_feasibility",
-                        lambda q: feasibility(q, level=MATRIX_LEVEL))
+                        lambda q, level: feasibility(q, level=MATRIX_LEVEL))
     monkeypatch.setattr(twoqubit, "_level_reachable", lambda q, level: reachable(q, MATRIX_LEVEL))
 
 
@@ -1055,7 +1059,7 @@ class TestScanFormatting:
 
     @pytest.mark.parametrize("kwargs, with_solutions", [
         ({"n": 2 * SCAN_CHUNK + 3, "seed": 11, "ranges": (-1.0, 2.0)}, False),
-        ({"n": 2 * SCAN_CHUNK + 3, "seed": 0, "zero_params": True}, False),
+        ({"n": 2 * SCAN_CHUNK + 3, "seed": 0, "ranges": (0.0, 0.0)}, False),
         ({"n": 80, "seed": 3}, True),
     ], ids=["ranges", "zero_params", "solutions"])
     def test_same_bytes_as_per_scalar_formatting(self, kwargs, with_solutions, monkeypatch):
@@ -1130,7 +1134,7 @@ class TestBatchParity:
         (40, 0, {}),
         (40, 3, {}),
         (25, 20210, {}),
-        (5, 1, {"zero_params": True}),
+        (5, 1, {"ranges": (0.0, 0.0)}),
         (30, 11, {"ranges": (-1.0, 2.0)}),
         (SCAN_CHUNK + 1, 7, {}),
     ])
@@ -1139,8 +1143,7 @@ class TestBatchParity:
         assert len(records) == n
         lo, hi = kwargs.get("ranges", (-np.pi, np.pi))
         for i, (rec, (a, ap)) in enumerate(zip(records, _scan_draws(n, seed, lo, hi))):
-            if kwargs.get("zero_params"):
-                a, ap = np.zeros(3), np.zeros(3)
+            assert lo < hi or not (a.any() or ap.any())  # uniform(lo, lo) is exactly lo
             assert np.array_equal(rec.a_params, a) and np.array_equal(rec.a_prime_params, ap)
             _assert_same_record(rec, moduli_record(i, a, ap))
 
@@ -1153,8 +1156,9 @@ class TestBatchParity:
         a, ap = np.random.default_rng(12).uniform(-np.pi, np.pi, (2, 10, 3))
         flat_factors, flat_quads = abelian_factor(a, ap), abelian_quadrics(a, ap)
         singles = [(abelian_factor(a[k], ap[k]), abelian_quadrics(a[k], ap[k])) for k in range(10)]
-        # Batch shapes (), (7,) and (2, 5): bit-equal to the flattened call and to one call per record.
-        for shape in ((), (7,), (2, 5)):
+        # Batch shapes (), (0,), (7,) and (2, 5): bit-equal to the flattened call and to one call
+        # per record.
+        for shape in ((), (0,), (7,), (2, 5)):
             n = int(np.prod(shape))
             sa, sap = a[:n].reshape(shape + (3,)), ap[:n].reshape(shape + (3,))
             factors, quads = abelian_factor(sa, sap), abelian_quadrics(sa, sap)
@@ -1170,17 +1174,23 @@ class TestBatchParity:
                 for k, (factor, single) in enumerate(singles[:n]):
                     assert np.array_equal(factors[k], factor)
                     assert np.array_equal(field[k], getattr(single, name)), (shape, name, k)
+            assert twoqubit._pencil_roots(quads) == twoqubit._pencil_roots(flat_quads)[:n]
         single = singles[0][1]
         # the one stacked eigensolver call gives the bits of a separate one on A + B
         assert np.array_equal(flat_quads.eig_ab, np.linalg.eigvalsh(flat_quads.a + flat_quads.b))
-        with pytest.raises(ValueError, match="one quadric pair"):
-            char_cubic_roots(flat_quads)
         with pytest.raises(TypeError):
             single[0]
         # a and a' must be stacks (..., 3) of one shape
         for bad in ((a, ap[:4]), (a[0], ap), (a[:, :2], ap[:, :2]), (a.reshape(2, 5, 3), ap)):
             with pytest.raises(ValueError, match=r"^expected parameter stacks \(\.\.\., 3\)"):
                 abelian_quadrics(*bad)
+
+    @pytest.mark.parametrize("solve", [char_cubic_roots, lambda q: moduli_feasibility(q, 1.0)],
+                             ids=["char_cubic_roots", "moduli_feasibility"])
+    def test_stack_is_refused(self, solve):
+        quads = abelian_quadrics(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"^\w+ takes one quadric pair; index the stack first$"):
+            solve(quads)
 
     def test_roots_computed_once_per_record(self, monkeypatch):
         # one batched roots call per scan chunk, none from the solver
