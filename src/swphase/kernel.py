@@ -50,14 +50,15 @@ PURITY_TOL = 1e-10
 # bounds their memory only: the sample stream does not depend on it.
 _MC_CHUNK_BYTES = 1 << 20
 
-# Largest n whose orbit sampler orthonormalizes its frames by Gram-Schmidt on
-# sample-last planes and contracts them with rho by per-plane GEMMs, instead of
-# one LAPACK QR and one orbit point per sample (_orbit_sums).  At one BLAS
-# thread (2-vCPU Xeon), per 1 MiB chunk, planes against LAPACK: the Q step took
-# 2.1-2.3 against 3.2-5.0 ms at n = 8, 2.7-2.8 against 3.0-4.0 ms at n = 9 and
-# 4.4-5.5 against 2.7-4.0 ms at n = 12; the contraction 0.5-0.7 against
-# 0.6-0.9, 0.6 against 0.7-1.1 and 0.55 against 0.5-0.7 ms.
-_GS_MAX_N = 8
+# Largest n whose orbit sampler draws Householder vectors, builds its frames
+# from them on sample-last planes and contracts them with rho by per-plane
+# GEMMs, instead of drawing Ginibre columns for one LAPACK QR and one orbit
+# point per sample (_orbit_sums).  At one BLAS thread (2-vCPU Xeon), a 1 MiB
+# chunk of reconstruct_mc took on the planes, over five runs, 0.38-0.48 of
+# LAPACK's time at n = 8, 0.46-0.55 at n = 9, 0.52-0.59 at n = 10, 0.66-0.76
+# at n = 12, 0.84-1.00 at n = 14, 0.94-1.06 at n = 15 and 1.12-1.15 at n = 16
+# (2.6 against 5.5 ms at n = 8, 4.5 against 5.0 ms at n = 14 in a quiet run).
+_PLANES_MAX_N = 14
 
 
 def hyperplane_frame(n: int) -> np.ndarray:
@@ -227,49 +228,76 @@ def _spectrum_values(spec, n: int) -> np.ndarray:
     return pi
 
 
-def _q_factors(t: np.ndarray) -> np.ndarray:
-    """Orthonormalize the frames in a sample-last stack of planes (m, n, k), m <= n.
+def _orbit_frames(t: np.ndarray) -> np.ndarray:
+    """The orthonormal frames u_0, ..., u_{n-2} of a sample-last stack of planes (n - 1, n, k).
 
-    ``t[j, i, s]`` is component i of row j of sample s, whose m rows are full
-    rank; the result holds, in the same layout, the columns of the reduced Q
-    of A = Q R, A the n x m matrix whose columns are the sample's rows.  The
-    row length n picks the method.  Up to ``_GS_MAX_N`` a C-contiguous ``t``
-    is orthonormalized in place and returned, by classical Gram-Schmidt run
-    twice (CGS2: "twice is enough", Giraud et al., Numer. Math. 101, 2005):
-    h_l = sum_i conj(q_l[i]) v[i] for each earlier row l, v[i] -= q_l[i] h_l,
-    then v is scaled by 1 / sqrt(sum_i re^2 + im^2).  Every complex product
-    is one call on two length-k vectors (over a size-1 sample axis numpy may
-    pick another loop, which rounds differently) and sums run over i in a
-    fixed order, so a sample's bits do not depend on k or on its place in
-    the stack; R has a positive real diagonal.  Above the cut the result is
-    a view of the reduced Q of ``np.linalg.qr``, whose R diagonal has
-    arbitrary phases.
+    ``t[j, i, s]`` is component i of plane j of sample s; the result holds
+    u_j in plane j, in the same layout.  The row length n picks what the
+    planes hold.  Up to ``_PLANES_MAX_N`` plane j of a C-contiguous ``t``
+    holds a drawn vector z_j of length n - j in rows j, ..., n - 1 (its
+    rows below j are never read), and the frames are built in place as the
+    first n - 1 columns of the Householder product H_0 ... H_{n-2}:
+
+        u_j = H_0 ... H_{j-1} (z_j / |z_j|),   H_l = I - tau_l w_l w_l^dagger
+
+    on rows l, ..., n - 1, where w_l = z_l except w_l[0] = z_l[0] +
+    e^{i phi_l} |z_l| = e^{i phi_l} (|z_l[0]| + |z_l|), e^{i phi_l} =
+    z_l[0] / |z_l[0]| (1 when z_l[0] = 0), and tau_l = 1 / (|z_l|
+    (|z_l| + |z_l[0]|)) = 2 / |w_l|^2.  Frames run from j = n - 2 down, so
+    each z_l is read before frame l overwrites it.  Row l of frame j > l
+    is still zero when H_l reaches it: the dot product skips that row and
+    the row is written, not updated.  Every product of two complex vectors
+    is one call on two length-k vectors into a third (numpy may round one
+    over a size-1 sample axis, or one written over an input, another way);
+    products with a real factor round alike in every loop, and sums run
+    over rows in a fixed order, so a sample's bits do not depend on k.
+    Above the cut the planes hold the rows of A, the n x (n - 1) matrix of
+    the first n - 1 Ginibre columns, and the result is a view of the
+    reduced Q of ``np.linalg.qr(A)``.
     """
-    m, n = t.shape[:2]
-    if n > _GS_MAX_N:
+    m, n, k = t.shape
+    if n > _PLANES_MAX_N:
         return np.linalg.qr(t.transpose(2, 1, 0))[0].transpose(2, 1, 0)
-    cv = np.empty(t.shape[1:], dtype=complex)  # conj(v), then v's squared parts
-    h = np.empty((m,) + t.shape[2:], dtype=complex)
-    p = h[-1]  # products; h_l is kept for l < j <= m - 1 only
-    for j, v in enumerate(t):
-        for _ in range(2 if j else 0):
-            np.conjugate(v, out=cv)
-            for q, hl in zip(t[:j], h):  # conj(h_l) = sum_i q_l[i] conj(v[i])
-                np.multiply(q[0], cv[0], out=hl)
-                for i in range(1, n):
-                    hl += np.multiply(q[i], cv[i], out=p)
-            np.conjugate(h[:j], out=h[:j])
-            for q, hl in zip(t[:j], h):  # v -= q_l h_l
-                for i in range(n):
-                    v[i] -= np.multiply(q[i], hl, out=p)
-        sq = np.square(v.view(float), out=cv.view(float))
-        s = sq[0, 0::2] + sq[0, 1::2]
-        for i in range(1, n):
-            s += sq[i, 0::2]
-            s += sq[i, 1::2]
-        np.divide(1.0, np.sqrt(s, out=s), out=s)
-        v.real *= s
-        v.imag *= s
+    tf = t.view(float).reshape(m, n, 2 * k)
+    work = np.empty((n, k), dtype=complex)  # squares, then h and conj(v) or products
+    norm = np.empty((m, k))  # |z_j|
+    for j, s in enumerate(norm):
+        zsq = np.square(tf[j, j:], out=work[j:].view(float))
+        for row in zsq[1:]:
+            zsq[0] += row
+        np.add(zsq[0, 0::2], zsq[0, 1::2], out=s)
+        np.sqrt(s, out=s)
+    w0 = np.empty((m - 1, k), dtype=complex)  # w_l[0] of H_l, l < n - 2
+    ntau = np.empty((m - 1, k))  # -tau_l
+    for l, (w, nt) in enumerate(zip(w0, ntau)):
+        z0 = t[l, l]
+        a = np.abs(z0)
+        head = a > 0  # else e^{i phi} = 1
+        cos = np.divide(z0.real, a, out=np.ones(k), where=head)
+        sin = np.divide(z0.imag, a, out=np.zeros(k), where=head)
+        a += norm[l]
+        np.multiply(cos, a, out=w.real)
+        np.multiply(sin, a, out=w.imag)
+        np.divide(-1.0, np.multiply(norm[l], a, out=nt), out=nt)
+    h = work[0]  # rows l + 1, ..., n - 1 hold conj(v), then the products
+    for j in range(m - 1, -1, -1):
+        v = t[j]
+        r = np.divide(1.0, norm[j], out=norm[j])
+        for row in v[j:]:
+            np.multiply(row, r, out=row)
+        for l in range(j - 1, -1, -1):
+            z = t[l]
+            # conj(h) = sum_{i > l} z_l[i] conj(v[i]); v[l] is still zero.
+            cv = np.conjugate(v[l + 1:], out=work[l + 1:])
+            np.multiply(z[l + 1], cv[0], out=h)
+            for zi, c, spent in zip(z[l + 2:], cv[1:], cv):
+                h += np.multiply(zi, c, out=spent)
+            # g = -tau_l h; v[l] = g w_l[0], v[i] += g z_l[i].
+            np.conjugate(h, out=h)
+            np.multiply(h, ntau[l], out=h)
+            np.multiply(h, w0[l], out=v[l])
+            for vi, zi, c in zip(v[l + 1:], z[l + 1:], cv):
+                vi += np.multiply(h, zi, out=c)
     return t
 
 
@@ -277,30 +305,45 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     """Sum of the pairings w_k = tr(rho O_k) over Haar orbit points O_k = U_k D U_k^dagger;
     given an (n, n) complex ``acc``, also add sum_k w_k O_k into it.
 
-    Each sample draws 2 n (n - 1) standard normals: the (re, im) pairs of the
-    first n - 1 columns of a complex Ginibre matrix G = U R, column j in row j
-    of a reused (k, n - 1, n) complex chunk, k = ``_MC_CHUNK_BYTES`` // (16 n^2).
-    A sample's normals are contiguous, so the stream does not depend on the
-    chunk.  The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
+    The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
 
         O = d_n I + sum_{j<n} (d_j - d_n) u_j u_j^dagger,
 
-    and the last column of G or U is never drawn or formed.  The phases of
-    diag R, the 1/sqrt(2) scale and the det = 1 fix of
-    :func:`linalg.haar_unitaries` all cancel in O, so none is applied
-    (Mezzadri, math-ph/0609050, section 5).
+    and the last column of U is never formed.  If U is replaced by U Lambda,
+    Lambda any diagonal unitary, O does not change, since Lambda commutes
+    with D; so any Q factor of a complex Ginibre matrix serves, whatever the
+    phases of diag R (Mezzadri, math-ph/0609050, section 5), and no phase
+    fix, 1/sqrt(2) scale or det = 1 fix is applied.  The samples are drawn
+    into a reused chunk of k = ``_MC_CHUNK_BYTES`` // (16 n^2) samples, a
+    sample's normals contiguous, so the stream does not depend on the chunk.
+    The ``_PLANES_MAX_N`` cut picks what a sample draws and how it is used.
 
-    :func:`_q_factors` turns the chunk into frames, which are contracted
-    one of two ways at the ``_GS_MAX_N`` cut.  Up to it the chunk is copied
-    once into reused sample-last planes U_j (n, k), one per frame row j, and
-    no orbit point is formed: one GEMM per plane, P_j = rho U_j, written into
-    the spent draw, gives x_j = Re sum_i conj(U_j[i]) P_j[i] = u_j^dagger rho u_j
-    for every sample, so w = d_n tr(rho) + sum_j (d_j - d_n) x_j; then
-    C_j = conj(U_j) w (d_j - d_n), in the same buffer, and one GEMM per plane
-    adds sum_j U_j C_j^T, which is sum_k w_k O_k less d_n (sum_k w_k) I.
-    Above it the orbit stack of U' diag(d_j - d_n) U'^dagger is formed, with
-    conj(U') diag(d_j - d_n) in the spent draw, and paired by two
-    matrix-vector products on its (k, n^2) view.
+    Up to the cut each sample draws n^2 + n - 2 standard normals: the
+    (re, im) pairs of z_0, ..., z_{n-2}, of lengths n, n - 1, ..., 2, in
+    that order.  Householder QR of a Ginibre matrix takes reflector j from
+    a vector that, by unitary invariance, is a CN(0, I_{n-j}) draw
+    independent of the earlier ones (Stewart, SIAM J. Numer. Anal. 17, 1980),
+    so the frames :func:`_orbit_frames` builds from these vectors,
+    u_j = H_0 ... H_{j-1} (z_j / |z_j|) with H_l the reflector of z_l, are
+    columns of a Haar U times a diagonal unitary.  Each z_j is copied once
+    into rows j, ..., n - 1 of plane j of reused sample-last planes (n, k),
+    the frames are built in place, and no orbit point is formed: one GEMM
+    per plane, P_j = rho U_j, written into the spent draw, gives
+    x_j = Re sum_i conj(U_j[i]) P_j[i] = u_j^dagger rho u_j for every
+    sample, so w = d_n tr(rho) + sum_j (d_j - d_n) x_j; then
+    C_j = conj(U_j) w (d_j - d_n), in the same buffer, and one GEMM per
+    plane adds sum_j U_j C_j^T, which is sum_k w_k O_k less d_n (sum_k w_k) I.
+    The stages are the draw, the copy into planes, the frames, the pairing
+    GEMMs and the accumulating GEMMs: 25-29, 1.1-1.7, 10.5-13, 6-7 and
+    4.5-5.6 ms per 111,000 samples at n = 4 (one BLAS thread, 2-vCPU Xeon).
+
+    Above the cut each sample draws 2 n (n - 1) standard normals: the
+    (re, im) pairs of the first n - 1 columns of a complex Ginibre matrix,
+    column j in row j of a (k, n - 1, n) chunk.  Their frames are the
+    reduced Q of one LAPACK QR per sample; the orbit stack of
+    U' diag(d_j - d_n) U'^dagger is formed, with conj(U') diag(d_j - d_n)
+    in the spent draw, and paired by two matrix-vector products on its
+    (k, n^2) view.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -311,19 +354,24 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     rho_t = rho.mat.T.reshape(-1)  # tr(rho O) = vec(O) . vec(rho^T)
     rng = np.random.default_rng(seed)
     step = min(samples, max(1, _MC_CHUNK_BYTES // (16 * n * n)))
-    draw = np.empty((step, n - 1, n), dtype=complex)
-    spare = np.empty(draw.size if n <= _GS_MAX_N else step * n * n,
+    planes = n <= _PLANES_MAX_N
+    drawn = (n * n + n - 2) // 2 if planes else (n - 1) * n  # complex normals a sample
+    draw = np.empty(step * (n - 1) * n, dtype=complex)  # the draw, then the planes' products
+    spare = np.empty(draw.size if planes else step * n * n,
                      dtype=complex)  # the planes, or the orbit stack
     total = 0.0
     for start in range(0, samples, step):
         k = min(step, samples - start)
-        g = draw[:k]
+        g = draw[:k * drawn].reshape(k, drawn)
         rng.standard_normal(out=g.view(float))
-        if n <= _GS_MAX_N:
-            u = spare[:g.size].reshape(n - 1, n, k)
-            np.copyto(u, g.transpose(1, 2, 0))
-            u = _q_factors(u)
-            p = np.matmul(rho.mat, u, out=g.reshape(n - 1, n, k))  # the draw is spent
+        if planes:
+            u = spare[:k * (n - 1) * n].reshape(n - 1, n, k)
+            first = 0
+            for j in range(n - 1):  # z_j into rows j, ..., n - 1 of plane j
+                np.copyto(u[j, j:], g[:, first:first + n - j].T)
+                first += n - j
+            u = _orbit_frames(u)
+            p = np.matmul(rho.mat, u, out=draw[:u.size].reshape(u.shape))  # the draw is spent
             # x_j = Re sum_i conj(U_j[i]) P_j[i], summed from the float views.
             pf = np.multiply(p.view(float), u.view(float), out=p.view(float))
             x = pf[:, 0, 0::2] + pf[:, 0, 1::2]
@@ -336,7 +384,8 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
                 p *= (shift[:, None] * w)[:, None, :]
                 acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
         else:
-            f = _q_factors(g.transpose(1, 2, 0)).transpose(2, 0, 1)
+            g = g.reshape(k, n - 1, n)
+            f = _orbit_frames(g.transpose(1, 2, 0)).transpose(2, 0, 1)
             uc = np.conjugate(f, out=g)  # the draw is spent
             uc *= shift[:, None]
             orbit = spare[:k * n * n].reshape(k, n, n)
@@ -389,6 +438,17 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     samples U_k.  Converges to rho at the O(1/sqrt(samples)) rate.
     Deterministic given ``seed``; chunking only bounds memory, as the
     sample stream does not depend on it.
+
+    Up to ``_PLANES_MAX_N`` sample k draws n^2 + n - 2 standard normals, the
+    (re, im) pairs of Householder vectors z_0, ..., z_{n-2} of lengths
+    n, ..., 2 in that order, and U_k = H_0 ... H_{n-2} Lambda with
+    H_l = I - tau_l w_l w_l^dagger, w_l = z_l but w_l[0] = z_l[0] +
+    e^{i phi} |z_l| (e^{i phi} = z_l[0] / |z_l[0]|), tau_l = 1 / (|z_l|
+    (|z_l| + |z_l[0]|)); the diagonal phases Lambda commute with D and
+    cancel in U_k D U_k†.  Above it sample k draws the first n - 1 columns
+    of a complex Ginibre matrix for one LAPACK QR.  The stages are the
+    draw, the frames (Householder reflections, or LAPACK QR) and the
+    contraction with rho (see :func:`_orbit_sums`).
     """
     n = rho.dim
     acc = np.zeros((n, n), dtype=complex)

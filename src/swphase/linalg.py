@@ -64,6 +64,9 @@ class BipartiteDims:
         dims = (self.n_a, self.n_b)
         if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
             raise TypeError(f"subsystem dimensions must be integers, got {dims!r}")
+        # Python ints, so that reports built on these dimensions serialize.
+        object.__setattr__(self, "n_a", int(self.n_a))
+        object.__setattr__(self, "n_b", int(self.n_b))
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError("subsystem dimensions must be positive")
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from swphase import kernel
-from swphase.linalg import DensityMatrix, _ginibre, haar_unitaries, haar_unitary, random_density
+from swphase.linalg import DensityMatrix, _ginibre, haar_unitary, random_density
 from swphase.kernel import (
-    _GS_MAX_N,
     _MC_CHUNK_BYTES,
-    _q_factors,
+    _PLANES_MAX_N,
+    _orbit_frames,
     KernelSpectrum,
     SWKernel,
     haar_second_moment_coefficients,
@@ -278,20 +278,22 @@ class TestReconstructMC:
         err_large = np.linalg.norm(reconstruct_mc(rho, spec, 50_000, seed=5) - exact)
         assert err_large < err_small
 
-    # n = 2 and 4 take Gram-Schmidt frames, n = 9 LAPACK's.
-    @pytest.mark.parametrize("n", [2, 4, 9])
+    # n = 2, 4, 9 and the cut take Householder frames, the cut + 1 LAPACK's.
+    @pytest.mark.parametrize("n", [2, 4, 9, _PLANES_MAX_N, _PLANES_MAX_N + 1])
     def test_error_follows_haar_law(self, n):
         assert abs(_law_deviation(n, 200)) < 1.0
 
     @pytest.mark.parametrize("n", [2, 4, 9])
     def test_haar_law_rejects_a_real_draw(self, n, monkeypatch):
-        # A real Ginibre draw gives frames Haar on O(n), not U(n): against a
-        # complex rho the estimate is biased, and its error stops falling.
+        # Real drawn Householder vectors give frames Haar on O(n), not U(n):
+        # against a complex rho the estimate is biased, and its error stops
+        # falling.  At S = 200 the bias leaves the band by less as n grows
+        # (1.5 band widths at n = 9, 0.7 at n = 14), so n stays at most 9.
         def real_frames(a):
             a.imag = 0.0
-            return _q_factors(a)
+            return _orbit_frames(a)
 
-        monkeypatch.setattr(kernel, "_q_factors", real_frames)
+        monkeypatch.setattr(kernel, "_orbit_frames", real_frames)
         assert _law_deviation(n, 200) > 1.0
 
     def test_norm_estimate(self):
@@ -301,34 +303,64 @@ class TestReconstructMC:
         assert abs(est - 1.0) < 0.03
 
 
+def _householder_product(rng, samples: int, n: int) -> np.ndarray:
+    """H_0 ... H_{n-2} of each sample, from the documented draw as dense reflector matrices.
+
+    Sample k draws the (re, im) pairs of z_0, ..., z_{n-2}, of lengths n, ...,
+    2, in that order; H_l = I - tau w w^dagger on rows l, ..., n - 1, with
+    w = z_l but w[0] = z_l[0] + e^{i phi} |z_l|, e^{i phi} = z_l[0] / |z_l[0]|
+    and tau = 1 / (|z_l| (|z_l| + |z_l[0]|)).
+    """
+    x = rng.standard_normal((samples, n * n + n - 2))
+    z = x[:, 0::2] + 1j * x[:, 1::2]
+    q = np.broadcast_to(np.eye(n, dtype=complex), (samples, n, n))
+    first = 0
+    for l in range(n - 1):
+        zl = z[:, first:first + n - l]
+        first += n - l
+        norm, head = np.linalg.norm(zl, axis=-1), np.abs(zl[:, 0])
+        w = np.zeros((samples, n), dtype=complex)
+        w[:, l:] = zl
+        w[:, l] += zl[:, 0] / head * norm
+        tau = 1.0 / (norm * (norm + head))
+        h = np.eye(n) - tau[:, None, None] * w[:, :, None] * w[:, None, :].conj()
+        q = q @ h
+    return q
+
+
 class TestOrbitChunks:
     """The Monte-Carlo estimators' one orbit sampler."""
 
     @pytest.mark.parametrize("n, samples", [
-        (2, 500), (3, 500), (4, 500), (_GS_MAX_N, 200), (_GS_MAX_N + 1, 200), (32, 60),
-        (4, CHUNK_N4 + 7),
+        (2, 500), (3, 500), (4, 500), (8, 200), (9, 200), (_PLANES_MAX_N, 200),
+        (_PLANES_MAX_N + 1, 200), (32, 60), (4, CHUNK_N4 + 7),
     ])
     def test_equals_haar_orbit(self, n, samples):
-        # Rebuild every sample from the documented draw: sample k's first n - 1
-        # Ginibre columns as (re, im) pairs, column j in row j.  An extra column
-        # makes G square, so the reference U D U^dagger takes all n columns of a
-        # LAPACK Q (whose diag R phases cancel in it) and not the completeness
-        # identity that the estimators use.
+        # Rebuild every sample from the documented draw.  The reference
+        # U D U^dagger takes all n columns of a unitary U, whose diagonal
+        # phases cancel in it, and not the completeness identity that the
+        # estimators use.
         rho = random_density(n, n + 50)
         spec = solve_kernel_spectrum(n, "random", seed=n)
-        x = np.random.default_rng(17).standard_normal((samples, n - 1, n, 2))
-        last = np.random.default_rng(18).standard_normal((samples, n, 1, 2))
-        g = np.concatenate([(x[..., 0] + 1j * x[..., 1]).swapaxes(-1, -2),
-                            last[..., 0] + 1j * last[..., 1]], axis=-1)
-        u = np.linalg.qr(g)[0]
+        if n <= _PLANES_MAX_N:
+            u = _householder_product(np.random.default_rng(17), samples, n)
+        else:
+            # Sample k's first n - 1 Ginibre columns as (re, im) pairs, column
+            # j in row j; an extra column makes G square for a LAPACK Q.
+            x = np.random.default_rng(17).standard_normal((samples, n - 1, n, 2))
+            last = np.random.default_rng(18).standard_normal((samples, n, 1, 2))
+            g = np.concatenate([(x[..., 0] + 1j * x[..., 1]).swapaxes(-1, -2),
+                                last[..., 0] + 1j * last[..., 1]], axis=-1)
+            u = np.linalg.qr(g)[0]
         orbit = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
         w = np.einsum("kij,ji->k", orbit, rho.mat).real
         want = n * np.einsum("k,kij->ij", w, orbit) / samples
         assert np.abs(reconstruct_mc(rho, spec, samples, seed=17) - want).max() < 1e-13
         assert abs(phase_space_norm_mc(rho, spec, samples, seed=17) - n * w.sum() / samples) < 1e-13
 
-    # Gram-Schmidt planes at n = 2, 4 and 8 (one, three and seven rows), LAPACK at 9.
-    @pytest.mark.parametrize("n", [2, 4, _GS_MAX_N, _GS_MAX_N + 1])
+    # Householder planes at n = 2, 4, 8, 9 and the cut (one, three, seven,
+    # eight and cut - 1 frames), LAPACK at the cut + 1.
+    @pytest.mark.parametrize("n", [2, 4, 8, 9, _PLANES_MAX_N, _PLANES_MAX_N + 1])
     def test_stream_does_not_depend_on_chunk(self, n, monkeypatch):
         # One chunk, 64 samples a chunk (does not divide 1000), one sample a chunk.
         rho = random_density(n, 3)
@@ -340,11 +372,11 @@ class TestOrbitChunks:
 
             def recording(a):
                 # Each chunk's frames overwrite the last ones, so keep copies.
-                q = _q_factors(a)
+                q = _orbit_frames(a)
                 chunks.append(q.copy())
                 return q
 
-            monkeypatch.setattr(kernel, "_q_factors", recording)
+            monkeypatch.setattr(kernel, "_orbit_frames", recording)
             estimates.append((reconstruct_mc(rho, spec, 1000, seed=8),
                               phase_space_norm_mc(rho, spec, 1000, seed=8)))
             counts.append(len(chunks) // 2)
@@ -372,16 +404,16 @@ class TestOrbitChunks:
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
-    @pytest.mark.parametrize("n", [2, 3, 4, _GS_MAX_N, 32])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
-        # Three chunks and one sample.  Gram-Schmidt (n = 2, one row, up to
-        # n = 8, seven rows) keeps the draw and its planes in two reused
-        # buffers, the per-plane products in the spent draw, and forms no
-        # orbit stack (2.1-2.2 chunks measured): one (k, n, n) stack more
-        # takes it past its bound.  LAPACK (n = 32) fills the second buffer
-        # with the orbit stack and adds its Q, R and input copy.  Fresh
-        # stacks per chunk take the peak past the bound.
-        bound = {2: 3.0, 3: 3.0, 4: 3.0, _GS_MAX_N: 3.0, 32: 6.5}[n]
+        # Three chunks and one sample.  Householder planes (n = 2, one frame,
+        # up to the cut) keep the draw and the planes in two reused buffers,
+        # the per-plane products in the spent draw, and form no orbit stack
+        # (2.0-2.4 chunks measured): one (k, n, n) stack more takes it past its
+        # bound.  LAPACK (n = 32) fills the second buffer with the orbit
+        # stack and adds its Q, R and input copy.  Fresh stacks per chunk
+        # take the peak past the bound.
+        bound = {2: 3.0, 3: 3.0, 4: 3.0, 8: 3.0, _PLANES_MAX_N: 3.0, 32: 6.5}[n]
         rho = random_density(n, 1)
         spec = solve_kernel_spectrum(n, "random", seed=2)
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
@@ -393,34 +425,33 @@ class TestOrbitChunks:
             tracemalloc.stop()
         assert peak <= bound * _MC_CHUNK_BYTES
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_q_factors_orthonormal_when_ill_conditioned(self, n):
-        # Condition numbers 1, 1e4 and 1e8: one Gram-Schmidt pass loses
-        # orthogonality as cond^2 * eps (4e-4 at n = 4, 3e-3 at n = 8 here);
-        # two passes keep it at eps.  Square, and n - 1 rows of length n as the
-        # orbit sampler takes them (cond 1 at n = 2, one row).
-        assert n <= _GS_MAX_N
-        u = haar_unitaries(n, 3, seed=n)
-        for m in (n, n - 1):
-            v = haar_unitaries(m, 3, seed=n + 100)
-            s = np.stack([np.geomspace(1.0, 10.0**-e, m) for e in (0, 4, 8)])
-            a = ((u[..., :m] * s[:, None, :]) @ v).swapaxes(-1, -2)  # rows: the columns of A
-            # Feed and read sample-last planes (m, n, 3).
-            q = _q_factors(a.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
-            assert q.shape == (3, m, n)
-            gram = q.conj() @ q.swapaxes(-1, -2)
-            assert np.abs(gram - np.eye(m)).max() <= 1e-13
-            # A = Q R with R upper triangular and a positive real diagonal,
-            # Q and A the matrices whose columns are the rows of q and a.
-            r = q.conj() @ a.swapaxes(-1, -2)
-            assert np.abs(np.tril(r, -1)).max() <= 1e-13 * np.abs(a).max()
-            d = np.diagonal(r, axis1=-2, axis2=-1)
-            assert np.all(d.real > 0) and np.abs(d.imag).max() <= 1e-13
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N])
+    def test_householder_frames_orthonormal(self, n):
+        # Random vectors, and planted ones with every z_l[0] = 0 exactly (the
+        # phase e^{i phi} = 1 branch) or of modulus 1e-300, whose square
+        # underflows: neither may warn (the suite turns RuntimeWarning into
+        # an error) or lose orthonormality.  The rows below j of plane j are
+        # NaN, which must never be read.
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n - 1, n, 6)) + 1j * rng.standard_normal((n - 1, n, 6))
+        for j in range(n - 1):
+            z[j, :j] = np.nan
+            z[j, j, 1] = 0.0
+            z[j, j, 2] = 1e-300
+            z[j, j, 3] = 1e-300 * (-0.6 + 0.8j)
+            z[j, j, 4] = -1e-300j
+        z0 = z[0].T.copy()  # (samples, n)
+        u = _orbit_frames(z).transpose(2, 0, 1)  # (samples, n - 1, n)
+        assert u.shape == (6, n - 1, n) and np.all(np.isfinite(u))
+        gram = u.conj() @ u.swapaxes(-1, -2)
+        assert np.abs(gram - np.eye(n - 1)).max() <= 1e-14
+        # Frame 0 takes no reflection.
+        assert np.abs(u[:, 0] - z0 / np.linalg.norm(z0, axis=-1, keepdims=True)).max() <= 1e-15
 
-    def test_q_factors_lapack_reduced(self):
-        n = _GS_MAX_N + 1
+    def test_lapack_frames_reduced(self):
+        n = _PLANES_MAX_N + 1
         a = _ginibre(n, np.random.default_rng(9), 3)[..., :-1, :]
-        q = _q_factors(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+        q = _orbit_frames(a.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert q.shape == (3, n - 1, n)
         assert np.abs(q.conj() @ q.swapaxes(-1, -2) - np.eye(n - 1)).max() <= 1e-13
         # The rows of q span those of a: a = (a q^dagger) q.

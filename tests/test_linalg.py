@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swphase.composite import make_composite_kernel
 from swphase.linalg import (
     BipartiteDims,
     DensityMatrix,
@@ -106,6 +107,12 @@ class TestKron:
 class TestBipartiteDims:
     def test_numpy_integers_accepted(self):
         assert BipartiteDims(np.int64(2), np.int32(3)).total == 6
+
+    def test_numpy_integers_kept_as_ints(self):
+        # So that a report built on them serializes.
+        dims = BipartiteDims(np.int64(2), np.int64(2))
+        assert type(dims.n_a) is int and type(dims.n_b) is int
+        json.dumps(make_composite_kernel(dims, 0).report.as_dict())
 
     @pytest.mark.parametrize("dims, error, message", [
         ((2.0, 2.0), TypeError, "must be integers"),
