@@ -283,7 +283,7 @@ def _cmd_kernel_verify(args) -> int:
     if report.hermitian:
         payload["spectrum"] = [float(v) for v in np.sort(np.linalg.eigvalsh(mat))[::-1]]
     _write_out(args.out, lambda fh: fh.write(_dump_json(payload)))
-    return EXIT_OK if report.ok(args.tol) else EXIT_FAIL
+    return EXIT_OK if report.ok() else EXIT_FAIL
 
 
 def _cmd_composite_verify(args) -> int:

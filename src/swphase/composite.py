@@ -204,18 +204,17 @@ class CompositeKernel:
 @dataclass(frozen=True)
 class CompositeReport:
     """Residuals of the full-system and subsystem-reduction conditions, judged
-    (``full.hermitian`` and :meth:`admissible`) at the ``tol`` they were built with."""
+    (``full.hermitian`` and :meth:`admissible`) at the ``full.tol`` they were built with."""
 
     dims: BipartiteDims
     full: MasterReport
     purity_a_residual: float
     purity_b_residual: float
-    tol: float = PURITY_TOL
 
     def admissible(self) -> bool:
-        return (self.full.ok(self.tol)
-                and self.purity_a_residual <= self.tol
-                and self.purity_b_residual <= self.tol)
+        return (self.full.ok()
+                and self.purity_a_residual <= self.full.tol
+                and self.purity_b_residual <= self.full.tol)
 
     def as_dict(self) -> dict:
         # Wire-format field names are part of the on-disk report schema.
@@ -239,7 +238,7 @@ def verify_composite_master(x, dims: BipartiteDims, tol: float = PURITY_TOL) -> 
     """Report all four admissibility residuals for a candidate matrix."""
     m = as_complex_matrix(x)
     residuals = _reductions(m, dims)[1]  # checks dims
-    return CompositeReport(dims, verify_master(m, tol=tol), *map(abs, residuals), tol)
+    return CompositeReport(dims, verify_master(m, tol=tol), *map(abs, residuals))
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:

@@ -50,15 +50,17 @@ PURITY_TOL = 1e-10
 # bounds their memory only: the sample stream does not depend on it.
 _MC_CHUNK_BYTES = 1 << 20
 
-# Largest n whose orbit sampler draws Householder vectors, builds its frames
-# from them on sample-last planes and contracts them with rho by per-plane
-# GEMMs, instead of drawing Ginibre columns for one LAPACK QR and one orbit
-# point per sample (_orbit_sums).  At one BLAS thread (2-vCPU Xeon), a 1 MiB
-# chunk of reconstruct_mc took on the planes, over five runs, 0.38-0.48 of
-# LAPACK's time at n = 8, 0.46-0.55 at n = 9, 0.52-0.59 at n = 10, 0.66-0.76
-# at n = 12, 0.84-1.00 at n = 14, 0.94-1.06 at n = 15 and 1.12-1.15 at n = 16
-# (2.6 against 5.5 ms at n = 8, 4.5 against 5.0 ms at n = 14 in a quiet run).
-_PLANES_MAX_N = 14
+# Largest n whose orbit frames are built by reflections on sample-last planes
+# and contracted with rho by per-plane GEMMs; above it the same draw gives
+# them as one compact-WY product from batched GEMMs, paired through orbit
+# points (_orbit_sums).  Both read the same draw, so the cut is a speed choice
+# only.  At one BLAS thread (2-vCPU Xeon), whole 1 MiB chunks of
+# reconstruct_mc took, over 15 runs (quartiles, us a sample), 4.6-4.8 on the
+# planes against 5.3-5.5 with WY at n = 10, 6.2-6.4 against 6.5-6.6 at
+# n = 11, 7.7-7.9 against 7.5-7.9 at n = 12, 9.9-10.2 against 8.1-8.4 at
+# n = 13, 12.9-13.2 against 9.8-10.1 at n = 14 and 20.8-21.5 against
+# 12.9-13.5 at n = 16.
+_PLANES_MAX_N = 12
 
 
 def hyperplane_frame(n: int) -> np.ndarray:
@@ -228,15 +230,19 @@ def _spectrum_values(spec, n: int) -> np.ndarray:
     return pi
 
 
-def _orbit_frames(t: np.ndarray) -> np.ndarray:
-    """The orthonormal frames u_0, ..., u_{n-2} of a sample-last stack of planes (n - 1, n, k).
+def _orbit_frames(t: np.ndarray, work=None) -> np.ndarray:
+    """The orthonormal frames of a sample-last stack of planes (n - 1, n, k), built by
+    :func:`_plane_frames` up to ``_PLANES_MAX_N`` and by :func:`_wy_frames` above it."""
+    return _plane_frames(t) if t.shape[1] <= _PLANES_MAX_N else _wy_frames(t, work)
 
-    ``t[j, i, s]`` is component i of plane j of sample s; the result holds
-    u_j in plane j, in the same layout.  The row length n picks what the
-    planes hold.  Up to ``_PLANES_MAX_N`` plane j of a C-contiguous ``t``
-    holds a drawn vector z_j of length n - j in rows j, ..., n - 1 (its
-    rows below j are never read), and the frames are built in place as the
-    first n - 1 columns of the Householder product H_0 ... H_{n-2}:
+
+def _plane_frames(t: np.ndarray) -> np.ndarray:
+    """The frames u_0, ..., u_{n-2} of the first n - 1 columns of H_0 ... H_{n-2}, in place.
+
+    ``t[j, i, s]`` is component i of plane j of sample s, a C-contiguous
+    (n - 1, n, k) stack whose plane j holds a drawn vector z_j of length
+    n - j in rows j, ..., n - 1 (its rows below j are never read); the
+    result holds u_j in plane j, in the same layout:
 
         u_j = H_0 ... H_{j-1} (z_j / |z_j|),   H_l = I - tau_l w_l w_l^dagger
 
@@ -251,13 +257,8 @@ def _orbit_frames(t: np.ndarray) -> np.ndarray:
     over a size-1 sample axis, or one written over an input, another way);
     products with a real factor round alike in every loop, and sums run
     over rows in a fixed order, so a sample's bits do not depend on k.
-    Above the cut the planes hold the rows of A, the n x (n - 1) matrix of
-    the first n - 1 Ginibre columns, and the result is a view of the
-    reduced Q of ``np.linalg.qr(A)``.
     """
     m, n, k = t.shape
-    if n > _PLANES_MAX_N:
-        return np.linalg.qr(t.transpose(2, 1, 0))[0].transpose(2, 1, 0)
     tf = t.view(float).reshape(m, n, 2 * k)
     work = np.empty((n, k), dtype=complex)  # squares, then h and conj(v) or products
     norm = np.empty((m, k))  # |z_j|
@@ -301,6 +302,55 @@ def _orbit_frames(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def _wy_frames(t: np.ndarray, work=None) -> np.ndarray:
+    """The frames of :func:`_plane_frames`'s draw as columns of one compact-WY product.
+
+    ``t`` is the transpose (1, 2, 0) of a C-contiguous (k, n - 1, n) stack
+    whose row l holds z_l from column l, with zeros to its left, so row l
+    is w_l once its head is set as in :func:`_plane_frames`.  With W the
+    n x (n - 1) matrix of columns w_l, H_0 ... H_{n-2} = I - W T W^dagger
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), where T
+    is upper triangular with T[l, l] = tau_l and, by the zlarft column
+    recurrence, T[:l, l] = -tau_l T[:l, :l] G[:l, l], G = W^dagger W.  The
+    stack is W^T.  One batched GEMM gives G^T, whose row l, scaled by
+    -tau_l, times the leading l x l block of -T^T gives row l of -T^T: one
+    batched row-matrix product per l.  Two more GEMMs give F^T = I +
+    (X^T (-T^T)) W^T, X = conj(W[:n - 1])^T, whose row j is column j of the
+    product, -e^{-i phi_j} u_j.  The stack's heads are overwritten and the frames
+    are a view of ``work``, which holds the complex conj W^T, G^T and -T^T
+    of k samples (k (n - 1) (3 n - 2) numbers, allocated if None).  Each
+    GEMM and each reduction runs sample by sample, so a sample's bits do
+    not depend on k.
+    """
+    m, n, k = t.shape
+    a = t.transpose(2, 0, 1)
+    if work is None:
+        work = np.empty(k * m * (3 * n - 2), dtype=complex)
+    cw = work[:k * m * n].reshape(k, m, n)
+    gt = work[k * m * n:k * m * (n + m)].reshape(k, m, m)
+    low = work[k * m * (n + m):k * m * (n + 2 * m)].reshape(k, m, m)
+    diag = np.arange(m)
+    z0 = a[:, diag, diag]
+    head = np.abs(z0)  # |z_l[0]|, then |z_l[0]| + |z_l|
+    norm = np.sqrt(np.square(a.view(float), out=cw.view(float)).sum(axis=-1))  # |z_l|
+    phase = np.divide(z0, head, out=np.ones_like(z0), where=head > 0)
+    head += norm
+    ntau = np.multiply(norm, head)
+    np.divide(-1.0, ntau, out=ntau)
+    a[:, diag, diag] = phase * head
+    np.conjugate(a, out=cw)
+    np.matmul(a, cw.swapaxes(-1, -2), out=gt)  # G^T
+    gt *= ntau[:, :, None]
+    low.fill(0.0)
+    low[:, diag, diag] = ntau
+    for l in range(1, m):
+        np.matmul(gt[:, l:l + 1, :l], low[:, :l, :l], out=low[:, l:l + 1, :l])
+    mt = np.matmul(cw[..., :m].swapaxes(-1, -2), low, out=gt)  # X^T (-T^T)
+    f = np.matmul(mt, a, out=cw)
+    f.reshape(k, m * n)[:, ::n + 1] += 1.0
+    return f.transpose(1, 2, 0)
+
+
 def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float:
     """Sum of the pairings w_k = tr(rho O_k) over Haar orbit points O_k = U_k D U_k^dagger;
     given an (n, n) complex ``acc``, also add sum_k w_k O_k into it.
@@ -311,24 +361,25 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
 
     and the last column of U is never formed.  If U is replaced by U Lambda,
     Lambda any diagonal unitary, O does not change, since Lambda commutes
-    with D; so any Q factor of a complex Ginibre matrix serves, whatever the
-    phases of diag R (Mezzadri, math-ph/0609050, section 5), and no phase
-    fix, 1/sqrt(2) scale or det = 1 fix is applied.  The samples are drawn
-    into a reused chunk of k = ``_MC_CHUNK_BYTES`` // (16 n^2) samples, a
-    sample's normals contiguous, so the stream does not depend on the chunk.
-    The ``_PLANES_MAX_N`` cut picks what a sample draws and how it is used.
+    with D; so no phase fix or det = 1 fix is applied.
 
-    Up to the cut each sample draws n^2 + n - 2 standard normals: the
-    (re, im) pairs of z_0, ..., z_{n-2}, of lengths n, n - 1, ..., 2, in
-    that order.  Householder QR of a Ginibre matrix takes reflector j from
-    a vector that, by unitary invariance, is a CN(0, I_{n-j}) draw
-    independent of the earlier ones (Stewart, SIAM J. Numer. Anal. 17, 1980),
-    so the frames :func:`_orbit_frames` builds from these vectors,
-    u_j = H_0 ... H_{j-1} (z_j / |z_j|) with H_l the reflector of z_l, are
-    columns of a Haar U times a diagonal unitary.  Each z_j is copied once
-    into rows j, ..., n - 1 of plane j of reused sample-last planes (n, k),
-    the frames are built in place, and no orbit point is formed: one GEMM
-    per plane, P_j = rho U_j, written into the spent draw, gives
+    Every sample draws n^2 + n - 2 standard normals: the (re, im) pairs of
+    z_0, ..., z_{n-2}, of lengths n, n - 1, ..., 2, in that order, a
+    sample's normals contiguous in a reused chunk of k =
+    ``_MC_CHUNK_BYTES`` // (16 n^2) samples, so the stream does not depend
+    on the chunk.  Householder QR of a Ginibre matrix takes reflector j
+    from a vector that, by unitary invariance, is a CN(0, I_{n-j}) draw
+    independent of the earlier ones (Stewart, SIAM J. Numer. Anal. 17,
+    1980), so the product H_0 ... H_{n-2} of the reflectors of these
+    vectors is a Haar U times a diagonal unitary (Mezzadri,
+    math-ph/0609050, section 5).  Each z_j is copied once into rows j, ...,
+    n - 1 of plane j of a reused sample-last (n - 1, n, k) stack, and
+    :func:`_orbit_frames` builds the frames from it; the ``_PLANES_MAX_N``
+    cut picks how, and how they meet rho.
+
+    Up to the cut the stack is C-contiguous and :func:`_plane_frames` builds
+    u_j = H_0 ... H_{j-1} (z_j / |z_j|) in place.  No orbit point is formed:
+    one GEMM per plane, P_j = rho U_j, written into the spent draw, gives
     x_j = Re sum_i conj(U_j[i]) P_j[i] = u_j^dagger rho u_j for every
     sample, so w = d_n tr(rho) + sum_j (d_j - d_n) x_j; then
     C_j = conj(U_j) w (d_j - d_n), in the same buffer, and one GEMM per
@@ -337,13 +388,16 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     GEMMs and the accumulating GEMMs: 25-29, 1.1-1.7, 10.5-13, 6-7 and
     4.5-5.6 ms per 111,000 samples at n = 4 (one BLAS thread, 2-vCPU Xeon).
 
-    Above the cut each sample draws 2 n (n - 1) standard normals: the
-    (re, im) pairs of the first n - 1 columns of a complex Ginibre matrix,
-    column j in row j of a (k, n - 1, n) chunk.  Their frames are the
-    reduced Q of one LAPACK QR per sample; the orbit stack of
-    U' diag(d_j - d_n) U'^dagger is formed, with conj(U') diag(d_j - d_n)
-    in the spent draw, and paired by two matrix-vector products on its
-    (k, n^2) view.
+    Above the cut the stack is the transpose of a (k, n - 1, n) one, whose
+    row j holds z_j from column j and zeros, written each chunk, to its
+    left.  :func:`_wy_frames` builds the frames -e^{-i phi_j} u_j as
+    columns of the compact-WY product I - W T W^dagger from batched GEMMs,
+    in a workspace allocated once per call.  The orbit stack of
+    U' diag(d_j - d_n) U'^dagger is formed in the spent stack, with
+    conj(U') diag(d_j - d_n) in the spent draw, and paired by two
+    matrix-vector products on its (k, n^2) view.  At n = 32 a sample takes
+    53-56 us: 12.5-13 to draw, 30-31.5 for the frames and about 11 for the
+    copy, the orbit stack and the pairing (one BLAS thread, 2-vCPU Xeon).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -355,22 +409,26 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     rng = np.random.default_rng(seed)
     step = min(samples, max(1, _MC_CHUNK_BYTES // (16 * n * n)))
     planes = n <= _PLANES_MAX_N
-    drawn = (n * n + n - 2) // 2 if planes else (n - 1) * n  # complex normals a sample
-    draw = np.empty(step * (n - 1) * n, dtype=complex)  # the draw, then the planes' products
-    spare = np.empty(draw.size if planes else step * n * n,
-                     dtype=complex)  # the planes, or the orbit stack
+    drawn = (n * n + n - 2) // 2  # complex normals a sample
+    draw = np.empty(step * (n - 1) * n, dtype=complex)  # the draw, then products or conj frames
+    spare = np.empty(step * (n - 1) * n if planes else step * n * n,
+                     dtype=complex)  # the planes, or the stack and then the orbit stack
+    work = None if planes else np.empty(step * (n - 1) * (3 * n - 2), dtype=complex)
     total = 0.0
     for start in range(0, samples, step):
         k = min(step, samples - start)
         g = draw[:k * drawn].reshape(k, drawn)
         rng.standard_normal(out=g.view(float))
+        u = spare[:k * (n - 1) * n]
+        u = u.reshape(n - 1, n, k) if planes else u.reshape(k, n - 1, n).transpose(1, 2, 0)
+        first = 0
+        for j in range(n - 1):  # z_j into rows j, ..., n - 1 of plane j
+            np.copyto(u[j, j:], g[:, first:first + n - j].T)
+            if not planes:
+                u[j, :j] = 0.0
+            first += n - j
+        u = _orbit_frames(u, work)
         if planes:
-            u = spare[:k * (n - 1) * n].reshape(n - 1, n, k)
-            first = 0
-            for j in range(n - 1):  # z_j into rows j, ..., n - 1 of plane j
-                np.copyto(u[j, j:], g[:, first:first + n - j].T)
-                first += n - j
-            u = _orbit_frames(u)
             p = np.matmul(rho.mat, u, out=draw[:u.size].reshape(u.shape))  # the draw is spent
             # x_j = Re sum_i conj(U_j[i]) P_j[i], summed from the float views.
             pf = np.multiply(p.view(float), u.view(float), out=p.view(float))
@@ -384,11 +442,10 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
                 p *= (shift[:, None] * w)[:, None, :]
                 acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
         else:
-            g = g.reshape(k, n - 1, n)
-            f = _orbit_frames(g.transpose(1, 2, 0)).transpose(2, 0, 1)
-            uc = np.conjugate(f, out=g)  # the draw is spent
+            f = u.transpose(2, 0, 1)
+            uc = np.conjugate(f, out=draw[:f.size].reshape(f.shape))  # the draw is spent
             uc *= shift[:, None]
-            orbit = spare[:k * n * n].reshape(k, n, n)
+            orbit = spare[:k * n * n].reshape(k, n, n)  # so is the stack
             orbit = np.matmul(f.swapaxes(-1, -2), uc, out=orbit).reshape(k, n * n)
             w = base + (orbit @ rho_t).real
             if acc is not None:
@@ -439,16 +496,15 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     Deterministic given ``seed``; chunking only bounds memory, as the
     sample stream does not depend on it.
 
-    Up to ``_PLANES_MAX_N`` sample k draws n^2 + n - 2 standard normals, the
-    (re, im) pairs of Householder vectors z_0, ..., z_{n-2} of lengths
-    n, ..., 2 in that order, and U_k = H_0 ... H_{n-2} Lambda with
-    H_l = I - tau_l w_l w_l^dagger, w_l = z_l but w_l[0] = z_l[0] +
-    e^{i phi} |z_l| (e^{i phi} = z_l[0] / |z_l[0]|), tau_l = 1 / (|z_l|
-    (|z_l| + |z_l[0]|)); the diagonal phases Lambda commute with D and
-    cancel in U_k D U_k†.  Above it sample k draws the first n - 1 columns
-    of a complex Ginibre matrix for one LAPACK QR.  The stages are the
-    draw, the frames (Householder reflections, or LAPACK QR) and the
-    contraction with rho (see :func:`_orbit_sums`).
+    Sample k draws n^2 + n - 2 standard normals, the (re, im) pairs of
+    Householder vectors z_0, ..., z_{n-2} of lengths n, ..., 2 in that
+    order, and U_k = H_0 ... H_{n-2} Lambda with H_l = I - tau_l w_l
+    w_l^dagger, w_l = z_l but w_l[0] = z_l[0] + e^{i phi} |z_l| (e^{i phi}
+    = z_l[0] / |z_l[0]|), tau_l = 1 / (|z_l| (|z_l| + |z_l[0]|)); the
+    diagonal phases Lambda commute with D and cancel in U_k D U_k†.  The
+    stages are the draw, the frames (reflections on sample-last planes up
+    to ``_PLANES_MAX_N``, a compact-WY product from batched GEMMs above it)
+    and the contraction with rho (see :func:`_orbit_sums`).
     """
     n = rho.dim
     acc = np.zeros((n, n), dtype=complex)
@@ -467,20 +523,23 @@ def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed) -> float:
 
 @dataclass(frozen=True)
 class MasterReport:
-    """Residual report for the master equations at dimension n."""
+    """Residual report for the master equations at dimension n, judged (``hermitian`` and
+    :meth:`ok`) at the ``tol`` it was built with."""
 
     hermitian: bool
     hermiticity_defect: float
     trace_residual: float
     purity_residual: float
+    tol: float
 
-    def ok(self, tol: float) -> bool:
-        return (self.hermiticity_defect <= tol
-                and self.trace_residual <= tol
-                and self.purity_residual <= tol)
+    def ok(self) -> bool:
+        return (self.hermiticity_defect <= self.tol
+                and self.trace_residual <= self.tol
+                and self.purity_residual <= self.tol)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # Wire-format fields: the tolerance is the caller's, not part of the report schema.
+        return {k: v for k, v in asdict(self).items() if k != "tol"}
 
 
 def verify_master(x, *, tol: float = PURITY_TOL) -> MasterReport:
@@ -494,4 +553,5 @@ def verify_master(x, *, tol: float = PURITY_TOL) -> MasterReport:
         hermiticity_defect=float(defect),
         trace_residual=float(abs(tr.real - 1.0) + abs(tr.imag)),
         purity_residual=float(abs(purity.real - m.shape[0]) + abs(purity.imag)),
+        tol=tol,
     )

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from swphase import kernel
-from swphase.linalg import DensityMatrix, _ginibre, haar_unitary, random_density
+from swphase.linalg import DensityMatrix, haar_unitary, random_density
 from swphase.kernel import (
     _MC_CHUNK_BYTES,
     _PLANES_MAX_N,
     _orbit_frames,
+    _plane_frames,
+    _wy_frames,
     KernelSpectrum,
     SWKernel,
     haar_second_moment_coefficients,
@@ -21,8 +23,9 @@ from swphase.kernel import (
     wigner_value,
 )
 
-# Samples per chunk of the orbit sampler at n = 4.
+# Samples per chunk of the orbit sampler at n = 4 and n = 32.
 CHUNK_N4 = _MC_CHUNK_BYTES // (16 * 4 * 4)
+CHUNK_N32 = _MC_CHUNK_BYTES // (16 * 32 * 32)
 
 GOLD_2 = np.array([(1 + np.sqrt(3)) / 2, (1 - np.sqrt(3)) / 2])
 
@@ -278,23 +281,24 @@ class TestReconstructMC:
         err_large = np.linalg.norm(reconstruct_mc(rho, spec, 50_000, seed=5) - exact)
         assert err_large < err_small
 
-    # n = 2, 4, 9 and the cut take Householder frames, the cut + 1 LAPACK's.
-    @pytest.mark.parametrize("n", [2, 4, 9, _PLANES_MAX_N, _PLANES_MAX_N + 1])
+    # n = 2, 4, 9 and the cut take the planes' frames, the cut + 1, 14 and 15 the WY frames.
+    @pytest.mark.parametrize("n", [2, 4, 9, _PLANES_MAX_N, _PLANES_MAX_N + 1, 14, 15])
     def test_error_follows_haar_law(self, n):
         assert abs(_law_deviation(n, 200)) < 1.0
 
-    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("n", [2, 4, 9, _PLANES_MAX_N + 1])
     def test_haar_law_rejects_a_real_draw(self, n, monkeypatch):
         # Real drawn Householder vectors give frames Haar on O(n), not U(n):
         # against a complex rho the estimate is biased, and its error stops
-        # falling.  At S = 200 the bias leaves the band by less as n grows
-        # (1.5 band widths at n = 9, 0.7 at n = 14), so n stays at most 9.
-        def real_frames(a):
+        # falling.  The bias grows with S against the law, and at S = 200
+        # it leaves the band by less as n grows (1.5 band widths at n = 9,
+        # 0.75 at n = 13), so the WY case above the cut takes S = 400 (1.44).
+        def real_frames(a, *work):
             a.imag = 0.0
-            return _orbit_frames(a)
+            return _orbit_frames(a, *work)
 
         monkeypatch.setattr(kernel, "_orbit_frames", real_frames)
-        assert _law_deviation(n, 200) > 1.0
+        assert _law_deviation(n, 200 if n <= _PLANES_MAX_N else 400) > 1.0
 
     def test_norm_estimate(self):
         rho = random_density(4, 4)
@@ -333,25 +337,17 @@ class TestOrbitChunks:
 
     @pytest.mark.parametrize("n, samples", [
         (2, 500), (3, 500), (4, 500), (8, 200), (9, 200), (_PLANES_MAX_N, 200),
-        (_PLANES_MAX_N + 1, 200), (32, 60), (4, CHUNK_N4 + 7),
+        (_PLANES_MAX_N + 1, 200), (14, 200), (15, 200), (32, 60), (4, CHUNK_N4 + 7),
+        (32, CHUNK_N32 + 7),
     ])
     def test_equals_haar_orbit(self, n, samples):
-        # Rebuild every sample from the documented draw.  The reference
-        # U D U^dagger takes all n columns of a unitary U, whose diagonal
-        # phases cancel in it, and not the completeness identity that the
-        # estimators use.
+        # Rebuild every sample from the documented draw, on either side of
+        # the cut.  The reference U D U^dagger takes all n columns of a
+        # unitary U, whose diagonal phases cancel in it, and not the
+        # completeness identity that the estimators use.
         rho = random_density(n, n + 50)
         spec = solve_kernel_spectrum(n, "random", seed=n)
-        if n <= _PLANES_MAX_N:
-            u = _householder_product(np.random.default_rng(17), samples, n)
-        else:
-            # Sample k's first n - 1 Ginibre columns as (re, im) pairs, column
-            # j in row j; an extra column makes G square for a LAPACK Q.
-            x = np.random.default_rng(17).standard_normal((samples, n - 1, n, 2))
-            last = np.random.default_rng(18).standard_normal((samples, n, 1, 2))
-            g = np.concatenate([(x[..., 0] + 1j * x[..., 1]).swapaxes(-1, -2),
-                                last[..., 0] + 1j * last[..., 1]], axis=-1)
-            u = np.linalg.qr(g)[0]
+        u = _householder_product(np.random.default_rng(17), samples, n)
         orbit = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
         w = np.einsum("kij,ji->k", orbit, rho.mat).real
         want = n * np.einsum("k,kij->ij", w, orbit) / samples
@@ -359,8 +355,8 @@ class TestOrbitChunks:
         assert abs(phase_space_norm_mc(rho, spec, samples, seed=17) - n * w.sum() / samples) < 1e-13
 
     # Householder planes at n = 2, 4, 8, 9 and the cut (one, three, seven,
-    # eight and cut - 1 frames), LAPACK at the cut + 1.
-    @pytest.mark.parametrize("n", [2, 4, 8, 9, _PLANES_MAX_N, _PLANES_MAX_N + 1])
+    # eight and cut - 1 frames), WY frames at the cut + 1, 14 and 15.
+    @pytest.mark.parametrize("n", [2, 4, 8, 9, _PLANES_MAX_N, _PLANES_MAX_N + 1, 14, 15])
     def test_stream_does_not_depend_on_chunk(self, n, monkeypatch):
         # One chunk, 64 samples a chunk (does not divide 1000), one sample a chunk.
         rho = random_density(n, 3)
@@ -370,9 +366,9 @@ class TestOrbitChunks:
             monkeypatch.setattr(kernel, "_MC_CHUNK_BYTES", chunk_bytes)
             chunks = []
 
-            def recording(a):
+            def recording(a, *work):
                 # Each chunk's frames overwrite the last ones, so keep copies.
-                q = _orbit_frames(a)
+                q = _orbit_frames(a, *work)
                 chunks.append(q.copy())
                 return q
 
@@ -404,16 +400,17 @@ class TestOrbitChunks:
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N, 32])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N, 14, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
         # Three chunks and one sample.  Householder planes (n = 2, one frame,
         # up to the cut) keep the draw and the planes in two reused buffers,
         # the per-plane products in the spent draw, and form no orbit stack
         # (2.0-2.4 chunks measured): one (k, n, n) stack more takes it past its
-        # bound.  LAPACK (n = 32) fills the second buffer with the orbit
-        # stack and adds its Q, R and input copy.  Fresh stacks per chunk
-        # take the peak past the bound.
-        bound = {2: 3.0, 3: 3.0, 4: 3.0, 8: 3.0, _PLANES_MAX_N: 3.0, 32: 6.5}[n]
+        # bound.  WY frames (n = 14 and 32) keep the draw, the stack that
+        # then takes the orbit stack, and the conj W, G and T workspace in
+        # reused buffers (4.9-5.1 chunks measured).  Fresh stacks or a fresh
+        # workspace per chunk take the peak past the bound.
+        bound = 3.0 if n <= _PLANES_MAX_N else 6.5
         rho = random_density(n, 1)
         spec = solve_kernel_spectrum(n, "random", seed=2)
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
@@ -425,37 +422,49 @@ class TestOrbitChunks:
             tracemalloc.stop()
         assert peak <= bound * _MC_CHUNK_BYTES
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N, _PLANES_MAX_N + 1, 14, 32])
     def test_householder_frames_orthonormal(self, n):
         # Random vectors, and planted ones with every z_l[0] = 0 exactly (the
         # phase e^{i phi} = 1 branch) or of modulus 1e-300, whose square
         # underflows: neither may warn (the suite turns RuntimeWarning into
-        # an error) or lose orthonormality.  The rows below j of plane j are
-        # NaN, which must never be read.
+        # an error) or lose orthonormality.  On the planes the rows below j
+        # of plane j are NaN, which must never be read; the WY stack holds
+        # zeros there, which its GEMMs read.
+        planes = n <= _PLANES_MAX_N
         rng = np.random.default_rng(n)
         z = rng.standard_normal((n - 1, n, 6)) + 1j * rng.standard_normal((n - 1, n, 6))
         for j in range(n - 1):
-            z[j, :j] = np.nan
+            z[j, :j] = np.nan if planes else 0.0
             z[j, j, 1] = 0.0
             z[j, j, 2] = 1e-300
             z[j, j, 3] = 1e-300 * (-0.6 + 0.8j)
             z[j, j, 4] = -1e-300j
         z0 = z[0].T.copy()  # (samples, n)
+        want = z0 / np.linalg.norm(z0, axis=-1, keepdims=True)
+        if not planes:
+            # WY frame 0 is -e^{-i phi_0} z_0 / |z_0|, e^{i phi_0} = 1 when z_0[0] = 0.
+            head = z0[:, :1]
+            want *= -np.divide(head.conj(), np.abs(head), out=np.ones_like(head), where=head != 0)
+            z = z.transpose(2, 0, 1).copy().transpose(1, 2, 0)  # a (samples, n - 1, n) stack
         u = _orbit_frames(z).transpose(2, 0, 1)  # (samples, n - 1, n)
         assert u.shape == (6, n - 1, n) and np.all(np.isfinite(u))
         gram = u.conj() @ u.swapaxes(-1, -2)
         assert np.abs(gram - np.eye(n - 1)).max() <= 1e-14
-        # Frame 0 takes no reflection.
-        assert np.abs(u[:, 0] - z0 / np.linalg.norm(z0, axis=-1, keepdims=True)).max() <= 1e-15
+        # Frame 0 takes no reflection on the planes, and only its own in WY.
+        assert np.abs(u[:, 0] - want).max() <= 1e-15
 
-    def test_lapack_frames_reduced(self):
-        n = _PLANES_MAX_N + 1
-        a = _ginibre(n, np.random.default_rng(9), 3)[..., :-1, :]
-        q = _orbit_frames(a.transpose(1, 2, 0)).transpose(2, 0, 1)
-        assert q.shape == (3, n - 1, n)
-        assert np.abs(q.conj() @ q.swapaxes(-1, -2) - np.eye(n - 1)).max() <= 1e-13
-        # The rows of q span those of a: a = (a q^dagger) q.
-        assert np.abs((a @ q.conj().swapaxes(-1, -2)) @ q - a).max() <= 1e-13 * np.abs(a).max()
+    @pytest.mark.parametrize("n", [2, 3, 8, _PLANES_MAX_N, _PLANES_MAX_N + 1])
+    def test_wy_frames_match_plane_frames(self, n):
+        # Both builders read one draw: the WY product's column j is
+        # -e^{-i phi_j} u_j, with e^{i phi_j} = z_j[0] / |z_j[0]|.
+        rng = np.random.default_rng(n)
+        stack = np.zeros((5, n - 1, n), dtype=complex)  # z_l in row l from column l
+        for l in range(n - 1):
+            stack[:, l, l:] = rng.standard_normal((5, n - l)) + 1j * rng.standard_normal((5, n - l))
+        head = stack[:, range(n - 1), range(n - 1)]
+        u = _plane_frames(stack.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
+        f = _wy_frames(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert np.abs(f + (head.conj() / np.abs(head))[..., None] * u).max() <= 1e-14
 
     @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
     def test_input_errors_shared(self, estimator):
@@ -481,8 +490,8 @@ class TestVerifyMaster:
     def test_valid_kernel(self):
         spec = solve_kernel_spectrum(4, "random", seed=0)
         ker = kernel_from_spectrum(spec, haar_unitary(4, 1))
-        report = verify_master(ker.mat)
-        assert report.ok(1e-10)
+        report = verify_master(ker.mat, tol=1e-10)
+        assert report.ok()
 
     def test_maximally_mixed_purity_residual(self):
         n = 4
@@ -497,6 +506,17 @@ class TestVerifyMaster:
             verify_master(np.eye(4) / 4, 4)
         skew = np.eye(2) / 2 + 1e-9 * np.array([[0, 1], [-1, 0]])
         assert not verify_master(skew).hermitian and verify_master(skew, tol=1e-8).hermitian
+
+    def test_ok_judges_at_the_report_tol(self):
+        # A report that reads hermitian: false is never ok: the tolerance is
+        # the one verify_master took, not a second one.
+        m = np.diag(solve_kernel_spectrum(2).pi) + 1e-9 * np.array([[0, 1], [-1, 0]])
+        report = verify_master(m)
+        assert report.trace_residual <= 1e-10 and report.purity_residual <= 1e-10
+        assert not report.hermitian and not report.ok()
+        assert verify_master(m, tol=1e-8).ok()
+        assert set(report.as_dict()) == {"hermitian", "hermiticity_defect", "trace_residual",
+                                         "purity_residual"}
 
     def test_perturbation_scale(self):
         from swphase.linalg import random_hermitian
