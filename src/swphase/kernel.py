@@ -105,11 +105,6 @@ class KernelSpectrum:
         """pi - 1/N; Euclidean norm sqrt(N - 1/N)."""
         return self.pi - 1.0 / self.n
 
-    def unit_direction(self) -> np.ndarray:
-        """Unit-normalized traceless part (the direction on the moduli sphere)."""
-        t = self.traceless_part()
-        return t / np.linalg.norm(t)
-
 
 def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
                           vector=None) -> KernelSpectrum:

@@ -51,6 +51,18 @@ closed-form pencil matrices, the roots and the solver run record by
 record in Python, and :func:`moduli_record` is the batch-of-one case of
 the same pipeline.
 
+Scan draws
+----------
+Record i of a scan draws ``default_rng(child i of SeedSequence(seed))
+.uniform(lo, hi, 6)``, so a record does not depend on ``n``.  numpy's
+construction is the reference, and the chunk pipeline derives the same
+doubles for a whole chunk at once (:func:`_child_states`): child i's pool is
+the parent's pool with the spawn key i mixed into each word by numpy's
+SeedSequence hash, and its ``generate_state(4, uint64)`` is one more hash
+of the pool, both as uint32 array arithmetic.  numpy's own PCG64, seeded
+from those words, gives six raw outputs a record, and ``uniform`` is
+lo + (hi - lo) * (raw >> 11) * 2**-53, as numpy computes it.
+
 Dependencies
 ------------
 The module needs numpy alone.  Its 3x3 eigenproblems go through
@@ -68,6 +80,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import (
     DEFAULT_TOL,
@@ -707,23 +720,87 @@ def _chunk_stages(a: np.ndarray, ap: np.ndarray, solve: bool) -> tuple:
     return q, _pencil_roots(q), {k: moduli_feasibility(q[k], 1.0) for k in reachable}
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
+# entropy hash INIT_A * MULT_A**j, the state hash INIT_B * MULT_B**w and the
+# two multipliers of its mix, all mod 2**32.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, j: int, count: int) -> np.ndarray:
+    """init * mult**(j + w) mod 2**32 for w < count, as uint32."""
+    return np.array([init * pow(mult, j + w, 1 << 32) & 0xFFFFFFFF for w in range(count)],
+                    dtype=np.uint32)
+
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> 16)
+
+
+def _entropy_words(entropy) -> int:
+    """The number of 32-bit words SeedSequence(entropy) assembles from ``entropy``:
+    max(1, ceil(bits / 32)) for an int, the sum over the elements of a sequence,
+    whose strings are read as numpy reads them ("0x": hex, "0": octal)."""
+    if isinstance(entropy, str):
+        entropy = int(entropy, 16 if entropy.startswith("0x") else 8 if entropy.startswith("0") else 10)
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(map(_entropy_words, entropy))
+
+
+_STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+
+
+def _child_states(parent: np.random.SeedSequence, start: int, m: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of children start, ..., start + m - 1 of a
+    fresh ``parent``, shape (m, 4), keys below 2**32.
+
+    numpy builds child i from the parent's entropy with the spawn key i appended:
+    its pool is the parent's pool, each word d then mixed with the key hashed at
+    step j0 + d, where j0 = 16 + 4 max(0, L - 4) hash steps precede it for L
+    entropy words.  Its state word w hashes pool word w % 4 at step w.  Every
+    product is on uint32 arrays, which wrap without a warning.
+    """
+    h = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, _entropy_words(parent.entropy) - 4), 5)
+    keys = np.arange(start, start + m, dtype=np.uint32)[:, None]
+    pool = _xorshift(_MIX_L * parent.pool - _MIX_R * _xorshift((keys ^ h[:4]) * h[1:]))
+    return _xorshift((np.tile(pool, 2) ^ _STATE_HASH[:8]) * _STATE_HASH[1:]).view(np.uint64)
+
+
+class _GivenState(ISeedSequence):
+    """A seed sequence that hands a bit generator the state words it was given."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 def _scan_chunks(n: int, seed, ranges):
     """The scan's chunk pipeline: (start, params (m, 6), *_chunk_stages) per chunk.
 
     A chunk of ``SCAN_CHUNK`` records is drawn when the one before it has
-    been consumed.  Successive spawns of one SeedSequence(seed) give child i
-    of a single spawn(n); record i takes a then a' from one
-    uniform(lo, hi, 6) call of default_rng(child i), which is exactly lo when hi == lo.
+    been consumed.  Record i takes a then a' from the doubles of
+    default_rng(child i of SeedSequence(seed)).uniform(lo, hi, 6), which are
+    exactly lo when hi == lo.  numpy's construction is the reference, and a
+    chunk derives them at once (module docstring, "Scan draws"): state words
+    from :func:`_child_states`, six raw outputs of numpy's PCG64 on each, and
+    numpy's ``uniform`` formula.  Spawn keys are single words, so ``n`` is at
+    most 2**32.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 1 << 32:
+        raise ValueError(f"n must be between 1 and 2**32, got {n}")
     lo, hi = float(ranges[0]), float(ranges[1])
     if not (lo <= hi and np.isfinite(hi - lo)):
         raise ValueError(f"ranges must satisfy lo <= hi with hi - lo finite, got {lo!r},{hi!r}")
     parent = np.random.SeedSequence(seed)
     for start in range(0, n, SCAN_CHUNK):
-        params = np.array([np.random.default_rng(child).uniform(lo, hi, 6)
-                           for child in parent.spawn(min(SCAN_CHUNK, n - start))])
+        raw = np.array([np.random.PCG64(_GivenState(state)).random_raw(6)
+                        for state in _child_states(parent, start, min(SCAN_CHUNK, n - start))])
+        params = lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
         yield (start, params, *_chunk_stages(params[:, :3], params[:, 3:], solve=True))
 
 
@@ -757,8 +834,11 @@ def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi)) -> list:
     """Random scan of the moduli bundle, as a list of :class:`ScanRecord`.
 
     Record i draws its abelian parameters uniformly from ``ranges`` = (lo, hi),
-    lo <= hi, with child i of SeedSequence(seed), so a record does not depend
-    on ``n``; ranges (0, 0) puts every record at the origin.  The records come
+    lo <= hi, as default_rng(child i of SeedSequence(seed)).uniform(lo, hi, 6),
+    so a record does not depend on ``n``; ranges (0, 0) puts every record at
+    the origin.  numpy's construction is the reference for the draws, which
+    the chunk pipeline derives a chunk at a time, bit for bit (module
+    docstring, "Scan draws"); ``n`` is at most 2**32.  The records come
     from the chunk pipeline (:func:`_scan_chunks`), whose quadrics come from
     one :func:`abelian_quadrics` call per chunk, and equal
     :func:`moduli_record` bit for bit.

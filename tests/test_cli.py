@@ -540,6 +540,17 @@ class TestModuliScan:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
+    def test_more_records_than_spawn_keys_exit_2(self, capsys, monkeypatch):
+        # Spawn keys are single words: --n above 2**32 is refused before anything is drawn.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be drawn for a rejected --n")
+
+        monkeypatch.setattr(twoqubit, "_child_states", forbidden)
+        code, out, err = run(["moduli", "scan", "--n", str(2**32 + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n must be") and err.count("\n") == 1
+
 
 class TestModuliScanStreaming:
     """The scan is written chunk by chunk: the bytes of one whole dump, --out only on success."""

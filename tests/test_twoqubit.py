@@ -1137,6 +1137,10 @@ class TestBatchParity:
         (5, 1, {"ranges": (0.0, 0.0)}),
         (30, 11, {"ranges": (-1.0, 2.0)}),
         (SCAN_CHUNK + 1, 7, {}),
+        # Two and five entropy words (the pool mixes words past the fourth), and a sequence.
+        (30, 2**32 + 5, {}),
+        (30, 2**130 + 3, {}),
+        (30, [1, 2, 3], {}),
     ])
     def test_scan_equals_records(self, n, seed, kwargs):
         records = moduli_scan(n, seed, **kwargs)
@@ -1146,6 +1150,14 @@ class TestBatchParity:
             assert lo < hi or not (a.any() or ap.any())  # uniform(lo, lo) is exactly lo
             assert np.array_equal(rec.a_params, a) and np.array_equal(rec.a_prime_params, ap)
             _assert_same_record(rec, moduli_record(i, a, ap))
+
+    @pytest.mark.parametrize("seed", [0, 2**130 + 3, [7, "0x10", "017"]])
+    def test_last_spawn_keys_match_numpy(self, seed):
+        # Spawn keys are single words: the derived states of the last keys below 2**32.
+        start = 2**32 - 3
+        want = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                for k in range(start, start + 3)]
+        assert np.array_equal(twoqubit._child_states(np.random.SeedSequence(seed), start, 3), want)
 
     def test_chunk_boundary_does_not_move_records(self):
         long = moduli_scan(SCAN_CHUNK + 3, seed=4)
