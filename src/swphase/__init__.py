@@ -12,7 +12,6 @@ from .linalg import (
     BipartiteDims,
     DensityMatrix,
     haar_unitary,
-    is_hermitian,
     kron,
     matrix_from_json,
     matrix_to_json,

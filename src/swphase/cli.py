@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = kernel_sub.add_parser("verify", help="verify a kernel matrix file")
     p_ver.add_argument("input", help="matrix JSON file")
-    p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--tol", type=_parse_tol, default=kernel.PURITY_TOL)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(handler=_cmd_kernel_verify)
@@ -255,8 +254,6 @@ def _cmd_kernel_gen(args) -> int:
         comp = composite.make_composite_kernel(args.dims, args.seed)
         mat, spectrum, report = comp.mat, comp.kernel.spectrum, comp.report
     else:
-        if args.n < 2:
-            raise ValueError(f"no kernel spectrum exists at n={args.n}")
         spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
         ker = kernel.kernel_from_spectrum(spec, linalg.haar_unitary(args.n, args.seed))
         mat, spectrum, report = ker.mat, spec.pi, ker.report
@@ -274,12 +271,9 @@ def _cmd_kernel_gen(args) -> int:
 
 def _cmd_kernel_verify(args) -> int:
     mat = _load_matrix_file(args.input)
-    n = mat.shape[0]
-    if args.n not in (None, n):
-        raise ValueError(f"--n {args.n} does not match file dimension {n}")
     report = kernel.verify_master(mat, tol=args.tol)
     payload = report.as_dict()
-    payload.update({"schema": _SCHEMA, "n": n})
+    payload.update({"schema": _SCHEMA, "n": mat.shape[0]})
     if report.hermitian:
         payload["spectrum"] = [float(v) for v in np.sort(np.linalg.eigvalsh(mat))[::-1]]
     _write_out(args.out, lambda fh: fh.write(_dump_json(payload)))
@@ -309,8 +303,6 @@ def _cmd_wigner_eval(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     _check_n_limit(args.n)
-    if args.n < 2:
-        raise ValueError(f"no kernel spectrum exists at n={args.n}")
     spec = kernel.solve_kernel_spectrum(args.n, "random", seed=args.seed)
     rho = linalg.random_density(args.n, args.seed + 1)
     exact = kernel.reconstruct_exact(rho, spec)

@@ -43,7 +43,6 @@ __all__ = [
     "verify_composite_master",
     "make_composite_kernel",
     "dual_dim",
-    "constraint_functions",
     "constraint_jacobian",
 ]
 
@@ -293,23 +292,19 @@ def dual_dim(dims: BipartiteDims) -> int:
     return dims.n_a**2 * dims.n_b**2 - 4
 
 
-def constraint_functions(x, dims: BipartiteDims) -> np.ndarray:
-    """The three purity constraints (full, A-reduced, B-reduced), as residual values."""
-    m = as_complex_matrix(x)
-    return np.array([np.trace(m @ m).real - dims.total, *_reductions(m, dims)[1]])
-
-
 def constraint_jacobian(x, dims: BipartiteDims) -> np.ndarray:
-    """Exact Jacobian of :func:`constraint_functions` on the traceless chart.
+    """Exact Jacobian of the three purity constraints on the traceless chart.
 
-    The chart is the orthonormal product basis of traceless Hermitian
-    matrices at dimension N (N^2 - 1 directions: A-local, B-local, then
-    correlation, in the order of :func:`fano_blocks`).  The constraints are
-    quadratic, so along a chart direction D the derivatives are
-    2 tr(m D), 2 tr(Tr_B m Tr_B D) and 2 tr(Tr_A m Tr_A D): twice the block
-    coefficients of m, and n_b resp. n_a times twice the local coefficients
-    on the local columns.  Rank 3 of the returned (3, N^2 - 1) matrix
-    confirms that the constraints cut out codimension 3.
+    The constraints are the residuals tr(m^2) - N, tr((Tr_B m)^2) - n_a and
+    tr((Tr_A m)^2) - n_b (full, A-reduced, B-reduced).  The chart is the
+    orthonormal product basis of traceless Hermitian matrices at dimension N
+    (N^2 - 1 directions: A-local, B-local, then correlation, in the order of
+    :func:`fano_blocks`).  The constraints are quadratic, so along a chart
+    direction D the derivatives are 2 tr(m D), 2 tr(Tr_B m Tr_B D) and
+    2 tr(Tr_A m Tr_A D): twice the block coefficients of m, and n_b resp.
+    n_a times twice the local coefficients on the local columns.  Rank 3 of
+    the returned (3, N^2 - 1) matrix confirms that the constraints cut out
+    codimension 3.
     """
     blocks = fano_blocks(x, dims)
     na2, nb2 = dims.n_a**2 - 1, dims.n_b**2 - 1

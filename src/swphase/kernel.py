@@ -106,21 +106,18 @@ class KernelSpectrum:
         return self.pi - 1.0 / self.n
 
 
-def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
-                          vector=None) -> KernelSpectrum:
+def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None) -> KernelSpectrum:
     """Solve sum(pi) = 1, sum(pi^2) = n for an ordered spectrum.
 
     Parameters
     ----------
     n : int
         System dimension, >= 2.
-    selector : {"canonical", "random", "from_unit_vector"}
+    selector : {"canonical", "random"}
         canonical: traceless part along the first hyperplane-frame axis
         (1, -1, 0, ...) / sqrt(2).  random: uniform on the spectrum sphere,
-        driven by ``seed``.  from_unit_vector: map a unit (n-1)-vector
-        through the fixed frame.
+        driven by ``seed``.
     seed : rng seed, for selector="random".
-    vector : array_like, for selector="from_unit_vector".
 
     Returns
     -------
@@ -137,12 +134,6 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None,
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(n - 1)
         v /= np.linalg.norm(v)
-    elif selector == "from_unit_vector":
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (n - 1,):
-            raise ValueError(f"vector must have shape ({n - 1},)")
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
-            raise ValueError("vector must have unit norm")
     else:
         raise ValueError(f"unknown selector {selector!r}")
     pi = 1.0 / n + radius * (v @ hyperplane_frame(n))

@@ -25,10 +25,8 @@ __all__ = [
     "as_complex_matrix",
     "kron",
     "partial_trace",
-    "is_hermitian",
     "hermiticity_defect",
     "haar_unitary",
-    "haar_unitaries",
     "random_density",
     "random_hermitian",
     "matrix_to_json",
@@ -180,33 +178,23 @@ def _check_hermitian(x: np.ndarray) -> None:
     _check_each(~(defect <= 1e-10), "input is not Hermitian")
 
 
-def is_hermitian(x, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Frobenius Hermiticity defect is within ``tol``."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return hermiticity_defect(x) <= tol
-
-
-def _ginibre(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Unscaled complex Ginibre matrices, batched when ``size`` is given.  Each is one
-    (2, n, n) draw, real part first, filled in C order: sample k does not depend on size."""
-    draw = rng.standard_normal((2, n, n) if size is None else (size, 2, n, n))
-    z = np.empty(draw.shape[:-3] + (n, n), dtype=complex)
-    z.real = draw[..., 0, :, :]
-    z.imag = draw[..., 1, :, :]
+def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    """An unscaled complex Ginibre matrix: one (2, n, n) draw, real part first."""
+    draw = rng.standard_normal((2, n, n))
+    z = np.empty((n, n), dtype=complex)
+    z.real = draw[0]
+    z.imag = draw[1]
     return z
 
 
-def _haar_from_rng(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar samples from SU(n), batched when ``size`` is given."""
-    q, r = np.linalg.qr(_ginibre(n, rng, size) / np.sqrt(2.0))
+def _haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar sample from SU(n)."""
+    q, r = np.linalg.qr(_ginibre(n, rng) / np.sqrt(2.0))
     # Unique-factor convention: absorb the phases of diag(R) so the
     # distribution is exactly Haar on U(n), then fix det = 1.
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
-    det = np.linalg.det(q)
-    phase = np.exp(-1j * np.angle(det) / n)
-    return q * np.asarray(phase)[..., None, None]
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -218,13 +206,6 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _haar_from_rng(n, np.random.default_rng(seed))
-
-
-def haar_unitaries(n: int, size: int, seed) -> np.ndarray:
-    """Stacked Haar SU(n) samples of shape (size, n, n)."""
-    if n < 1 or size < 1:
-        raise ValueError("n and size must be >= 1")
-    return _haar_from_rng(n, np.random.default_rng(seed), size=size)
 
 
 def random_hermitian(n: int, seed) -> np.ndarray:

@@ -358,6 +358,12 @@ def abelian_quadrics(a_params, a_prime_params) -> QuadricTriple:
     phases of unit modulus (``input is not unitary``, which also catches
     phase sums that overflow, without a warning), a real T, then every check
     of :class:`QuadricTriple`.
+
+    Symmetries, up to roundoff: a_i -> a_i + pi leaves A and B unchanged, so
+    the period in a is pi; a'_i -> a'_i + pi conjugates both by
+    S_0 = diag(1, -1, -1), S_1 = diag(1, -1, 1) or S_2 = diag(1, 1, -1), so
+    the solutions of :func:`moduli_feasibility` map by mu -> S_i mu; and
+    (a, a') -> -(a, a') leaves them bit for bit.
     """
     a, ap = np.asarray(a_params, dtype=float), np.asarray(a_prime_params, dtype=float)
     if a.shape != ap.shape or a.shape[-1:] != (3,):

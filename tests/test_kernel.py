@@ -14,6 +14,7 @@ from swphase.kernel import (
     KernelSpectrum,
     SWKernel,
     haar_second_moment_coefficients,
+    hyperplane_frame,
     kernel_from_spectrum,
     phase_space_norm_mc,
     reconstruct_exact,
@@ -42,9 +43,11 @@ class TestSolveSpectrum:
             np.testing.assert_allclose(spec.pi, GOLD_2, atol=1e-12)
 
     def test_n4_aligned_vector(self):
-        # unit vector whose frame image is (1,1,-1,-1)/2
+        # The unit vector whose frame image is (1,1,-1,-1)/2 gives the two-qubit spectrum.
         v = np.array([0.0, 2.0 / np.sqrt(6.0), 1.0 / np.sqrt(3.0)])
-        spec = solve_kernel_spectrum(4, "from_unit_vector", vector=v)
+        direction = v @ hyperplane_frame(4)
+        np.testing.assert_allclose(direction, [0.5, 0.5, -0.5, -0.5], atol=1e-15)
+        spec = KernelSpectrum(0.25 + np.sqrt(4.0 - 0.25) * direction)
         gold = np.array([(1 + np.sqrt(15)) / 4] * 2 + [(1 - np.sqrt(15)) / 4] * 2)
         np.testing.assert_allclose(spec.pi, gold, atol=1e-12)
         assert abs(spec.pi.sum() - 1.0) < 1e-12
@@ -66,12 +69,6 @@ class TestSolveSpectrum:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             solve_kernel_spectrum(1)
-
-    def test_rejects_bad_vector(self):
-        with pytest.raises(ValueError):
-            solve_kernel_spectrum(3, "from_unit_vector", vector=[1.0, 1.0])
-        with pytest.raises(ValueError, match="unit norm"):
-            solve_kernel_spectrum(3, "from_unit_vector", vector=[np.nan, 0.0])
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -328,6 +328,51 @@ class TestEllipsoidMatrices:
         assert 4.0 / 3.0 - 1e-12 <= worst <= 4.0 / 3.0 + 1e-12
 
 
+# a'_i -> a'_i + pi conjugates A and B by S_i = diag(_SIGN_MATRICES[i]).
+_SIGN_MATRICES = np.array([[1, -1, -1], [1, -1, 1], [1, 1, -1]], dtype=float)
+
+
+class TestModuliSymmetries:
+    """The symmetries of the bundle that the abelian_quadrics docstring states, on 2,000
+    random records (the solution map on the first 300)."""
+
+    A, A_PRIME = np.random.default_rng(0).uniform(-np.pi, np.pi, (2, 2000, 3))
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_a_period_is_pi(self, i):
+        q = abelian_quadrics(self.A, self.A_PRIME)
+        shifted = abelian_quadrics(self.A + np.pi * np.eye(3)[i], self.A_PRIME)
+        assert np.abs(shifted.a - q.a).max() <= 1e-14
+        assert np.abs(shifted.b - q.b).max() <= 1e-14
+
+    def test_joint_sign_is_bit_identical(self):
+        q = abelian_quadrics(self.A, self.A_PRIME)
+        flipped = abelian_quadrics(-self.A, -self.A_PRIME)
+        assert np.array_equal(flipped.a, q.a) and np.array_equal(flipped.b, q.b)
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_a_prime_period_conjugates_by_a_sign_matrix(self, i):
+        q = abelian_quadrics(self.A, self.A_PRIME)
+        shifted = abelian_quadrics(self.A, self.A_PRIME + np.pi * np.eye(3)[i])
+        s = np.diag(_SIGN_MATRICES[i])
+        assert np.abs(shifted.a - s @ q.a @ s).max() <= 1e-14
+        assert np.abs(shifted.b - s @ q.b @ s).max() <= 1e-14
+
+    def test_solutions_map_by_the_sign_matrix(self):
+        counts = set()
+        for a, ap in zip(self.A[:300], self.A_PRIME[:300]):
+            sols = moduli_feasibility(abelian_quadrics(a, ap), MATRIX_LEVEL).solutions
+            counts.add(len(sols))
+            for i, signs in enumerate(_SIGN_MATRICES):
+                shifted = abelian_quadrics(a, ap + np.pi * np.eye(3)[i])
+                got = moduli_feasibility(shifted, MATRIX_LEVEL).solutions
+                assert len(got) == len(sols)
+                if sols:  # each solution of the shifted record is S_i mu for a solution mu
+                    dist = np.abs(np.array(got)[:, None] - np.array(sols) * signs).max(axis=-1)
+                    assert dist.min(axis=1).max() <= 1e-9
+        assert counts == {0, 4, 8}
+
+
 _QUADRIC_FIELDS = ("a", "b", "eig_a", "eig_b", "eig_ab", "eig_pencil", "rank_a", "rank_b")
 
 
