@@ -11,7 +11,6 @@ import numpy as np
 from swphase.linalg import DensityMatrix, haar_unitary, random_density
 from swphase.kernel import (
     kernel_from_spectrum,
-    phase_space_norm_mc,
     reconstruct_exact,
     reconstruct_mc,
     solve_kernel_spectrum,
@@ -68,7 +67,8 @@ for rung, samples in enumerate((1000, 10_000, 100_000)):
     print(f"{samples:>10}  {np.linalg.norm(est - rho4.mat):>12.2e}")
 print("The error falls like 1/sqrt(samples).")
 
-norm = phase_space_norm_mc(rho4, spec4, 100_000, seed=45)
+# tr Delta = 1 for every kernel, so the trace of the reconstruction is the integral of W.
+norm = np.trace(reconstruct_mc(rho4, spec4, 100_000, seed=45)).real
 print(f"\nphase-space integral of W (should be tr rho = 1): {norm:.4f}")
 
 print()

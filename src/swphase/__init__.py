@@ -22,7 +22,6 @@ from .kernel import (
     KernelSpectrum,
     SWKernel,
     kernel_from_spectrum,
-    phase_space_norm_mc,
     reconstruct_exact,
     reconstruct_mc,
     solve_kernel_spectrum,

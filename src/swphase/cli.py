@@ -3,14 +3,15 @@
 Subcommands: ``kernel gen``, ``kernel verify``, ``composite verify``,
 ``wigner eval``, ``reconstruct``, ``moduli scan``.  Exit codes: 0 success,
 1 well-formed input with a negative verdict, 2 usage or I/O error (also for
-non-finite input, or a report that would hold a non-finite number: JSON
-output is strict).  The reports of ``kernel gen``, ``kernel verify`` and
-``composite verify`` carry ``"schema": 1``.  The matrix readers take a bare
-matrix object or a report holding one under ``"matrix"``, as ``kernel gen``
-writes, with or without a schema; any other schema is an input error.  The
-default seed is a fixed constant so documented invocations reproduce
-byte-for-byte.  Every output ends with a newline, and ``--out`` writes the
-bytes of stdout to a temporary file that replaces the target only on success.
+non-finite input, a ``wigner eval`` state and kernel of different sizes, or
+a report that would hold a non-finite number: JSON output is strict).  The
+reports of ``kernel gen``, ``kernel verify`` and ``composite verify`` carry
+``"schema": 1``.  The matrix readers take a bare matrix object or a report
+holding one under ``"matrix"``, as ``kernel gen`` writes, with or without a
+schema; any other schema is an input error.  The default seed is a fixed
+constant so documented invocations reproduce byte-for-byte.  Every output
+ends with a newline, and ``--out`` writes the bytes of stdout to a temporary
+file that replaces the target only on success.
 """
 
 from __future__ import annotations
@@ -290,6 +291,8 @@ def _cmd_composite_verify(args) -> int:
 def _cmd_wigner_eval(args) -> int:
     state_mat = _load_matrix_file(args.state)
     kernel_mat = _load_matrix_file(args.kernel)
+    if state_mat.shape != kernel_mat.shape:  # a usage error, before either matrix is judged
+        raise ValueError(f"dimension mismatch: state {len(state_mat)}, kernel {len(kernel_mat)}")
     try:
         rho = linalg.DensityMatrix(state_mat)
         ker = kernel.SWKernel(kernel_mat)

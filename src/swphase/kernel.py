@@ -9,7 +9,10 @@ W = tr(rho Delta).
 The phase-space measure is normalized so that the total volume of the
 unitary orbit is N; with that choice the orbit average of the kernel is the
 identity operator and state reconstruction holds exactly (verified both in
-closed form via the Haar second moment and by Monte Carlo).
+closed form via the Haar second moment and by Monte Carlo).  Since every
+kernel has unit trace, the finite-norm axiom, that W integrates to tr(rho),
+is the trace of the reconstruction formula: its Monte-Carlo estimate is
+np.trace(reconstruct_mc(...)).real.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "haar_second_moment_coefficients",
     "reconstruct_exact",
     "reconstruct_mc",
-    "phase_space_norm_mc",
     "verify_master",
 ]
 
@@ -45,21 +47,26 @@ __all__ = [
 # algebraic identities (Hermiticity, unit trace) keep linalg.DEFAULT_TOL.
 PURITY_TOL = 1e-10
 
-# Bytes of the complex (k, n, n) stack of one pass of the Monte-Carlo
-# estimators, which take k = _MC_CHUNK_BYTES // (16 n^2) samples a pass.  It
-# bounds their memory only: the sample stream does not depend on it.
+# Bytes of the complex (k, n, n) stack of one pass of reconstruct_mc, which
+# takes k = _MC_CHUNK_BYTES // (16 n^2) samples a pass.  It bounds its memory
+# only: the sample stream does not depend on it.
 _MC_CHUNK_BYTES = 1 << 20
 
 # Largest n whose orbit frames are built by reflections on sample-last planes
 # and contracted with rho by per-plane GEMMs; above it the same draw gives
 # them as one compact-WY product from batched GEMMs, paired through orbit
-# points (_orbit_sums).  Both read the same draw, so the cut is a speed choice
-# only.  At one BLAS thread (2-vCPU Xeon), whole 1 MiB chunks of
-# reconstruct_mc took, over 15 runs (quartiles, us a sample), 4.6-4.8 on the
-# planes against 5.3-5.5 with WY at n = 10, 6.2-6.4 against 6.5-6.6 at
-# n = 11, 7.7-7.9 against 7.5-7.9 at n = 12, 9.9-10.2 against 8.1-8.4 at
-# n = 13, 12.9-13.2 against 9.8-10.1 at n = 14 and 20.8-21.5 against
-# 12.9-13.5 at n = 16.
+# points (reconstruct_mc).  Both read the same draw, so the cut is a speed
+# choice only.  At one BLAS thread (2-vCPU Xeon), over 15 runs (quartiles, us
+# a sample), whole 1 MiB chunks of reconstruct_mc took 4.6-4.8 on the planes
+# against 5.3-5.5 with WY at n = 10, 6.2-6.4 against 6.5-6.6 at n = 11,
+# 7.7-7.9 against 7.5-7.9 at n = 12, 9.9-10.2 against 8.1-8.4 at n = 13,
+# 12.9-13.2 against 9.8-10.1 at n = 14 and 20.8-21.5 against 12.9-13.5 at
+# n = 16.  WY loses at small n because each of its batched GEMMs makes one
+# small product per sample: at n = 4 one (k, 3, 4) by (k, 4, 3) product alone
+# takes 0.22 a sample, and a sample took 0.42-0.43 on the planes against
+# 1.58-1.64 with WY, or 1.43-1.48 with WY frames copied into planes for the
+# per-plane pairing.  That pairing loses above the cut: at n = 32 WY frames
+# took 57-76 through it against 48-59 through orbit points.
 _PLANES_MAX_N = 12
 
 
@@ -337,9 +344,47 @@ def _wy_frames(t: np.ndarray, work=None) -> np.ndarray:
     return f.transpose(1, 2, 0)
 
 
-def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float:
-    """Sum of the pairings w_k = tr(rho O_k) over Haar orbit points O_k = U_k D U_k^dagger;
-    given an (n, n) complex ``acc``, also add sum_k w_k O_k into it.
+def haar_second_moment_coefficients(n: int, tr_delta: float, tr_delta_sq: float):
+    """Coefficients (alpha, beta) of the Haar-averaged pairing map.
+
+    The average over the unitary orbit of (U D U†) tr(rho U D U†) equals
+    alpha * rho + beta * tr(rho) * I with
+
+        alpha = (n tr(D^2) - tr(D)^2) / (n (n^2 - 1))
+        beta  = (n tr(D)^2 - tr(D^2)) / (n (n^2 - 1))
+
+    With tr(D) = 1 and tr(D^2) = n this gives alpha = 1/n, beta = 0, so the
+    measure-weighted integral (total measure n) reproduces rho exactly.
+    """
+    denom = n * (n * n - 1.0)
+    alpha = (n * tr_delta_sq - tr_delta**2) / denom
+    beta = (n * tr_delta**2 - tr_delta_sq) / denom
+    return alpha, beta
+
+
+def reconstruct_exact(rho: DensityMatrix, spec) -> np.ndarray:
+    """Closed-form orbit-integral reconstruction of a state.
+
+    Evaluates N * integral dU (U D U†) tr(rho U D U†) via the Haar second
+    moment.  For a valid spectrum this returns ``rho.mat`` exactly; for
+    perturbed moment values it returns the analytically predicted deviation,
+    so ``spec`` may be a KernelSpectrum or a raw eigenvalue array.
+    """
+    n = rho.dim
+    pi = _spectrum_values(spec, n)
+    alpha, beta = haar_second_moment_coefficients(n, pi.sum(), (pi**2).sum())
+    return n * (alpha * rho.mat + beta * np.trace(rho.mat) * np.eye(n))
+
+
+def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
+    """Monte-Carlo orbit-integral reconstruction, (N / samples) sum_k w_k O_k.
+
+    The sum runs over Haar orbit points O_k = U_k D U_k^dagger with pairings
+    w_k = tr(rho O_k), and converges to rho at the O(1/sqrt(samples)) rate.
+    Since tr D = 1, its trace (N / samples) sum_k w_k is the Monte-Carlo
+    phase-space integral of the Wigner function, which converges to tr(rho)
+    = 1: the finite-norm axiom under the total-measure-N convention.
+    Deterministic given ``seed``.
 
     The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
 
@@ -400,6 +445,7 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
     spare = np.empty(step * (n - 1) * n if planes else step * n * n,
                      dtype=complex)  # the planes, or the stack and then the orbit stack
     work = None if planes else np.empty(step * (n - 1) * (3 * n - 2), dtype=complex)
+    acc = np.zeros((n, n), dtype=complex)
     total = 0.0
     for start in range(0, samples, step):
         k = min(step, samples - start)
@@ -423,10 +469,9 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
                 x += pf[:, i, 0::2]
                 x += pf[:, i, 1::2]
             w = base + shift @ x
-            if acc is not None:
-                np.conjugate(u, out=p)
-                p *= (shift[:, None] * w)[:, None, :]
-                acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
+            np.conjugate(u, out=p)
+            p *= (shift[:, None] * w)[:, None, :]
+            acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
         else:
             f = u.transpose(2, 0, 1)
             uc = np.conjugate(f, out=draw[:f.size].reshape(f.shape))  # the draw is spent
@@ -434,77 +479,10 @@ def _orbit_sums(rho: DensityMatrix, spec, samples: int, seed, acc=None) -> float
             orbit = spare[:k * n * n].reshape(k, n, n)  # so is the stack
             orbit = np.matmul(f.swapaxes(-1, -2), uc, out=orbit).reshape(k, n * n)
             w = base + (orbit @ rho_t).real
-            if acc is not None:
-                acc += (w @ orbit).reshape(n, n)
+            acc += (w @ orbit).reshape(n, n)
         total += w.sum()
-    if acc is not None:
-        acc.reshape(-1)[::n + 1] += pi[-1] * total
-    return total
-
-
-def haar_second_moment_coefficients(n: int, tr_delta: float, tr_delta_sq: float):
-    """Coefficients (alpha, beta) of the Haar-averaged pairing map.
-
-    The average over the unitary orbit of (U D U†) tr(rho U D U†) equals
-    alpha * rho + beta * tr(rho) * I with
-
-        alpha = (n tr(D^2) - tr(D)^2) / (n (n^2 - 1))
-        beta  = (n tr(D)^2 - tr(D^2)) / (n (n^2 - 1))
-
-    With tr(D) = 1 and tr(D^2) = n this gives alpha = 1/n, beta = 0, so the
-    measure-weighted integral (total measure n) reproduces rho exactly.
-    """
-    denom = n * (n * n - 1.0)
-    alpha = (n * tr_delta_sq - tr_delta**2) / denom
-    beta = (n * tr_delta**2 - tr_delta_sq) / denom
-    return alpha, beta
-
-
-def reconstruct_exact(rho: DensityMatrix, spec) -> np.ndarray:
-    """Closed-form orbit-integral reconstruction of a state.
-
-    Evaluates N * integral dU (U D U†) tr(rho U D U†) via the Haar second
-    moment.  For a valid spectrum this returns ``rho.mat`` exactly; for
-    perturbed moment values it returns the analytically predicted deviation,
-    so ``spec`` may be a KernelSpectrum or a raw eigenvalue array.
-    """
-    n = rho.dim
-    pi = _spectrum_values(spec, n)
-    alpha, beta = haar_second_moment_coefficients(n, pi.sum(), (pi**2).sum())
-    return n * (alpha * rho.mat + beta * np.trace(rho.mat) * np.eye(n))
-
-
-def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
-    """Monte-Carlo orbit-integral reconstruction.
-
-    Returns (N / samples) * sum_k (U_k D U_k†) tr(rho U_k D U_k†) over Haar
-    samples U_k.  Converges to rho at the O(1/sqrt(samples)) rate.
-    Deterministic given ``seed``; chunking only bounds memory, as the
-    sample stream does not depend on it.
-
-    Sample k draws n^2 + n - 2 standard normals, the (re, im) pairs of
-    Householder vectors z_0, ..., z_{n-2} of lengths n, ..., 2 in that
-    order, and U_k = H_0 ... H_{n-2} Lambda with H_l = I - tau_l w_l
-    w_l^dagger, w_l = z_l but w_l[0] = z_l[0] + e^{i phi} |z_l| (e^{i phi}
-    = z_l[0] / |z_l[0]|), tau_l = 1 / (|z_l| (|z_l| + |z_l[0]|)); the
-    diagonal phases Lambda commute with D and cancel in U_k D U_k†.  The
-    stages are the draw, the frames (reflections on sample-last planes up
-    to ``_PLANES_MAX_N``, a compact-WY product from batched GEMMs above it)
-    and the contraction with rho (see :func:`_orbit_sums`).
-    """
-    n = rho.dim
-    acc = np.zeros((n, n), dtype=complex)
-    _orbit_sums(rho, spec, samples, seed, acc)
+    acc.reshape(-1)[::n + 1] += pi[-1] * total
     return n * acc / samples
-
-
-def phase_space_norm_mc(rho: DensityMatrix, spec, samples: int, seed) -> float:
-    """Monte-Carlo estimate of the phase-space integral of the Wigner function.
-
-    Estimates (N / samples) * sum_k tr(rho U_k D U_k†), which converges to
-    tr(rho) = 1: the finite-norm axiom under the total-measure-N convention.
-    """
-    return rho.dim * _orbit_sums(rho, spec, samples, seed) / samples
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from swphase.linalg import (
 )
 from swphase.kernel import (
     kernel_from_spectrum,
-    phase_space_norm_mc,
     reconstruct_exact,
     reconstruct_mc,
     solve_kernel_spectrum,
@@ -122,7 +121,7 @@ def test_criterion_02_reconstruction():
 def test_criterion_03_norm_axiom():
     rho = random_density(4, 101)
     spec = solve_kernel_spectrum(4, "random", seed=102)
-    est = phase_space_norm_mc(rho, spec, 100_000, 105)
+    est = np.trace(reconstruct_mc(rho, spec, 100_000, 105)).real  # tr D = 1: the norm integral
     dev = abs(est - 1.0)
     _report(3, "phase-space norm integral", dev < 0.02,
             f"estimate {est:.4f}, |dev| {dev:.4f} < 0.02 at 1e5 samples")

@@ -402,6 +402,22 @@ class TestWignerEval:
         payload = json.loads(out)
         assert abs(payload["w"] - (1 + np.sqrt(3)) / 2) < 1e-12
 
+    def test_dimension_mismatch_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Sizes are compared before either matrix is judged, like composite verify's
+        # --dims against the file, so a 3x3 state and a 4x4 kernel are a usage error.
+        from swphase.kernel import solve_kernel_spectrum
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrices of different sizes must not be judged")
+
+        monkeypatch.setattr(linalg, "DensityMatrix", forbidden)
+        monkeypatch.setattr(kernel, "SWKernel", forbidden)
+        state = write_matrix(tmp_path / "state.json", np.eye(3) / 3)
+        kpath = write_matrix(tmp_path / "kernel.json", np.diag(solve_kernel_spectrum(4).pi))
+        code, out, err = run(["wigner", "eval", state, kpath], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: dimension mismatch: state 3, kernel 4\n"
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, _ = run(["wigner", "eval", str(tmp_path / "no.json"),
                           str(tmp_path / "nope.json")], capsys)

@@ -1,4 +1,5 @@
-"""Each demo script, and each python block of README.md, runs to completion in a fresh interpreter."""
+"""Each demo script, and each python block of README.md, runs to completion in a fresh
+interpreter that turns RuntimeWarning into an error, as the suite does."""
 
 import os
 import re
@@ -20,8 +21,8 @@ def _run_fresh(args):
     src = str(Path(swphase.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_all_demos_found():

@@ -16,7 +16,6 @@ from swphase.kernel import (
     haar_second_moment_coefficients,
     hyperplane_frame,
     kernel_from_spectrum,
-    phase_space_norm_mc,
     reconstruct_exact,
     reconstruct_mc,
     solve_kernel_spectrum,
@@ -29,6 +28,11 @@ CHUNK_N4 = _MC_CHUNK_BYTES // (16 * 4 * 4)
 CHUNK_N32 = _MC_CHUNK_BYTES // (16 * 32 * 32)
 
 GOLD_2 = np.array([(1 + np.sqrt(3)) / 2, (1 - np.sqrt(3)) / 2])
+
+
+def norm_mc(rho, spec, samples, seed) -> float:
+    """The Monte-Carlo phase-space norm: the trace of reconstruct_mc, since tr D = 1."""
+    return np.trace(reconstruct_mc(rho, spec, samples, seed)).real
 
 
 class TestSolveSpectrum:
@@ -299,7 +303,7 @@ class TestReconstructMC:
     def test_norm_estimate(self):
         rho = random_density(4, 4)
         spec = solve_kernel_spectrum(4, "random", seed=5)
-        est = phase_space_norm_mc(rho, spec, 50_000, seed=6)
+        est = norm_mc(rho, spec, 50_000, seed=6)
         assert abs(est - 1.0) < 0.03
 
 
@@ -329,7 +333,7 @@ def _householder_product(rng, samples: int, n: int) -> np.ndarray:
 
 
 class TestOrbitChunks:
-    """The Monte-Carlo estimators' one orbit sampler."""
+    """The orbit sampler of reconstruct_mc, the one Monte-Carlo estimator."""
 
     @pytest.mark.parametrize("n, samples", [
         (2, 500), (3, 500), (4, 500), (8, 200), (9, 200), (_PLANES_MAX_N, 200),
@@ -340,15 +344,17 @@ class TestOrbitChunks:
         # Rebuild every sample from the documented draw, on either side of
         # the cut.  The reference U D U^dagger takes all n columns of a
         # unitary U, whose diagonal phases cancel in it, and not the
-        # completeness identity that the estimators use.
+        # completeness identity that reconstruct_mc uses.
         rho = random_density(n, n + 50)
         spec = solve_kernel_spectrum(n, "random", seed=n)
         u = _householder_product(np.random.default_rng(17), samples, n)
         orbit = (u * spec.pi) @ u.conj().swapaxes(-1, -2)
         w = np.einsum("kij,ji->k", orbit, rho.mat).real
         want = n * np.einsum("k,kij->ij", w, orbit) / samples
-        assert np.abs(reconstruct_mc(rho, spec, samples, seed=17) - want).max() < 1e-13
-        assert abs(phase_space_norm_mc(rho, spec, samples, seed=17) - n * w.sum() / samples) < 1e-13
+        got = reconstruct_mc(rho, spec, samples, seed=17)
+        assert np.abs(got - want).max() < 1e-13
+        # The trace is the phase-space norm estimate, since tr D = 1.
+        assert abs(np.trace(got).real - n * w.sum() / samples) < 1e-13
 
     # Householder planes at n = 2, 4, 8, 9 and the cut (one, three, seven,
     # eight and cut - 1 frames), WY frames at the cut + 1, 14 and 15.
@@ -369,17 +375,14 @@ class TestOrbitChunks:
                 return q
 
             monkeypatch.setattr(kernel, "_orbit_frames", recording)
-            estimates.append((reconstruct_mc(rho, spec, 1000, seed=8),
-                              phase_space_norm_mc(rho, spec, 1000, seed=8)))
-            counts.append(len(chunks) // 2)
+            estimates.append(reconstruct_mc(rho, spec, 1000, seed=8))
+            counts.append(len(chunks))
             # Frames are sample-last planes: join the chunks along the sample axis.
-            frames.append(np.concatenate(chunks[:counts[-1]], axis=-1))
-            assert np.array_equal(np.concatenate(chunks[counts[-1]:], axis=-1), frames[-1])
+            frames.append(np.concatenate(chunks, axis=-1))
         assert counts == [1, 16, 1000]
-        for frame, (rec, norm) in zip(frames[1:], estimates[1:]):
+        for frame, rec in zip(frames[1:], estimates[1:]):
             assert np.array_equal(frame, frames[0])
-            assert np.abs(rec - estimates[0][0]).max() < 1e-14
-            assert abs(norm - estimates[0][1]) < 1e-14
+            assert np.abs(rec - estimates[0]).max() < 1e-14
 
     def test_memory_does_not_grow_with_samples(self):
         rho = random_density(32, 1)
@@ -395,7 +398,7 @@ class TestOrbitChunks:
         assert max(peaks) <= 8 * _MC_CHUNK_BYTES
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
-    @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
+    @pytest.mark.parametrize("estimator", [reconstruct_mc, norm_mc])
     @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N, 14, 32])
     def test_peak_drops_each_orbit_stack(self, estimator, n):
         # Three chunks and one sample.  Householder planes (n = 2, one frame,
@@ -462,7 +465,7 @@ class TestOrbitChunks:
         f = _wy_frames(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert np.abs(f + (head.conj() / np.abs(head))[..., None] * u).max() <= 1e-14
 
-    @pytest.mark.parametrize("estimator", [reconstruct_mc, phase_space_norm_mc])
+    @pytest.mark.parametrize("estimator", [reconstruct_mc, norm_mc])
     def test_input_errors_shared(self, estimator):
         rho = random_density(4, 0)
         with pytest.raises(ValueError, match=r"^dimension mismatch: state 4, spectrum 3$"):
@@ -473,7 +476,7 @@ class TestOrbitChunks:
     @pytest.mark.parametrize("estimate", [
         lambda rho, spec: reconstruct_exact(rho, spec),
         lambda rho, spec: reconstruct_mc(rho, spec, 10, seed=0),
-        lambda rho, spec: phase_space_norm_mc(rho, spec, 10, seed=0),
+        lambda rho, spec: norm_mc(rho, spec, 10, seed=0),
     ], ids=["exact", "mc", "norm_mc"])
     def test_raw_spectrum_needs_n2(self, estimate):
         # KernelSpectrum refuses n = 1, and so must a raw spectrum: at n = 1 the
