@@ -27,12 +27,12 @@ def write_matrix(path, mat):
 
 
 def run_fresh(argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run `python -m swphase argv` in a fresh interpreter on the tested sources;
-    ``kwargs`` go to subprocess.run."""
+    """Run `python -m swphase argv` in a fresh interpreter on the tested sources, with
+    RuntimeWarning an error as in the suite; ``kwargs`` go to subprocess.run."""
     src = str(Path(swphase.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "swphase", *argv],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "swphase", *argv],
                           capture_output=True, text=True, env=env, timeout=60, **kwargs)
 
 
@@ -238,12 +238,14 @@ class TestReportEnvelope:
     """Every matrix reader accepts the report that kernel gen writes."""
 
     def test_composite_gen_pipes_into_composite_verify(self, tmp_path, capsys):
-        path = tmp_path / "comp.json"
-        run(["kernel", "gen", "--n", "4", "--dims", "2x2", "--seed", "3",
-             "--out", str(path)], capsys)
-        code, out, _ = run(["composite", "verify", str(path), "--dims", "2x2"], capsys)
-        assert code == 0
-        assert json.loads(out)["admissible"] is True
+        # Unequal factors place X_A ⊗ I_B at row stride n_b: both orientations.
+        for n, dims in (("4", "2x2"), ("6", "3x2"), ("6", "2x3")):
+            path = tmp_path / f"comp{dims}.json"
+            run(["kernel", "gen", "--n", n, "--dims", dims, "--seed", "3",
+                 "--out", str(path)], capsys)
+            code, out, _ = run(["composite", "verify", str(path), "--dims", dims], capsys)
+            assert code == 0, dims
+            assert json.loads(out)["admissible"] is True
 
     def test_gen_pipes_into_wigner_eval(self, tmp_path, capsys):
         path = tmp_path / "kernel.json"
@@ -401,6 +403,9 @@ class TestWignerEval:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["w"] - (1 + np.sqrt(3)) / 2) < 1e-12
+        # A state is no kernel: purity 1, not N = 2.
+        code, out, err = run(["wigner", "eval", state, state], capsys)
+        assert (code, out) == (1, "") and err.startswith("error: invalid inputs:")
 
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys, monkeypatch):
         # Sizes are compared before either matrix is judged, like composite verify's
@@ -426,13 +431,20 @@ class TestWignerEval:
 
 class TestReconstruct:
     def test_json_payload(self, capsys):
-        code, out, _ = run(
-            ["reconstruct", "--n", "4", "--samples", "200,2000", "--seed", "1"],
-            capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["exact_residual"] < 1e-12
-        assert [row["samples"] for row in payload["ladder"]] == [200, 2000]
+        # Both frame builders on both sides of the cut: Householder planes up to
+        # _PLANES_MAX_N = 12 (one plane and no reflector at n = 2, a reflection from
+        # n = 3), compact-WY frames from 13; n = 4 and 32 are the benchmark's sizes,
+        # and 300 samples at n = 32 take five chunks, the last one short.
+        for n, samples in ((4, [200, 2000]), (2, [30, 300]), (3, [30, 300]),
+                           (12, [30, 300]), (13, [30, 300]), (32, [30, 300])):
+            code, out, _ = run(["reconstruct", "--n", str(n), "--samples",
+                                ",".join(map(str, samples)), "--seed", "1"], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["exact_residual"] < 1e-12
+            assert [row["samples"] for row in payload["ladder"]] == samples
+            errors = [row["frobenius_error"] for row in payload["ladder"]]
+            assert errors[1] < errors[0], n
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from swphase import composite
 from swphase.linalg import (
@@ -358,7 +357,8 @@ class TestLocalUnitaryStructure:
         # conjugation by the exponential of a correlation generator breaks
         # the reduction constraints while keeping the full-system ones
         comp = make_composite_kernel(DIMS22, 2)
-        u = scipy.linalg.expm((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # sigma_1 ⊗ sigma_1
+        expm = pytest.importorskip("scipy.linalg").expm
+        u = expm((np.pi / 2) * LAMBDA[FANO_ORDER.index((1, 1))])  # sigma_1 ⊗ sigma_1
         report = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
         assert report.full.purity_residual < 1e-12
         assert max(report.purity_a_residual, report.purity_b_residual) > 0.1

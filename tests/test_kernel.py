@@ -398,9 +398,8 @@ class TestOrbitChunks:
         assert max(peaks) <= 8 * _MC_CHUNK_BYTES
         assert abs(peaks[1] - peaks[0]) <= 2 << 20
 
-    @pytest.mark.parametrize("estimator", [reconstruct_mc, norm_mc])
     @pytest.mark.parametrize("n", [2, 3, 4, 8, _PLANES_MAX_N, 14, 32])
-    def test_peak_drops_each_orbit_stack(self, estimator, n):
+    def test_peak_drops_each_orbit_stack(self, n):
         # Three chunks and one sample.  Householder planes (n = 2, one frame,
         # up to the cut) keep the draw and the planes in two reused buffers,
         # the per-plane products in the spent draw, and form no orbit stack
@@ -415,7 +414,7 @@ class TestOrbitChunks:
         samples = 3 * (_MC_CHUNK_BYTES // (16 * n * n)) + 1
         tracemalloc.start()
         try:
-            estimator(rho, spec, samples, seed=3)
+            reconstruct_mc(rho, spec, samples, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,13 +464,12 @@ class TestOrbitChunks:
         f = _wy_frames(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert np.abs(f + (head.conj() / np.abs(head))[..., None] * u).max() <= 1e-14
 
-    @pytest.mark.parametrize("estimator", [reconstruct_mc, norm_mc])
-    def test_input_errors_shared(self, estimator):
+    def test_input_errors_shared(self):
         rho = random_density(4, 0)
         with pytest.raises(ValueError, match=r"^dimension mismatch: state 4, spectrum 3$"):
-            estimator(rho, solve_kernel_spectrum(3), 10, seed=0)
+            reconstruct_mc(rho, solve_kernel_spectrum(3), 10, seed=0)
         with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
-            estimator(rho, solve_kernel_spectrum(4), 0, seed=0)
+            reconstruct_mc(rho, solve_kernel_spectrum(4), 0, seed=0)
 
     @pytest.mark.parametrize("estimate", [
         lambda rho, spec: reconstruct_exact(rho, spec),

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
@@ -68,7 +67,8 @@ def _random_quadrics(seed):
 
 def _exp_generators(params, rows):
     """Independent reference: scipy expm of sum_i params[..., i] LAMBDA[rows[i]]."""
-    return scipy.linalg.expm(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
+    expm = pytest.importorskip("scipy.linalg").expm
+    return expm(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
 
 
 class TestLambdaBasis:
@@ -230,16 +230,17 @@ class TestKakElement:
             assert abs(np.linalg.det(g) - 1.0) < 1e-12
 
     def test_factor_order(self):
+        expm = pytest.importorskip("scipy.linalg").expm
         el = kak_element(np.zeros(6), [0.5, 0, 0], [0, 0.7, 0], np.zeros(3))
-        expected = (scipy.linalg.expm(0.5 * LAMBDA[A_PLANE[0]])
-                    @ scipy.linalg.expm(0.7 * LAMBDA[A_PRIME_PLANE[1]]))
+        expected = expm(0.5 * LAMBDA[A_PLANE[0]]) @ expm(0.7 * LAMBDA[A_PRIME_PLANE[1]])
         np.testing.assert_allclose(el.factor_a, expected, atol=1e-14)
 
     def test_factor_k_matches_expm(self):
+        expm = pytest.importorskip("scipy.linalg").expm
         zeros = np.zeros(3)
         for k in np.random.default_rng(13).uniform(-np.pi, np.pi, (200, 6)):
             got = kak_element(k, zeros, zeros, zeros).factor_k
-            want = scipy.linalg.expm(np.einsum("i,iab->ab", k, K_TWISTED))
+            want = expm(np.einsum("i,iab->ab", k, K_TWISTED))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-9], ids=str)
@@ -249,7 +250,7 @@ class TestKakElement:
         assert np.isfinite(got).all()
         if scale == 0.0:
             assert np.array_equal(got, np.eye(4))
-        want = scipy.linalg.expm(np.einsum("i,iab->ab", k, K_TWISTED))
+        want = pytest.importorskip("scipy.linalg").expm(np.einsum("i,iab->ab", k, K_TWISTED))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
@@ -594,8 +595,7 @@ class TestModuliFeasibility:
             assert moduli_feasibility(q, level=1.0).solutions == []
 
     def test_solutions_on_generic_quadrics(self):
-        from scipy.stats import special_ortho_group
-
+        special_ortho_group = pytest.importorskip("scipy.stats").special_ortho_group
         ra = special_ortho_group.rvs(3, random_state=1)
         rb = special_ortho_group.rvs(3, random_state=2)
         q = QuadricTriple(a=ra @ np.diag([1.25, 0.8, 0.85]) @ ra.T,
@@ -762,7 +762,8 @@ def _qz_reference(q, level):
         return []
     ca, cb = q.a - level * np.eye(3), q.b - level * np.eye(3)
     ca, cb = ca / np.linalg.norm(ca), cb / np.linalg.norm(cb)
-    ab = scipy.linalg.eigvals(ca, -cb, homogeneous_eigvals=True)
+    eigvals = pytest.importorskip("scipy.linalg").eigvals
+    ab = eigvals(ca, -cb, homogeneous_eigvals=True)
     xy = np.stack([ab[1].real, ab[0].real], axis=1)[np.abs(ab[0].imag) <= 1e-8 * np.abs(ab).max(axis=0)]
     xy /= np.linalg.norm(xy, axis=1, keepdims=True)
     w, v = np.linalg.eigh(xy[:, 0, None, None] * ca + xy[:, 1, None, None] * cb)
@@ -896,9 +897,10 @@ def _dsygvd_roots(q):
     No roots when A + B is singular; otherwise 1 - 1/lambda over the
     eigenvalues above 1e-9 (the zero ones come out at roundoff).
     """
-    if scipy.linalg.eigvalsh(q.a + q.b)[0] <= 1e-8:
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    if scipy_linalg.eigvalsh(q.a + q.b)[0] <= 1e-8:
         return np.zeros(0)
-    lam = scipy.linalg.eigh(q.a, q.a + q.b, eigvals_only=True)[::-1]
+    lam = scipy_linalg.eigh(q.a, q.a + q.b, eigvals_only=True)[::-1]
     return 1.0 - 1.0 / np.minimum(lam[lam > 1e-9], 1.0)
 
 
@@ -910,7 +912,7 @@ def _dggev_singular_members(ca, cb):
     |Im alpha| <= 1e-8 max(|alpha|, |beta|); it stands for the member
     beta ca + alpha cb.
     """
-    alpha, beta = scipy.linalg.eigvals(ca, -cb, homogeneous_eigvals=True)
+    alpha, beta = pytest.importorskip("scipy.linalg").eigvals(ca, -cb, homogeneous_eigvals=True)
     size = np.maximum(np.abs(alpha), np.abs(beta))
     if size.min() <= 1e-12:
         raise ValueError(twoqubit._DEGENERATE_PENCIL)
@@ -1186,6 +1188,8 @@ class TestBatchParity:
         (30, 2**32 + 5, {}),
         (30, 2**130 + 3, {}),
         (30, [1, 2, 3], {}),
+        # Two entropy words across two chunk boundaries.
+        (2 * SCAN_CHUNK + 3, 2**32 + 5, {}),
     ])
     def test_scan_equals_records(self, n, seed, kwargs):
         records = moduli_scan(n, seed, **kwargs)
