@@ -376,7 +376,7 @@ def reconstruct_exact(rho: DensityMatrix, spec) -> np.ndarray:
     return n * (alpha * rho.mat + beta * np.trace(rho.mat) * np.eye(n))
 
 
-def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
+def reconstruct_mc(rho: DensityMatrix, spec, samples, seed) -> np.ndarray:
     """Monte-Carlo orbit-integral reconstruction, (N / samples) sum_k w_k O_k.
 
     The sum runs over Haar orbit points O_k = U_k D U_k^dagger with pairings
@@ -385,6 +385,14 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     phase-space integral of the Wigner function, which converges to tr(rho)
     = 1: the finite-norm axiom under the total-measure-N convention.
     Deterministic given ``seed``.
+
+    ``samples`` is a count, which gives one (N, N) estimate, or a ladder of
+    counts, which gives a (len(samples), N, N) stack of estimates in the
+    order given: rung S_i is the estimate from the first S_i samples of one
+    stream, so the ladder draws max(samples) samples, and a repeated count
+    gives identical estimates.  The loop closes a chunk at every rung, so
+    the smallest rung equals its own call bit for bit and the others equal
+    theirs to roundoff.
 
     The columns u_j of U are complete, sum_j u_j u_j^dagger = I, so
 
@@ -416,8 +424,8 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     C_j = conj(U_j) w (d_j - d_n), in the same buffer, and one GEMM per
     plane adds sum_j U_j C_j^T, which is sum_k w_k O_k less d_n (sum_k w_k) I.
     The stages are the draw, the copy into planes, the frames, the pairing
-    GEMMs and the accumulating GEMMs: 25-29, 1.1-1.7, 10.5-13, 6-7 and
-    4.5-5.6 ms per 111,000 samples at n = 4 (one BLAS thread, 2-vCPU Xeon).
+    GEMMs and the accumulating GEMMs: 225-260, 10-15, 95-117, 54-63 and
+    41-50 ns a sample at n = 4 (one BLAS thread, 2-vCPU Xeon).
 
     Above the cut the stack is the transpose of a (k, n - 1, n) one, whose
     row j holds z_j from column j and zeros, written each chunk, to its
@@ -430,7 +438,9 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     53-56 us: 12.5-13 to draw, 30-31.5 for the frames and about 11 for the
     copy, the orbit stack and the pairing (one BLAS thread, 2-vCPU Xeon).
     """
-    if samples < 1:
+    ladder = np.ndim(samples) > 0
+    counts = list(samples) if ladder else [samples]
+    if not counts or min(counts) < 1:
         raise ValueError("samples must be >= 1")
     n = rho.dim
     pi = _spectrum_values(spec, n)
@@ -438,7 +448,7 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     base = pi[-1] * np.trace(rho.mat).real
     rho_t = rho.mat.T.reshape(-1)  # tr(rho O) = vec(O) . vec(rho^T)
     rng = np.random.default_rng(seed)
-    step = min(samples, max(1, _MC_CHUNK_BYTES // (16 * n * n)))
+    step = min(max(counts), max(1, _MC_CHUNK_BYTES // (16 * n * n)))
     planes = n <= _PLANES_MAX_N
     drawn = (n * n + n - 2) // 2  # complex normals a sample
     draw = np.empty(step * (n - 1) * n, dtype=complex)  # the draw, then products or conj frames
@@ -447,42 +457,47 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int, seed) -> np.ndarray:
     work = None if planes else np.empty(step * (n - 1) * (3 * n - 2), dtype=complex)
     acc = np.zeros((n, n), dtype=complex)
     total = 0.0
-    for start in range(0, samples, step):
-        k = min(step, samples - start)
-        g = draw[:k * drawn].reshape(k, drawn)
-        rng.standard_normal(out=g.view(float))
-        u = spare[:k * (n - 1) * n]
-        u = u.reshape(n - 1, n, k) if planes else u.reshape(k, n - 1, n).transpose(1, 2, 0)
-        first = 0
-        for j in range(n - 1):  # z_j into rows j, ..., n - 1 of plane j
-            np.copyto(u[j, j:], g[:, first:first + n - j].T)
-            if not planes:
-                u[j, :j] = 0.0
-            first += n - j
-        u = _orbit_frames(u, work)
-        if planes:
-            p = np.matmul(rho.mat, u, out=draw[:u.size].reshape(u.shape))  # the draw is spent
-            # x_j = Re sum_i conj(U_j[i]) P_j[i], summed from the float views.
-            pf = np.multiply(p.view(float), u.view(float), out=p.view(float))
-            x = pf[:, 0, 0::2] + pf[:, 0, 1::2]
-            for i in range(1, n):
-                x += pf[:, i, 0::2]
-                x += pf[:, i, 1::2]
-            w = base + shift @ x
-            np.conjugate(u, out=p)
-            p *= (shift[:, None] * w)[:, None, :]
-            acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
-        else:
-            f = u.transpose(2, 0, 1)
-            uc = np.conjugate(f, out=draw[:f.size].reshape(f.shape))  # the draw is spent
-            uc *= shift[:, None]
-            orbit = spare[:k * n * n].reshape(k, n, n)  # so is the stack
-            orbit = np.matmul(f.swapaxes(-1, -2), uc, out=orbit).reshape(k, n * n)
-            w = base + (orbit @ rho_t).real
-            acc += (w @ orbit).reshape(n, n)
-        total += w.sum()
-    acc.reshape(-1)[::n + 1] += pi[-1] * total
-    return n * acc / samples
+    rungs, done = {}, 0
+    for stop in sorted(set(counts)):  # one stream: each rung closes a chunk and keeps a copy
+        for start in range(done, stop, step):
+            k = min(step, stop - start)
+            g = draw[:k * drawn].reshape(k, drawn)
+            rng.standard_normal(out=g.view(float))
+            u = spare[:k * (n - 1) * n]
+            u = u.reshape(n - 1, n, k) if planes else u.reshape(k, n - 1, n).transpose(1, 2, 0)
+            first = 0
+            for j in range(n - 1):  # z_j into rows j, ..., n - 1 of plane j
+                np.copyto(u[j, j:], g[:, first:first + n - j].T)
+                if not planes:
+                    u[j, :j] = 0.0
+                first += n - j
+            u = _orbit_frames(u, work)
+            if planes:
+                p = np.matmul(rho.mat, u, out=draw[:u.size].reshape(u.shape))  # the draw is spent
+                # x_j = Re sum_i conj(U_j[i]) P_j[i], summed from the float views.
+                pf = np.multiply(p.view(float), u.view(float), out=p.view(float))
+                x = pf[:, 0, 0::2] + pf[:, 0, 1::2]
+                for i in range(1, n):
+                    x += pf[:, i, 0::2]
+                    x += pf[:, i, 1::2]
+                w = base + shift @ x
+                np.conjugate(u, out=p)
+                p *= (shift[:, None] * w)[:, None, :]
+                acc += np.matmul(u, p.swapaxes(-1, -2)).sum(axis=0)
+            else:
+                f = u.transpose(2, 0, 1)
+                uc = np.conjugate(f, out=draw[:f.size].reshape(f.shape))  # the draw is spent
+                uc *= shift[:, None]
+                orbit = spare[:k * n * n].reshape(k, n, n)  # so is the stack
+                orbit = np.matmul(f.swapaxes(-1, -2), uc, out=orbit).reshape(k, n * n)
+                w = base + (orbit @ rho_t).real
+                acc += (w @ orbit).reshape(n, n)
+            total += w.sum()
+        done = stop
+        est = acc.copy()
+        est.reshape(-1)[::n + 1] += pi[-1] * total
+        rungs[stop] = n * est / stop
+    return np.stack([rungs[s] for s in counts]) if ladder else rungs[samples]
 
 
 @dataclass(frozen=True)

@@ -463,10 +463,42 @@ class TestReconstruct:
         run(args + ["--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("n, ladder", [(4, [100, 1000]), (32, [100, 1000]),
+                                           (4, [1000, 10, 1000])],
+                             ids=["n4", "n32", "unsorted-repeated"])
+    def test_rungs_are_prefixes_of_one_stream(self, capsys, monkeypatch, n, ladder):
+        # The ladder draws max(ladder) samples of the stream (seed, 0), and each
+        # rung is the estimate from its prefix: bit for bit at the smallest rung,
+        # whose chunks a call of its own shares, and to roundoff at the others.
+        # Rows keep the given order, and a repeated rung repeats its row.
+        drawn, frames = [], kernel._orbit_frames
+
+        def counting(t, *work):
+            drawn.append(t.shape[-1])  # the sample axis
+            return frames(t, *work)
+
+        monkeypatch.setattr(kernel, "_orbit_frames", counting)
+        code, out, _ = run(["reconstruct", "--n", str(n), "--samples", ",".join(map(str, ladder)),
+                            "--seed", "3", "--format", "csv"], capsys)
+        assert code == 0 and sum(drawn) == max(ladder)
+        rows = [row.split(",") for row in out.splitlines()[1:-1]]
+        assert [int(row[0]) for row in rows] == ladder
+        assert len({tuple(row) for row in rows}) == len(set(ladder))
+        rho = linalg.random_density(n, 4)
+        spec = kernel.solve_kernel_spectrum(n, "random", seed=3)
+        for samples, (_, error) in zip(ladder, rows):
+            want = np.linalg.norm(kernel.reconstruct_mc(rho, spec, samples, (3, 0)) - rho.mat)
+            assert abs(float(error) - want) <= (0.0 if samples == min(ladder) else 1e-13)
+
     def test_bad_samples_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["reconstruct", "--n", "4", "--samples", "10,-3"])
-        assert exc.value.code == 2
+        # A negative rung, and empty fields, which are refused and not dropped.
+        for samples in ("10,-3", ",10", "10,,100", "10,"):
+            with pytest.raises(SystemExit) as exc:
+                main(["reconstruct", "--n", "4", "--samples", samples])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: argument --samples: samples must be ")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("n", ["100000", str(cli._MAX_KERNEL_N + 1)])
     def test_huge_n_exit_2_before_allocating(self, capsys, monkeypatch, n):

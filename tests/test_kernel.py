@@ -384,6 +384,21 @@ class TestOrbitChunks:
             assert np.array_equal(frame, frames[0])
             assert np.abs(rec - estimates[0]).max() < 1e-14
 
+    @pytest.mark.parametrize("n, chunk", [(4, CHUNK_N4), (32, CHUNK_N32)])
+    def test_ladder_rungs_are_prefixes(self, n, chunk):
+        # Rungs of several chunks, out of order and repeated, on either side of
+        # the cut: each is the call of its own count on the same stream, to
+        # roundoff, and the smallest one bit for bit.
+        rho = random_density(n, 5)
+        spec = solve_kernel_spectrum(n, "random", seed=6)
+        ladder = [2 * chunk + 7, 10, chunk + 3, 2 * chunk + 7]
+        got = reconstruct_mc(rho, spec, ladder, seed=7)
+        assert got.shape == (len(ladder), n, n)
+        assert np.array_equal(got[1], reconstruct_mc(rho, spec, 10, seed=7))
+        assert np.array_equal(got[0], got[3])
+        for rung, samples in zip(got, ladder):
+            assert np.abs(rung - reconstruct_mc(rho, spec, samples, seed=7)).max() < 1e-14
+
     def test_memory_does_not_grow_with_samples(self):
         rho = random_density(32, 1)
         spec = solve_kernel_spectrum(32, "random", seed=2)
@@ -468,8 +483,9 @@ class TestOrbitChunks:
         rho = random_density(4, 0)
         with pytest.raises(ValueError, match=r"^dimension mismatch: state 4, spectrum 3$"):
             reconstruct_mc(rho, solve_kernel_spectrum(3), 10, seed=0)
-        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
-            reconstruct_mc(rho, solve_kernel_spectrum(4), 0, seed=0)
+        for samples in (0, [10, 0], []):
+            with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+                reconstruct_mc(rho, solve_kernel_spectrum(4), samples, seed=0)
 
     @pytest.mark.parametrize("estimate", [
         lambda rho, spec: reconstruct_exact(rho, spec),
