@@ -376,7 +376,7 @@ def reconstruct_exact(rho: DensityMatrix, spec) -> np.ndarray:
     return n * (alpha * rho.mat + beta * np.trace(rho.mat) * np.eye(n))
 
 
-def reconstruct_mc(rho: DensityMatrix, spec, samples, seed) -> np.ndarray:
+def reconstruct_mc(rho: DensityMatrix, spec, samples: int | list[int], seed) -> np.ndarray:
     """Monte-Carlo orbit-integral reconstruction, (N / samples) sum_k w_k O_k.
 
     The sum runs over Haar orbit points O_k = U_k D U_k^dagger with pairings
