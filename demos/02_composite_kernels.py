@@ -8,7 +8,7 @@ unitaries preserve admissibility, non-local ones break it.
 
 import numpy as np
 
-from swphase.linalg import BipartiteDims, haar_unitary, kron, random_density
+from swphase.linalg import BipartiteDims, haar_unitary, random_density
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum, wigner_value
 from swphase.composite import (
     constraint_jacobian,
@@ -19,6 +19,7 @@ from swphase.composite import (
     verify_composite_master,
 )
 from swphase.twoqubit import FANO_ORDER, SIGMA
+from swphase.reports import isotropy_dim
 
 dims = BipartiteDims(2, 2)
 
@@ -63,7 +64,7 @@ w_reduce = subsystem_wigner(rho, comp, keep="A")
 from swphase.linalg import partial_trace
 
 ker_a = partial_trace(comp.mat, dims, keep="A")
-w_embed = np.trace(rho.mat @ kron(ker_a, np.eye(2))).real
+w_embed = np.trace(rho.mat @ np.kron(ker_a, np.eye(2))).real
 print(f"\nreduce-then-pair : {w_reduce:.12f}")
 print(f"embed-then-pair  : {w_embed:.12f}")
 print(f"difference       : {abs(w_reduce - w_embed):.2e}")
@@ -76,8 +77,8 @@ from swphase.kernel import SWKernel
 from swphase.composite import CompositeKernel
 from swphase.linalg import DensityMatrix
 
-product = CompositeKernel(SWKernel(kron(ka.mat, kb.mat)), dims)
-rho_prod = DensityMatrix(kron(rho_a.mat, rho_b.mat))
+product = CompositeKernel(SWKernel(np.kron(ka.mat, kb.mat)), dims)
+rho_prod = DensityMatrix(np.kron(rho_a.mat, rho_b.mat))
 print(f"\nproduct state with product kernel factorizes: "
       f"{subsystem_wigner(rho_prod, product, 'A'):.9f} vs "
       f"{wigner_value(rho_a, ka):.9f}")
@@ -89,10 +90,13 @@ print("=" * 72)
 
 worst = 0.0
 for seed in range(200):
-    u = kron(haar_unitary(2, seed), haar_unitary(2, seed + 1000))
+    u = np.kron(haar_unitary(2, seed), haar_unitary(2, seed + 1000))
     r = verify_composite_master(u @ comp.mat @ u.conj().T, dims)
     worst = max(worst, r.purity_a_residual, r.purity_b_residual)
 print(f"\n200 random local rotations: worst admissibility residual {worst:.2e}")
+# No local generator commutes with a generic admissible kernel: its orbit
+# under SU(2) x SU(2) has the full dimension 6.
+print(f"local-unitary orbit dimension: 6 - isotropy_dim = {6 - isotropy_dim(comp.mat)}")
 
 # exp((pi/2) l) for the correlation generator l = (i/2) sigma_11; sigma_11^2 = I
 u = np.cos(np.pi / 4) * np.eye(4) + 1j * np.sin(np.pi / 4) * SIGMA[FANO_ORDER.index((1, 1))]

@@ -12,7 +12,6 @@ from .linalg import (
     BipartiteDims,
     DensityMatrix,
     haar_unitary,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,

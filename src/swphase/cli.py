@@ -277,7 +277,7 @@ def _cmd_kernel_verify(args) -> int:
     payload = report.as_dict()
     payload.update({"schema": _SCHEMA, "n": mat.shape[0]})
     if report.hermitian:
-        payload["spectrum"] = [float(v) for v in np.sort(np.linalg.eigvalsh(mat))[::-1]]
+        payload["spectrum"] = [float(v) for v in np.linalg.eigvalsh(mat)[::-1]]
     _write_out(args.out, lambda fh: fh.write(_dump_json(payload)))
     return EXIT_OK if report.ok() else EXIT_FAIL
 

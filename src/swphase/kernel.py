@@ -174,7 +174,7 @@ class SWKernel:
 
     @property
     def spectrum(self) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(self.mat))[::-1]
+        return np.linalg.eigvalsh(self.mat)[::-1]
 
 
 def _residual_error(name: str, value: complex, target: int, tol: float) -> ValueError:

@@ -3,7 +3,7 @@
 Conventions
 -----------
 Bipartite operators are flattened subsystem-A-major: the row index of
-``kron(a, b)`` is ``i * dim(b) + k`` with ``i`` labelling subsystem A and
+``np.kron(a, b)`` is ``i * dim(b) + k`` with ``i`` labelling subsystem A and
 ``k`` labelling subsystem B.  This fixes the partial-trace index pairing
 bit-for-bit.
 
@@ -23,7 +23,6 @@ __all__ = [
     "BipartiteDims",
     "DensityMatrix",
     "as_complex_matrix",
-    "kron",
     "partial_trace",
     "hermiticity_defect",
     "haar_unitary",
@@ -108,11 +107,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with A-major index order: (ik),(jl) -> a[i,j] b[k,l]."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def partial_trace(x, dims: BipartiteDims, keep: str = "A") -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator.
 
@@ -180,6 +174,8 @@ def _check_hermitian(x: np.ndarray) -> None:
 
 def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """An unscaled complex Ginibre matrix: one (2, n, n) draw, real part first."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     draw = rng.standard_normal((2, n, n))
     z = np.empty((n, n), dtype=complex)
     z.real = draw[0]
@@ -203,23 +199,17 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     Uses complex-Ginibre QR with diagonal phase correction, then removes the
     global phase so that det = 1.  Deterministic given ``seed``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _haar_from_rng(n, np.random.default_rng(seed))
 
 
 def random_hermitian(n: int, seed) -> np.ndarray:
     """GUE-style random Hermitian matrix (unnormalized)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     g = _ginibre(n, np.random.default_rng(seed))
     return (g + g.conj().T) / 2.0
 
 
 def random_density(n: int, seed) -> DensityMatrix:
     """Full-rank random density matrix G G† / tr(G G†), G complex Gaussian."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     g = _ginibre(n, np.random.default_rng(seed)) / np.sqrt(2.0)
     w = g @ g.conj().T
     w = (w + w.conj().T) / 2.0

@@ -1,7 +1,8 @@
 """Research reports on two-qubit kernels: Fano block norms, isotropy and the convention audit.
 
 These reports measure and print; the admissibility verdicts themselves come
-from the matrix-level checks of :mod:`swphase.composite`.
+from the matrix-level checks of :mod:`swphase.composite`, whose admitted
+``CompositeReport`` gives :func:`convention_report` its block residuals.
 
 Convention pin
 --------------
@@ -24,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BipartiteDims, as_complex_matrix, haar_unitary, _check_hermitian
-from .kernel import PURITY_TOL, kernel_from_spectrum, solve_kernel_spectrum, _residual_error
-from .composite import (
-    block_norm_targets,
-    fano_blocks,
-    make_composite_kernel,
-    verify_composite_master,
-    _reductions,
-)
+from .kernel import kernel_from_spectrum, solve_kernel_spectrum
+from .composite import block_norm_targets, fano_blocks, make_composite_kernel, _reductions
 from .twoqubit import (
     A_PLANE,
     A_PRIME_PLANE,
@@ -49,7 +44,6 @@ from .twoqubit import (
 __all__ = [
     "elementary_constraint_value",
     "TwoQubitBlockReport",
-    "twoqubit_constraint_values",
     "torus_factor_dependence",
     "cross_commutator_report",
     "isotropy_dim",
@@ -57,12 +51,14 @@ __all__ = [
 ]
 
 _DIMS22 = BipartiteDims(2, 2)
+# The six generators of the local su(2)+su(2), qubit A's then qubit B's.
+_LOCAL_GENS = LAMBDA[list(LOCAL_A + LOCAL_B)]
 
 # A Fano block written as KERNEL_COEFF * eta . (sigma / sqrt(2)) carries
 # orthonormal-basis weight 2 KERNEL_COEFF^2 |eta|^2 = (15/4) |eta|^2, so the
 # HS2 block norms are the fano_blocks norms times 1 / (2 KERNEL_COEFF^2) = 4/15.
 _HS2_WEIGHT = float(1.0 / (2.0 * KERNEL_COEFF**2))
-# The HS2 block targets, the same in every TwoQubitBlockReport (twoqubit_constraint_values).
+# The HS2 block targets, the same in every TwoQubitBlockReport.
 _TARGETS_HS2 = tuple(_HS2_WEIGHT * t for t in block_norm_targets(_DIMS22))
 
 
@@ -90,7 +86,21 @@ class TwoQubitBlockReport:
     ``matrix_residuals`` holds |tr(Delta^2) - 4| and the two subsystem
     purity residuals |tr((Tr_B Delta)^2) - 2|, |tr((Tr_A Delta)^2) - 2|;
     these matrix-level values are the authoritative admissibility check.
-    The targets, the same for every kernel, are derived in :func:`twoqubit_constraint_values`.
+
+    The targets are the same for every kernel.  In the orthonormal
+    (HS-norm-1) product basis, composite admissibility at (2, 2) forces
+    squared block weights 3/4, 3/4, 9/4 for the A-local, B-local and
+    correlation blocks (subsystem purity 2 each, total purity 4;
+    :func:`swphase.composite.block_norm_targets`).  A Fano block written as
+    coeff * eta . (sigma / s) carries orthonormal weight
+    (coeff^2 * 4 / s^2) |eta|^2, so with coeff = sqrt(30)/4:
+
+        HS2 (s = sqrt(2)):  (15/4) |eta|^2  ->  targets (1/5, 1/5, 3/5)
+        HS4 (s = 1):        (15/2) |eta|^2  ->  targets (1/10, 1/10, 3/10)
+
+    The literature triple (1/10, 1/10, 4/5) for this parametrization sums
+    to 1 like the HS2 triple but matches neither uniform normalization;
+    it is reported, not adopted.
     """
 
     measured: tuple
@@ -108,38 +118,6 @@ class TwoQubitBlockReport:
                 "eq8_b": self.matrix_residuals[2],
             },
         }
-
-
-def twoqubit_constraint_values(delta) -> TwoQubitBlockReport:
-    """Measured block norms of a candidate two-qubit kernel vs. derived targets.
-
-    Derivation of the targets: in the orthonormal (HS-norm-1) product
-    basis, composite admissibility at (2, 2) forces squared block weights
-    3/4, 3/4, 9/4 for the A-local, B-local and correlation blocks
-    (subsystem purity 2 each, total purity 4;
-    :func:`swphase.composite.block_norm_targets`).  A Fano block written as
-    coeff * eta . (sigma / s) carries orthonormal weight
-    (coeff^2 * 4 / s^2) |eta|^2, so with coeff = sqrt(30)/4:
-
-        HS2 (s = sqrt(2)):  (15/4) |eta|^2  ->  targets (1/5, 1/5, 3/5)
-        HS4 (s = 1):        (15/2) |eta|^2  ->  targets (1/10, 1/10, 3/10)
-
-    The literature triple (1/10, 1/10, 4/5) for this parametrization sums
-    to 1 like the HS2 triple but matches neither uniform normalization;
-    it is reported, not adopted.
-    """
-    m = as_complex_matrix(delta)
-    # fano_blocks also rejects input that is not 4x4 or not Hermitian.
-    measured = _hs2_block_norms(m)
-    return _block_report(m, measured, verify_composite_master(m, _DIMS22))
-
-
-def _block_report(m: np.ndarray, measured: tuple, report) -> TwoQubitBlockReport:
-    """The block report of a 4x4 matrix m from its HS2 block norms and its CompositeReport."""
-    if not report.full.trace_residual <= PURITY_TOL:
-        raise _residual_error("kernel trace", np.trace(m), 1, PURITY_TOL)
-    residuals = (report.full.purity_residual, report.purity_a_residual, report.purity_b_residual)
-    return TwoQubitBlockReport(measured=measured, matrix_residuals=residuals)
 
 
 def torus_factor_dependence(a_params, a_prime_params, mu, n_draws: int = 16,
@@ -200,30 +178,22 @@ def cross_commutator_report() -> dict:
         "weight_k_twisted": weight(K_TWISTED),
         "weight_torus": weight(LAMBDA[list(TORUS)]),
         "weight_abelian_planes": weight(LAMBDA[list(A_PLANE + A_PRIME_PLANE)]),
-        "weight_local": weight(LAMBDA[list(LOCAL_A + LOCAL_B)]),
+        "weight_local": weight(_LOCAL_GENS),
     }
 
 
-_ISOTROPY_SPANS = {"lu_local": LAMBDA[list(LOCAL_A + LOCAL_B)], "full_su4": LAMBDA,
-                   "k_twisted": K_TWISTED}
+def isotropy_dim(delta) -> int:
+    """Dimension of the local su(2)+su(2) subalgebra commuting with a Hermitian 4x4 matrix.
 
-
-def isotropy_dim(delta, algebra: str = "lu_local") -> int:
-    """Dimension of the subalgebra commuting with a Hermitian matrix.
-
-    Builds X -> [X, delta] on the chosen generator span (6-dimensional
-    local block, full 15-dimensional algebra, or the twisted 6-dimensional
-    su(2)+su(2)) and counts singular values below 1e-9.  The orbit
-    (phase-space) dimension is dim(algebra) minus this number.
+    Builds X -> [X, delta] on the six local generators and counts singular
+    values below 1e-9.  The local-unitary orbit dimension is 6 minus this
+    number.
     """
     m = as_complex_matrix(delta)
     if m.shape[0] != 4:
         raise ValueError("expected a 4x4 matrix")
     _check_hermitian(m)
-    gens = _ISOTROPY_SPANS.get(algebra)
-    if gens is None:
-        raise ValueError(f"algebra must be one of {tuple(_ISOTROPY_SPANS)}")
-    flat = (gens @ m - m @ gens).reshape(len(gens), -1)
+    flat = (_LOCAL_GENS @ m - m @ _LOCAL_GENS).reshape(len(_LOCAL_GENS), -1)
     svals = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), compute_uv=False)
     return int(np.sum(svals < 1e-9))
 
@@ -242,7 +212,9 @@ def convention_report(seed=0) -> dict:
     s_value = elementary_constraint_value(elem.mat)
 
     comp = make_composite_kernel(_DIMS22, seed)
-    block_report = _block_report(comp.mat, _hs2_block_norms(comp.mat), comp.report)
+    residuals = (comp.report.full.purity_residual, comp.report.purity_a_residual,
+                 comp.report.purity_b_residual)
+    block_report = TwoQubitBlockReport(_hs2_block_norms(comp.mat), residuals)
     return {
         "pinned_convention": "HS2",
         "elementary_sum_rule": s_value,

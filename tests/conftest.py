@@ -4,13 +4,21 @@ Hypothesis runs under a derandomized profile: every run draws the same
 examples, so the suite stays reproducible and its time stays fixed, and no
 example database is written.  The fixtures ``adjoint_oracle`` and
 ``oracle_quadrics`` hold the one test-side reference of the quadric builder:
-the adjoint map and the ellipsoid pair written from their definition.
+the adjoint map and the ellipsoid pair written from their definition;
+``exp_generators`` is the one scipy reference of the group elements, and
+``run_fresh`` the one way to start a fresh interpreter on the tested sources.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import swphase
 from swphase.twoqubit import LAMBDA, LOCAL_A, LOCAL_B, TORUS, QuadricTriple
 
 settings.register_profile("swphase", derandomize=True, database=None, deadline=None,
@@ -37,6 +45,33 @@ def count_calls(monkeypatch):
 
     return install
 
+
+def _run_fresh(args, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    src = str(Path(swphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """run_fresh(args, timeout=60, **kwargs): `python args` in a fresh interpreter on the
+    tested sources, with RuntimeWarning an error as in the suite; ``kwargs`` go to
+    subprocess.run."""
+    return _run_fresh
+
+
+def _exp_generators(params, rows):
+    expm = pytest.importorskip("scipy.linalg").expm
+    return expm(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
+
+
+@pytest.fixture(scope="session")
+def exp_generators():
+    """exp_generators(params, rows): scipy's expm of sum_i params[..., i] LAMBDA[rows[i]], an
+    independent reference of the group elements; the calling test skips without scipy."""
+    return _exp_generators
 
 
 def _adjoint_per_generator(g):

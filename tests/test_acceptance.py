@@ -11,7 +11,6 @@ import pytest
 from swphase.linalg import (
     BipartiteDims,
     haar_unitary,
-    kron,
     partial_trace,
     random_density,
 )
@@ -46,12 +45,7 @@ from swphase.twoqubit import (
     moduli_record,
     _pencil_roots,
 )
-from swphase.reports import (
-    convention_report,
-    elementary_constraint_value,
-    isotropy_dim,
-    twoqubit_constraint_values,
-)
+from swphase.reports import convention_report, elementary_constraint_value, isotropy_dim
 
 DIMS22 = BipartiteDims(2, 2)
 DIMS23 = BipartiteDims(2, 3)
@@ -148,7 +142,7 @@ def test_criterion_04_composite_axiom():
         rho = random_density(4, seed + 50_000)
         lhs = subsystem_wigner(rho, comp, keep="A")
         ker_a = partial_trace(comp.mat, DIMS22, keep="A")
-        rhs = np.trace(rho.mat @ kron(ker_a, np.eye(2))).real
+        rhs = np.trace(rho.mat @ np.kron(ker_a, np.eye(2))).real
         worst_two_path = max(worst_two_path, abs(lhs - rhs))
     ok = worst_adm < 1e-10 and worst_reduced < 1e-10 and worst_two_path < 1e-12
     _report(4, "composite admissibility and reduction", ok,
@@ -160,7 +154,7 @@ def test_criterion_05_lu_invariance_and_witness():
     comp = make_composite_kernel(DIMS22, 1)
     worst = 0.0
     for seed in range(1000):
-        u = kron(haar_unitary(2, seed), haar_unitary(2, seed + 20_000))
+        u = np.kron(haar_unitary(2, seed), haar_unitary(2, seed + 20_000))
         rep = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
         worst = max(worst, rep.purity_a_residual, rep.purity_b_residual)
     expm = pytest.importorskip("scipy.linalg").expm
@@ -233,18 +227,14 @@ def test_criterion_07_lambda_basis_algebra():
             f"orthonormality, abelian blocks, closures: worst {worst:.2e} < 1e-13")
 
 
-def _plane_expm(params, plane):
-    """scipy's expm of the generator sums sum_k params[r, k] LAMBDA[plane[k]]."""
-    expm = pytest.importorskip("scipy.linalg").expm
-    return expm(np.einsum("rk,kab->rab", params, LAMBDA[list(plane)]))
-
-
-def test_criterion_08_adjoint_and_ellipsoids(quadric_batch, adjoint_oracle, oracle_quadrics):
+def test_criterion_08_adjoint_and_ellipsoids(quadric_batch, adjoint_oracle, oracle_quadrics,
+                                             exp_generators):
     # The adjoint map and the quadrics from their definition (tests/conftest.py),
     # on factors from scipy's expm: nothing here shares code with abelian_quadrics.
     rng = np.random.default_rng(17)
     params = rng.uniform(-np.pi, np.pi, (100, 2, 3))
-    el1, el2 = _plane_expm(params[:, 0], A_PLANE), _plane_expm(params[:, 1], A_PRIME_PLANE)
+    el1 = exp_generators(params[:, 0], A_PLANE)
+    el2 = exp_generators(params[:, 1], A_PRIME_PLANE)
     o1 = adjoint_oracle(el1)
     o2 = adjoint_oracle(el2)
     worst_orth = np.linalg.norm(o1 @ o1.transpose(0, 2, 1) - np.eye(15), axis=(1, 2)).max()
@@ -252,8 +242,8 @@ def test_criterion_08_adjoint_and_ellipsoids(quadric_batch, adjoint_oracle, orac
     a_params, ap_params, qa, qb = quadric_batch
     worst_oracle = 0.0
     for lo in range(0, len(qa), 1000):
-        want = oracle_quadrics(_plane_expm(a_params[lo:lo + 1000], A_PLANE)
-                               @ _plane_expm(ap_params[lo:lo + 1000], A_PRIME_PLANE))
+        want = oracle_quadrics(exp_generators(a_params[lo:lo + 1000], A_PLANE)
+                               @ exp_generators(ap_params[lo:lo + 1000], A_PRIME_PLANE))
         worst_oracle = max(worst_oracle, np.abs(qa[lo:lo + 1000] - want.a).max(),
                            np.abs(qb[lo:lo + 1000] - want.b).max())
     eig_a = np.linalg.eigvalsh(qa)
@@ -322,7 +312,7 @@ def test_criterion_09_root_criterion(quadric_batch):
 
     # spot-check the batch path against the batch-of-one path
     for idx in range(0, n_draws, n_draws // 50):
-        q_one = moduli_record(idx, a_params[idx], ap_params[idx], solve=False).quadrics
+        q_one = moduli_record(idx, a_params[idx], ap_params[idx]).quadrics
         assert np.linalg.norm(q_one.a - qa[idx]) < 1e-12
         assert np.linalg.norm(q_one.b - qb[idx]) < 1e-12
 
@@ -396,7 +386,7 @@ def test_criterion_10_moduli_bridge():
     orbit_ok = True
     for seed in range(100):
         comp = make_composite_kernel(DIMS22, seed)
-        orbit_dim = 6 - isotropy_dim(comp.mat, "lu_local")
+        orbit_dim = 6 - isotropy_dim(comp.mat)
         orbit_ok = orbit_ok and orbit_dim == 6
     ok = worst_master < 1e-12 and spec_err < 1e-14 and orbit_ok
     _report(10, "moduli-sphere kernels and orbit dimension", ok,
@@ -419,9 +409,8 @@ def test_criterion_11_convention_ledger():
     elementary = kernel_from_moduli(haar_unitary(4, 12),
                                     np.array([3.0, -2.0, 1.0]) / np.sqrt(14.0)).mat
     s_check = abs(elementary_constraint_value(elementary) - 1.0)
-    measured = twoqubit_constraint_values(make_composite_kernel(DIMS22, 13).mat)
-    measured_ok = np.allclose(measured.measured, measured.as_dict()["targets_hs2"],
-                              atol=1e-10)
+    measured = convention_report(seed=13)["composite_blocks"]
+    measured_ok = np.allclose(measured["measured_hs2"], measured["targets_hs2"], atol=1e-10)
     ok = (s_dev < 1e-10 and s_check < 1e-10 and printed_both and documented
           and matrix_ok and measured_ok)
     print("[criterion 11] convention audit:",

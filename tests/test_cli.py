@@ -2,14 +2,11 @@ import json
 import os
 import signal
 import stat
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import swphase
 from swphase import cli, composite, kernel, linalg, twoqubit
 from swphase.cli import main
 from swphase.linalg import matrix_to_json
@@ -26,21 +23,11 @@ def write_matrix(path, mat):
     return str(path)
 
 
-def run_fresh(argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run `python -m swphase argv` in a fresh interpreter on the tested sources, with
-    RuntimeWarning an error as in the suite; ``kwargs`` go to subprocess.run."""
-    src = str(Path(swphase.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "swphase", *argv],
-                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
-
-
 class TestParserReuse:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, run_fresh):
         # A usage error first, then a flag that the next call must not inherit.
         with pytest.raises(SystemExit) as exc:
             main(["moduli", "scan"])
@@ -53,7 +40,7 @@ class TestParserReuse:
             assert main(argv) == 0
             outs.append(capsys.readouterr().out)
         assert "degenerate" not in outs[2]
-        fresh = [run_fresh(argv).stdout for argv in [["moduli", "scan"], *calls]]
+        fresh = [run_fresh(["-m", "swphase", *argv]).stdout for argv in [["moduli", "scan"], *calls]]
         assert outs == fresh
 
 
@@ -65,8 +52,8 @@ class TestParserReuse:
         ["frobnicate"],
         ["kernel", "verify", "k.json", "--n", "4"],
     ], ids=["dims", "samples", "missing-n", "bad-int", "unknown-command", "verify-n"])
-    def test_parse_error_exit_2_with_one_error_line(self, argv):
-        proc = run_fresh(argv)
+    def test_parse_error_exit_2_with_one_error_line(self, argv, run_fresh):
+        proc = run_fresh(["-m", "swphase", *argv])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
@@ -77,8 +64,8 @@ class TestParserReuse:
         ["reconstruct", "--n", "4", "--samples", "10", "--seed", "-5"],
         ["moduli", "scan", "--n", "2", "--seed", "-1"],
     ], ids=["kernel-gen", "reconstruct", "moduli-scan"])
-    def test_negative_seed_names_the_option(self, argv):
-        proc = run_fresh(argv)
+    def test_negative_seed_names_the_option(self, argv, run_fresh):
+        proc = run_fresh(["-m", "swphase", *argv])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (f"error: argument --seed: seed must be a non-negative "
@@ -348,11 +335,11 @@ class TestStrictJson:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_overflowing_report_one_stderr_line_in_a_process(self, tmp_path):
+    def test_overflowing_report_one_stderr_line_in_a_process(self, tmp_path, run_fresh):
         # Outside pytest's warning capture: numpy overflow warnings must not
         # add lines to the error either.
         path = _overflowing_matrix(tmp_path / "big.json")
-        proc = run_fresh(["kernel", "verify", path])
+        proc = run_fresh(["-m", "swphase", "kernel", "verify", path])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -545,8 +532,8 @@ class TestModuliScan:
     # 8e307,8.5e307: finite draws whose phase sums overflow fail the unitarity check.
     @pytest.mark.parametrize("ranges", ["-inf,inf", "-inf,0", "-1e308,1e308", "0,nan", "2,1",
                                         "abc", "8e307,8.5e307"])
-    def test_bad_ranges_exit_2_with_one_error_line(self, ranges):
-        proc = run_fresh(["moduli", "scan", "--n", "2", f"--ranges={ranges}"])
+    def test_bad_ranges_exit_2_with_one_error_line(self, ranges, run_fresh):
+        proc = run_fresh(["-m", "swphase", "moduli", "scan", "--n", "2", f"--ranges={ranges}"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
@@ -579,10 +566,10 @@ class TestModuliScanStreaming:
         params = [float(v) for row in out.splitlines()[1:] for v in row.split(",")[1:7]]
         assert all(lo <= v < hi for v in params)
 
-    def test_ranges_token_in_a_fresh_process(self):
-        proc = run_fresh(["moduli", "scan", "--n", "2", "--ranges", "-1,2"])
+    def test_ranges_token_in_a_fresh_process(self, run_fresh):
+        proc = run_fresh(["-m", "swphase", "moduli", "scan", "--n", "2", "--ranges", "-1,2"])
         assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout == run_fresh(["moduli", "scan", "--n", "2", "--ranges=-1,2"]).stdout
+        assert proc.stdout == run_fresh(["-m", "swphase", "moduli", "scan", "--n", "2", "--ranges=-1,2"]).stdout
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_and_out_file_across_chunks(self, tmp_path, capsys, fmt):
@@ -698,12 +685,12 @@ class TestOutFile:
         assert path.read_bytes() == out.encode()
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
-    def test_failed_write_keeps_the_old_file(self, tmp_path, command):
+    def test_failed_write_keeps_the_old_file(self, tmp_path, command, run_fresh):
         argv, out_dir = _out_argv(command, tmp_path / "in"), tmp_path / "out"
         out_dir.mkdir()
         path = out_dir / "out.txt"
         path.write_text("old\n")
-        proc = run_fresh(argv + ["--out", str(path)], preexec_fn=_limit_file_size)
+        proc = run_fresh(["-m", "swphase", *argv, "--out", str(path)], preexec_fn=_limit_file_size)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
         assert [p.name for p in out_dir.iterdir()] == ["out.txt"]
@@ -735,7 +722,7 @@ class TestOutFile:
 
 
 class TestRuntimeDependencies:
-    def test_cli_loads_numpy_only(self):
+    def test_cli_loads_numpy_only(self, run_fresh):
         # scipy is a test dependency only: the independent references of the
         # tests use it, the library and the CLI must not load it.
         code = """\
@@ -747,10 +734,6 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-        src = str(Path(swphase.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
+        proc = run_fresh(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0] []"

@@ -9,7 +9,6 @@ from swphase.linalg import (
     DensityMatrix,
     haar_unitary,
     hermiticity_defect,
-    kron,
     partial_trace,
     random_density,
     random_hermitian,
@@ -44,7 +43,7 @@ def _constraints(m, dims):
 def _product_kernel():
     ka = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 1))
     kb = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 2))
-    return ka, kb, CompositeKernel(SWKernel(kron(ka.mat, kb.mat)), DIMS22)
+    return ka, kb, CompositeKernel(SWKernel(np.kron(ka.mat, kb.mat)), DIMS22)
 
 
 class TestTracelessBasis:
@@ -96,11 +95,11 @@ class TestFanoBlocks:
         blocks = dataclasses.replace(drawn, identity_coeff=sign * abs(drawn.identity_coeff))
         fa = traceless_orthonormal_basis(na)
         fb = traceless_orthonormal_basis(nb)
-        ia = np.eye(na) / np.sqrt(na)
-        ib = np.eye(nb) / np.sqrt(nb)
-        want = blocks.identity_coeff * kron(ia, ib)
-        want += kron(np.einsum("a,aij->ij", blocks.local_a, fa), ib)
-        want += kron(ia, np.einsum("b,bij->ij", blocks.local_b, fb))
+        ia = np.eye(na, dtype=complex) / np.sqrt(na)
+        ib = np.eye(nb, dtype=complex) / np.sqrt(nb)
+        want = blocks.identity_coeff * np.kron(ia, ib)
+        want += np.kron(np.einsum("a,aij->ij", blocks.local_a, fa), ib)
+        want += np.kron(ia, np.einsum("b,bij->ij", blocks.local_b, fb))
         want += np.einsum("ab,aij,bkl->ikjl", blocks.corr, fa, fb).reshape(dims.total, dims.total)
         got = fano_blocks_compose(blocks)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -109,7 +108,7 @@ class TestFanoBlocks:
 
     def test_pauli_coefficient_2x2(self):
         # (I + sigma_z ⊗ I)/4 on F_z = sigma_z / sqrt(2): tr(x (F_z ⊗ I)) / sqrt(2) = 1/2
-        x = (np.eye(4) + kron(np.diag([1.0, -1.0]), np.eye(2))) / 4.0
+        x = (np.eye(4) + np.kron(np.diag([1.0, -1.0]), np.eye(2))) / 4.0
         blocks = fano_blocks(x, DIMS22)
         np.testing.assert_allclose(blocks.local_a, [0.0, 0.0, 0.5], atol=1e-15)
         assert np.linalg.norm(blocks.local_b) < 1e-15
@@ -190,7 +189,7 @@ class TestSubsystemWigner:
         ka, kb, comp = _product_kernel()
         rho_a = random_density(2, 3)
         rho_b = random_density(2, 4)
-        rho = DensityMatrix(kron(rho_a.mat, rho_b.mat))
+        rho = DensityMatrix(np.kron(rho_a.mat, rho_b.mat))
         got = subsystem_wigner(rho, comp, keep="A")
         assert abs(got - wigner_value(rho_a, ka)) < 1e-12
 
@@ -201,7 +200,7 @@ class TestSubsystemWigner:
             rho = random_density(4, seed + 900)
             lhs = subsystem_wigner(rho, comp, keep="A")
             ker_a = partial_trace(comp.mat, DIMS22, keep="A")
-            rhs = np.trace(rho.mat @ kron(ker_a, np.eye(2))).real
+            rhs = np.trace(rho.mat @ np.kron(ker_a, np.eye(2))).real
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -303,7 +302,7 @@ class TestMakeCompositeKernel:
             comp = make_composite_kernel(dims, 4)
             assert comp.report == verify_composite_master(comp.mat, dims)
         ka, kb, product = _product_kernel()
-        assert product.report == verify_composite_master(kron(ka.mat, kb.mat), DIMS22)
+        assert product.report == verify_composite_master(np.kron(ka.mat, kb.mat), DIMS22)
         assert product.report.full is product.kernel.report
 
     def test_rejects_mismatched_dims(self):
@@ -333,8 +332,8 @@ class TestDualDim:
         ib = np.eye(dims.n_b) / np.sqrt(dims.n_b)
         fa = traceless_orthonormal_basis(dims.n_a)
         fb = traceless_orthonormal_basis(dims.n_b)
-        chart = ([kron(f, ib) for f in fa] + [kron(ia, g) for g in fb]
-                 + [kron(f, g) for f in fa for g in fb])
+        chart = ([np.kron(f, ib) for f in fa] + [np.kron(ia, g) for g in fb]
+                 + [np.kron(f, g) for f in fa for g in fb])
         for seed in range(3):
             m = make_composite_kernel(dims, seed).mat
             step = 1e-6
@@ -348,7 +347,7 @@ class TestLocalUnitaryStructure:
     def test_lu_invariance(self):
         comp = make_composite_kernel(DIMS22, 1)
         for seed in range(50):
-            u = kron(haar_unitary(2, seed), haar_unitary(2, seed + 10_000))
+            u = np.kron(haar_unitary(2, seed), haar_unitary(2, seed + 10_000))
             report = verify_composite_master(u @ comp.mat @ u.conj().T, DIMS22)
             assert report.purity_a_residual < 1e-11
             assert report.purity_b_residual < 1e-11

@@ -10,7 +10,6 @@ from swphase.linalg import (
     _ginibre,
     haar_unitary,
     hermiticity_defect,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -40,10 +39,10 @@ def _unitarity_sites():
 
 def _hermiticity_sites():
     from swphase.composite import fano_blocks
-    from swphase.reports import isotropy_dim, twoqubit_constraint_values
+    from swphase.reports import elementary_constraint_value, isotropy_dim
 
     return {
-        "twoqubit_constraint_values": twoqubit_constraint_values,
+        "elementary_constraint_value": elementary_constraint_value,
         "isotropy_dim": isotropy_dim,
         "fano_blocks": lambda x: fano_blocks(x, BipartiteDims(2, 2)),
     }
@@ -72,29 +71,19 @@ class TestSharedChecks:
 
 
 class TestKron:
+    """np.kron flattens subsystem-A-major, the order partial_trace reads."""
+
     def test_identity_case(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_sigma_z_expansion(self):
         np.testing.assert_array_equal(
-            kron(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_trace_multiplicative(self):
-        for seed in range(5):
-            a = _rand_complex(2, seed)
-            b = _rand_complex(2, seed + 100)
-            # oracle: direct multiplication
-            assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-    def test_associative_exact_on_integers(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)) for _ in range(3))
-        np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+            np.kron(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
 
     def test_index_convention(self):
         a = _rand_complex(2, 1)
         b = _rand_complex(3, 2)
-        k = kron(a, b)
+        k = np.kron(a, b)
         for i in range(2):
             for j in range(2):
                 for l in range(3):
@@ -131,9 +120,9 @@ class TestPartialTrace:
         for seed in range(5):
             a = _rand_complex(2, seed)
             b = _rand_complex(2, seed + 50)
-            got = partial_trace(kron(a, b), dims, keep="A")
+            got = partial_trace(np.kron(a, b), dims, keep="A")
             np.testing.assert_allclose(got, np.trace(b) * a, atol=1e-12)
-            got = partial_trace(kron(a, b), dims, keep="B")
+            got = partial_trace(np.kron(a, b), dims, keep="B")
             np.testing.assert_allclose(got, np.trace(a) * b, atol=1e-12)
 
     def test_identity_matrix(self):
@@ -153,7 +142,7 @@ class TestPartialTrace:
             x = _rand_complex(4, seed)
             y = _rand_complex(2, seed + 7)
             lhs = np.trace(partial_trace(x, dims, keep="A") @ y)
-            rhs = np.trace(x @ kron(y, np.eye(2)))
+            rhs = np.trace(x @ np.kron(y, np.eye(2)))
             assert abs(lhs - rhs) < 1e-12
 
     def test_linearity(self):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swphase.kernel import PURITY_TOL, kernel_from_spectrum, solve_kernel_spectrum, verify_master
-from swphase.linalg import (BipartiteDims, haar_unitary, kron, matrix_from_json, matrix_to_json,
+from swphase.linalg import (BipartiteDims, haar_unitary, matrix_from_json, matrix_to_json,
                             partial_trace)
 from swphase.twoqubit import MATRIX_LEVEL, moduli_feasibility, moduli_record
 
@@ -48,8 +48,8 @@ def test_partial_trace_duality(n_a, n_b, data):
     x = data.draw(_matrices(n_a, _UNIT_ENTRIES))
     y = data.draw(_matrices(n_b, _UNIT_ENTRIES))
     pairs = [
-        (np.trace(partial_trace(rho, dims, keep="A") @ x), np.trace(rho @ kron(x, np.eye(n_b)))),
-        (np.trace(partial_trace(rho, dims, keep="B") @ y), np.trace(rho @ kron(np.eye(n_a), y))),
+        (np.trace(partial_trace(rho, dims, keep="A") @ x), np.trace(rho @ np.kron(x, np.eye(n_b)))),
+        (np.trace(partial_trace(rho, dims, keep="B") @ y), np.trace(rho @ np.kron(np.eye(n_a), y))),
     ]
     for reduced, full in pairs:
         assert abs(reduced - full) <= 1e-12 * dims.total ** 2
@@ -77,7 +77,7 @@ _ABELIAN_PARAMS = st.one_of(
 
 @given(_ABELIAN_PARAMS)
 def test_matrix_level_solutions_are_antipodal_pairs(params):
-    q = moduli_record(0, params[:3], params[3:], solve=False).quadrics
+    q = moduli_record(0, params[:3], params[3:]).quadrics
     sols = moduli_feasibility(q, level=MATRIX_LEVEL).solutions
     assert len(sols) % 2 == 0 and len(sols) <= 8  # Bezout: at most 4 antipodal pairs
     for mu in sols:

@@ -11,6 +11,7 @@ import pytest
 from swphase.linalg import BipartiteDims, haar_unitary, random_hermitian
 from swphase.kernel import kernel_from_spectrum, solve_kernel_spectrum
 from swphase.composite import (
+    block_norm_targets,
     fano_blocks,
     fano_blocks_compose,
     make_composite_kernel,
@@ -20,6 +21,7 @@ from swphase import twoqubit
 from swphase.twoqubit import (
     A_PLANE,
     A_PRIME_PLANE,
+    KERNEL_COEFF,
     K_TWISTED,
     LAMBDA,
     MATRIX_LEVEL,
@@ -41,12 +43,12 @@ from swphase.twoqubit import (
     scan_to_json,
 )
 from swphase.reports import (
+    TwoQubitBlockReport,
     convention_report,
     cross_commutator_report,
     elementary_constraint_value,
     isotropy_dim,
     torus_factor_dependence,
-    twoqubit_constraint_values,
 )
 
 DIMS22 = BipartiteDims(2, 2)
@@ -63,12 +65,6 @@ def _random_abelian_factor(seed):
 
 def _random_quadrics(seed):
     return abelian_quadrics(*_random_params(seed))
-
-
-def _exp_generators(params, rows):
-    """Independent reference: scipy expm of sum_i params[..., i] LAMBDA[rows[i]]."""
-    expm = pytest.importorskip("scipy.linalg").expm
-    return expm(np.einsum("...i,iab->...ab", params, LAMBDA[list(rows)]))
 
 
 class TestLambdaBasis:
@@ -185,27 +181,17 @@ class TestElementaryConstraint:
 
 
 class TestTwoQubitConstraintValues:
-    def test_composite_kernel_hits_pinned_targets(self):
-        report = twoqubit_constraint_values(make_composite_kernel(DIMS22, 4).mat)
-        np.testing.assert_allclose(report.measured, report.as_dict()["targets_hs2"], atol=1e-10)
-        assert max(report.matrix_residuals) < 1e-10
-
-    def test_literature_triple_recorded_not_adopted(self):
-        blocks = twoqubit_constraint_values(make_composite_kernel(DIMS22, 5).mat).as_dict()
-        assert blocks["literature_values"] == [0.1, 0.1, 0.8]
-        assert blocks["targets_hs2"] != blocks["literature_values"]
-        # candidate translations both sum consistently with their conventions
-        assert abs(sum(blocks["targets_hs2"]) - 1.0) < 1e-12
-        assert abs(sum(blocks["targets_hs4"]) - 0.5) < 1e-12
-
     def test_product_kernel(self):
-        from swphase.linalg import kron
-
         ka = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 0))
         kb = kernel_from_spectrum(solve_kernel_spectrum(2), haar_unitary(2, 1))
-        report = twoqubit_constraint_values(kron(ka.mat, kb.mat))
-        assert max(report.matrix_residuals) < 1e-12
-        np.testing.assert_allclose(report.measured, report.as_dict()["targets_hs2"], atol=1e-12)
+        product = np.kron(ka.mat, kb.mat)
+        report = verify_composite_master(product, DIMS22)
+        assert max(report.full.trace_residual, report.full.purity_residual,
+                   report.purity_a_residual, report.purity_b_residual) < 1e-12
+        blocks = fano_blocks(product, DIMS22)
+        measured = (blocks.local_a @ blocks.local_a, blocks.local_b @ blocks.local_b,
+                    np.sum(blocks.corr**2))
+        np.testing.assert_allclose(measured, block_norm_targets(DIMS22), atol=1e-12)
 
 
 class TestKakElement:
@@ -272,9 +258,9 @@ class TestKakElement:
                 moduli_record(0, params[0][2], params[1][2])
 
     @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)], ids=str)
-    def test_closed_forms_match_expm(self, shape):
+    def test_closed_forms_match_expm(self, shape, exp_generators):
         a, ap, t = np.random.default_rng(len(shape)).uniform(-np.pi, np.pi, (3,) + shape)
-        exp_a, exp_ap = _exp_generators(a, A_PLANE), _exp_generators(ap, A_PRIME_PLANE)
+        exp_a, exp_ap = exp_generators(a, A_PLANE), exp_generators(ap, A_PRIME_PLANE)
         factors = abelian_factor(a, ap)
         assert factors.shape == shape[:-1] + (4, 4)
         np.testing.assert_allclose(factors, exp_a @ exp_ap, rtol=0, atol=1e-14)
@@ -282,7 +268,7 @@ class TestKakElement:
         assert np.abs(factors - exp_ap @ exp_a).max() > 1e-2
         for idx in np.ndindex(shape[:-1]):
             el = kak_element(np.zeros(6), a[idx], ap[idx], t[idx])
-            np.testing.assert_allclose(el.factor_t, _exp_generators(t[idx], TORUS),
+            np.testing.assert_allclose(el.factor_t, exp_generators(t[idx], TORUS),
                                        rtol=0, atol=1e-14)
             np.testing.assert_allclose(el.factor_a, factors[idx], rtol=0, atol=1e-14)
 
@@ -506,8 +492,7 @@ class TestCharCubicRoots:
 
     def test_grid_sample_roots_real_and_non_positive(self):
         # multiples of pi/4 and pi/2: many records share a null direction of A and B
-        grid = np.pi * np.array([0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
-        params = np.random.default_rng(15).choice(grid, size=(3000, 6))
+        params = np.random.default_rng(15).choice(_GRID_VALUES, size=(3000, 6))
         q = abelian_quadrics(params[:, :3], params[:, 3:])
         roots = [char_cubic_roots(q[k]) for k in range(len(params))]
         assert all(np.all(np.imag(r) == 0.0) and np.all(np.real(r) <= 0.0) for r in roots)
@@ -975,22 +960,16 @@ class TestGridParity:
 
 class TestIsotropyDim:
     def test_diagonal_distinct_local(self):
-        assert isotropy_dim(np.diag([0.4, 0.3, 0.2, 0.1]), "lu_local") == 2
+        assert isotropy_dim(np.diag([0.4, 0.3, 0.2, 0.1])) == 2
 
     def test_maximally_mixed_all_algebras(self):
-        assert isotropy_dim(np.eye(4) / 4, "lu_local") == 6
-        assert isotropy_dim(np.eye(4) / 4, "full_su4") == 15
-        assert isotropy_dim(np.eye(4) / 4, "k_twisted") == 6
+        assert isotropy_dim(np.eye(4) / 4) == 6
 
     def test_generic_composite_kernel_orbit_dim(self):
         for seed in range(25):
             comp = make_composite_kernel(DIMS22, seed)
-            iso = isotropy_dim(comp.mat, "lu_local")
+            iso = isotropy_dim(comp.mat)
             assert iso == 0  # orbit dimension 6
-
-    def test_rejects_unknown_algebra(self):
-        with pytest.raises(ValueError):
-            isotropy_dim(np.eye(4) / 4, "everything")
 
 
 class TestModuliScan:
@@ -1003,7 +982,7 @@ class TestModuliScan:
         assert rec.n_solutions == 0
         np.testing.assert_array_equal(rec.quadrics.a, np.diag([4.0 / 3.0, 0, 0]))
 
-    def test_closed_form_change_is_roundoff(self, oracle_quadrics):
+    def test_closed_form_change_is_roundoff(self, oracle_quadrics, exp_generators):
         # The closed-form front end against the eigensolver route it replaced
         # (the exponential of the generator sums, then the per-generator adjoint).
         # The roots are compared relative to the largest root of the record:
@@ -1012,7 +991,7 @@ class TestModuliScan:
         records = moduli_scan(1000, 7)
         a = np.stack([rec.a_params for rec in records])
         ap = np.stack([rec.a_prime_params for rec in records])
-        ref = oracle_quadrics(_exp_generators(a, A_PLANE) @ _exp_generators(ap, A_PRIME_PLANE))
+        ref = oracle_quadrics(exp_generators(a, A_PLANE) @ exp_generators(ap, A_PRIME_PLANE))
         for k, rec in enumerate(records):
             want, feas = ref[k], moduli_feasibility(ref[k], level=1.0)
             assert (rec.quadrics.rank_a, rec.quadrics.rank_b) == (want.rank_a, want.rank_b)
@@ -1359,12 +1338,20 @@ class TestConventionReport:
         assert (len(traced), len(verified)) == (2, 2)
         elem = kernel_from_spectrum(solve_kernel_spectrum(4, "random", seed=0), haar_unitary(4, 0))
         comp = make_composite_kernel(DIMS22, 0)
+        blocks = fano_blocks(comp.mat, DIMS22)
+        norms = (blocks.local_a @ blocks.local_a, blocks.local_b @ blocks.local_b,
+                 np.sum(blocks.corr**2))
+        hs2 = float(1.0 / (2.0 * KERNEL_COEFF**2))  # HS2 coordinates: 4/15 of fano_blocks'
+        comp_report = verify_composite_master(comp.mat, DIMS22)
+        residuals = (comp_report.full.purity_residual, comp_report.purity_a_residual,
+                     comp_report.purity_b_residual)
         assert report == {
             "pinned_convention": "HS2",
             "elementary_sum_rule": elementary_constraint_value(elem.mat),
             "elementary_sum_rule_target": 1.0,
-            "composite_blocks": twoqubit_constraint_values(comp.mat).as_dict(),
-            "composite_matrix_report": verify_composite_master(comp.mat, DIMS22).as_dict(),
+            "composite_blocks": TwoQubitBlockReport(
+                tuple(float(hs2 * v) for v in norms), residuals).as_dict(),
+            "composite_matrix_report": comp_report.as_dict(),
         }
 
     def test_fields_and_values(self):
