@@ -71,15 +71,6 @@ def _parse_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
 
 
-def _parse_tol(text: str) -> float:
-    try:
-        if 0.0 < float(text) < np.inf:  # false for nan
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"tol must be a positive finite number, got {text!r}")
-
-
 def _parse_ranges(text: str):
     """Parse lo,hi; moduli_scan checks the values."""
     try:
@@ -198,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = kernel_sub.add_parser("verify", help="verify a kernel matrix file")
     p_ver.add_argument("input", help="matrix JSON file")
-    p_ver.add_argument("--tol", type=_parse_tol, default=kernel.PURITY_TOL)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(handler=_cmd_kernel_verify)
 
@@ -207,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cver = comp_sub.add_parser("verify", help="verify a composite kernel file")
     p_cver.add_argument("input", help="matrix JSON file")
     p_cver.add_argument("--dims", type=_parse_dims, required=True)
-    p_cver.add_argument("--tol", type=_parse_tol, default=kernel.PURITY_TOL)
     p_cver.add_argument("--out", default=None)
     p_cver.set_defaults(handler=_cmd_composite_verify)
 
@@ -273,7 +262,7 @@ def _cmd_kernel_gen(args) -> int:
 
 def _cmd_kernel_verify(args) -> int:
     mat = _load_matrix_file(args.input)
-    report = kernel.verify_master(mat, tol=args.tol)
+    report = kernel.verify_master(mat)
     payload = report.as_dict()
     payload.update({"schema": _SCHEMA, "n": mat.shape[0]})
     if report.hermitian:
@@ -284,7 +273,7 @@ def _cmd_kernel_verify(args) -> int:
 
 def _cmd_composite_verify(args) -> int:
     mat = _load_matrix_file(args.input)
-    report = composite.verify_composite_master(mat, args.dims, args.tol)
+    report = composite.verify_composite_master(mat, args.dims)
     _write_out(args.out, lambda fh: fh.write(_dump_json({**report.as_dict(), "schema": _SCHEMA})))
     return EXIT_OK if report.admissible() else EXIT_FAIL
 
@@ -330,8 +319,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_moduli_scan(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     write = twoqubit.scan_to_csv if args.format == "csv" else twoqubit.scan_to_json
     _write_out(args.out, lambda fh: write(fh, args.n, args.seed, ranges=args.ranges))
     return EXIT_OK

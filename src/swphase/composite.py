@@ -202,8 +202,9 @@ class CompositeKernel:
 
 @dataclass(frozen=True)
 class CompositeReport:
-    """Residuals of the full-system and subsystem-reduction conditions, judged
-    (``full.hermitian`` and :meth:`admissible`) at the ``full.tol`` they were built with."""
+    """Residuals of the full-system and subsystem-reduction conditions.  :meth:`admissible`,
+    the rule by which CompositeKernel admits a kernel, is ``full.ok()`` and both subsystem
+    purity residuals at most PURITY_TOL."""
 
     dims: BipartiteDims
     full: MasterReport
@@ -212,8 +213,8 @@ class CompositeReport:
 
     def admissible(self) -> bool:
         return (self.full.ok()
-                and self.purity_a_residual <= self.full.tol
-                and self.purity_b_residual <= self.full.tol)
+                and self.purity_a_residual <= PURITY_TOL
+                and self.purity_b_residual <= PURITY_TOL)
 
     def as_dict(self) -> dict:
         # Wire-format field names are part of the on-disk report schema.
@@ -233,11 +234,11 @@ def _reductions(m, dims: BipartiteDims) -> tuple[dict, list]:
     return reduced, [float(np.trace(r @ r).real - r.shape[0]) for r in reduced.values()]
 
 
-def verify_composite_master(x, dims: BipartiteDims, tol: float = PURITY_TOL) -> CompositeReport:
+def verify_composite_master(x, dims: BipartiteDims) -> CompositeReport:
     """Report all four admissibility residuals for a candidate matrix."""
     m = as_complex_matrix(x)
     residuals = _reductions(m, dims)[1]  # checks dims
-    return CompositeReport(dims, verify_master(m, tol=tol), *map(abs, residuals))
+    return CompositeReport(dims, verify_master(m), *map(abs, residuals))
 
 
 def reduce_kernel(delta: CompositeKernel, keep: str = "A") -> SWKernel:

@@ -43,8 +43,9 @@ __all__ = [
     "verify_master",
 ]
 
-# The tolerance of every verdict on purities and reports (and the CLI's --tol);
-# algebraic identities (Hermiticity, unit trace) keep linalg.DEFAULT_TOL.
+# The tolerance of the purity residuals: tr Delta^2 = N in MasterReport.ok, the
+# subsystem purities in CompositeReport.admissible.  Hermiticity and unit trace
+# keep linalg.DEFAULT_TOL.
 PURITY_TOL = 1e-10
 
 # Bytes of the complex (k, n, n) stack of one pass of reconstruct_mc, which
@@ -150,7 +151,7 @@ def solve_kernel_spectrum(n: int, selector: str = "canonical", *, seed=None) -> 
 @dataclass(frozen=True, eq=False)
 class SWKernel:
     """A Stratonovich-Weyl kernel: Hermitian N x N with tr = 1 and tr^2 = N; ``report`` is the
-    :func:`verify_master` report that admitted it (purity to PURITY_TOL, the rest DEFAULT_TOL)."""
+    :func:`verify_master` report that admitted it, by :meth:`MasterReport.ok`."""
 
     mat: np.ndarray
     report: MasterReport = field(init=False, repr=False)
@@ -161,12 +162,13 @@ class SWKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             report = verify_master(m)  # entries that overflow fail a test below
         object.__setattr__(self, "report", report)
-        if not report.hermiticity_defect <= DEFAULT_TOL:
+        if report.ok():
+            return
+        if not report.hermitian:
             raise ValueError(f"kernel not Hermitian: defect {report.hermiticity_defect:.3e}")
         if not report.trace_residual <= DEFAULT_TOL:
             raise _residual_error("kernel trace", np.trace(m), 1, DEFAULT_TOL)
-        if not report.purity_residual <= PURITY_TOL:
-            raise _residual_error("kernel purity", np.trace(m @ m), self.n, PURITY_TOL)
+        raise _residual_error("kernel purity", np.trace(m @ m), self.n, PURITY_TOL)
 
     @property
     def n(self) -> int:
@@ -502,35 +504,33 @@ def reconstruct_mc(rho: DensityMatrix, spec, samples: int | list[int], seed) -> 
 
 @dataclass(frozen=True)
 class MasterReport:
-    """Residual report for the master equations at dimension n, judged (``hermitian`` and
-    :meth:`ok`) at the ``tol`` it was built with."""
+    """Residual report for the master equations at dimension n.  ``hermitian`` and the trace
+    residual are judged at DEFAULT_TOL, the purity residual at PURITY_TOL: :meth:`ok` is the
+    rule by which SWKernel admits a matrix."""
 
     hermitian: bool
     hermiticity_defect: float
     trace_residual: float
     purity_residual: float
-    tol: float
 
     def ok(self) -> bool:
-        return (self.hermiticity_defect <= self.tol
-                and self.trace_residual <= self.tol
-                and self.purity_residual <= self.tol)
+        return (self.hermitian
+                and self.trace_residual <= DEFAULT_TOL
+                and self.purity_residual <= PURITY_TOL)
 
     def as_dict(self) -> dict:
-        # Wire-format fields: the tolerance is the caller's, not part of the report schema.
-        return {k: v for k, v in asdict(self).items() if k != "tol"}
+        return asdict(self)
 
 
-def verify_master(x, *, tol: float = PURITY_TOL) -> MasterReport:
+def verify_master(x) -> MasterReport:
     """Report |tr x - 1|, |tr x^2 - N| of an N x N x, each plus its |imaginary part|, and the
     Hermiticity defect: the one master-equation check, which SWKernel keeps as ``report``."""
     m = as_complex_matrix(x)
     defect = hermiticity_defect(m)
     tr, purity = np.trace(m), np.trace(m @ m)
     return MasterReport(
-        hermitian=defect <= tol,
+        hermitian=defect <= DEFAULT_TOL,
         hermiticity_defect=float(defect),
         trace_residual=float(abs(tr.real - 1.0) + abs(tr.imag)),
         purity_residual=float(abs(purity.real - m.shape[0]) + abs(purity.imag)),
-        tol=tol,
     )

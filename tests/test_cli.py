@@ -71,19 +71,20 @@ class TestParserReuse:
         assert proc.stderr == (f"error: argument --seed: seed must be a non-negative "
                                f"integer, got '{argv[-1]}'\n")
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e-10"])
     @pytest.mark.parametrize("command", [["kernel", "verify"],
                                          ["composite", "verify", "--dims", "2x2"]],
                              ids=["kernel-verify", "composite-verify"])
     def test_bad_tol_names_the_option(self, tmp_path, capsys, command, tol):
+        # The verify commands judge at the tolerances of SWKernel and CompositeKernel and take
+        # no --tol: any value is an unrecognized argument, named in the one error line.
         path = write_matrix(tmp_path / "m.json", np.eye(4) / 4)
         with pytest.raises(SystemExit) as exc:
             main([*command, path, "--tol", tol])
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert captured.err == (f"error: argument --tol: tol must be a positive finite "
-                                f"number, got '{tol}'\n")
+        assert captured.err == f"error: unrecognized arguments: --tol {tol}\n"
 
 
 class TestKernelGen:
@@ -356,9 +357,8 @@ class TestCompositeVerify:
         code, _, _ = run(["composite", "verify", path, "--dims", "2x3"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["1e-20", "1e-10", "1e-3"])
     @pytest.mark.parametrize("perturbed", [False, True], ids=["valid", "perturbed"])
-    def test_admissible_is_the_exit_verdict(self, tmp_path, capsys, tol, perturbed):
+    def test_admissible_is_the_exit_verdict(self, tmp_path, capsys, perturbed):
         from swphase.composite import make_composite_kernel
         from swphase.linalg import BipartiteDims
 
@@ -366,17 +366,65 @@ class TestCompositeVerify:
         if perturbed:  # trace kept, purities moved by about 1e-6
             mat = mat + np.diag([1e-6, -1e-6, 0.0, 0.0])
         path = write_matrix(tmp_path / "comp.json", mat)
-        code, out, _ = run(["composite", "verify", path, "--dims", "2x2", "--tol", tol], capsys)
+        code, out, _ = run(["composite", "verify", path, "--dims", "2x2"], capsys)
         admissible = json.loads(out)["admissible"]
-        assert admissible == (code == 0)
-        if perturbed:
-            assert admissible == (tol == "1e-3")
+        assert admissible == (code == 0) == (not perturbed)
 
     def test_garbage_exit_2(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text("not json at all")
         code, _, _ = run(["composite", "verify", str(path), "--dims", "2x2"], capsys)
         assert code == 2
+
+
+def _perturbed_kernels():
+    """A random 4x4 kernel and make_composite_kernel(2x2, 0), each as given, with a Hermiticity
+    defect of 5.7e-11, with its trace moved by 3e-11, and with its purity moved by 5e-11 and
+    by 5e-9 along its own traceless part: residuals on either side of a pinned tolerance."""
+    spec = kernel.solve_kernel_spectrum(4, "random", seed=0)
+    bases = {"random": kernel.kernel_from_spectrum(spec, linalg.haar_unitary(4, 1)).mat,
+             "composite": composite.make_composite_kernel(linalg.BipartiteDims(2, 2), 0).mat}
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 2e-11, -2e-11  # defect 2 sqrt(2) 2e-11
+    for name, mat in bases.items():
+        traceless = mat - np.eye(4) / 4  # tr(mat traceless) = 4 - 1/4
+        yield f"{name}-exact", mat
+        yield f"{name}-skew", mat + skew
+        yield f"{name}-trace", mat + 3e-11 / 4 * np.eye(4)
+        for shift in (5e-11, 5e-9):
+            yield f"{name}-purity-{shift:.0e}", mat + shift / 7.5 * traceless
+
+
+class TestOneVerdict:
+    """kernel verify exits 0 exactly when wigner eval, and so SWKernel, takes the file, and
+    composite verify exactly when CompositeKernel admits it."""
+
+    @staticmethod
+    def _admits(build, mat) -> bool:
+        try:
+            build(mat)
+        except ValueError:
+            return False
+        return True
+
+    def test_verify_agrees_with_the_constructors(self, tmp_path, capsys):
+        state = write_matrix(tmp_path / "state.json", np.eye(4) / 4)
+        dims = linalg.BipartiteDims(2, 2)
+        admitted = []
+        for name, mat in _perturbed_kernels():
+            path = write_matrix(tmp_path / f"{name}.json", mat)
+            verify = run(["kernel", "verify", path], capsys)[0]
+            evaluate = run(["wigner", "eval", state, path], capsys)[0]
+            swkernel = self._admits(kernel.SWKernel, mat)
+            assert (verify == 0) == (evaluate == 0) == swkernel, name
+            comp = run(["composite", "verify", path, "--dims", "2x2"], capsys)[0]
+            assert (comp == 0) == self._admits(
+                lambda m: composite.CompositeKernel(kernel.SWKernel(m), dims), mat), name
+            admitted.append((name, swkernel, comp == 0))
+        assert admitted == [(f"{base}-{case}", ok, ok and base == "composite")
+                            for base in ("random", "composite")
+                            for case, ok in [("exact", True), ("skew", False), ("trace", False),
+                                             ("purity-5e-11", True), ("purity-5e-09", False)]]
 
 
 class TestWignerEval:
@@ -539,16 +587,20 @@ class TestModuliScan:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
-    def test_more_records_than_spawn_keys_exit_2(self, capsys, monkeypatch):
-        # Spawn keys are single words: --n above 2**32 is refused before anything is drawn.
+    def test_more_records_than_spawn_keys_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Spawn keys are single words: --n outside [1, 2**32] is refused, by the library's one
+        # check, before anything is drawn.
         def forbidden(*args, **kwargs):
             raise AssertionError("nothing may be drawn for a rejected --n")
 
         monkeypatch.setattr(twoqubit, "_child_states", forbidden)
-        code, out, err = run(["moduli", "scan", "--n", str(2**32 + 1)], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: n must be") and err.count("\n") == 1
+        for n in (0, -3, 2**32 + 1):
+            code, out, err = run(["moduli", "scan", "--n", str(n)], capsys)
+            assert (code, out, err) == (2, "", f"error: n must be between 1 and 2**32, got {n}\n")
+        # The check runs inside --out's write, after its temporary file exists: none is left.
+        code, out, err = run(["moduli", "scan", "--n", "0", "--out", str(tmp_path / "s.csv")], capsys)
+        assert (code, out, err) == (2, "", "error: n must be between 1 and 2**32, got 0\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestModuliScanStreaming:

@@ -252,7 +252,7 @@ class TestVerifyCompositeMaster:
 
     def test_sigma_z_aligned_kernel_fails_reduction(self):
         mat = (np.eye(4) + np.sqrt(15) * np.diag([1.0, 1.0, -1.0, -1.0])) / 4.0
-        report = verify_composite_master(mat, DIMS22, 1e-12)
+        report = verify_composite_master(mat, DIMS22)
         assert report.full.ok()
         assert abs(report.purity_a_residual - 6.0) < 1e-12
         assert not report.admissible()

@@ -503,7 +503,7 @@ class TestVerifyMaster:
     def test_valid_kernel(self):
         spec = solve_kernel_spectrum(4, "random", seed=0)
         ker = kernel_from_spectrum(spec, haar_unitary(4, 1))
-        report = verify_master(ker.mat, tol=1e-10)
+        report = verify_master(ker.mat)
         assert report.ok()
 
     def test_maximally_mixed_purity_residual(self):
@@ -513,21 +513,25 @@ class TestVerifyMaster:
         assert report.trace_residual < 1e-14
         assert abs(report.purity_residual - (n - 1.0 / n)) < 1e-12
 
-    def test_tol_is_keyword_only(self):
-        # A second positional argument is refused: a size is never read as a tolerance.
+    def test_second_positional_argument_refused(self):
+        # verify_master reads N from its matrix and its tolerances are pinned: a second
+        # argument, a size or a tolerance, is refused.
         with pytest.raises(TypeError):
             verify_master(np.eye(4) / 4, 4)
-        skew = np.eye(2) / 2 + 1e-9 * np.array([[0, 1], [-1, 0]])
-        assert not verify_master(skew).hermitian and verify_master(skew, tol=1e-8).hermitian
 
     def test_ok_judges_at_the_report_tol(self):
-        # A report that reads hermitian: false is never ok: the tolerance is
-        # the one verify_master took, not a second one.
-        m = np.diag(solve_kernel_spectrum(2).pi) + 1e-9 * np.array([[0, 1], [-1, 0]])
+        # The report's tolerances are pinned, as SWKernel admits: Hermiticity and trace at
+        # DEFAULT_TOL (1e-12), purity at PURITY_TOL (1e-10).  hermitian: false is never ok.
+        m = np.diag(GOLD_2) + 1e-9 * np.array([[0, 1], [-1, 0]])
         report = verify_master(m)
-        assert report.trace_residual <= 1e-10 and report.purity_residual <= 1e-10
+        assert report.trace_residual <= 1e-12 and report.purity_residual <= 1e-12
         assert not report.hermitian and not report.ok()
-        assert verify_master(m, tol=1e-8).ok()
+        shifted = verify_master(np.diag(GOLD_2 + 1.5e-11))  # trace residual 3e-11
+        assert shifted.hermitian and shifted.purity_residual <= 1e-10
+        assert 2e-11 < shifted.trace_residual < 4e-11 and not shifted.ok()
+        d = 5e-11 / (2 * np.sqrt(3))  # purity residual 5e-11, trace kept
+        impure = verify_master(np.diag(GOLD_2 + [d, -d]))
+        assert 4e-11 < impure.purity_residual < 6e-11 and impure.ok()
         assert set(report.as_dict()) == {"hermitian", "hermiticity_defect", "trace_residual",
                                          "purity_residual"}
 
