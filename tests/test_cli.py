@@ -357,8 +357,11 @@ class TestCompositeVerify:
         code, _, _ = run(["composite", "verify", path, "--dims", "2x3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-10", "1e-3"])
     @pytest.mark.parametrize("perturbed", [False, True], ids=["valid", "perturbed"])
-    def test_admissible_is_the_exit_verdict(self, tmp_path, capsys, perturbed):
+    def test_admissible_is_the_exit_verdict(self, tmp_path, capsys, tol, perturbed):
+        # No tolerance given on the command line can move the verdict: --tol is refused for
+        # every value, loose or tight, and the verdict is CompositeKernel's alone.
         from swphase.composite import make_composite_kernel
         from swphase.linalg import BipartiteDims
 
@@ -366,6 +369,10 @@ class TestCompositeVerify:
         if perturbed:  # trace kept, purities moved by about 1e-6
             mat = mat + np.diag([1e-6, -1e-6, 0.0, 0.0])
         path = write_matrix(tmp_path / "comp.json", mat)
+        with pytest.raises(SystemExit) as exc:
+            main(["composite", "verify", path, "--dims", "2x2", "--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
         code, out, _ = run(["composite", "verify", path, "--dims", "2x2"], capsys)
         admissible = json.loads(out)["admissible"]
         assert admissible == (code == 0) == (not perturbed)
