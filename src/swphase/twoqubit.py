@@ -41,15 +41,15 @@ Batch axes
 :func:`abelian_factor` and :func:`abelian_quadrics` take leading batch
 axes: parameters (..., 3) give factors (..., 4, 4) and a
 :class:`QuadricTriple` of stacks (..., 3, 3).  Every check runs on every
-record of a stack and its error names the first failing stack index.  The
-scan's chunk pipeline builds the quadric pairs of a chunk of
-``SCAN_CHUNK`` records in one :func:`abelian_quadrics` call, for
-:func:`moduli_scan` and the writers :func:`scan_to_csv` and
-:func:`scan_to_json`.  Its contractions run record by record inside one
-stacked product, so a record's bits do not depend on the chunk.  Only the
-closed-form pencil matrices, the roots and the solver run record by
-record in Python, and :func:`moduli_record` is the batch-of-one case of
-the same pipeline.
+record of a stack in one test; only if it fails is the first failing
+stack index sought and named in the error.  The scan's chunk pipeline
+builds the quadric pairs of a chunk of ``SCAN_CHUNK`` records in one
+:func:`abelian_quadrics` call, for :func:`moduli_scan` and the writers
+:func:`scan_to_csv` and :func:`scan_to_json`.  Its contractions run record
+by record inside one stacked product, so a record's bits do not depend on
+the chunk.  Only the closed-form pencil matrices, the roots and the solver
+run record by record in Python, and :func:`moduli_record` runs the same
+stages on a batch of one.
 
 Scan draws
 ----------
@@ -69,8 +69,8 @@ The module needs numpy alone.  Its 3x3 eigenproblems go through
 ``numpy.linalg``: one stacked ``eigvalsh`` call per :class:`QuadricTriple`
 and, in the solver, one ``eigvals`` call for the conic pencil and one
 ``eigh`` call for its singular members.  The Cholesky reduction of the
-definite pencil and the adjugate of the conic pencil's member are closed
-forms on Python floats.
+definite pencil, the adjugate of the conic pencil's member and the
+solver's residual filter and dedup are closed forms on Python floats.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ class QuadricTriple:
     ``rank_a`` and ``rank_b`` count the eigenvalues above ``_COND_FLOOR``,
     one count per pair.  Every entry must be finite.  The checks run in
     order of kind (shape, finite, symmetric, positive semidefinite), each
-    once on ``a`` and ``b`` stacked; the first kind that fails is reported,
-    on ``a`` before ``b``.
+    one test on ``a`` and ``b`` stacked that seeks the failing record only
+    on failure; the first kind that fails is reported, on ``a`` before ``b``.
     """
 
     a: np.ndarray
@@ -305,13 +305,15 @@ class QuadricTriple:
         quad = np.empty((4,) + pair[0].shape)
         quad[0], quad[1] = pair
         ab = quad[:2]
-        _check_pair(~np.isfinite(ab).all(axis=(-2, -1)), "has a non-finite entry")
-        _check_pair(_frobenius(ab - ab.swapaxes(-1, -2)) > 1e-13, "is not symmetric")
+        if not np.isfinite(ab).all():
+            _check_pair(~np.isfinite(ab).all(axis=(-2, -1)), "has a non-finite entry")
+        skew = ab - ab.swapaxes(-1, -2)
+        if skew.any():  # abelian_quadrics symmetrizes, so its skew is exactly zero
+            _check_pair(_frobenius(skew) > 1e-13, "is not symmetric")
         c = np.add(*pair, out=quad[2])
-        quad[3].reshape(-1, 3, 3)[...] = np.array([
-            _cholesky_congruence(ak, ck)
-            for ak, ck in zip(pair[0].reshape(-1, 3, 3).tolist(), c.reshape(-1, 3, 3).tolist())
-        ]).reshape(-1, 3, 3)  # an empty list is an empty stack
+        pencil = quad[3].reshape(-1, 3, 3)  # a view, filled record by record
+        for k, (ak, ck) in enumerate(zip(*(x.reshape(-1, 3, 3).tolist() for x in (pair[0], c)))):
+            pencil[k] = _cholesky_congruence(ak, ck)
         eig = np.linalg.eigvalsh(quad)
         eig, eig_ab, eig_pencil = eig[:2], eig[2], eig[3]
         _check_pair(eig[..., 0] < -1e-10, "is not positive semidefinite")
@@ -378,12 +380,14 @@ def abelian_quadrics(a_params, a_prime_params) -> QuadricTriple:
     # An overflowing phase sum gives NaN phases, which the unitarity check reports.
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.exp(0.5j * (params @ _PLANE_SIGNS))
-    _check_each(~(np.abs(np.abs(p) - 1.0) <= DEFAULT_TOL).all(axis=(1, 2)).reshape(batch),
-                "input is not unitary")
+    unit = np.abs(np.abs(p) - 1.0) <= DEFAULT_TOL
+    if not unit.all():
+        _check_each(~unit.all(axis=(1, 2)).reshape(batch), "input is not unitary")
     f = (p.conj()[:, :, :, None] * p[:, :, None, :]).reshape(m, 2, 16)
     t = (f[:, 1, None] @ _PHASE_BILINEAR).reshape(m, 24, 16) @ f[:, 0, :, None]
-    _check_each((np.abs(t.imag).max(axis=(1, 2)) > 1e-12).reshape(batch),
-                "local-by-torus block came out non-real")
+    if (np.abs(t.imag) > 1e-12).any():
+        _check_each((np.abs(t.imag).max(axis=(1, 2)) > 1e-12).reshape(batch),
+                    "local-by-torus block came out non-real")
     sub = (t.real.reshape(m, 6, 4) @ _TORUS_COLUMNS).reshape(m, 2, 3, 3)
     q = (4.0 / 3.0) * (sub.swapaxes(-1, -2) @ sub)
     q = ((q + q.swapaxes(-1, -2)) / 2.0).reshape(batch + (2, 3, 3))
@@ -551,8 +555,9 @@ def moduli_feasibility(q: QuadricTriple, level: float) -> FeasibilityResult:
     The pencil roots come from one 3x3 nonsymmetric eigenvalue call (see
     :func:`_singular_members`); its input is finite because
     :class:`QuadricTriple` rejects non-finite entries.  The line pairs are
-    split on Python floats, and the residuals and the dedup distances take
-    one array product each over all candidate points.
+    split, and the candidates normalized, filtered and deduplicated, on
+    Python floats, each sum of three terms left to right as numpy's; a BLAS
+    product, which may fuse multiply-adds, can differ in a residual's last bits.
 
     Level 1 is the quoted unit normalization, which the scan uses.  At
     ``MATRIX_LEVEL`` the system is the matrix-level subsystem purity
@@ -565,20 +570,28 @@ def moduli_feasibility(q: QuadricTriple, level: float) -> FeasibilityResult:
     if not _level_reachable(q, level):
         return _feasibility_result(q, [])
     mus = _conic_intersection(q.a - level * _EYE3, q.b - level * _EYE3)
-    if not len(mus):
-        return _feasibility_result(q, [])
-    mus /= np.sqrt((mus * mus).sum(axis=1, keepdims=True))
-    values = (mus @ np.concatenate([q.a, q.b], axis=1)).reshape(-1, 2, 3) @ mus[:, :, None]
-    good = mus[np.abs(values[..., 0] - level).max(axis=1) <= _RESIDUAL_TOL]
-    # Distances from each point to every point, then to every antipode.
-    n = len(good)
-    diff = good[:, None] - np.concatenate([good, -good])
-    dist = np.sqrt((diff * diff).sum(axis=-1)).tolist()
-    kept: list[int] = []
-    for i, row in enumerate(dist):
-        if all(row[j] > _DEDUP_TOL and row[j + n] > _DEDUP_TOL for j in kept):
-            kept.append(i)
-    return _feasibility_result(q, [mu for i in kept for mu in (good[i], -good[i])])
+    cols, kept = (q.a.T.tolist(), q.b.T.tolist()), []
+    for x, y, z in mus.tolist():
+        h = _norm3(x, y, z)
+        x, y, z = x / h, y / h, z / h
+        # Kept unless a kept point or its antipode is within _DEDUP_TOL (x - (-u) is x + u).
+        if all(abs(_form((x, y, z), m) - level) <= _RESIDUAL_TOL for m in cols) and all(
+                min(_norm3(x - u, y - v, z - w), _norm3(x + u, y + v, z + w)) > _DEDUP_TOL
+                for u, v, w in kept):
+            kept.append((x, y, z))
+    return _feasibility_result(q, [np.array(s) for mu in kept for s in (mu, [-c for c in mu])])
+
+
+def _norm3(x: float, y: float, z: float) -> float:
+    """|(x, y, z)|, summed left to right as numpy sums three terms."""
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _form(mu: tuple, cols: list) -> float:
+    """mu M mu^T from the columns of M, as (mu M) mu^T with sums left to right."""
+    x, y, z = mu
+    r0, r1, r2 = [x * c0 + y * c1 + z * c2 for c0, c1, c2 in cols]
+    return r0 * x + r1 * y + r2 * z
 
 
 def _feasibility_result(q: QuadricTriple, solutions: list) -> FeasibilityResult:
@@ -653,8 +666,8 @@ def _conic_intersection(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("degenerate pencil: C_A or C_B is zero (A or B equals level I)")
     ca, cb = ca / norm_a, cb / norm_b
-    wedge = np.outer(ca, cb)
-    if np.linalg.norm(wedge - wedge.T) <= 1e-12:
+    # Proportional conics: |ca cb^T - cb ca^T| = |ca - cb| |ca + cb| / sqrt(2) for unit ca, cb.
+    if np.linalg.norm(ca - cb) * np.linalg.norm(ca + cb) / math.sqrt(2.0) <= 1e-12:
         raise ValueError(_DEGENERATE_PENCIL)
     xy = np.array(_singular_members(ca, cb)).reshape(-1, 2)
     w, v = np.linalg.eigh(xy[:, 0, None, None] * ca + xy[:, 1, None, None] * cb)
@@ -821,9 +834,10 @@ def _chunk_records(start: int, a, ap, q: QuadricTriple, roots: list, solved: dic
 def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = True) -> ScanRecord:
     """Evaluate one moduli point: the batch-of-one case of :func:`moduli_scan`.
 
-    The quadric pair is that of :func:`abelian_quadrics` on the batch of one
-    record.  Parameters must be finite; parameters whose phase sums overflow
-    fail the unitarity check with a ValueError and no warning.
+    The quadric pair is record 0 of :func:`abelian_quadrics` on a batch of
+    one, so an error names stack index [0].  Parameters must be finite;
+    parameters whose phase sums overflow fail the unitarity check with a
+    ValueError and no warning.
     ``solve=False`` skips the solver.  Both settings return equal records:
     at the scan's level 1 the early exit of :func:`moduli_feasibility`
     settles every record before a solve, because A + B <= (4/3) I.
@@ -832,8 +846,9 @@ def moduli_record(record_index: int, a_params, a_prime_params, solve: bool = Tru
     a, ap = np.array(a_params, dtype=float), np.array(a_prime_params, dtype=float)
     if a.shape != (3,) or ap.shape != (3,):
         raise ValueError("expected parameter shapes (3,), (3,)")
-    a, ap = a[None], ap[None]
-    return _chunk_records(record_index, a, ap, *_chunk_stages(a, ap, solve))[0]
+    q = abelian_quadrics(a[None], ap[None])[0]
+    feasibility = moduli_feasibility(q, 1.0) if solve else _feasibility_result(q, [])
+    return ScanRecord(record_index, a, ap, q, char_cubic_roots(q), feasibility)
 
 
 def moduli_scan(n: int, seed, ranges=(-np.pi, np.pi)) -> list:

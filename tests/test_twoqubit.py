@@ -958,6 +958,62 @@ class TestGridParity:
         assert touching > 0 or level == 0.15  # no record of the sample touches at 0.15
 
 
+def _array_bookkeeping(q, level):
+    """moduli_feasibility's solutions by the array form of its residual filter and dedup.
+
+    The form the solver used before this bookkeeping ran on Python floats:
+    one array product for the residuals of all candidate points of
+    _conic_intersection and one for their distances, then the first-come dedup.
+    """
+    if not twoqubit._level_reachable(q, level):
+        return []
+    mus = twoqubit._conic_intersection(q.a - level * np.eye(3), q.b - level * np.eye(3))
+    if not len(mus):
+        return []
+    mus /= np.sqrt((mus * mus).sum(axis=1, keepdims=True))
+    values = (mus @ np.concatenate([q.a, q.b], axis=1)).reshape(-1, 2, 3) @ mus[:, :, None]
+    good = mus[np.abs(values[..., 0] - level).max(axis=1) <= twoqubit._RESIDUAL_TOL]
+    # Distances from each point to every point, then to every antipode.
+    n = len(good)
+    diff = good[:, None] - np.concatenate([good, -good])
+    dist = np.sqrt((diff * diff).sum(axis=-1)).tolist()
+    kept = []
+    for i, row in enumerate(dist):
+        if all(row[j] > twoqubit._DEDUP_TOL and row[j + n] > twoqubit._DEDUP_TOL for j in kept):
+            kept.append(i)
+    return [mu for i in kept for mu in (good[i], -good[i])]
+
+
+class TestBookkeepingParity:
+    """The float bookkeeping of moduli_feasibility gives the array form's solutions, bit for bit.
+
+    numpy alone: the reference takes the same candidate points, so any
+    difference is in the normalization, the residual filter or the dedup.
+    """
+
+    @pytest.mark.parametrize("level", [MATRIX_LEVEL, 0.15, 0.4])
+    @pytest.mark.parametrize("sample", ["draws", "grid"])
+    def test_solutions_are_bit_identical(self, level, sample):
+        if sample == "draws":
+            params = np.random.default_rng(40_000).uniform(-np.pi, np.pi, (2, 2000, 3))
+            q = abelian_quadrics(params[0], params[1])
+        else:
+            q = _grid_quadrics(1000, 17)
+        counts = set()
+        for k in range(len(q.a)):
+            try:
+                want = _array_bookkeeping(q[k], level)
+            except ValueError:
+                with pytest.raises(ValueError, match="degenerate pencil"):
+                    moduli_feasibility(q[k], level=level)
+                continue
+            got = moduli_feasibility(q[k], level=level).solutions
+            assert [mu.tobytes() for mu in got] == [mu.tobytes() for mu in want], k
+            assert all(mu.shape == (3,) and mu.dtype == float for mu in got)
+            counts.add(len(got))
+        assert {0, 8} <= counts if sample == "draws" else 0 in counts
+
+
 class TestIsotropyDim:
     def test_diagonal_distinct_local(self):
         assert isotropy_dim(np.diag([0.4, 0.3, 0.2, 0.1])) == 2
@@ -1303,6 +1359,38 @@ class TestBatchParity:
             b[1, 2, 0] += 1e-12
             with pytest.raises(ValueError, match=r"^b is not symmetric at stack index \[1\]$"):
                 QuadricTriple(a=a, b=b)
+
+    def test_tolerance_edges_of_the_stacked_checks(self):
+        # A skew of Frobenius norm 7e-14 is symmetric (the bound is 1e-13, not
+        # exact symmetry) and 2e-13 is not; a least eigenvalue of -0.9e-10 is
+        # semidefinite and -1.1e-10 is not.  Single pairs, and record 3 of a stack.
+        quads = abelian_quadrics(*np.random.default_rng(6).uniform(-np.pi, np.pi, (2, 5, 3)))
+
+        def skewed(a, norm):
+            a = a.copy()
+            a[..., 0, 1] += norm / np.sqrt(2.0)
+            defect = np.linalg.norm(a - a.swapaxes(-1, -2), axis=(-2, -1))
+            assert np.allclose(defect, norm, rtol=1e-3, atol=0.0)
+            return a
+
+        def shifted(a, least):
+            return a - (np.linalg.eigvalsh(a)[..., :1, None] - least) * np.eye(3)
+
+        for make, ok, bad, check in ((skewed, 7e-14, 2e-13, "symmetric"),
+                                     (shifted, -0.9e-10, -1.1e-10, "positive semidefinite")):
+            QuadricTriple(a=make(quads.a[3], ok), b=quads.b[3])
+            with pytest.raises(ValueError, match=rf"^a is not {check}$"):
+                QuadricTriple(a=make(quads.a[3], bad), b=quads.b[3])
+            for value, raises in ((ok, False), (bad, True)):
+                a = quads.a.copy()
+                a[3] = make(a[3], value)
+                if raises:
+                    with pytest.raises(ValueError, match=rf"^a is not {check} at stack index \[3\]$"):
+                        QuadricTriple(a=a, b=quads.b)
+                else:
+                    assert np.array_equal(QuadricTriple(a=a, b=quads.b)[3].a, a[3])
+        least = QuadricTriple(a=shifted(quads.a[3], -0.9e-10), b=quads.b[3]).eig_a[0]
+        assert -1e-10 < least < -0.8e-10
 
     def test_non_finite_quadric_raises(self):
         quads = abelian_quadrics(*np.random.default_rng(5).uniform(-np.pi, np.pi, (2, 5, 3)))
